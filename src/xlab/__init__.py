@@ -11,9 +11,9 @@ from .christoffel import (ChristoffelValue, OrthoBasis, christoffel_lambda,
                           kernel_prefix, orthonormalize)
 from .equilibrium import (EquilibriumDensity, ExteriorMapSpec, density_circle,
                           density_exterior_map, density_interval,
-                          density_lemniscate, density_profile,
-                          equilibrium_density, exterior_map_circle,
-                          exterior_map_ellipse, green_normal_derivative)
+                          density_profile, equilibrium_density,
+                          exterior_map_circle, exterior_map_ellipse,
+                          green_normal_derivative)
 from .errors import (CapabilityError, DegeneracyError, DomainError,
                      GeometryError, InputError, MeasureFormatError,
                      NumericError, ResolutionError, SymmetryError,
@@ -50,7 +50,7 @@ __all__ = [
     "SymmetryError", "TracingError", "XlabError", "arc_length",
     "build_rule", "christoffel_lambda", "circle_jump_measure",
     "density_at", "density_circle", "density_exterior_map",
-    "density_interval", "density_lemniscate", "density_profile",
+    "density_interval", "density_profile",
     "ellipse_jump_measure", "equilibrium_density", "exterior_map_circle",
     "exterior_map_ellipse", "extrapolate", "extremal_polynomial_values",
     "format_measure", "format_sweep_csv", "geometric_schedule",

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from .errors import DegeneracyError, DomainError, InputError, NumericError
 from .quadrature import build_rule
@@ -34,26 +33,19 @@ class OrthoBasis:
     """
 
     def __init__(self, degree, hessenberg, node_values, norm_residuals,
-                 mass, rule, precision_bits=53, hessenberg_hp=None,
-                 mass_hp=None, node_values_hp=None):
+                 mass, rule):
         self.degree = degree
         self.hessenberg = hessenberg
         self.node_values = node_values
         self.norm_residuals = norm_residuals
         self.mass = mass
         self.rule = rule
-        self.precision_bits = precision_bits
-        self.hessenberg_hp = hessenberg_hp
-        self.mass_hp = mass_hp
-        self.node_values_hp = node_values_hp
 
     def evaluate(self, z, upto=None):
         """Values p_0(z), ..., p_upto(z); columns follow the shape of z."""
         n = self.degree if upto is None else int(upto)
         if not 0 <= n <= self.degree:
             raise DomainError(f"degree {n} outside the basis range")
-        if self.precision_bits > 53:
-            return self._evaluate_hp(z, n)
         scalar = np.isscalar(z) or np.asarray(z).ndim == 0
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         P = np.empty((n + 1, zz.size), dtype=complex)
@@ -62,18 +54,6 @@ class OrthoBasis:
         for k in range(n):
             P[k + 1] = (zz * P[k] - H[:k + 1, k] @ P[:k + 1]) / H[k + 1, k].real
         return P[:, 0] if scalar else P
-
-    def _evaluate_hp(self, z, n):
-        with mp.workprec(self.precision_bits):
-            scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-            zz = np.atleast_1d(np.asarray(z, dtype=object))
-            zz = np.array([mp.mpc(v) for v in zz.ravel()], dtype=object)
-            P = np.empty((n + 1, zz.size), dtype=object)
-            P[0] = 1 / mp.sqrt(self.mass_hp)
-            H = self.hessenberg_hp
-            for k in range(n):
-                P[k + 1] = (zz * P[k] - np.dot(H[:k + 1, k], P[:k + 1])) / H[k + 1, k]
-            return P[:, 0] if scalar else P
 
 
 def orthonormalize(rule, degree):
@@ -89,8 +69,6 @@ def orthonormalize(rule, degree):
         raise DomainError(
             f"rule is only exact for products of degree {rule.max_exact_degree}, "
             f"cannot orthonormalize to degree {degree}")
-    if rule.precision_bits > 53:
-        return _orthonormalize_hp(rule, degree)
 
     x, w = rule.nodes, rule.weights
     m = x.size
@@ -126,47 +104,6 @@ def _finish_basis(rule, degree, H, Q, mass):
                       norm_residuals=R.max(axis=0), mass=mass, rule=rule)
 
 
-def _orthonormalize_hp(rule, degree):
-    with mp.workprec(rule.precision_bits):
-        x, w = rule.nodes_hp, rule.weights_hp
-        m = x.size
-        mass = np.sum(w)
-        Q = np.empty((degree + 1, m), dtype=object)
-        H = np.full((degree + 2, degree + 1), mp.mpf(0), dtype=object)
-        Q[0] = np.full(m, 1 / mp.sqrt(mass), dtype=object)
-        for k in range(degree):
-            v = x * Q[k]
-            scale = mp.sqrt(np.sum(w * v * np.conjugate(v)).real)
-            h = np.dot(np.conjugate(Q[:k + 1]), w * v)
-            v = v - np.dot(h, Q[:k + 1])
-            h2 = np.dot(np.conjugate(Q[:k + 1]), w * v)
-            v = v - np.dot(h2, Q[:k + 1])
-            h = h + h2
-            nrm = mp.sqrt(np.sum(w * v * np.conjugate(v)).real)
-            if nrm <= BREAKDOWN_REL * scale:
-                raise DegeneracyError(
-                    f"orthonormalization broke down at degree {k + 1}",
-                    achieved_degree=k)
-            H[:k + 1, k] = h
-            H[k + 1, k] = nrm
-            Q[k + 1] = v / nrm
-        G = np.dot(Q * w, np.conjugate(Q.T))
-        res = np.zeros(degree + 1)
-        for i in range(degree + 1):
-            for j in range(degree + 1):
-                dev = float(abs(G[i, j] - (1 if i == j else 0)))
-                if dev > res[j]:
-                    res[j] = dev
-        float_H = np.array([[complex(H[i, j]) for j in range(degree + 1)]
-                            for i in range(degree + 2)])
-        float_Q = np.array([[complex(q) for q in row] for row in Q])
-        return OrthoBasis(degree=degree, hessenberg=float_H,
-                          node_values=float_Q, norm_residuals=res,
-                          mass=float(mass), rule=rule,
-                          precision_bits=rule.precision_bits,
-                          hessenberg_hp=H, mass_hp=mass, node_values_hp=Q)
-
-
 @dataclass
 class ChristoffelValue:
     """lambda_n(mu, z) together with how it was obtained."""
@@ -179,16 +116,8 @@ class ChristoffelValue:
 
 
 def kernel_diag(basis, z, upto=None):
-    """Diagonal kernel value K_n(z) = sum_k |p_k(z)|^2 (an mpf at >53 bits)."""
+    """Diagonal kernel value K_n(z) = sum_k |p_k(z)|^2."""
     p = basis.evaluate(z, upto=upto)
-    if basis.precision_bits > 53:
-        with mp.workprec(basis.precision_bits):
-            K = np.sum(p * np.conjugate(p)).real
-            if not mp.isfinite(K):
-                raise NumericError("kernel overflow: z is too far from the support")
-            if K <= 0:
-                raise NumericError("kernel vanished")
-            return K
     K = float(np.dot(p, np.conjugate(p)).real)
     if not math.isfinite(K):
         raise NumericError("kernel overflow: z is too far from the support")
@@ -198,8 +127,7 @@ def kernel_diag(basis, z, upto=None):
 
 
 def christoffel_lambda(measure, n, z=None, method="kernel",
-                       nodes_per_degree=6, precision_bits=53, rule=None,
-                       basis=None):
+                       nodes_per_degree=6, rule=None, basis=None):
     """The Christoffel function lambda_n(mu, z).
 
     ``method`` "kernel" inverts the diagonal kernel; "direct" reconstructs
@@ -216,27 +144,16 @@ def christoffel_lambda(measure, n, z=None, method="kernel",
         raise InputError(f"unknown method {method!r}")
     if basis is None:
         if rule is None:
-            rule = build_rule(measure, n, nodes_per_degree=nodes_per_degree,
-                              precision_bits=precision_bits)
+            rule = build_rule(measure, n, nodes_per_degree=nodes_per_degree)
         basis = orthonormalize(rule, min(n, rule.max_exact_degree))
     if basis.degree < n:
         raise DomainError(f"basis degree {basis.degree} is below n = {n}")
 
     if method == "kernel":
         K = kernel_diag(basis, z, upto=n)
-        return ChristoffelValue(n=n, z=z, lambda_n=float(1 / K), method=method)
+        return ChristoffelValue(n=n, z=z, lambda_n=1.0 / K, method=method)
 
     # direct: P = sum_k conj(p_k(z)) p_k / K, then lambda = int |P|^2 dmu
-    if basis.precision_bits > 53:
-        with mp.workprec(basis.precision_bits):
-            p = basis.evaluate(z, upto=n)
-            K = np.sum(p * np.conjugate(p)).real
-            c = np.conjugate(p) / K
-            Pn = np.dot(c, basis.node_values_hp[:n + 1])
-            lam = np.sum(basis.rule.weights_hp * Pn * np.conjugate(Pn)).real
-            coeffs = np.array([complex(v) for v in c])
-            return ChristoffelValue(n=n, z=z, lambda_n=float(lam),
-                                    method=method, extremal_coeffs=coeffs)
     p = basis.evaluate(z, upto=n)
     K = float(np.dot(p, np.conjugate(p)).real)
     if K <= 0 or not math.isfinite(K):
@@ -265,9 +182,4 @@ def extremal_polynomial_values(basis, value, points):
 def kernel_prefix(basis, z):
     """K_n(z) for every n up to the basis degree, via one evaluation."""
     p = basis.evaluate(z)
-    if basis.precision_bits > 53:
-        with mp.workprec(basis.precision_bits):
-            sq = np.array([float((v * v.conjugate()).real) for v in p])
-    else:
-        sq = np.abs(p) ** 2
-    return np.cumsum(sq)
+    return np.cumsum(np.abs(p) ** 2)

@@ -38,7 +38,6 @@ def _cmd_lambda(args):
     measure = load_measure_file(args.measure)
     z = _parse_point(measure, args.z)
     value = christoffel_lambda(measure, args.n, z=z, method=args.method,
-                               precision_bits=args.precision,
                                nodes_per_degree=args.nodes_per_degree)
     print(f"n = {value.n}")
     print(f"z = {value.z!r}")
@@ -106,7 +105,6 @@ def build_parser():
     p.add_argument("--z", required=True, help="re,im or auto-jump")
     p.add_argument("--n", required=True, type=int, help="polynomial degree")
     p.add_argument("--method", choices=("kernel", "direct"), default="kernel")
-    p.add_argument("--precision", type=int, default=53, help="working bits")
     p.add_argument("--nodes-per-degree", type=int, default=6)
     p.set_defaults(func=_cmd_lambda)
 

@@ -84,16 +84,6 @@ def density_interval(a, b, x):
     return 2.0 / (math.pi * (b - a) * math.sqrt(1.0 - s * s))
 
 
-def density_lemniscate(poly, z):
-    """Density |T'(z)| / (2 pi N) on the level curve |T(z)| = 1."""
-    from .geometry import SupportSpec
-
-    support = SupportSpec.make_lemniscate(poly)
-    _, _, point = project_to_support(support, z, tol=OFF_CURVE_TOL)
-    n = poly.degree
-    return abs(complex(poly.derivative()(point))) / (2.0 * math.pi * n)
-
-
 def exterior_map_circle(radius=1.0, center=0j):
     """Phi(z) = (z - c)/r; the inverse has constant derivative r."""
     from .geometry import SupportSpec

@@ -5,17 +5,12 @@ switch point and at the evaluation point z0, then panels are geometrically
 graded toward those points down to a floor length of min(1e-3, 4/degree^2).
 Interval measures are integrated in the substituted variable x = cos(theta),
 which turns an arcsine factor 1/sqrt(1 - x^2) into a bounded integrand.
-
-Rules can be built at extended precision: nodes, weights and the measure
-factors are then evaluated with mpmath at the requested bit count and stored
-alongside float64 mirrors.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from .errors import InputError, NumericError, ResolutionError
 from .geometry import parametrize
@@ -43,9 +38,7 @@ class QuadratureRule:
     """Discrete measure: complex nodes with positive weights.
 
     ``params`` holds the arc parameter of each node (the x coordinate for
-    interval supports) and ``arc_index`` which arc it came from.  When built
-    at more than 53 bits, ``nodes_hp`` and ``weights_hp`` are mpmath object
-    arrays and the float fields are their rounded mirrors.
+    interval supports) and ``arc_index`` which arc it came from.
     """
 
     nodes: np.ndarray
@@ -53,9 +46,6 @@ class QuadratureRule:
     params: np.ndarray
     arc_index: np.ndarray
     max_exact_degree: int
-    precision_bits: int = 53
-    nodes_hp: np.ndarray = None
-    weights_hp: np.ndarray = None
 
     @property
     def node_count(self):
@@ -67,37 +57,12 @@ class QuadratureRule:
 
 
 _GL_CACHE = {}
-_GL_MP_CACHE = {}
 
 
 def _gl_reference(order):
     if order not in _GL_CACHE:
         _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
     return _GL_CACHE[order]
-
-
-def _gl_reference_mp(order, prec):
-    """Gauss-Legendre reference nodes at ``prec`` bits, Newton-polished."""
-    key = (order, prec)
-    if key in _GL_MP_CACHE:
-        return _GL_MP_CACHE[key]
-    x0, _ = _gl_reference(order)
-    with mp.workprec(prec + 10):
-        xs, ws = [], []
-        for seed in x0:
-            x = mp.mpf(seed)
-            for _ in range(int(math.log2(prec)) + 3):
-                p = mp.legendre(order, x)
-                pm = mp.legendre(order - 1, x)
-                dp = order * (x * p - pm) / (x * x - 1)
-                x = x - p / dp
-            p = mp.legendre(order, x)
-            pm = mp.legendre(order - 1, x)
-            dp = order * (x * p - pm) / (x * x - 1)
-            xs.append(x)
-            ws.append(2 / ((1 - x * x) * dp * dp))
-    _GL_MP_CACHE[key] = (xs, ws)
-    return _GL_MP_CACHE[key]
 
 
 def _segment_edges(lo, hi, at_lo, at_hi, n_uniform, policy, floor):
@@ -188,8 +153,7 @@ def _interval_factors(measure, theta):
     return x, factor
 
 
-def build_rule(measure, max_degree, nodes_per_degree=6, grading=None,
-               precision_bits=53):
+def build_rule(measure, max_degree, nodes_per_degree=6, grading=None):
     """Quadrature rule integrating polynomial products up to ``max_degree``.
 
     The node budget is nodes_per_degree * (max_degree + 1) spread over the
@@ -213,10 +177,8 @@ def build_rule(measure, max_degree, nodes_per_degree=6, grading=None,
     total_panels = math.ceil(nodes_per_degree * (max_degree + 1) / PANEL_ORDER)
 
     arcs = parametrize(measure.support)
-    domain_hi = {i: (math.pi if interval else arc.t_hi)
-                 for i, arc in enumerate(arcs)}
     xr, wr = _gl_reference(PANEL_ORDER)
-    all_t, all_panel = [], []
+    nodes, weights, params, arc_idx = [], [], [], []
     for (arc_i, lo, hi, at_lo, at_hi), ell in zip(segs, lengths):
         n_uniform = max(1, math.ceil(total_panels * ell / total_len))
         edges = _segment_edges(lo, hi, at_lo, at_hi, n_uniform, policy, floor)
@@ -224,27 +186,21 @@ def build_rule(measure, max_degree, nodes_per_degree=6, grading=None,
             if pb - pa < policy.min_panel:
                 raise ResolutionError("panel collapsed below the minimum length")
             mid_p, half_p = 0.5 * (pa + pb), 0.5 * (pb - pa)
-            all_t.append(mid_p + half_p * xr)
-            all_panel.append((arc_i, pa, pb, pb == domain_hi[arc_i]))
-
-    nodes, weights, params, arc_idx = [], [], [], []
-    for (arc_i, pa, pb, _), t in zip(all_panel, all_t):
-        half_p = 0.5 * (pb - pa)
-        base_w = half_p * wr
-        if interval:
-            x, factor = _interval_factors(measure, t)
-            nodes.append(x.astype(complex))
-            params.append(x)
-        else:
-            arc = arcs[arc_i]
-            piece = measure.piece_for(arc_i)
-            z = np.asarray(arc.point(t), dtype=complex)
-            factor = (piece.smooth(t) * piece.weight.value(t)
-                      * np.abs(arc.velocity(t)))
-            nodes.append(z)
-            params.append(t)
-        weights.append(base_w * factor)
-        arc_idx.append(np.full(t.size, arc_i, dtype=int))
+            t = mid_p + half_p * xr
+            if interval:
+                x, factor = _interval_factors(measure, t)
+                nodes.append(x.astype(complex))
+                params.append(x)
+            else:
+                arc = arcs[arc_i]
+                piece = measure.piece_for(arc_i)
+                z = np.asarray(arc.point(t), dtype=complex)
+                factor = (piece.smooth(t) * piece.weight.value(t)
+                          * np.abs(arc.velocity(t)))
+                nodes.append(z)
+                params.append(t)
+            weights.append(half_p * wr * factor)
+            arc_idx.append(np.full(t.size, arc_i, dtype=int))
 
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
@@ -253,111 +209,12 @@ def build_rule(measure, max_degree, nodes_per_degree=6, grading=None,
     if not np.all(np.isfinite(weights)) or weights.min() <= 0:
         raise NumericError("quadrature weights must be positive and finite")
 
-    rule = QuadratureRule(nodes=nodes, weights=weights, params=params,
-                          arc_index=arc_idx, max_exact_degree=max_degree,
-                          precision_bits=precision_bits)
-    if precision_bits > 53:
-        _lift_rule(rule, measure, all_panel, precision_bits)
-    return rule
-
-
-def _hp_horner(coeffs, z):
-    acc = mp.mpf(0)
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
-def _exact_domain_hi(sup, arc):
-    """The closing parameter of an arc, free of float64 rounding."""
-    if sup.kind == "interval":
-        return mp.pi
-    if sup.kind in ("circle", "ellipse"):
-        return 2 * mp.pi
-    if sup.kind == "lemniscate":
-        return mp.mpf(arc.t_lo) + 2 * mp.pi * arc.winding
-    return mp.mpf(arc.t_hi)
-
-
-def _lift_rule(rule, measure, panels, prec):
-    """Recompute nodes and weights with mpmath at ``prec`` bits."""
-    sup = measure.support
-    xr, wr = _gl_reference_mp(PANEL_ORDER, prec)
-    arcs = parametrize(sup)
-    nodes_hp, weights_hp = [], []
-    with mp.workprec(prec):
-        if sup.kind == "lemniscate":
-            ct = [mp.mpc(c) for c in sup.poly.coeffs[::-1]]
-            cd = [mp.mpc(c) for c in sup.poly.derivative().coeffs[::-1]]
-        res_tol = mp.mpf(2) ** (-prec + 8)
-        k = 0
-        for arc_i, pa, pb, is_end in panels:
-            pa_hp = mp.mpf(pa)
-            pb_hp = (_exact_domain_hi(sup, arcs[arc_i]) if is_end
-                     else mp.mpf(pb))
-            mid_hp = (pa_hp + pb_hp) / 2
-            half_hp = (pb_hp - pa_hp) / 2
-            piece = measure.piece_for(arc_i)
-            w0c = [mp.mpf(float(c)) for c in piece.smooth.coeffs[::-1]]
-            for j in range(PANEL_ORDER):
-                t = mid_hp + half_hp * xr[j]
-                base = half_hp * wr[j]
-                if sup.kind == "interval":
-                    a, b = sup.interval
-                    midx, halfx = mp.mpf(0.5) * (a + b), mp.mpf(0.5) * (b - a)
-                    x = midx + halfx * mp.cos(t)
-                    z = mp.mpc(x)
-                    v = float(piece.weight.value(float(x)))
-                    factor = _hp_horner(w0c, x) * v * halfx
-                    if not measure.chebyshev:
-                        factor = factor * mp.sin(t)
-                    param = x
-                else:
-                    v = float(piece.weight.value(float(t)))
-                    w0 = _hp_horner(w0c, t)
-                    if sup.kind == "circle":
-                        e = mp.mpc(mp.cos(t), mp.sin(t))
-                        z = mp.mpc(sup.center) + sup.radius * e
-                        spd = mp.mpf(sup.radius)
-                    elif sup.kind == "ellipse":
-                        ea, eb = sup.axes
-                        rot = mp.mpc(mp.cos(sup.rotation), mp.sin(sup.rotation))
-                        z = mp.mpc(sup.center) + rot * (ea * mp.cos(t)
-                                                        + 1j * eb * mp.sin(t))
-                        spd = abs(rot * (-ea * mp.sin(t) + 1j * eb * mp.cos(t)))
-                    elif sup.kind == "lemniscate":
-                        w_img = mp.mpc(mp.cos(t), mp.sin(t))
-                        z = mp.mpc(complex(rule.nodes[k]))
-                        for _ in range(60):
-                            f = _hp_horner(ct, z) - w_img
-                            if abs(f) < res_tol:
-                                break
-                            z = z - f / _hp_horner(cd, z)
-                        else:
-                            raise NumericError("extended precision node "
-                                               "polishing did not converge")
-                        spd = 1 / abs(_hp_horner(cd, z))
-                    else:
-                        raise NumericError("extended precision rules need a "
-                                           "standard support kind")
-                    factor = w0 * v * spd
-                    param = t
-                nodes_hp.append(z)
-                weights_hp.append(base * factor)
-                # keep the float mirrors consistent with the lifted values
-                rule.nodes[k] = complex(z)
-                rule.weights[k] = float(weights_hp[-1])
-                rule.params[k] = float(param)
-                k += 1
-    rule.nodes_hp = np.array(nodes_hp, dtype=object)
-    rule.weights_hp = np.array(weights_hp, dtype=object)
+    return QuadratureRule(nodes=nodes, weights=weights, params=params,
+                          arc_index=arc_idx, max_exact_degree=max_degree)
 
 
 def integrate(rule, f):
     """Integral of a node-evaluable function against the rule's measure."""
-    if rule.precision_bits > 53 and rule.nodes_hp is not None:
-        vals = np.asarray(f(rule.nodes_hp), dtype=object)
-        return np.sum(rule.weights_hp * vals)
     vals = np.asarray(f(rule.nodes))
     if vals.shape != rule.nodes.shape:
         vals = np.broadcast_to(vals, rule.nodes.shape)

@@ -103,7 +103,6 @@ class SweepResult:
     measure: object
     z: complex
     method: str
-    precision_bits: int
     rows: list = field(default_factory=list)
     extrapolated_limit: float = None
     fit_model: FitModel = None
@@ -115,7 +114,7 @@ class SweepResult:
 
 
 def run_sweep(measure, z=None, schedule=None, method="kernel",
-              precision_bits=53, nodes_per_degree=6, grading=None):
+              nodes_per_degree=6, grading=None):
     """Evaluate lambda_n over a degree schedule with one shared basis.
 
     One orthonormalization at max(schedule) feeds every row: the kernel
@@ -142,7 +141,7 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
     n_max = schedule[-1]
     t0 = time.perf_counter()
     rule = build_rule(measure, n_max, nodes_per_degree=nodes_per_degree,
-                      grading=grading, precision_bits=precision_bits)
+                      grading=grading)
     achieved = n_max
     note = ""
     try:
@@ -160,7 +159,7 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
     setup = time.perf_counter() - t0
 
     result = SweepResult(measure=measure, z=z, method=method,
-                         precision_bits=precision_bits, setup_time=setup)
+                         setup_time=setup)
     for n in schedule:
         t1 = time.perf_counter()
         if n > achieved:
@@ -231,13 +230,6 @@ def format_sweep_csv(result):
     return "\n".join(lines) + "\n"
 
 
-def write_sweep_csv(result, path, dat_path=None):
-    text = format_sweep_csv(result)
+def write_sweep_csv(result, path):
     with open(path, "w") as fh:
-        fh.write(text)
-    if dat_path is not None:
-        body = text.splitlines()
-        with open(dat_path, "w") as fh:
-            fh.write("# " + body[0].replace(",", " ") + "\n")
-            for line in body[1:]:
-                fh.write(line.replace(",", " ") + "\n")
+        fh.write(format_sweep_csv(result))

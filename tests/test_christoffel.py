@@ -1,8 +1,14 @@
+import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from mpmath import mp
 
+import xlab
 from xlab.christoffel import (christoffel_lambda, extremal_polynomial_values,
                               kernel_diag, kernel_prefix, orthonormalize)
 from xlab.errors import DegeneracyError, DomainError
@@ -115,17 +121,57 @@ def test_degeneracy_reports_partial_basis():
     assert float(np.max(exc.basis.norm_residuals)) < 1e-12
 
 
-def test_extended_precision_lambda():
-    measure = uniform_circle_measure(z0=1.0)
-    rule = build_rule(measure, 24, nodes_per_degree=4, precision_bits=128)
-    basis = orthonormalize(rule, 24)
-    assert basis.precision_bits == 128
-    assert float(np.max(basis.norm_residuals)) < 1e-20
-    value = christoffel_lambda(measure, 24, rule=rule, basis=basis)
-    exact = 2.0 * math.pi / 25.0
-    assert abs(value.lambda_n - exact) <= 1e-15 * exact
-    K = kernel_diag(basis, 1.0 + 0j, upto=24)
-    assert float(abs(1.0 / K - exact)) <= 1e-15 * exact
+def _toeplitz_gram_lambda(A, B, t0, n, z):
+    """lambda_n(z) of a circle jump measure from its monomial Gram matrix.
+
+    Shares no code with the pipeline: the moments
+    c_m = int e^{-i m theta} w(theta) dtheta are exact over the two constant
+    pieces of the weight (B on [t0, t0 + pi], A on the rest), the Gram matrix
+    G[j, k] = int z^j conj(z^k) dmu = c_{k-j} is Toeplitz, and
+    1 / lambda_n(z) = v* G^{-1} v with v = (1, z, ..., z^n).
+    """
+    with mp.workdps(50):
+        A, B, t0 = mp.mpf(A), mp.mpf(B), mp.mpf(t0)
+
+        def arc_moment(a, b, m):
+            if m == 0:
+                return b - a
+            return 1j * (mp.expj(-m * b) - mp.expj(-m * a)) / m
+
+        c = {m: B * arc_moment(t0, t0 + mp.pi, m)
+             + A * arc_moment(t0 + mp.pi, t0 + 2 * mp.pi, m)
+             for m in range(-n, n + 1)}
+        G = mp.matrix(n + 1, n + 1)
+        for j in range(n + 1):
+            for k in range(n + 1):
+                G[j, k] = c[k - j]
+        v = mp.matrix([mp.mpc(z) ** j for j in range(n + 1)])
+        y = mp.lu_solve(G, v)
+        K = mp.fsum(mp.conj(v[j]) * y[j] for j in range(n + 1))
+        return float(1 / mp.re(K))
+
+
+def test_lambda_toeplitz_gram_oracle():
+    # the third weight is not symmetric under conjugation, so its moments
+    # are complex and a transposed Gram matrix would not match
+    params = ((2.0, 1.0, math.pi / 2), (1.0, 1.0, math.pi / 2),
+              (3.0, 0.5, 0.3))
+    for A, B, t0 in params:
+        measure = circle_jump_measure(A=A, B=B, jump_param=t0)
+        for n in (4, 12, 24):
+            for z in (measure.z0, cmath.exp(-2.0j), 0.5 + 0.2j):
+                got = christoffel_lambda(measure, n, z=z).lambda_n
+                want = _toeplitz_gram_lambda(A, B, t0, n, z)
+                assert abs(got - want) <= 1e-13 * want, (A, B, t0, n, z)
+
+
+def test_import_does_not_load_mpmath():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xlab.__file__)))
+    code = "import sys, xlab; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_kernel_prefix_matches_kernel_diag():

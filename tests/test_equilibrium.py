@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from xlab.equilibrium import (density_circle, density_exterior_map,
-                              density_interval, density_lemniscate,
-                              density_profile, equilibrium_density,
-                              exterior_map_circle, exterior_map_ellipse,
-                              green_normal_derivative)
+                              density_interval, density_profile,
+                              equilibrium_density, exterior_map_circle,
+                              exterior_map_ellipse, green_normal_derivative)
 from xlab.errors import CapabilityError, DomainError
 from xlab.geometry import ComplexPolynomial, SupportSpec, partition_arcs
 from xlab.measures import ConstantWeight, MeasureSpec, Piece, SmoothFactor
@@ -47,12 +46,12 @@ def test_interval_density_closed_form():
 
 
 def test_lemniscate_density():
-    poly = ComplexPolynomial([0.0, 0.0, 1.0])
+    dens = equilibrium_density(
+        SupportSpec.make_lemniscate(ComplexPolynomial([0.0, 0.0, 1.0])))
     z = cmath.exp(1j * math.pi / 4)
-    assert density_lemniscate(poly, z) == pytest.approx(1.0 / (2.0 * math.pi),
-                                                        rel=1e-12)
+    assert dens(z) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
     with pytest.raises(DomainError):
-        density_lemniscate(poly, 1.3 + 0j)
+        dens(1.3 + 0j)
 
 
 def test_lemniscate_z_n_equals_circle():

@@ -117,20 +117,6 @@ def test_grading_policy_floor():
     assert policy.floor(1000) == pytest.approx(4e-6)
 
 
-def test_extended_precision_mass():
-    import mpmath as mp
-
-    rule = build_rule(uniform_circle_measure(), 12, nodes_per_degree=4,
-                      precision_bits=128)
-    assert rule.precision_bits == 128
-    assert rule.weights_hp is not None
-    with mp.workprec(130):
-        err = abs(sum(rule.weights_hp) - 2 * mp.pi)
-        assert float(err) < 1e-30
-    # float mirrors stay consistent with the lifted values
-    assert np.allclose(rule.weights, [float(w) for w in rule.weights_hp])
-
-
 def test_rule_determinism():
     a = build_rule(circle_jump_measure(), 24)
     b = build_rule(circle_jump_measure(), 24)

@@ -92,8 +92,7 @@ def test_run_sweep_validates_schedule():
 
 def test_extrapolate_synthetic_models():
     def rows_from(ns, f):
-        res = SweepResult(measure=None, z=0j, method="kernel",
-                          precision_bits=53)
+        res = SweepResult(measure=None, z=0j, method="kernel")
         for n in ns:
             y = f(n)
             res.rows.append(SweepRow(n=n, lambda_n=y / n, n_lambda_n=y,
@@ -115,7 +114,7 @@ def test_extrapolate_synthetic_models():
 
 
 def test_extrapolate_needs_four_rows():
-    res = SweepResult(measure=None, z=0j, method="kernel", precision_bits=53)
+    res = SweepResult(measure=None, z=0j, method="kernel")
     for n in (10, 20, 40):
         res.rows.append(SweepRow(n, 1.0 / n, 1.0, 1.0, 0.0, 0.0))
     with pytest.raises(DomainError):
@@ -123,7 +122,7 @@ def test_extrapolate_needs_four_rows():
 
 
 def test_extrapolate_flags_ill_conditioned_fit():
-    res = SweepResult(measure=None, z=0j, method="kernel", precision_bits=53)
+    res = SweepResult(measure=None, z=0j, method="kernel")
     values = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
     for n, y in zip((10, 20, 40, 80, 160, 320), values):
         res.rows.append(SweepRow(n, y / n, y, 1.5, 0.0, 0.0))
@@ -166,10 +165,8 @@ def test_sweep_csv_deterministic(tmp_path):
     assert text_a.splitlines()[0] == SWEEP_CSV_HEADER
     assert SWEEP_CSV_HEADER == "n,lambda_n,n_lambda_n,predicted_limit,relative_error"
     out = tmp_path / "sweep.csv"
-    dat = tmp_path / "sweep.dat"
-    write_sweep_csv(a, out, dat_path=dat)
+    write_sweep_csv(a, out)
     assert out.read_text() == text_a
-    assert dat.read_text().startswith("# n lambda_n")
     # a parsed row matches the in-memory value bit for bit
     row = text_a.splitlines()[1].split(",")
     assert float(row[1]) == a.rows[0].lambda_n
