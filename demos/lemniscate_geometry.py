@@ -3,8 +3,10 @@ Tracing polynomial lemniscates
 ==============================
 
 The level curve sigma = { z : |T(z)| = 1 } of a degree-N polynomial is
-traced numerically by a predictor-corrector walk in the image angle of
-T.  The trace yields arc parametrizations (by continuous image angle),
+the inverse image of the unit circle.  It is traced by carrying the N
+points of the fiber T^{-1}(e^{i theta}) once around the circle; they come
+back permuted, and each cycle of the permutation is one component.  The
+trace yields arc parametrizations (by continuous image angle),
 windings that sum to N, and preimage fibers that split sigma into N
 arcs, each covering the unit circle once.
 """

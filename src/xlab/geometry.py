@@ -1,9 +1,10 @@
 """Supports for measures: intervals, circles, ellipses, polynomial lemniscates.
 
 Every support is described by a list of smooth parametrized arcs.  For a
-polynomial lemniscate sigma = {z : |T(z)| = 1} the arcs are produced by a
-predictor-corrector tracer and are parametrized by the continuous image angle
-theta, meaning T(z(theta)) = exp(i*theta).  In that parametrization a jump of
+polynomial lemniscate sigma = {z : |T(z)| = 1} = T^{-1}(unit circle) the arcs
+come from carrying the fiber T^{-1}(exp(i*theta)) once around the circle and
+are parametrized by the continuous image angle theta, meaning
+T(z(theta)) = exp(i*theta).  In that parametrization a jump of
 a circle weight at angle t0 pulls back to parameter jumps at t0 mod 2*pi on
 every component, which is what the measure layer relies on.
 """
@@ -17,10 +18,10 @@ import numpy as np
 from .errors import DomainError, GeometryError, NumericError, TracingError
 
 # Tracing and root-finding tolerances.
-CRITICAL_POINT_TOL = 1e-6   # |T'| below this near the curve is degenerate
-TRACE_CHORD_TOL = 1e-8      # polyline sagitta budget per step
-MERGE_TOL = 1e-6            # points closer than this are the same curve point
+CRITICAL_POINT_TOL = 1e-6   # ||T(c)| - 1| below this at a root c of T' is a node
 PREIMAGE_TOL = 1e-10        # residual bound for polished roots
+TURN_STEPS = 64             # continuation steps per turn of the image circle, at most
+GRID_PER_TURN = 1024        # Newton start points per turn along each arc
 
 _polyval = np.polynomial.polynomial.polyval
 
@@ -56,14 +57,6 @@ class ComplexPolynomial:
 
     def __repr__(self):
         return f"ComplexPolynomial({list(self.coeffs)})"
-
-
-def _horner(coeffs, z):
-    """Scalar Horner evaluation; faster than numpy for single points."""
-    acc = 0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
 
 
 @dataclass
@@ -239,33 +232,6 @@ def preimages(poly, w, tol=PREIMAGE_TOL):
     return z[order]
 
 
-def _normal_correct(ct, cd, z, tol=1e-13, maxit=30):
-    """Pull z back onto |T| = 1 by Newton along the gradient of |T|.
-
-    Returns the corrected point, the total distance moved, and whether the
-    residual target was met.
-    """
-    moved = 0.0
-    for _ in range(maxit):
-        w = _horner(ct, z)
-        aw = abs(w)
-        f = aw - 1.0
-        if abs(f) < tol:
-            return z, moved, True
-        dw = _horner(cd, z)
-        grad = (w.conjugate() * dw).conjugate()  # ascent direction of |T|
-        g = abs(grad)
-        if g < 1e-300:
-            break
-        nhat = grad / g
-        slope = g / aw
-        r = -f / slope
-        z = z + r * nhat
-        moved += abs(r)
-    w = _horner(ct, z)
-    return z, moved, abs(abs(w) - 1.0) < tol
-
-
 def _image_newton(poly, dpoly, z, w_target, tol=5e-14, maxit=40):
     """Full Newton solve of T(z) = w_target, vectorized over points."""
     z = np.asarray(z, dtype=complex).copy()
@@ -282,89 +248,6 @@ def _image_newton(poly, dpoly, z, w_target, tol=5e-14, maxit=40):
     if res > 100 * tol:
         raise TracingError(f"image Newton residual {res:.3e} did not converge")
     return z
-
-
-def _walk_component(poly, dpoly, z_start, chord_tol=TRACE_CHORD_TOL):
-    """Walk once around the component of |T| = 1 through z_start.
-
-    Returns (thetas, points, winding): a polyline on the curve with the
-    unwrapped image angle of each vertex.  The walk advances the image angle
-    monotonically; closure is declared when the angle has advanced by a
-    multiple of 2*pi and the fiber point there coincides with the start.
-    """
-    ct = tuple(poly.coeffs[::-1])
-    cd = tuple(poly.derivative().coeffs[::-1])
-    z0, _, ok = _normal_correct(ct, cd, complex(z_start))
-    if not ok:
-        raise TracingError("seed does not lie on the curve")
-    w0 = _horner(ct, z0)
-    theta0 = math.atan2(w0.imag, w0.real)
-
-    thetas = [theta0]
-    points = [z0]
-    theta = theta0
-    z = z0
-    dtheta = 2.0 * math.pi / 64.0
-    dtheta_max = math.pi / 8.0
-    scale = 1.0 + abs(z0)
-    max_steps = 600000
-
-    for _ in range(max_steps):
-        w = _horner(ct, z)
-        dw = _horner(cd, z)
-        if abs(dw) < CRITICAL_POINT_TOL:
-            raise GeometryError("lemniscate has a critical point on the curve; "
-                                "the trace is not well defined there")
-        tau = 1j * w / dw
-        tau /= abs(tau)
-        h = dtheta / abs(dw)
-        while True:
-            z_pred = z + h * tau
-            z_new, corr, ok = _normal_correct(ct, cd, z_pred)
-            if ok:
-                w_new = _horner(ct, z_new)
-                dth = cmath.phase(w_new / w)
-                # the chord sagitta is roughly a quarter of the corrector pull
-                if 0 < dth <= dtheta_max * 1.5 and corr <= 4.0 * chord_tol:
-                    break
-            h *= 0.5
-            if h < 1e-15 * scale:
-                raise TracingError("step size underflow while tracing")
-        prev_theta = theta
-        theta = theta + dth
-        z = z_new
-        points.append(z)
-        thetas.append(theta)
-        dtheta = dth  # image-angle step actually achieved
-        # grow the step when the curvature allows it, back off when it bites
-        if corr < chord_tol:
-            dtheta = min(dtheta * 1.4, dtheta_max)
-        elif corr > 2.0 * chord_tol:
-            dtheta *= 0.7
-
-        k_prev = math.floor((prev_theta - theta0) / (2.0 * math.pi) + 1e-13)
-        k_new = math.floor((theta - theta0) / (2.0 * math.pi) + 1e-13)
-        if k_new > k_prev and k_new >= 1:
-            # the walk crossed theta0 + 2*pi*k_new: land there exactly
-            zc = _image_newton(poly, dpoly, np.array([z]), np.array([w0]))[0]
-            if abs(zc - z0) < MERGE_TOL * scale:
-                points[-1] = zc
-                thetas[-1] = theta0 + 2.0 * math.pi * k_new
-                return np.array(thetas), np.array(points), k_new
-            if k_new >= poly.degree:
-                raise TracingError("component failed to close after full winding")
-    raise TracingError("tracing exceeded the step budget")
-
-
-def _resample_component(poly, dpoly, thetas, points, winding, samples):
-    """Uniform image-angle grid along a traced component."""
-    theta0 = thetas[0]
-    span = 2.0 * math.pi * winding
-    grid_t = theta0 + span * np.arange(samples) / samples
-    idx = np.clip(np.searchsorted(thetas, grid_t), 0, len(points) - 1)
-    z0 = points[idx]
-    grid_z = _image_newton(poly, dpoly, z0, np.exp(1j * grid_t))
-    return grid_t, grid_z
 
 
 def _component_arc(poly, dpoly, theta0, grid_z, winding, label):
@@ -392,54 +275,99 @@ def _component_arc(poly, dpoly, theta0, grid_z, winding, label):
                               winding=winding, image_angle=True)
 
 
-def trace_lemniscate(poly, samples_per_component=1024):
+def _fiber_gap(z):
+    """Smallest distance between two points of a fiber (inf for one point)."""
+    d = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(d, np.inf)
+    return d.min()
+
+
+def _carry_fiber(poly, dpoly, fiber):
+    """Carry the fiber T^{-1}(exp(i*theta)) from theta = 0 once around.
+
+    Each step moves all roots together with the tangent predictor
+    z + h*i*exp(i*theta)/T'(z) and corrects them, and the grid points the step
+    passes, in one batched Newton solve.  A step is halved while any corrector
+    moves a root by more than a quarter of the smallest root distance in the
+    fibers at either end, so no root changes branch.  Returns the tracks (row
+    i follows root i through theta = 2*pi*k/GRID_PER_TURN, k < GRID_PER_TURN)
+    and the fiber reached at theta = 2*pi.
+    """
+    # the position s is measured in grid steps; halving keeps it dyadic, exact
+    turn = float(GRID_PER_TURN)
+    tracks = np.empty((fiber.size, GRID_PER_TURN + 1), dtype=complex)
+    tracks[:, 0] = fiber
+    z, s = fiber, 0.0
+    step_max = step = turn / TURN_STEPS
+    while s < turn:
+        s_new = min(s + step, turn)
+        ks = np.arange(math.floor(s) + 1, math.floor(s_new) + 1)
+        targets = np.append(ks, s_new)
+        theta = 2.0 * math.pi * s / turn
+        tangent = 1j * cmath.exp(1j * theta) / dpoly(z)
+        pred = z[:, None] + (2.0 * math.pi / turn) * (targets - s) * tangent[:, None]
+        try:
+            sol = _image_newton(poly, dpoly, pred,
+                                np.exp(2j * math.pi * targets / turn))
+            guard = 0.25 * min(_fiber_gap(z), _fiber_gap(sol[:, -1]))
+            ok = np.max(np.abs(sol - pred)) <= guard
+        except TracingError:
+            ok = False
+        if not ok:
+            step *= 0.5
+            if step < 1e-9:
+                raise TracingError("fiber continuation step underflow")
+            continue
+        tracks[:, ks] = sol[:, :-1]
+        z, s = sol[:, -1], s_new
+        step = min(2.0 * step, step_max)
+    # one more Newton step takes every grid point from the solve's stopping
+    # residual to rounding level; arc points at grid angles are read unchanged
+    grid = tracks[:, :GRID_PER_TURN]
+    grid -= (poly(grid) - np.exp(2j * math.pi * np.arange(GRID_PER_TURN) / turn)) / dpoly(grid)
+    return grid, z
+
+
+def trace_lemniscate(poly):
     """Trace every component of |T(z)| = 1 for a polynomial T.
 
-    Seeds are the preimages of eight equally spaced points on the image
-    circle; each untouched seed starts a predictor-corrector walk whose
-    corrector is a Newton solve along the normal direction.  Components are
-    resampled on a uniform image-angle grid and returned as arcs whose
-    windings sum to the degree of T.
+    The N = deg T preimages of 1 are carried together once around the image
+    circle.  They return permuted; each cycle of that permutation is one
+    component, its length is the winding, and the cycle's tracks joined in
+    order form the component's image-angle grid.  Components are ordered by
+    their smallest root index.  A curve through a critical point of T is
+    rejected with GeometryError.
     """
     if not isinstance(poly, ComplexPolynomial):
         poly = ComplexPolynomial(poly)
     if poly.degree < 1:
         raise GeometryError("lemniscate polynomial must have degree >= 1")
     dpoly = poly.derivative()
+    critical = np.polynomial.polynomial.polyroots(dpoly.coeffs)
+    if np.any(np.abs(np.abs(poly(critical)) - 1.0) < CRITICAL_POINT_TOL):
+        raise GeometryError("lemniscate has a critical point on the curve; "
+                            "the trace is not well defined there")
+
+    fiber = preimages(poly, 1.0)
+    tracks, end = _carry_fiber(poly, dpoly, fiber)
+    dist = np.abs(end[:, None] - fiber[None, :])
+    perm = np.argmin(dist, axis=1)
+    if (np.unique(perm).size != perm.size
+            or dist.min(axis=1).max() > 0.25 * _fiber_gap(fiber)):
+        raise TracingError("carried fiber does not return onto the start fiber")
 
     arcs = []
-    covered_winding = 0
-    for j in range(8):
-        wj = cmath.exp(2j * math.pi * j / 8.0)
-        for seed in preimages(poly, wj):
-            if abs(dpoly(seed)) < CRITICAL_POINT_TOL:
-                continue  # near-critical seed, unusable as a start point
-            if any(_on_component(arc, poly, seed) for arc in arcs):
-                continue
-            thetas, points, winding = _walk_component(poly, dpoly, seed)
-            grid_t, grid_z = _resample_component(poly, dpoly, thetas, points,
-                                                 winding, samples_per_component)
-            arcs.append(_component_arc(poly, dpoly, grid_t[0], grid_z, winding,
-                                       label=f"component{len(arcs)}"))
-            covered_winding += winding
-            if covered_winding == poly.degree:
-                break
-        if covered_winding == poly.degree:
-            break
-    if covered_winding != poly.degree:
-        raise TracingError(
-            f"traced windings sum to {covered_winding}, expected {poly.degree}")
+    seen = np.zeros(perm.size, dtype=bool)
+    for i in range(perm.size):
+        if seen[i]:
+            continue
+        cycle = [i]
+        while perm[cycle[-1]] != i:
+            cycle.append(int(perm[cycle[-1]]))
+        seen[cycle] = True
+        arcs.append(_component_arc(poly, dpoly, 0.0, tracks[cycle].ravel(),
+                                   len(cycle), label=f"component{len(arcs)}"))
     return arcs
-
-
-def _on_component(arc, poly, z, tol=MERGE_TOL):
-    """Whether z lies on an already-traced component."""
-    w = complex(poly(z))
-    phi = math.atan2(w.imag, w.real)
-    k0 = math.ceil((arc.t_lo - phi) / (2.0 * math.pi) - 1e-12)
-    cand = [phi + 2.0 * math.pi * (k0 + j) for j in range(arc.winding)]
-    pts = arc.point(np.array(cand))
-    return bool(np.min(np.abs(pts - z)) < tol * (1.0 + abs(z)))
 
 
 def partition_arcs(poly, base_point_image=1.0 + 0j, support=None):

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import InputError, NumericError, ResolutionError
 from .geometry import parametrize
-from .measures import JumpWeight
 
 PANEL_ORDER = 24
 

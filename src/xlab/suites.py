@@ -16,8 +16,8 @@ import numpy as np
 from .christoffel import christoffel_lambda, kernel_prefix, orthonormalize
 from .equilibrium import equilibrium_density
 from .errors import InputError
-from .geometry import (ComplexPolynomial, SupportSpec, parametrize,
-                       partition_arcs, preimages)
+from .geometry import (ComplexPolynomial, SupportSpec, partition_arcs,
+                       preimages)
 from .measures import (ConstantWeight, MeasureSpec, Piece, SmoothFactor,
                        circle_jump_measure, ellipse_jump_measure,
                        lemniscate_pullback_measure, symmetrize_to_interval,

@@ -19,7 +19,7 @@ from .errors import CapabilityError, DegeneracyError, DomainError, InputError
 from .measures import jump_limits
 from .quadrature import build_rule
 
-JUMP_FACTOR_MERGE_TOL = 1e-12  # relative |A-B| below which the limit value is used
+JUMP_FACTOR_TIE_RTOL = 1e-12  # relative |A-B| below which the limit value is used
 
 
 def jump_factor(A, B):
@@ -27,7 +27,7 @@ def jump_factor(A, B):
     A, B = float(A), float(B)
     if not (A > 0 and B > 0):
         raise DomainError("jump values must be positive")
-    if abs(A - B) < JUMP_FACTOR_MERGE_TOL * max(A, B):
+    if abs(A - B) < JUMP_FACTOR_TIE_RTOL * max(A, B):
         return A
     return (A - B) / (math.log(A) - math.log(B))
 

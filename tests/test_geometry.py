@@ -87,10 +87,51 @@ def test_velocity_matches_finite_difference():
         assert abs(fd - complex(arc.velocity(t))) < 1e-6
 
 
+def _assert_image_angle_arcs(poly, arcs):
+    for arc in arcs:
+        ts = np.linspace(arc.t_lo, arc.t_hi, 97)
+        w = poly(arc.point(ts))
+        assert np.max(np.abs(np.abs(w) - 1.0)) < 1e-8
+        assert np.max(np.abs(w - np.exp(1j * ts))) < 1e-8
+        assert abs(complex(arc.point(arc.t_hi)) - complex(arc.point(arc.t_lo))) < 1e-12
+
+
+def test_trace_components_of_different_winding():
+    # T(z) = z^2 (z - 2) / 0.5: a double loop around 0 and a single one around 2
+    poly = ComplexPolynomial([0.0, 0.0, -4.0, 2.0])
+    arcs = trace_lemniscate(poly)
+    assert [arc.winding for arc in arcs] == [2, 1]
+    assert sum(arc.winding for arc in arcs) == poly.degree
+    assert arcs[0].t_lo == 0.0
+    _assert_image_angle_arcs(poly, arcs)
+
+
+@pytest.mark.parametrize("coeffs, windings", [
+    ([-1e-4, -2.0, 1.0], [1, 1]),
+    ([1e-4, -2.0, 1.0], [2]),
+    ([2.0 + (1.0 + 1e-4) * cmath.exp(1.0j), -3.0, 0.0, 1.0], [1, 1, 1]),
+    ([2.0 + (1.0 - 1e-4) * cmath.exp(2.5j), -3.0, 0.0, 1.0], [1, 2]),
+])
+def test_trace_near_figure_eight_node(coeffs, windings):
+    # a critical value of T lies 1e-4 off the unit circle, so two fiber roots
+    # pass within about 0.02 of each other and must not swap branches; the
+    # cubics lack the z -> 2 - z symmetry that makes a swap in the quadratics
+    # harmless
+    poly = ComplexPolynomial(coeffs)
+    arcs = trace_lemniscate(poly)
+    assert [arc.winding for arc in arcs] == windings
+    _assert_image_angle_arcs(poly, arcs)
+
+
 def test_trace_rejects_singular_lemniscate():
-    # T(z) = z^2 - 2z has T'(1) = 0 with |T(1)| = 1: a figure-eight node
-    with pytest.raises(GeometryError):
-        trace_lemniscate(ComplexPolynomial([0.0, -2.0, 1.0]))
+    # T'(1) = 0 with |T(1)| = 1: the curve crosses itself at z = 1.  For
+    # z^2 - 2z the node sits at image angle pi; for (z - 1)^2 + e^{i alpha}
+    # at alpha, off any uniform grid of image angles
+    for coeffs in ([0.0, -2.0, 1.0],
+                   [1.0 + cmath.exp(1.0j), -2.0, 1.0],
+                   [1.0 + cmath.exp(2.5j), -2.0, 1.0]):
+        with pytest.raises(GeometryError):
+            trace_lemniscate(ComplexPolynomial(coeffs))
 
 
 def test_partition_arcs_fibers():

@@ -1,7 +1,5 @@
 import math
-import warnings
 
-import numpy as np
 import pytest
 
 import xlab.sweep as sweep_mod
