@@ -16,8 +16,8 @@ from .equilibrium import (EquilibriumDensity, ExteriorMapSpec, density_circle,
                           green_normal_derivative)
 from .errors import (CapabilityError, DegeneracyError, DomainError,
                      GeometryError, InputError, MeasureFormatError,
-                     NumericError, ResolutionError, SymmetryError,
-                     TracingError, XlabError)
+                     NumericError, SymmetryError, TracingError,
+                     XlabError)
 from .geometry import (ArcParametrization, ComplexPolynomial, SupportSpec,
                        arc_length, parametrize, partition_arcs, preimages,
                        project_to_support, trace_lemniscate)
@@ -29,7 +29,7 @@ from .measures import (ConstantWeight, JumpWeight, MeasureSpec, Piece,
                        parse_measure_text, pullback_to_lemniscate,
                        save_measure_file, symmetrize_to_interval,
                        uniform_circle_measure, weight_at)
-from .quadrature import GradingPolicy, QuadratureRule, build_rule, integrate
+from .quadrature import QuadratureRule, build_rule, integrate
 from .suites import (SUITE_NAMES, CheckResult, SuiteReport,
                      standard_jump_measures, verify)
 from .sweep import (SWEEP_CSV_HEADER, FitModel, SweepResult, SweepRow,
@@ -42,10 +42,10 @@ __all__ = [
     "ArcParametrization", "CapabilityError", "CheckResult",
     "ChristoffelValue", "ComplexPolynomial", "ConstantWeight",
     "DegeneracyError", "DomainError", "EquilibriumDensity",
-    "ExteriorMapSpec", "FitModel", "GeometryError", "GradingPolicy",
-    "InputError", "JumpWeight", "MeasureFormatError", "MeasureSpec",
-    "NumericError", "OrthoBasis", "Piece", "QuadratureRule",
-    "ResolutionError", "SUITE_NAMES", "SWEEP_CSV_HEADER", "SmoothFactor",
+    "ExteriorMapSpec", "FitModel", "GeometryError", "InputError",
+    "JumpWeight", "MeasureFormatError", "MeasureSpec", "NumericError",
+    "OrthoBasis", "Piece", "QuadratureRule", "SUITE_NAMES",
+    "SWEEP_CSV_HEADER", "SmoothFactor",
     "SuiteReport", "SupportSpec", "SweepResult", "SweepRow",
     "SymmetryError", "TracingError", "XlabError", "arc_length",
     "build_rule", "christoffel_lambda", "circle_jump_measure",

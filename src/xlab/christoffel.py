@@ -70,38 +70,46 @@ def orthonormalize(rule, degree):
             f"rule is only exact for products of degree {rule.max_exact_degree}, "
             f"cannot orthonormalize to degree {degree}")
 
+    # Wc[k] = w * conj(Q[k]) is written once with Q[k], so each projection
+    # <v, p_j> = Wc[j] @ v is one GEMV with no copy of the basis.
     x, w = rule.nodes, rule.weights
     m = x.size
     mass = float(w.sum())
     Q = np.empty((degree + 1, m), dtype=complex)
+    Wc = np.empty((degree + 1, m), dtype=complex)
     H = np.zeros((degree + 2, degree + 1), dtype=complex)
     Q[0] = 1.0 / math.sqrt(mass)
+    np.multiply(w, Q[0], out=Wc[0])
     for k in range(degree):
         v = x * Q[k]
         scale = math.sqrt(float(np.dot(w, np.abs(v) ** 2)))
-        h = np.conjugate(Q[:k + 1]) @ (w * v)
-        v = v - h @ Q[:k + 1]
-        h2 = np.conjugate(Q[:k + 1]) @ (w * v)
-        v = v - h2 @ Q[:k + 1]
-        h = h + h2
+        h = Wc[:k + 1] @ v
+        v -= h @ Q[:k + 1]
+        h2 = Wc[:k + 1] @ v
+        v -= h2 @ Q[:k + 1]
+        h += h2
         nrm = math.sqrt(float(np.dot(w, np.abs(v) ** 2)))
         if not math.isfinite(nrm) or nrm <= BREAKDOWN_REL * scale:
-            partial = _finish_basis(rule, k, H[:k + 2, :k + 1], Q[:k + 1], mass)
+            partial = _finish_basis(rule, H[:k + 2, :k + 1], Q[:k + 1],
+                                    Wc[:k + 1], mass)
             raise DegeneracyError(
                 f"orthonormalization broke down at degree {k + 1}: the measure "
                 f"supports polynomials only up to degree {k}",
                 achieved_degree=k, basis=partial)
         H[:k + 1, k] = h
         H[k + 1, k] = nrm
-        Q[k + 1] = v / nrm
-    return _finish_basis(rule, degree, H, Q, mass)
+        np.divide(v, nrm, out=Q[k + 1])
+        np.multiply(w, np.conjugate(Q[k + 1]), out=Wc[k + 1])
+    return _finish_basis(rule, H, Q, Wc, mass)
 
 
-def _finish_basis(rule, degree, H, Q, mass):
-    G = (Q * rule.weights) @ np.conjugate(Q.T)
-    R = np.abs(G - np.eye(degree + 1))
-    return OrthoBasis(degree=degree, hessenberg=H, node_values=Q,
-                      norm_residuals=R.max(axis=0), mass=mass, rule=rule)
+def _finish_basis(rule, H, Q, Wc, mass):
+    # G[j, k] = <p_j, p_k>; its distance from the identity certifies the basis
+    G = Q @ Wc.T
+    G.flat[::G.shape[0] + 1] -= 1.0
+    return OrthoBasis(degree=Q.shape[0] - 1, hessenberg=H, node_values=Q,
+                      norm_residuals=np.abs(G).max(axis=0), mass=mass,
+                      rule=rule)
 
 
 @dataclass

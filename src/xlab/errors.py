@@ -52,8 +52,3 @@ class DegeneracyError(NumericError):
         super().__init__(message)
         self.achieved_degree = achieved_degree
         self.basis = basis
-
-
-class ResolutionError(NumericError):
-    """Panel refinement hit the minimum panel length before meeting its
-    grading target."""

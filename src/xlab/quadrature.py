@@ -1,8 +1,9 @@
 """Composite Gauss-Legendre quadrature adapted to jump measures.
 
 Panels never straddle a weight jump: the parameter domain is split at every
-switch point and at the evaluation point z0, then panels are geometrically
-graded toward those points down to a floor length of min(1e-3, 4/degree^2).
+switch point and at the evaluation point z0, and each segment between those
+points gets equal panels.  On a segment the integrand of a polynomial product
+is analytic, so no refinement toward the segment ends is needed.
 Interval measures are integrated in the substituted variable x = cos(theta),
 which turns an arcsine factor 1/sqrt(1 - x^2) into a bounded integrand.
 """
@@ -12,24 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, ResolutionError
+from .errors import InputError, NumericError
 from .geometry import parametrize
 
 PANEL_ORDER = 24
-
-
-@dataclass
-class GradingPolicy:
-    """How panels shrink toward jumps and the evaluation point."""
-
-    ratio: float = 0.5
-    floor_coefficient: float = 4.0
-    floor_cap: float = 1e-3
-    min_panel: float = 1e-15
-
-    def floor(self, max_degree):
-        return min(self.floor_cap,
-                   self.floor_coefficient / max(1, max_degree) ** 2)
 
 
 @dataclass
@@ -64,36 +51,8 @@ def _gl_reference(order):
     return _GL_CACHE[order]
 
 
-def _segment_edges(lo, hi, at_lo, at_hi, n_uniform, policy, floor):
-    """Panel edges on one smooth segment, graded toward attracting ends."""
-    length = hi - lo
-    pts = {lo, hi}
-    start = 0.5 * length if (at_lo and at_hi) else length
-    if at_lo:
-        d = start * policy.ratio
-        while d > floor:
-            pts.add(lo + d)
-            d *= policy.ratio
-    if at_hi:
-        d = start * policy.ratio
-        while d > floor:
-            pts.add(hi - d)
-            d *= policy.ratio
-    edges = sorted(pts)
-    h_max = length / max(1, n_uniform)
-    out = [lo]
-    for a, b in zip(edges[:-1], edges[1:]):
-        k = max(1, math.ceil((b - a) / h_max - 1e-12))
-        out.extend(np.linspace(a, b, k + 1)[1:].tolist())
-    return out
-
-
-def _near(t, values, tol=1e-12):
-    return any(abs(t - v) <= tol for v in values)
-
-
 def _arc_segments(measure):
-    """Smooth segments (arc_index, lo, hi, at_lo, at_hi) for non-intervals."""
+    """Smooth segments (arc_index, lo, hi) for non-interval supports."""
     arcs = parametrize(measure.support)
     z0_arc, z0_t = None, None
     if measure.z0 is not None:
@@ -102,20 +61,15 @@ def _arc_segments(measure):
     for i, arc in enumerate(arcs):
         piece = measure.piece_for(i)
         breaks = list(piece.weight.breakpoints(arc.t_lo, arc.t_hi))
-        attract = list(breaks)
         if z0_arc == i:
             span = arc.t_hi - arc.t_lo
             for cand in (z0_t, z0_t - span, z0_t + span) if arc.closed else (z0_t,):
-                if arc.t_lo - 1e-12 <= cand <= arc.t_hi + 1e-12:
-                    cand = min(max(cand, arc.t_lo), arc.t_hi)
-                    attract.append(cand)
-                    if arc.t_lo + 1e-12 < cand < arc.t_hi - 1e-12:
-                        breaks.append(cand)
+                if arc.t_lo + 1e-12 < cand < arc.t_hi - 1e-12:
+                    breaks.append(cand)
         edges = sorted({arc.t_lo, arc.t_hi, *breaks})
         edges = [e for j, e in enumerate(edges)
                  if j == 0 or e - edges[j - 1] > 1e-13]
-        for a, b in zip(edges[:-1], edges[1:]):
-            segs.append((i, a, b, _near(a, attract), _near(b, attract)))
+        segs.extend((i, a, b) for a, b in zip(edges[:-1], edges[1:]))
     return segs
 
 
@@ -131,13 +85,9 @@ def _interval_segments(measure):
             x_breaks.append(x0)
     thetas = sorted(math.acos(min(1.0, max(-1.0, (x - mid) / half)))
                     for x in x_breaks)
-    attract = list(thetas)
     edges = sorted({0.0, math.pi, *thetas})
     edges = [e for j, e in enumerate(edges) if j == 0 or e - edges[j - 1] > 1e-13]
-    segs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        segs.append((0, lo, hi, _near(lo, attract), _near(hi, attract)))
-    return segs
+    return [(0, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def _interval_factors(measure, theta):
@@ -152,38 +102,30 @@ def _interval_factors(measure, theta):
     return x, factor
 
 
-def build_rule(measure, max_degree, nodes_per_degree=6, grading=None):
+def build_rule(measure, max_degree, nodes_per_degree=6):
     """Quadrature rule integrating polynomial products up to ``max_degree``.
 
-    The node budget is nodes_per_degree * (max_degree + 1) spread over the
-    arcs in proportion to parameter length, before grading refinement.
+    The node budget is nodes_per_degree * (max_degree + 1), spread over the
+    jump-free segments in proportion to parameter length; each segment gets
+    at least one panel, so the rule may carry a few panels more.
     """
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
     if nodes_per_degree < 4:
         raise InputError("nodes_per_degree below 4 cannot resolve the degree")
-    policy = grading or GradingPolicy()
-    floor = policy.floor(max_degree)
-    if floor < policy.min_panel:
-        raise ResolutionError(
-            f"panel floor {floor:.3e} is below the minimum panel length "
-            f"{policy.min_panel:.3e}")
 
     interval = measure.support.kind == "interval"
     segs = _interval_segments(measure) if interval else _arc_segments(measure)
-    lengths = [hi - lo for (_, lo, hi, _, _) in segs]
-    total_len = sum(lengths)
+    total_len = sum(hi - lo for (_, lo, hi) in segs)
     total_panels = math.ceil(nodes_per_degree * (max_degree + 1) / PANEL_ORDER)
 
     arcs = parametrize(measure.support)
     xr, wr = _gl_reference(PANEL_ORDER)
     nodes, weights, params, arc_idx = [], [], [], []
-    for (arc_i, lo, hi, at_lo, at_hi), ell in zip(segs, lengths):
-        n_uniform = max(1, math.ceil(total_panels * ell / total_len))
-        edges = _segment_edges(lo, hi, at_lo, at_hi, n_uniform, policy, floor)
+    for arc_i, lo, hi in segs:
+        n_panels = max(1, math.ceil(total_panels * (hi - lo) / total_len))
+        edges = np.linspace(lo, hi, n_panels + 1)
         for pa, pb in zip(edges[:-1], edges[1:]):
-            if pb - pa < policy.min_panel:
-                raise ResolutionError("panel collapsed below the minimum length")
             mid_p, half_p = 0.5 * (pa + pb), 0.5 * (pb - pa)
             t = mid_p + half_p * xr
             if interval:

@@ -106,7 +106,9 @@ class SweepResult:
     rows: list = field(default_factory=list)
     extrapolated_limit: float = None
     fit_model: FitModel = None
-    setup_time: float = 0.0
+    # rule_s, orthonormalize_s, kernel_prefix_s (0.0 for the direct method),
+    # node_count, achieved_degree and residual_max of the shared basis
+    stages: dict = field(default_factory=dict)
 
     @property
     def ok_rows(self):
@@ -114,19 +116,22 @@ class SweepResult:
 
 
 def run_sweep(measure, z=None, schedule=None, method="kernel",
-              nodes_per_degree=6, grading=None):
+              nodes_per_degree=6):
     """Evaluate lambda_n over a degree schedule with one shared basis.
 
     One orthonormalization at max(schedule) feeds every row: the kernel
     prefix sums give lambda_n for all smaller n.  Degeneracy during
     orthonormalization marks the unreachable rows as failed and the sweep
-    continues with the achieved partial basis.
+    continues with the achieved partial basis.  ``result.stages`` records
+    the time of each setup stage and the size and quality of the basis.
     """
     if not schedule:
         raise InputError("schedule must be a non-empty increasing list")
     schedule = [int(n) for n in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("schedule must be strictly increasing")
+    if method not in ("kernel", "direct"):
+        raise InputError(f"unknown method {method!r}")
     if z is None:
         z = measure.z0
         if z is None:
@@ -140,8 +145,8 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
 
     n_max = schedule[-1]
     t0 = time.perf_counter()
-    rule = build_rule(measure, n_max, nodes_per_degree=nodes_per_degree,
-                      grading=grading)
+    rule = build_rule(measure, n_max, nodes_per_degree=nodes_per_degree)
+    t1 = time.perf_counter()
     achieved = n_max
     note = ""
     try:
@@ -152,21 +157,23 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
         basis = exc.basis
         achieved = exc.achieved_degree
         note = f"degenerate beyond degree {achieved}"
+    t2 = t3 = time.perf_counter()
     if method == "kernel":
         prefix = kernel_prefix(basis, z)
-    elif method != "direct":
-        raise InputError(f"unknown method {method!r}")
-    setup = time.perf_counter() - t0
+        t3 = time.perf_counter()
 
-    result = SweepResult(measure=measure, z=z, method=method,
-                         setup_time=setup)
+    stages = {"rule_s": t1 - t0, "orthonormalize_s": t2 - t1,
+              "kernel_prefix_s": t3 - t2, "node_count": rule.node_count,
+              "achieved_degree": achieved,
+              "residual_max": float(basis.norm_residuals.max())}
+    result = SweepResult(measure=measure, z=z, method=method, stages=stages)
     for n in schedule:
-        t1 = time.perf_counter()
+        t_row = time.perf_counter()
         if n > achieved:
             result.rows.append(SweepRow(
                 n=n, lambda_n=float("nan"), n_lambda_n=float("nan"),
                 predicted_limit=predicted, relative_error=float("nan"),
-                wall_time=time.perf_counter() - t1, ok=False, note=note))
+                wall_time=time.perf_counter() - t_row, ok=False, note=note))
             continue
         if method == "kernel":
             lam = 1.0 / float(prefix[n])
@@ -177,7 +184,7 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
         rel = (nlam - predicted) / predicted if predicted == predicted else float("nan")
         result.rows.append(SweepRow(
             n=n, lambda_n=lam, n_lambda_n=nlam, predicted_limit=predicted,
-            relative_error=rel, wall_time=time.perf_counter() - t1))
+            relative_error=rel, wall_time=time.perf_counter() - t_row))
     return result
 
 

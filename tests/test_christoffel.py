@@ -105,20 +105,36 @@ def test_degree_above_rule_rejected():
         christoffel_lambda(measure, 11, basis=basis)
 
 
-def test_degeneracy_reports_partial_basis():
+def _four_node_rule():
     # four nodes support only four independent polynomial directions
     ts = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
-    rule = QuadratureRule(nodes=np.exp(1j * ts),
+    return QuadratureRule(nodes=np.exp(1j * ts),
                           weights=np.full(4, 0.5 * math.pi),
                           params=ts, arc_index=np.zeros(4, dtype=int),
                           max_exact_degree=8)
+
+
+def test_degeneracy_reports_partial_basis():
     with pytest.raises(DegeneracyError) as err:
-        orthonormalize(rule, 8)
+        orthonormalize(_four_node_rule(), 8)
     exc = err.value
     assert exc.achieved_degree == 3
     assert exc.basis is not None
     assert exc.basis.degree == 3
     assert float(np.max(exc.basis.norm_residuals)) < 1e-12
+
+
+def test_norm_residuals_match_explicit_gram():
+    # the residuals come from the stored rows w * conj(Q); recompute them
+    # from the node values alone
+    full = orthonormalize(build_rule(circle_jump_measure(), 60), 60)
+    with pytest.raises(DegeneracyError) as err:
+        orthonormalize(_four_node_rule(), 8)
+    for basis in (full, err.value.basis):
+        Q, w = basis.node_values, basis.rule.weights
+        explicit = np.abs((Q * w) @ Q.conj().T
+                          - np.eye(basis.degree + 1)).max(axis=0)
+        assert np.max(np.abs(basis.norm_residuals - explicit)) <= 1e-15
 
 
 def _toeplitz_gram_lambda(A, B, t0, n, z):

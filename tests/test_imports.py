@@ -28,3 +28,11 @@ def test_modules_found():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def test_public_names_resolve_once():
+    import xlab
+
+    assert len(xlab.__all__) == len(set(xlab.__all__))
+    missing = [name for name in xlab.__all__ if not hasattr(xlab, name)]
+    assert missing == []

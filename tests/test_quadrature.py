@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from xlab.errors import InputError, NumericError, ResolutionError
+from xlab.christoffel import kernel_prefix, orthonormalize
+from xlab.errors import InputError, NumericError
 from xlab.geometry import ComplexPolynomial, SupportSpec
 from xlab.measures import (ConstantWeight, MeasureSpec, Piece, SmoothFactor,
                            circle_jump_measure, ellipse_jump_measure,
                            lemniscate_pullback_measure,
                            symmetrize_to_interval, uniform_circle_measure)
-from xlab.quadrature import PANEL_ORDER, GradingPolicy, build_rule, integrate
+from xlab.quadrature import PANEL_ORDER, build_rule, integrate
+from xlab.suites import standard_jump_measures
 
 
 def _constant_measure(support):
@@ -97,11 +99,6 @@ def test_nodes_per_degree_validation():
         build_rule(uniform_circle_measure(), 10, nodes_per_degree=3)
 
 
-def test_grading_floor_resolution_error():
-    with pytest.raises(ResolutionError):
-        build_rule(circle_jump_measure(), 10 ** 8)
-
-
 def test_integrate_rejects_nonfinite():
     rule = build_rule(uniform_circle_measure(), 8)
     bad = complex(rule.nodes[3])
@@ -111,10 +108,16 @@ def test_integrate_rejects_nonfinite():
     assert "node 3" in str(err.value)
 
 
-def test_grading_policy_floor():
-    policy = GradingPolicy()
-    assert policy.floor(10) == pytest.approx(1e-3)
-    assert policy.floor(1000) == pytest.approx(4e-6)
+def test_kernel_matches_refined_rule():
+    # equal panels between the jumps and z0 already resolve the kernel:
+    # doubling the nodes moves K_n(z0) by rounding only
+    n = 256
+    for name, measure in standard_jump_measures().items():
+        got = kernel_prefix(orthonormalize(build_rule(measure, n), n),
+                            measure.z0)
+        fine = build_rule(measure, n, nodes_per_degree=12)
+        want = kernel_prefix(orthonormalize(fine, n), measure.z0)
+        assert np.max(np.abs(got - want) / want) <= 1e-12, name
 
 
 def test_rule_determinism():

@@ -75,7 +75,14 @@ def test_run_sweep_circle_exact_row():
         rel=1e-12)
     lam = [r.lambda_n for r in result.rows]
     assert all(b <= a for a, b in zip(lam, lam[1:]))
-    assert result.setup_time > 0
+    assert set(result.stages) == {"rule_s", "orthonormalize_s",
+                                  "kernel_prefix_s", "node_count",
+                                  "achieved_degree", "residual_max"}
+    for key in ("rule_s", "orthonormalize_s", "kernel_prefix_s"):
+        assert result.stages[key] > 0
+    assert result.stages["node_count"] >= 6 * 17
+    assert result.stages["achieved_degree"] == 16
+    assert result.stages["residual_max"] < 1e-14
 
 
 def test_run_sweep_validates_schedule():
@@ -86,6 +93,16 @@ def test_run_sweep_validates_schedule():
         run_sweep(m, schedule=[8, 8])
     with pytest.raises(DomainError):
         run_sweep(uniform_circle_measure(), schedule=[4])  # no z0 anywhere
+
+
+def test_run_sweep_rejects_unknown_method_before_work(monkeypatch):
+    def no_rule(*args, **kwargs):
+        raise AssertionError("build_rule ran before method validation")
+
+    monkeypatch.setattr(sweep_mod, "build_rule", no_rule)
+    with pytest.raises(InputError, match="bogus"):
+        run_sweep(uniform_circle_measure(z0=1.0), schedule=[256],
+                  method="bogus")
 
 
 def test_extrapolate_synthetic_models():
