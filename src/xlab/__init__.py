@@ -9,11 +9,7 @@ at a jump point of the weight.
 from .christoffel import (ChristoffelValue, OrthoBasis, christoffel_lambda,
                           extremal_polynomial_values, kernel_diag,
                           kernel_prefix, orthonormalize)
-from .equilibrium import (EquilibriumDensity, ExteriorMapSpec, density_circle,
-                          density_exterior_map, density_interval,
-                          density_profile, equilibrium_density,
-                          exterior_map_circle, exterior_map_ellipse,
-                          green_normal_derivative)
+from .equilibrium import density_profile, equilibrium_density, green_potential
 from .errors import (CapabilityError, DegeneracyError, DomainError,
                      GeometryError, InputError, MeasureFormatError,
                      NumericError, SymmetryError, TracingError,
@@ -41,25 +37,21 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcParametrization", "CapabilityError", "CheckResult",
     "ChristoffelValue", "ComplexPolynomial", "ConstantWeight",
-    "DegeneracyError", "DomainError", "EquilibriumDensity",
-    "ExteriorMapSpec", "FitModel", "GeometryError", "InputError",
-    "JumpWeight", "MeasureFormatError", "MeasureSpec", "NumericError",
-    "OrthoBasis", "Piece", "QuadratureRule", "SUITE_NAMES",
-    "SWEEP_CSV_HEADER", "SmoothFactor",
-    "SuiteReport", "SupportSpec", "SweepResult", "SweepRow",
-    "SymmetryError", "TracingError", "XlabError", "arc_length",
-    "build_rule", "christoffel_lambda", "circle_jump_measure",
-    "density_at", "density_circle", "density_exterior_map",
-    "density_interval", "density_profile",
-    "ellipse_jump_measure", "equilibrium_density", "exterior_map_circle",
-    "exterior_map_ellipse", "extrapolate", "extremal_polynomial_values",
-    "format_measure", "format_sweep_csv", "geometric_schedule",
-    "green_normal_derivative", "integrate", "interval_jump_measure",
-    "jump_factor", "jump_limits", "kernel_diag", "kernel_prefix",
-    "lemniscate_pullback_measure", "load_measure_file", "orthonormalize",
-    "parametrize", "parse_measure_text", "partition_arcs", "predicted_limit",
-    "preimages", "project_to_support", "pullback_to_lemniscate",
-    "run_sweep", "save_measure_file", "standard_jump_measures",
-    "symmetrize_to_interval", "trace_lemniscate", "uniform_circle_measure",
-    "verify", "weight_at", "write_sweep_csv",
+    "DegeneracyError", "DomainError", "FitModel", "GeometryError",
+    "InputError", "JumpWeight", "MeasureFormatError", "MeasureSpec",
+    "NumericError", "OrthoBasis", "Piece", "QuadratureRule", "SUITE_NAMES",
+    "SWEEP_CSV_HEADER", "SmoothFactor", "SuiteReport", "SupportSpec",
+    "SweepResult", "SweepRow", "SymmetryError", "TracingError",
+    "XlabError", "arc_length", "build_rule", "christoffel_lambda",
+    "circle_jump_measure", "density_at", "density_profile",
+    "ellipse_jump_measure", "equilibrium_density", "extrapolate",
+    "extremal_polynomial_values", "format_measure", "format_sweep_csv",
+    "geometric_schedule", "green_potential", "integrate",
+    "interval_jump_measure", "jump_factor", "jump_limits", "kernel_diag",
+    "kernel_prefix", "lemniscate_pullback_measure", "load_measure_file",
+    "orthonormalize", "parametrize", "parse_measure_text",
+    "partition_arcs", "predicted_limit", "preimages", "project_to_support",
+    "pullback_to_lemniscate", "run_sweep", "save_measure_file",
+    "standard_jump_measures", "symmetrize_to_interval", "trace_lemniscate",
+    "uniform_circle_measure", "verify", "weight_at", "write_sweep_csv",
 ]

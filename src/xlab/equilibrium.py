@@ -1,188 +1,106 @@
-"""Equilibrium-measure densities and Green's-function normal derivatives.
+"""Equilibrium measures through the complex Green's potential of each support.
 
-Each supported geometry has a closed-form density domega/ds with respect
-to arc length: constant on circles, the arcsine law on intervals (both
-traversal sides merged, so the mass over the segment is 1), |T'|/(2 pi N)
-on the lemniscate |T(z)| = 1, and |Phi'|/(2 pi) through the exterior
-conformal map for ellipses.  The outward normal derivative of the Green's
-function with pole at infinity is 2 pi times the density.
+For a support E the Green's function g of its exterior with pole at
+infinity is g = Re G, where G is analytic off E: g vanishes on E and
+g(z) - log|z| -> -log cap(E) as z -> infinity.  The outward normal
+derivative of g on E is |G'|, and the equilibrium density with respect
+to arc length is |G'|/(2 pi).  An interval has two sides, both facing the
+exterior; its density merges them, so it is |G'|/pi and the mass over the
+segment is 1.
 """
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, GeometryError
+from .errors import CapabilityError, DomainError
 from .geometry import parametrize, project_to_support
 
 OFF_CURVE_TOL = 1e-8  # points farther than this from the support are rejected
 
 
-@dataclass
-class EquilibriumDensity:
-    """Density of the equilibrium measure with respect to arc length.
+def green_potential(support):
+    """Complex Green's potential G of the support and its derivative G'.
 
-    ``evaluator`` maps a point on (or within OFF_CURVE_TOL of) the support
-    to the positive density value; ``provenance`` records which closed form
-    produced it.
+    Returns numpy-vectorized callables (G, dG) with Re G the Green's
+    function of the exterior with pole at infinity:
+
+    * circle |z - c| = r: G = log((z - c)/r);
+    * interval [a, b]: G = log(s + sqrt(s - 1) sqrt(s + 1)) with
+      s = (2z - a - b)/(b - a);
+    * ellipse with semi-axes a >= b, rotation rho and center c:
+      G = log((zeta + sqrt(zeta - f) sqrt(zeta + f))/(a + b)) with
+      zeta = e^{-i rho}(z - c) and foci +-f, f = sqrt(a^2 - b^2); a tall
+      ellipse (a < b) is the wide one turned by pi/2;
+    * lemniscate |T(z)| = 1 of degree N: G = (1/N) log T.
+
+    The square root is split as sqrt(u - f) sqrt(u + f): the principal
+    sqrt(u^2 - f^2) takes the wrong sheet when Re u < 0.
     """
+    kind = support.kind
+    if kind == "circle":
+        c, r = support.center, support.radius
+        return (lambda z: np.log((z - c) / r), lambda z: 1.0 / (z - c))
+    if kind == "interval":
+        a, b = support.interval
 
-    support: object
-    evaluator: object
-    provenance: str
+        def _s_root(z):
+            s = (2.0 * np.asarray(z, dtype=complex) - a - b) / (b - a)
+            return s, np.sqrt(s - 1.0) * np.sqrt(s + 1.0)
 
-    def __call__(self, z):
-        return self.evaluator(z)
+        def G(z):
+            s, root = _s_root(z)
+            return np.log(s + root)
 
+        return G, lambda z: 2.0 / ((b - a) * _s_root(z)[1])
+    if kind == "ellipse":
+        a, b = support.axes
+        rho = support.rotation
+        if a < b:
+            a, b, rho = b, a, rho + 0.5 * math.pi
+        f = math.sqrt((a - b) * (a + b))
+        turn, c = np.exp(-1j * rho), support.center
 
-@dataclass
-class ExteriorMapSpec:
-    """Conformal map from the curve exterior onto the unit-disk exterior.
+        def _zeta_root(z):
+            zeta = turn * (np.asarray(z, dtype=complex) - c)
+            return zeta, np.sqrt(zeta - f) * np.sqrt(zeta + f)
 
-    ``to_disk`` sends a curve point z to w = Phi(z) with |w| = 1;
-    ``dz_dw`` is the derivative of the inverse map at w, so the density of
-    the equilibrium measure is 1 / (2 pi |dz_dw|).
-    """
+        def G(z):
+            zeta, root = _zeta_root(z)
+            return np.log((zeta + root) / (a + b))
 
-    name: str
-    support: object
-    to_disk: object
-    dz_dw: object
-
-
-def density_circle(radius=1.0, center=0j):
-    """Constant density 1/(2 pi r) on a circle of radius r."""
-    from .geometry import SupportSpec
-
-    if not radius > 0:
-        raise DomainError("circle radius must be positive")
-    support = SupportSpec.make_circle(radius=radius, center=center)
-    value = 1.0 / (2.0 * math.pi * radius)
-
-    def _eval(z, support=support, value=value):
-        project_to_support(support, z, tol=OFF_CURVE_TOL)
-        return value
-
-    return EquilibriumDensity(support, _eval, "closed-form-circle")
-
-
-def density_interval(a, b, x):
-    """Arcsine density at an interior point of [a, b].
-
-    With s = (2x - a - b)/(b - a) the value is 2/(pi (b-a) sqrt(1 - s^2));
-    the two traversal sides of the segment are merged so the total mass
-    over [a, b] is 1.
-    """
-    a, b, x = float(a), float(b), float(np.real(x))
-    if not a < b:
-        raise DomainError("interval endpoints must satisfy a < b")
-    if not a < x < b:
-        raise DomainError(f"x = {x} is not interior to [{a}, {b}]")
-    s = (2.0 * x - a - b) / (b - a)
-    return 2.0 / (math.pi * (b - a) * math.sqrt(1.0 - s * s))
+        return G, lambda z: turn / _zeta_root(z)[1]
+    if kind == "lemniscate":
+        T, dT, n = support.poly, support.poly.derivative(), support.poly.degree
+        return (lambda z: np.log(T(z)) / n,
+                lambda z: dT(z) / (n * T(z)))
+    raise CapabilityError(
+        f"no Green's potential for support kind {support.kind!r}")
 
 
-def exterior_map_circle(radius=1.0, center=0j):
-    """Phi(z) = (z - c)/r; the inverse has constant derivative r."""
-    from .geometry import SupportSpec
-
-    support = SupportSpec.make_circle(radius=radius, center=center)
-    r, c = float(radius), complex(center)
-    return ExteriorMapSpec(
-        name="circle",
-        support=support,
-        to_disk=lambda z: (complex(z) - c) / r,
-        dz_dw=lambda w: complex(r),
-    )
-
-
-def exterior_map_ellipse(a, b, center=0j, rotation=0.0):
-    """Inverse Joukowski map for the ellipse with semi-axes a >= b > 0.
-
-    The curve is z = c + e^{i rho} ((a+b) w + (a-b)/w)/2 on |w| = 1, so
-    Phi solves the quadratic (a+b) w^2 - 2 zeta w + (a-b) = 0 with
-    zeta = e^{-i rho}(z - c), picking the root on the unit circle.
-    """
-    from .geometry import SupportSpec
-
-    a, b = float(a), float(b)
-    if not (a >= b > 0):
-        raise DomainError("ellipse semi-axes must satisfy a >= b > 0")
-    support = SupportSpec.make_ellipse(a, b, center=center, rotation=rotation)
-    c, rot = complex(center), float(rotation)
-
-    def _to_disk(z, a=a, b=b, c=c, rot=rot):
-        zeta = (complex(z) - c) * cmath.exp(-1j * rot)
-        disc = cmath.sqrt(zeta * zeta - (a * a - b * b))
-        w1 = (zeta + disc) / (a + b)
-        w2 = (zeta - disc) / (a + b)
-        w = w1 if abs(abs(w1) - 1.0) <= abs(abs(w2) - 1.0) else w2
-        if abs(abs(w) - 1.0) > 1e-6:
-            raise DomainError(f"{z} does not map to the unit circle")
-        return w / abs(w)
-
-    def _dz_dw(w, a=a, b=b, rot=rot):
-        w = complex(w)
-        return cmath.exp(1j * rot) * ((a + b) - (a - b) / (w * w)) / 2.0
-
-    return ExteriorMapSpec(name="ellipse", support=support,
-                           to_disk=_to_disk, dz_dw=_dz_dw)
-
-
-def density_exterior_map(emap, z):
-    """Density |Phi'(z)| / (2 pi) = 1 / (2 pi |dz/dw|) at a curve point."""
-    _, _, point = project_to_support(emap.support, z, tol=OFF_CURVE_TOL)
-    w = emap.to_disk(point)
-    dzdw = complex(emap.dz_dw(w))
-    if abs(dzdw) < 1e-12:
-        raise GeometryError(f"exterior map is not invertible at w = {w}")
-    return 1.0 / (2.0 * math.pi * abs(dzdw))
-
-
-def green_normal_derivative(density_value):
-    """Outward normal derivative of the Green's function: 2 pi * density."""
-    density_value = float(density_value)
-    if not density_value > 0:
-        raise DomainError("density value must be positive")
-    return 2.0 * math.pi * density_value
+def _sides(support):
+    """How many sides of the support face the exterior."""
+    return 2.0 if support.kind == "interval" else 1.0
 
 
 def equilibrium_density(support):
-    """Closed-form equilibrium density for a supported geometry."""
-    if support.kind == "circle":
-        base = density_circle(support.radius, support.center)
-        return EquilibriumDensity(support, base.evaluator, base.provenance)
-    if support.kind == "interval":
-        a, b = support.interval
+    """Equilibrium density z -> |G'(z)|/(2 pi) at points of the support,
+    doubled on an interval, whose two sides are merged.
 
-        def _eval(z, support=support, a=a, b=b):
-            _, x, _ = project_to_support(support, z, tol=OFF_CURVE_TOL)
-            return density_interval(a, b, x)
+    Points farther than OFF_CURVE_TOL from the support, and the endpoints
+    of an interval, where the density is infinite, raise DomainError.
+    """
+    _, dG = green_potential(support)
+    sides = _sides(support)
 
-        return EquilibriumDensity(support, _eval, "closed-form-interval")
-    if support.kind == "lemniscate":
-        poly = support.poly
-        dpoly = poly.derivative()
-        n = poly.degree
+    def density(z):
+        _, x, point = project_to_support(support, z, tol=OFF_CURVE_TOL)
+        if support.kind == "interval" and not (
+                support.interval[0] < x < support.interval[1]):
+            raise DomainError(f"x = {x} is not interior to {support.interval}")
+        return sides * abs(complex(dG(point))) / (2.0 * math.pi)
 
-        def _eval(z, support=support, dpoly=dpoly, n=n):
-            _, _, point = project_to_support(support, z, tol=OFF_CURVE_TOL)
-            return abs(complex(dpoly(point))) / (2.0 * math.pi * n)
-
-        return EquilibriumDensity(support, _eval, "lemniscate")
-    if support.kind == "ellipse":
-        a, b = support.axes
-        emap = exterior_map_ellipse(a, b, center=support.center,
-                                    rotation=support.rotation)
-
-        def _eval(z, emap=emap):
-            return density_exterior_map(emap, z)
-
-        return EquilibriumDensity(support, _eval, "exterior-map")
-    raise CapabilityError(
-        f"no closed-form equilibrium density for support kind {support.kind!r}")
+    return density
 
 
 def density_profile(support, samples):
@@ -190,33 +108,30 @@ def density_profile(support, samples):
 
     Returns arrays (t_param, points, density, normal_derivative) with
     ``samples`` points distributed over the arcs proportionally to their
-    parameter spans.  Closed arcs are sampled on [t_lo, t_hi) and interval
-    supports at midpoint-offset interior points (the arcsine density
-    diverges at the endpoints).
+    parameter spans, at least one per arc.  Closed arcs are sampled on
+    [t_lo, t_hi) and interval supports at midpoint-offset interior points
+    (the density diverges at the endpoints).  ``normal_derivative`` is
+    |G'|, the outward normal derivative of the Green's function; on an
+    interval it is the sum over the two sides, 2 |G'|.
     """
     samples = int(samples)
-    if samples < 1:
-        raise DomainError("samples must be at least 1")
-    dens = equilibrium_density(support)
+    _, dG = green_potential(support)
     arcs = parametrize(support)
+    if samples < len(arcs):
+        raise DomainError(f"samples must be at least the number of arcs "
+                          f"({len(arcs)})")
     spans = np.array([arc.span for arc in arcs], dtype=float)
     counts = np.maximum(1, np.round(samples * spans / spans.sum()).astype(int))
-    while counts.sum() > samples and np.any(counts > 1):
+    while counts.sum() > samples:
         counts[int(np.argmax(counts))] -= 1
     while counts.sum() < samples:
         counts[int(np.argmin(counts))] += 1
 
-    ts, pts = [], []
-    for arc, m in zip(arcs, counts):
-        if arc.closed or support.kind == "interval":
-            t = arc.t_lo + (np.arange(m) + (0.5 if support.kind == "interval"
-                                            else 0.0)) * arc.span / m
-        else:
-            t = np.linspace(arc.t_lo, arc.t_hi, m)
-        ts.append(t)
-        pts.append(np.asarray(arc.point(t), dtype=complex))
+    offset = 0.5 if support.kind == "interval" else 0.0
+    ts = [arc.t_lo + (np.arange(m) + offset) * arc.span / m
+          for arc, m in zip(arcs, counts)]
     t_param = np.concatenate(ts)
-    points = np.concatenate(pts)
-    density = np.array([dens(z) for z in points], dtype=float)
-    normal = 2.0 * math.pi * density
-    return t_param, points, density, normal
+    points = np.concatenate([np.asarray(arc.point(t), dtype=complex)
+                             for arc, t in zip(arcs, ts)])
+    normal = _sides(support) * np.abs(dG(points))
+    return t_param, points, normal / (2.0 * math.pi), normal

@@ -462,13 +462,14 @@ def parse_measure_text(text):
     if A is None:
         raise MeasureFormatError("missing key weight.A")
     A = _parse_number(A, "weight.A")
+    if B is not None:
+        B = _parse_number(B, "weight.B")
     if B is None or (jump_param is None and B == A):
         weight = ConstantWeight(A)
     else:
         if jump_param is None:
             raise MeasureFormatError("weight.jump_param is required when "
                                      "weight.A and weight.B differ")
-        B = _parse_number(B, "weight.B")
         period = None if kind == "interval" else 2.0 * math.pi
         weight = JumpWeight(A, B, _parse_number(jump_param, "weight.jump_param"),
                             period=period)

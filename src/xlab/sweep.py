@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .christoffel import christoffel_lambda, kernel_prefix, orthonormalize
-from .equilibrium import equilibrium_density, green_normal_derivative
+from .equilibrium import equilibrium_density
 from .errors import CapabilityError, DegeneracyError, DomainError, InputError
 from .measures import jump_limits
 from .quadrature import build_rule
@@ -32,24 +32,18 @@ def jump_factor(A, B):
     return (A - B) / (math.log(A) - math.log(B))
 
 
-def predicted_limit(measure, z=None, route="density"):
+def predicted_limit(measure, z=None):
     """Predicted limit of n * lambda_n at the jump point.
 
     The value is jump_factor(left, right) / density(z0) where left/right
     are the one-sided density limits of the measure at z0 and density is
-    the equilibrium density of the support.  ``route`` selects between the
-    density form and the normal-derivative form 2 pi (dg/dn)^-1 * factor;
-    the two agree to machine precision by the bridge identity.
+    the equilibrium density of the support, |G'(z0)|/(2 pi) from its
+    Green's potential G.
     """
     meas = measure if z is None or measure.z0 == complex(z) else measure.with_z0(z)
     left, right = jump_limits(meas)
     factor = jump_factor(left, right)
-    dens = equilibrium_density(meas.support)(meas.z0)
-    if route == "density":
-        return factor / dens
-    if route == "normal":
-        return 2.0 * math.pi * factor / green_normal_derivative(dens)
-    raise InputError(f"unknown route {route!r}")
+    return factor / equilibrium_density(meas.support)(meas.z0)
 
 
 def geometric_schedule(n_min=8, n_max=512, ratio=1.25):

@@ -88,6 +88,47 @@ def test_equilibrium_subcommand_csv(circle_file, tmp_path, capsys):
         assert math.hypot(re_z, im_z) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_equilibrium_samples_below_arc_count_is_input_error(tmp_path, capsys):
+    # |z^2 - 4| = 1 has two ovals, so it needs at least two samples
+    path = tmp_path / "two_ovals.measure"
+    path.write_text("support.kind = lemniscate\n"
+                    "support.params = -4.0,0.0 0.0,0.0 1.0,0.0\n"
+                    "weight.A = 1.0\n")
+    out_csv = tmp_path / "density.csv"
+    code = main(["equilibrium", "--measure", str(path), "--samples", "1",
+                 "--out", str(out_csv)])
+    assert code == 2
+    assert "samples" in capsys.readouterr().err
+    assert not out_csv.exists()
+    code = main(["equilibrium", "--measure", str(path), "--samples", "2",
+                 "--out", str(out_csv)])
+    assert code == 0
+    capsys.readouterr()
+    assert len(out_csv.read_text().strip().splitlines()) == 3
+
+
+def test_tall_ellipse_subcommands(tmp_path, capsys):
+    path = tmp_path / "tall_ellipse.measure"
+    path.write_text("support.kind = ellipse\n"
+                    "support.params = 0.75 1.25\n"
+                    "weight.A = 2.0\n"
+                    "weight.B = 1.0\n"
+                    "weight.jump_param = 0.0\n"
+                    "eval.z0 = 0.75,0.0\n")
+    code = main(["sweep", "--measure", str(path), "--n-min", "8",
+                 "--n-max", "16", "--out", str(tmp_path / "sweep.csv")])
+    assert code == 0
+    out = capsys.readouterr().out
+    predicted = float(out.split("predicted_limit = ")[1].splitlines()[0])
+    # density 1/(2.5 pi) at the minor vertex of the 1.25 x 0.75 ellipse
+    assert predicted == pytest.approx(2.5 * math.pi / math.log(2.0),
+                                      rel=1e-14)
+    code = main(["equilibrium", "--measure", str(path), "--samples", "8",
+                 "--out", str(tmp_path / "density.csv")])
+    assert code == 0
+    capsys.readouterr()
+
+
 def test_verify_subcommand_json(capsys):
     code = main(["verify", "--suite", "circle-exact", "--json"])
     assert code == 0

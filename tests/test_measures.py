@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from xlab.cli import main
 from xlab.errors import (CapabilityError, DomainError, InputError,
                          MeasureFormatError, SymmetryError)
 from xlab.geometry import ComplexPolynomial
@@ -159,6 +160,20 @@ def test_parse_rejects_bad_input():
         parse_measure_text("support.kind = circle\n")  # missing weight
     with pytest.raises(InputError):
         parse_measure_text(good.replace("weight.A = 2.0", "weight.A = -2.0"))
+
+
+def test_parse_equal_jump_values_is_constant(tmp_path, capsys):
+    base = "support.kind = circle\nsupport.params = 1.0\nweight.A = 2\n"
+    for text in ("weight.B = 2\n", "weight.B = 2.0\n", "weight.B = 2e0\n"):
+        weight = parse_measure_text(base + text).pieces[0].weight
+        assert isinstance(weight, ConstantWeight) and weight.c == 2.0
+    with pytest.raises(MeasureFormatError, match="jump_param"):
+        parse_measure_text(base + "weight.B = 3\n")
+    path = tmp_path / "unequal.measure"
+    path.write_text(base + "weight.B = 3\n")
+    assert main(["lambda", "--measure", str(path), "--z", "1,0",
+                 "--n", "3"]) == 2
+    assert "jump_param" in capsys.readouterr().err
 
 
 def test_parse_auto_jump_resolution():

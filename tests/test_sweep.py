@@ -40,8 +40,6 @@ def test_predicted_limits_closed_forms():
     for name, measure in standard_jump_measures().items():
         value = predicted_limit(measure)
         assert value == pytest.approx(targets[name], rel=1e-12)
-        via_normal = predicted_limit(measure, route="normal")
-        assert abs(value - via_normal) <= 1e-14 * value
 
 
 def test_predicted_limit_scaling():
