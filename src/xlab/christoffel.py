@@ -9,7 +9,9 @@ the degrees where normal equations fail.  The recorded Hessenberg recurrence
 
 evaluates the basis anywhere in the plane.  The Christoffel function follows
 either from the kernel identity 1/lambda_n(z) = sum |p_k(z)|^2 or, as a
-cross-check, by integrating the reconstructed minimal polynomial.
+cross-check, by integrating the reconstructed minimal polynomial.  On circles
+and intervals ``recurrence_values`` gives p_k(z) by the Szegő or Stieltjes
+recurrence instead, without storing a basis.
 """
 
 import math
@@ -17,10 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, InputError, NumericError
+from .errors import (CapabilityError, DegeneracyError, DomainError,
+                     InputError, NumericError)
 from .quadrature import build_rule
 
 BREAKDOWN_REL = 1e-14
+GRAM_BLOCK = 64        # columns of the Gram certificate formed per product
+CERTIFY_STRIDE = 32    # recurrence polynomials kept for the Gram certificate
 
 
 class OrthoBasis:
@@ -104,11 +109,21 @@ def orthonormalize(rule, degree):
 
 
 def _finish_basis(rule, H, Q, Wc, mass):
-    # G[j, k] = <p_j, p_k>; its distance from the identity certifies the basis
-    G = Q @ Wc.T
-    G.flat[::G.shape[0] + 1] -= 1.0
-    return OrthoBasis(degree=Q.shape[0] - 1, hessenberg=H, node_values=Q,
-                      norm_residuals=np.abs(G).max(axis=0), mass=mass,
+    # G[j, k] = <p_j, p_k>; its distance from the identity certifies the
+    # basis.  G is Hermitian, so only its upper triangle is formed, block
+    # column by block column, and column k's largest |G - I| is the larger of
+    # the triangle's column k and row k.
+    n = Q.shape[0]
+    col, row = np.zeros(n), np.zeros(n)
+    for lo in range(0, n, GRAM_BLOCK):
+        hi = min(lo + GRAM_BLOCK, n)
+        G = Q[:hi] @ Wc[lo:hi].T
+        G[np.arange(lo, hi), np.arange(hi - lo)] -= 1.0
+        G = np.abs(G)
+        col[lo:hi] = G.max(axis=0)
+        np.maximum(row[:hi], G.max(axis=1), out=row[:hi])
+    return OrthoBasis(degree=n - 1, hessenberg=H, node_values=Q,
+                      norm_residuals=np.maximum(col, row), mass=mass,
                       rule=rule)
 
 
@@ -191,3 +206,75 @@ def kernel_prefix(basis, z):
     """K_n(z) for every n up to the basis degree, via one evaluation."""
     p = basis.evaluate(z)
     return np.cumsum(np.abs(p) ** 2)
+
+
+def recurrence_values(rule, support, degree, z):
+    """p_0(z), ..., p_degree(z) for a rule on a circle or an interval support.
+
+    No basis is stored: each step keeps only the current node values.  On an
+    interval the polynomials follow the Stieltjes three-term recurrence
+    (Gautschi, Orthogonal Polynomials: Computation and Approximation, 2004);
+    on a circle, in u = (z - center) / radius, the Szegő recursion carries
+    phi_k together with its reversed polynomial phi*_k (Simon, Orthogonal
+    Polynomials on the Unit Circle, 2005).  Both take O(degree * m) time and
+    O(m) memory.
+
+    Returns (values, residual).  ``values`` stops at the achieved degree when
+    the discrete measure breaks the recurrence down, under the same relative
+    test as ``orthonormalize``.  ``residual`` is the largest |<p_j, p_k> -
+    delta_jk| over every CERTIFY_STRIDE-th polynomial and the last one, a
+    global check of the orthonormality the recurrence assumes.
+    """
+    if degree < 0:
+        raise InputError("degree must be nonnegative")
+    if degree > rule.max_exact_degree:
+        raise DomainError(
+            f"rule is only exact for products of degree {rule.max_exact_degree}, "
+            f"cannot evaluate the recurrence to degree {degree}")
+    w = rule.weights
+    norm = lambda v: math.sqrt(float(np.dot(w, np.abs(v) ** 2)))
+    z = complex(z)
+    circle = support.kind == "circle"
+    if circle:
+        t = (rule.nodes - support.center) / support.radius
+        z = (z - support.center) / support.radius
+    elif support.kind == "interval":
+        t = rule.nodes.real
+    else:
+        raise CapabilityError(f"no recurrence for {support.kind} supports")
+
+    p = np.full(t.size, 1.0 / math.sqrt(float(w.sum())), dtype=t.dtype)
+    p_rev, p_prev, beta = p, np.zeros_like(p), 0.0
+    values = [complex(p[0])]
+    q_rev, q_prev = values[0], 0j
+    kept = [p]
+    for k in range(degree):
+        v = t * p
+        scale = norm(v)
+        if circle:
+            c = complex(np.dot(w * v, np.conjugate(p_rev)))
+            v -= c * p_rev
+        else:
+            v -= beta * p_prev
+            a = float(np.dot(w * v, p))
+            v -= a * p
+        nrm = norm(v)
+        if not math.isfinite(nrm) or nrm <= BREAKDOWN_REL * scale:
+            break
+        q = values[-1]
+        if circle:
+            p_rev = (p_rev - c.conjugate() * t * p) / nrm
+            q, q_rev = ((z * q - c * q_rev) / nrm,
+                        (q_rev - c.conjugate() * z * q) / nrm)
+        else:
+            q, q_prev = (z * q - beta * q_prev - a * q) / nrm, q
+            p_prev, beta = p, nrm
+        p = v / nrm
+        values.append(q)
+        if (k + 1) % CERTIFY_STRIDE == 0:
+            kept.append(p)
+    if kept[-1] is not p:
+        kept.append(p)
+    K = np.array(kept)
+    G = K @ (w * np.conjugate(K)).T - np.eye(len(kept))
+    return np.array(values), float(np.abs(G).max())

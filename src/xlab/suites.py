@@ -163,14 +163,20 @@ def _suite_lemniscate_jump(tol):
     checks, result = _jump_sweep_checks("lemniscate", measure, CIRCLE_LIMIT,
                                         tol)
 
-    # degree halving: degree n on the z^2 curve matches n//2 on the circle
-    half = sorted({r.n // 2 for r in result.rows if r.n >= 64})
-    circle = run_sweep(circle_jump_measure(), schedule=half)
-    values = {r.n: r.n_lambda_n for r in circle.rows}
-    worst = max(abs(r.n_lambda_n - values[r.n // 2]) / values[r.n // 2]
-                for r in result.rows if r.n >= 64)
-    checks.append(_check("degree-halving", worst, 0.05,
-                         "n on z^2 lemniscate vs n//2 on circle, n >= 64"))
+    # degree halving: the measure is even under z -> -z, so even and odd
+    # polynomials are orthogonal and the even (odd) ones are the circle's
+    # orthonormal polynomials in z^2 (times z), which gives
+    # K_n(z0) = K_circ_{n//2}(z0^2) + K_circ_{(n-1)//2}(z0^2)
+    z2 = measure.z0 ** 2
+    halves = sorted({h for r in result.rows
+                     for h in (r.n // 2, (r.n - 1) // 2)})
+    circle = run_sweep(circle_jump_measure(), z=z2, schedule=halves)
+    K = {r.n: 1.0 / r.lambda_n for r in circle.rows}
+    worst = max(abs(1.0 / r.lambda_n - K[r.n // 2] - K[(r.n - 1) // 2])
+                * r.lambda_n for r in result.rows)
+    checks.append(_check("degree-halving", worst, 1e-12,
+                         "K_n on z^2 lemniscate vs K_circ_{n//2} + "
+                         "K_circ_{(n-1)//2} at z0^2"))
     return checks
 
 

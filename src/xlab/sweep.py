@@ -1,9 +1,12 @@
 """Sweeps of n * lambda_n against the predicted jump-asymptotics limit.
 
-A sweep runs one orthonormalization at the largest degree and reads every
-smaller n off the kernel prefix sums, then extrapolates n * lambda_n with
-a least-squares 1/n + 1/n^2 model (the limit itself carries no proven
-rate, so the model is an engineering choice recorded in the fit).
+A sweep evaluates p_0(z), ..., p_N(z) once at the largest degree N and
+reads every smaller n off the kernel prefix sums, then extrapolates
+n * lambda_n with a least-squares 1/n + 1/n^2 model (the limit itself
+carries no proven rate, so the model is an engineering choice recorded in
+the fit).  On circles and intervals the values come from the Szegő and
+Stieltjes recurrences, which store no basis; other supports, and the
+direct method, use one Arnoldi orthonormalization.
 """
 
 import math
@@ -13,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .christoffel import christoffel_lambda, kernel_prefix, orthonormalize
+from .christoffel import (christoffel_lambda, kernel_prefix, orthonormalize,
+                          recurrence_values)
 from .equilibrium import equilibrium_density
 from .errors import CapabilityError, DegeneracyError, DomainError, InputError
 from .measures import jump_limits
@@ -111,13 +115,18 @@ class SweepResult:
 
 def run_sweep(measure, z=None, schedule=None, method="kernel",
               nodes_per_degree=6):
-    """Evaluate lambda_n over a degree schedule with one shared basis.
+    """Evaluate lambda_n over a degree schedule from one pass to max(schedule).
 
-    One orthonormalization at max(schedule) feeds every row: the kernel
-    prefix sums give lambda_n for all smaller n.  Degeneracy during
-    orthonormalization marks the unreachable rows as failed and the sweep
-    continues with the achieved partial basis.  ``result.stages`` records
-    the time of each setup stage and the size and quality of the basis.
+    With the kernel method on a circle or an interval, ``recurrence_values``
+    gives p_k(z) for every k up to max(schedule); elsewhere, and for the
+    direct method, one orthonormalization at max(schedule) gives a shared
+    basis.  Either way the kernel prefix sums give lambda_n for all smaller
+    n.  A breakdown marks the unreachable rows as failed and the sweep
+    continues up to the achieved degree.  ``result.stages`` records the time
+    of each setup stage (``orthonormalize_s`` is the recurrence time on the
+    recurrence path) and the size and quality of the basis.  Where no jump
+    law applies (a support without one, or z off the support) the predicted
+    limit is nan.
     """
     if not schedule:
         raise InputError("schedule must be a non-empty increasing list")
@@ -134,32 +143,36 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
 
     try:
         predicted = predicted_limit(measure, z=z)
-    except CapabilityError:
+    except (CapabilityError, DomainError):
         predicted = float("nan")
 
     n_max = schedule[-1]
     t0 = time.perf_counter()
     rule = build_rule(measure, n_max, nodes_per_degree=nodes_per_degree)
     t1 = time.perf_counter()
-    achieved = n_max
-    note = ""
-    try:
-        basis = orthonormalize(rule, n_max)
-    except DegeneracyError as exc:
-        if exc.basis is None:
-            raise
-        basis = exc.basis
-        achieved = exc.achieved_degree
-        note = f"degenerate beyond degree {achieved}"
-    t2 = t3 = time.perf_counter()
-    if method == "kernel":
-        prefix = kernel_prefix(basis, z)
-        t3 = time.perf_counter()
+    if method == "kernel" and measure.support.kind in ("circle", "interval"):
+        p, residual = recurrence_values(rule, measure.support, n_max, z)
+        achieved = p.size - 1
+        t2 = time.perf_counter()
+        prefix = np.cumsum(np.abs(p) ** 2)
+    else:
+        try:
+            basis = orthonormalize(rule, n_max)
+        except DegeneracyError as exc:
+            if exc.basis is None:
+                raise
+            basis = exc.basis
+        achieved = basis.degree
+        residual = float(basis.norm_residuals.max())
+        t2 = time.perf_counter()
+        if method == "kernel":
+            prefix = kernel_prefix(basis, z)
+    t3 = time.perf_counter()
+    note = f"degenerate beyond degree {achieved}" if achieved < n_max else ""
 
     stages = {"rule_s": t1 - t0, "orthonormalize_s": t2 - t1,
               "kernel_prefix_s": t3 - t2, "node_count": rule.node_count,
-              "achieved_degree": achieved,
-              "residual_max": float(basis.norm_residuals.max())}
+              "achieved_degree": achieved, "residual_max": residual}
     result = SweepResult(measure=measure, z=z, method=method, stages=stages)
     for n in schedule:
         t_row = time.perf_counter()

@@ -6,16 +6,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import xlab
-from xlab.christoffel import (christoffel_lambda, extremal_polynomial_values,
-                              kernel_diag, kernel_prefix, orthonormalize)
-from xlab.errors import DegeneracyError, DomainError
+from xlab.christoffel import (_finish_basis, christoffel_lambda,
+                              extremal_polynomial_values, kernel_diag,
+                              kernel_prefix, orthonormalize, recurrence_values)
+from xlab.errors import CapabilityError, DegeneracyError, DomainError
 from xlab.geometry import SupportSpec
 from xlab.measures import (ConstantWeight, MeasureSpec, Piece, SmoothFactor,
-                           circle_jump_measure, uniform_circle_measure)
+                           circle_jump_measure, ellipse_jump_measure,
+                           interval_jump_measure, symmetrize_to_interval,
+                           uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
+from xlab.sweep import run_sweep
 
 
 def test_circle_exact_law_small():
@@ -126,15 +132,26 @@ def test_degeneracy_reports_partial_basis():
 
 def test_norm_residuals_match_explicit_gram():
     # the residuals come from the stored rows w * conj(Q); recompute them
-    # from the node values alone
+    # from the node values alone.  Degree 150 spans several Gram blocks.
     full = orthonormalize(build_rule(circle_jump_measure(), 60), 60)
+    blocks = orthonormalize(build_rule(ellipse_jump_measure(1.25, 0.75), 150),
+                            150)
     with pytest.raises(DegeneracyError) as err:
         orthonormalize(_four_node_rule(), 8)
-    for basis in (full, err.value.basis):
+    for basis in (full, blocks, err.value.basis):
         Q, w = basis.node_values, basis.rule.weights
         explicit = np.abs((Q * w) @ Q.conj().T
                           - np.eye(basis.degree + 1)).max(axis=0)
         assert np.max(np.abs(basis.norm_residuals - explicit)) <= 1e-15
+    # unit rows far from orthogonal put the largest entries of |G - I|
+    # anywhere off the diagonal, so every block must reach every column
+    rng = np.random.default_rng(7)
+    Q = rng.standard_normal((150, 200)) + 1j * rng.standard_normal((150, 200))
+    w = rng.uniform(0.5, 1.5, 200)
+    Q /= np.sqrt((np.abs(Q) ** 2) @ w)[:, None]
+    got = _finish_basis(full.rule, None, Q, w * Q.conj(), 1.0).norm_residuals
+    explicit = np.abs((Q * w) @ Q.conj().T - np.eye(150)).max(axis=0)
+    assert np.max(np.abs(got - explicit) / explicit) <= 1e-13
 
 
 def _toeplitz_gram_lambda(A, B, t0, n, z):
@@ -179,6 +196,87 @@ def test_lambda_toeplitz_gram_oracle():
                 got = christoffel_lambda(measure, n, z=z).lambda_n
                 want = _toeplitz_gram_lambda(A, B, t0, n, z)
                 assert abs(got - want) <= 1e-13 * want, (A, B, t0, n, z)
+
+
+def test_run_sweep_toeplitz_gram_oracle():
+    # the same 27 cases through the sweep, which takes the Szegő recurrence
+    params = ((2.0, 1.0, math.pi / 2), (1.0, 1.0, math.pi / 2),
+              (3.0, 0.5, 0.3))
+    for A, B, t0 in params:
+        measure = circle_jump_measure(A=A, B=B, jump_param=t0)
+        for z in (measure.z0, cmath.exp(-2.0j), 0.5 + 0.2j):
+            rows = run_sweep(measure, z=z, schedule=[4, 12, 24]).rows
+            for row in rows:
+                want = _toeplitz_gram_lambda(A, B, t0, row.n, z)
+                assert abs(row.lambda_n - want) <= 1e-13 * want, (A, B, t0,
+                                                                  row.n, z)
+
+
+def test_recurrence_breakdown_matches_arnoldi():
+    # four circle nodes and three interval nodes support degrees 3 and 2
+    three = QuadratureRule(nodes=np.array([-0.5, 0.1, 0.7], dtype=complex),
+                           weights=np.array([0.3, 0.5, 0.2]),
+                           params=np.array([-0.5, 0.1, 0.7]),
+                           arc_index=np.zeros(3, dtype=int), max_exact_degree=6)
+    cases = ((_four_node_rule(), SupportSpec.make_circle(), 0.3 + 0.9j),
+             (three, SupportSpec.make_interval(-1.0, 1.0), 0.2 + 0.1j))
+    for rule, support, z in cases:
+        with pytest.raises(DegeneracyError) as err:
+            orthonormalize(rule, 6)
+        partial = err.value.basis
+        values, residual = recurrence_values(rule, support, 6, z)
+        assert values.size - 1 == err.value.achieved_degree
+        assert np.max(np.abs(values - partial.evaluate(z))) <= 1e-13
+        assert residual < 1e-13
+
+
+def test_recurrence_rejects_other_supports():
+    measure = ellipse_jump_measure(1.25, 0.75)
+    rule = build_rule(measure, 8)
+    with pytest.raises(CapabilityError):
+        recurrence_values(rule, measure.support, 8, measure.z0)
+    with pytest.raises(DomainError):
+        recurrence_values(rule, SupportSpec.make_circle(), 9, 1.0)
+
+
+def test_golub_welsch_weights_match_recurrence():
+    # Golub and Welsch (Math. Comp. 23, 1969): the eigenvalues of the n x n
+    # Jacobi matrix are the Gauss nodes x_j, with weights mass * v_{0j}^2
+    # from the eigenvectors, and those weights are lambda_{n-1}(x_j)
+    measure = symmetrize_to_interval(circle_jump_measure())
+    n = 24
+    rule = build_rule(measure, n)
+    H = orthonormalize(rule, n).hessenberg.real
+    J = (np.diag(np.diag(H)[:n]) + np.diag(np.diag(H, -1)[:n - 1], 1)
+         + np.diag(np.diag(H, -1)[:n - 1], -1))
+    x, V = np.linalg.eigh(J)
+    gauss = rule.mass * V[0] ** 2
+    for xj, wj in zip(x, gauss):
+        values, _ = recurrence_values(rule, measure.support, n - 1, xj)
+        lam = 1.0 / float(np.sum(np.abs(values) ** 2))
+        assert abs(lam - wj) <= 1e-12 * wj
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(circle=st.booleans(), a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0),
+       size=st.floats(0.2, 3.0), s=st.floats(0.05, 0.95),
+       off=st.sampled_from([0.0, 0.4, -0.4]))
+def test_recurrence_matches_arnoldi_prefix(circle, a, b, size, s, off):
+    # circles of any centre and radius, intervals with any endpoints; z on
+    # the support, inside or outside it (above it for an interval)
+    if circle:
+        measure = circle_jump_measure(radius=size, center=complex(a, b))
+        z = measure.support.center + size * (1.0 + off) * cmath.exp(
+            2j * math.pi * s)
+    else:
+        measure = interval_jump_measure(a, a + size, jump_param=a + 0.5 * size)
+        z = complex(a + s * size, off * size)
+    rule = build_rule(measure, 40)
+    want = kernel_prefix(orthonormalize(rule, 40), z)
+    values, residual = recurrence_values(rule, measure.support, 40, z)
+    got = np.cumsum(np.abs(values) ** 2)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    assert residual < 1e-13
 
 
 def test_import_does_not_load_mpmath():

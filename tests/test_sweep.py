@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 import xlab.sweep as sweep_mod
-from xlab.christoffel import orthonormalize
+from xlab.christoffel import kernel_diag, orthonormalize
 from xlab.errors import DegeneracyError, DomainError, InputError
-from xlab.measures import circle_jump_measure, uniform_circle_measure
-from xlab.quadrature import build_rule
+from xlab.measures import (circle_jump_measure, ellipse_jump_measure,
+                           uniform_circle_measure)
+from xlab.quadrature import QuadratureRule, build_rule
 from xlab.sweep import (SWEEP_CSV_HEADER, SweepResult, SweepRow, extrapolate,
                         format_sweep_csv, geometric_schedule, jump_factor,
                         predicted_limit, run_sweep, write_sweep_csv)
@@ -146,7 +148,8 @@ def test_extrapolate_flags_ill_conditioned_fit():
 
 
 def test_run_sweep_marks_degenerate_rows_failed(monkeypatch):
-    measure = uniform_circle_measure(z0=1.0)
+    # an ellipse still goes through Arnoldi, so the breakdown is injected there
+    measure = ellipse_jump_measure(1.25, 0.75)
     rule = build_rule(measure, 20)
     partial = orthonormalize(rule, 10)
 
@@ -161,12 +164,35 @@ def test_run_sweep_marks_degenerate_rows_failed(monkeypatch):
     assert not by_n[15].ok and not by_n[20].ok
     assert math.isnan(by_n[20].lambda_n)
     assert "degenerate" in by_n[20].note
-    assert by_n[10].n_lambda_n == pytest.approx(10 * 2 * math.pi / 11,
-                                                rel=1e-12)
+    # an independent basis on a rule of its own size gives the same value
+    want = 10.0 / kernel_diag(orthonormalize(build_rule(measure, 10), 10),
+                              measure.z0)
+    assert by_n[10].n_lambda_n == pytest.approx(want, rel=1e-12)
     with pytest.raises(DomainError):
         extrapolate(result)  # only two surviving rows
     # failed rows serialize as nan without crashing
     assert "nan" in format_sweep_csv(result)
+
+
+def test_run_sweep_recurrence_breaks_down_on_few_nodes(monkeypatch):
+    # four equispaced nodes of weight pi/2 integrate z^j conj(z)^k exactly
+    # for |j - k| < 4, so degrees up to 3 keep the exact law 2 pi/(n + 1)
+    # and the Szegő recurrence itself breaks down at degree 4
+    ts = 0.5 * math.pi * np.arange(4)
+    rule = QuadratureRule(nodes=np.exp(1j * ts),
+                          weights=np.full(4, 0.5 * math.pi), params=ts,
+                          arc_index=np.zeros(4, dtype=int), max_exact_degree=8)
+    monkeypatch.setattr(sweep_mod, "build_rule", lambda *args, **kwargs: rule)
+    result = run_sweep(uniform_circle_measure(z0=1.0), schedule=[1, 3, 5, 8])
+    by_n = {r.n: r for r in result.rows}
+    for n in (1, 3):
+        assert by_n[n].ok
+        assert by_n[n].lambda_n == pytest.approx(2 * math.pi / (n + 1),
+                                                 rel=1e-13)
+    for n in (5, 8):
+        assert not by_n[n].ok and math.isnan(by_n[n].lambda_n)
+        assert by_n[n].note == "degenerate beyond degree 3"
+    assert result.stages["achieved_degree"] == 3
 
 
 def test_sweep_csv_deterministic(tmp_path):
