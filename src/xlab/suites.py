@@ -177,7 +177,14 @@ def _suite_lemniscate_jump(tol):
     checks.append(_check("degree-halving", worst, 1e-12,
                          "K_n on z^2 lemniscate vs K_circ_{n//2} + "
                          "K_circ_{(n-1)//2} at z0^2"))
-    return checks
+
+    # the paper's case proper: |z^2 - 2| = 1 has two components, around
+    # -sqrt(2) and sqrt(2); z0, the first preimage of the circle's jump
+    # point i, lies on the one around -sqrt(2)
+    two = lemniscate_pullback_measure(ComplexPolynomial([-2.0, 0.0, 1.0]))
+    more, _ = _jump_sweep_checks("two-component", two, predicted_limit(two),
+                                 tol)
+    return checks + more
 
 
 def _suite_ellipse_jump(tol):

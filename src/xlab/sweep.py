@@ -105,7 +105,9 @@ class SweepResult:
     extrapolated_limit: float = None
     fit_model: FitModel = None
     # rule_s, orthonormalize_s, kernel_prefix_s (0.0 for the direct method),
-    # node_count, achieved_degree and residual_max of the shared basis
+    # node_count, achieved_degree, residual_max and reorth_steps (Arnoldi
+    # steps that took a second Gram-Schmidt pass, 0 on the recurrence path)
+    # of the shared basis
     stages: dict = field(default_factory=dict)
 
     @property
@@ -124,9 +126,9 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
     n.  A breakdown marks the unreachable rows as failed and the sweep
     continues up to the achieved degree.  ``result.stages`` records the time
     of each setup stage (``orthonormalize_s`` is the recurrence time on the
-    recurrence path) and the size and quality of the basis.  Where no jump
-    law applies (a support without one, or z off the support) the predicted
-    limit is nan.
+    recurrence path), the size and quality of the basis, and how many
+    Arnoldi steps were reorthogonalized.  Where no jump law applies (a
+    support without one, or z off the support) the predicted limit is nan.
     """
     if not schedule:
         raise InputError("schedule must be a non-empty increasing list")
@@ -152,7 +154,7 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
     t1 = time.perf_counter()
     if method == "kernel" and measure.support.kind in ("circle", "interval"):
         p, residual = recurrence_values(rule, measure.support, n_max, z)
-        achieved = p.size - 1
+        achieved, reorth = p.size - 1, 0
         t2 = time.perf_counter()
         prefix = np.cumsum(np.abs(p) ** 2)
     else:
@@ -162,7 +164,7 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
             if exc.basis is None:
                 raise
             basis = exc.basis
-        achieved = basis.degree
+        achieved, reorth = basis.degree, basis.reorthogonalized
         residual = float(basis.norm_residuals.max())
         t2 = time.perf_counter()
         if method == "kernel":
@@ -172,7 +174,8 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
 
     stages = {"rule_s": t1 - t0, "orthonormalize_s": t2 - t1,
               "kernel_prefix_s": t3 - t2, "node_count": rule.node_count,
-              "achieved_degree": achieved, "residual_max": residual}
+              "achieved_degree": achieved, "residual_max": residual,
+              "reorth_steps": reorth}
     result = SweepResult(measure=measure, z=z, method=method, stages=stages)
     for n in schedule:
         t_row = time.perf_counter()

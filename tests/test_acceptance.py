@@ -93,13 +93,17 @@ def test_criterion_5_lemniscate_jump_limit(capsys):
     checks = _by_name(report)
     extrap = checks["lemniscate-extrapolated"]
     halving = checks["degree-halving"]
+    two = checks["two-component-extrapolated"]
     _verdict(capsys, f"criterion 5 (lemniscate jump limit): "
                      f"{'PASS' if report.passed else 'FAIL'} rel err "
                      f"{extrap.measured:.2e} (tol {extrap.tolerance}), "
                      f"degree-halving {halving.measured:.2e} "
-                     f"(tol {halving.tolerance}) in {report.wall_time:.1f}s")
+                     f"(tol {halving.tolerance}), two components "
+                     f"{two.measured:.2e} (tol {two.tolerance}) "
+                     f"in {report.wall_time:.1f}s")
     assert extrap.passed
     assert halving.passed
+    assert two.passed
 
 
 def test_criterion_6_ellipse_jump_limit(capsys):

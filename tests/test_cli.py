@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -135,6 +138,16 @@ def test_verify_subcommand_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["suite"] == "circle-exact"
     assert payload["passed"] is True
+
+
+def test_python_m_xlab_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "xlab", "verify", "--suite",
+                           "circle-exact"], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert "suite circle-exact: PASS" in done.stdout
 
 
 def test_verify_subcommand_failure_exit_code(capsys):

@@ -7,7 +7,7 @@ import xlab.sweep as sweep_mod
 from xlab.christoffel import kernel_diag, orthonormalize
 from xlab.errors import DegeneracyError, DomainError, InputError
 from xlab.measures import (circle_jump_measure, ellipse_jump_measure,
-                           uniform_circle_measure)
+                           symmetrize_to_interval, uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
 from xlab.sweep import (SWEEP_CSV_HEADER, SweepResult, SweepRow, extrapolate,
                         format_sweep_csv, geometric_schedule, jump_factor,
@@ -77,12 +77,14 @@ def test_run_sweep_circle_exact_row():
     assert all(b <= a for a, b in zip(lam, lam[1:]))
     assert set(result.stages) == {"rule_s", "orthonormalize_s",
                                   "kernel_prefix_s", "node_count",
-                                  "achieved_degree", "residual_max"}
+                                  "achieved_degree", "residual_max",
+                                  "reorth_steps"}
     for key in ("rule_s", "orthonormalize_s", "kernel_prefix_s"):
         assert result.stages[key] > 0
     assert result.stages["node_count"] >= 6 * 17
     assert result.stages["achieved_degree"] == 16
     assert result.stages["residual_max"] < 1e-14
+    assert result.stages["reorth_steps"] == 0  # the Szegő recurrence
 
 
 def test_run_sweep_validates_schedule():
@@ -217,3 +219,13 @@ def test_run_sweep_direct_method_agrees():
     b = run_sweep(measure, schedule=[6, 12], method="direct")
     for ra, rb in zip(a.rows, b.rows):
         assert abs(ra.lambda_n - rb.lambda_n) <= 1e-10 * ra.lambda_n
+
+
+def test_run_sweep_reports_reorthogonalized_steps():
+    # the direct method builds an Arnoldi basis even on an interval, whose
+    # steps take the second Gram-Schmidt pass about half the time
+    measure = symmetrize_to_interval(circle_jump_measure())
+    result = run_sweep(measure, schedule=[8, 16], method="direct")
+    basis = orthonormalize(build_rule(measure, 16), 16)
+    assert result.stages["reorth_steps"] == basis.reorthogonalized > 0
+    assert run_sweep(measure, schedule=[8, 16]).stages["reorth_steps"] == 0
