@@ -15,7 +15,7 @@ from .errors import (CapabilityError, DegeneracyError, DomainError,
                      NumericError, SymmetryError, TracingError,
                      XlabError)
 from .geometry import (ArcParametrization, ComplexPolynomial, SupportSpec,
-                       arc_length, parametrize, partition_arcs, preimages,
+                       arc_length, parametrize, preimages,
                        project_to_support, trace_lemniscate)
 from .measures import (ConstantWeight, JumpWeight, MeasureSpec, Piece,
                        SmoothFactor, circle_jump_measure, density_at,
@@ -50,7 +50,7 @@ __all__ = [
     "interval_jump_measure", "jump_factor", "jump_limits", "kernel_diag",
     "kernel_prefix", "lemniscate_pullback_measure", "load_measure_file",
     "orthonormalize", "parametrize", "parse_measure_text",
-    "partition_arcs", "predicted_limit", "preimages", "project_to_support",
+    "predicted_limit", "preimages", "project_to_support",
     "pullback_to_lemniscate", "run_sweep", "save_measure_file",
     "standard_jump_measures", "symmetrize_to_interval", "trace_lemniscate",
     "uniform_circle_measure", "verify", "weight_at", "write_sweep_csv",

@@ -167,14 +167,13 @@ def kernel_diag(basis, z, upto=None):
     return K
 
 
-def christoffel_lambda(measure, n, z=None, method="kernel",
-                       nodes_per_degree=6, rule=None, basis=None):
+def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
     """The Christoffel function lambda_n(mu, z).
 
     ``method`` "kernel" inverts the diagonal kernel; "direct" reconstructs
     the minimizing polynomial from its kernel coefficients, renormalizes it
     at z, and integrates its square, which checks the whole pipeline.  Pass
-    ``rule`` or ``basis`` to reuse work across calls.
+    ``basis`` to reuse work across calls.
     """
     if z is None:
         z = measure.z0
@@ -184,9 +183,7 @@ def christoffel_lambda(measure, n, z=None, method="kernel",
     if method not in ("kernel", "direct"):
         raise InputError(f"unknown method {method!r}")
     if basis is None:
-        if rule is None:
-            rule = build_rule(measure, n, nodes_per_degree=nodes_per_degree)
-        basis = orthonormalize(rule, min(n, rule.max_exact_degree))
+        basis = orthonormalize(build_rule(measure, n), n)
     if basis.degree < n:
         raise DomainError(f"basis degree {basis.degree} is below n = {n}")
 

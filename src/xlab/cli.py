@@ -21,8 +21,7 @@ EQUILIBRIUM_CSV_HEADER = "t_param,re(z),im(z),density,normal_derivative"
 def _parse_point(measure, text):
     """--z argument: 're,im' or 'auto-jump' (the measure's jump point)."""
     if text == "auto-jump":
-        return _resolve_z0("auto-jump", measure.support,
-                           measure.pieces[0].weight)
+        return _resolve_z0("auto-jump", measure.support, measure.piece.weight)
     parts = text.split(",")
     try:
         if len(parts) == 1:
@@ -37,8 +36,7 @@ def _parse_point(measure, text):
 def _cmd_lambda(args):
     measure = load_measure_file(args.measure)
     z = _parse_point(measure, args.z)
-    value = christoffel_lambda(measure, args.n, z=z, method=args.method,
-                               nodes_per_degree=args.nodes_per_degree)
+    value = christoffel_lambda(measure, args.n, z=z, method=args.method)
     print(f"n = {value.n}")
     print(f"z = {value.z!r}")
     print(f"method = {value.method}")
@@ -105,7 +103,6 @@ def build_parser():
     p.add_argument("--z", required=True, help="re,im or auto-jump")
     p.add_argument("--n", required=True, type=int, help="polynomial degree")
     p.add_argument("--method", choices=("kernel", "direct"), default="kernel")
-    p.add_argument("--nodes-per-degree", type=int, default=6)
     p.set_defaults(func=_cmd_lambda)
 
     p = sub.add_parser("sweep", help="sweep n lambda_n over a degree schedule")
@@ -140,10 +137,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

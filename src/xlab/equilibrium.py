@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .geometry import parametrize, project_to_support
 
 OFF_CURVE_TOL = 1e-8  # points farther than this from the support are rejected
@@ -70,12 +70,10 @@ def green_potential(support):
             return np.log((zeta + root) / (a + b))
 
         return G, lambda z: turn / _zeta_root(z)[1]
-    if kind == "lemniscate":
-        T, dT, n = support.poly, support.poly.derivative(), support.poly.degree
-        return (lambda z: np.log(T(z)) / n,
-                lambda z: dT(z) / (n * T(z)))
-    raise CapabilityError(
-        f"no Green's potential for support kind {support.kind!r}")
+    # lemniscate
+    T, dT, n = support.poly, support.poly.derivative(), support.poly.degree
+    return (lambda z: np.log(T(z)) / n,
+            lambda z: dT(z) / (n * T(z)))
 
 
 def _sides(support):

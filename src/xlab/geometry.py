@@ -11,7 +11,7 @@ every component, which is what the measure layer relies on.
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,9 +66,9 @@ class ArcParametrization:
     ``point`` maps parameter values to points in the plane, ``velocity`` is
     its derivative; both accept scalars or numpy arrays.  ``closed`` marks a
     full closed loop (the parameter wraps modulo the interval length).  For
-    lemniscate components ``image_angle`` is true: the parameter is the
-    continuous angle of T(z) and ``winding`` counts how many times T covers
-    the image circle along the component.
+    lemniscate components the parameter is the continuous angle of T(z) and
+    ``winding`` counts how many times T covers the image circle along the
+    component.
     """
 
     point: object
@@ -76,10 +76,7 @@ class ArcParametrization:
     t_lo: float
     t_hi: float
     closed: bool = False
-    smoothness: str = "analytic"
-    label: str = ""
     winding: int = None
-    image_angle: bool = False
 
     @property
     def span(self):
@@ -103,8 +100,8 @@ def arc_length(arc, t_lo=None, t_hi=None, panels=64, order=16):
 class SupportSpec:
     """Geometric description of where a measure lives.
 
-    ``kind`` is one of ``interval``, ``circle``, ``ellipse``, ``lemniscate``
-    or ``arcs``; only the fields relevant to the kind are set.  Lemniscate
+    ``kind`` is one of ``interval``, ``circle``, ``ellipse`` or
+    ``lemniscate``; only the fields relevant to the kind are set.  Lemniscate
     arcs are traced lazily on first use and cached on the instance.
     """
 
@@ -115,7 +112,6 @@ class SupportSpec:
     axes: tuple = None
     rotation: float = 0.0
     poly: ComplexPolynomial = None
-    custom_arcs: list = None
     _arcs: list = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -148,18 +144,6 @@ class SupportSpec:
             raise GeometryError("lemniscate polynomial must have degree >= 1")
         return cls(kind="lemniscate", poly=poly)
 
-    @classmethod
-    def from_arcs(cls, arcs):
-        arcs = list(arcs)
-        if not arcs:
-            raise GeometryError("at least one arc is required")
-        for arc in arcs:
-            if not isinstance(arc, ArcParametrization):
-                raise GeometryError("from_arcs expects ArcParametrization objects")
-            if not arc.t_hi > arc.t_lo:
-                raise GeometryError("arc parameter interval must be nondegenerate")
-        return cls(kind="arcs", custom_arcs=arcs)
-
 
 def parametrize(support):
     """Smooth arcs covering the support, traced and cached for lemniscates."""
@@ -172,13 +156,13 @@ def parametrize(support):
         arcs = [ArcParametrization(
             point=lambda t: np.asarray(t, dtype=complex),
             velocity=lambda t: np.ones_like(np.asarray(t, dtype=complex)),
-            t_lo=a, t_hi=b, label="interval")]
+            t_lo=a, t_hi=b)]
     elif kind == "circle":
         c, r = support.center, support.radius
         arcs = [ArcParametrization(
             point=lambda t, c=c, r=r: c + r * np.exp(1j * np.asarray(t, dtype=float)),
             velocity=lambda t, r=r: 1j * r * np.exp(1j * np.asarray(t, dtype=float)),
-            t_lo=0.0, t_hi=2.0 * math.pi, closed=True, label="circle")]
+            t_lo=0.0, t_hi=2.0 * math.pi, closed=True)]
     elif kind == "ellipse":
         a, b = support.axes
         c, rot = support.center, cmath.exp(1j * support.rotation)
@@ -192,11 +176,9 @@ def parametrize(support):
             return rot * (-a * np.sin(t) + 1j * b * np.cos(t))
 
         arcs = [ArcParametrization(point=_pt, velocity=_vel, t_lo=0.0,
-                                   t_hi=2.0 * math.pi, closed=True, label="ellipse")]
+                                   t_hi=2.0 * math.pi, closed=True)]
     elif kind == "lemniscate":
         arcs = trace_lemniscate(support.poly)
-    elif kind == "arcs":
-        arcs = list(support.custom_arcs)
     else:
         raise GeometryError(f"unknown support kind {kind!r}")
 
@@ -250,7 +232,7 @@ def _image_newton(poly, dpoly, z, w_target, tol=5e-14, maxit=40):
     return z
 
 
-def _component_arc(poly, dpoly, theta0, grid_z, winding, label):
+def _component_arc(poly, dpoly, theta0, grid_z, winding):
     """Arc parametrized by the image angle, evaluated by Newton refinement."""
     samples = grid_z.size
     span = 2.0 * math.pi * winding
@@ -271,8 +253,7 @@ def _component_arc(poly, dpoly, theta0, grid_z, winding, label):
         return 1j * np.exp(1j * theta) / dpoly(z)
 
     return ArcParametrization(point=_solve, velocity=_vel, t_lo=theta0,
-                              t_hi=theta0 + span, closed=True, label=label,
-                              winding=winding, image_angle=True)
+                              t_hi=theta0 + span, closed=True, winding=winding)
 
 
 def _fiber_gap(z):
@@ -366,39 +347,8 @@ def trace_lemniscate(poly):
             cycle.append(int(perm[cycle[-1]]))
         seen[cycle] = True
         arcs.append(_component_arc(poly, dpoly, 0.0, tracks[cycle].ravel(),
-                                   len(cycle), label=f"component{len(arcs)}"))
+                                   len(cycle)))
     return arcs
-
-
-def partition_arcs(poly, base_point_image=1.0 + 0j, support=None):
-    """Split a traced lemniscate at the fiber over a base image point.
-
-    Each component of winding m contributes m arcs of image-angle length
-    2*pi whose endpoints are preimages of the base point; exactly deg(T)
-    arcs come back in total.
-    """
-    if not isinstance(poly, ComplexPolynomial):
-        poly = ComplexPolynomial(poly)
-    w = complex(base_point_image)
-    if abs(abs(w) - 1.0) > 1e-9:
-        raise DomainError("base point must lie on the image circle")
-    w /= abs(w)
-    if support is None:
-        support = SupportSpec.make_lemniscate(poly)
-    comps = parametrize(support)
-    phi = math.atan2(w.imag, w.real)
-    out = []
-    for arc in comps:
-        k0 = math.ceil((arc.t_lo - phi) / (2.0 * math.pi) - 1e-12)
-        start = phi + 2.0 * math.pi * k0
-        for j in range(arc.winding):
-            lo = start + 2.0 * math.pi * j
-            out.append(replace(arc, t_lo=lo, t_hi=lo + 2.0 * math.pi,
-                               closed=False, winding=1,
-                               label=f"{arc.label}/cut{j}"))
-    if len(out) != poly.degree:
-        raise TracingError("arc partition does not match the polynomial degree")
-    return out
 
 
 def project_to_support(support, z, tol=1e-8):
@@ -428,42 +378,21 @@ def project_to_support(support, z, tol=1e-8):
         if abs(point - z) > tol:
             raise DomainError(f"{z} is not on the ellipse")
         return 0, t, point
-    if support.kind == "lemniscate":
-        w = complex(support.poly(z))
-        if abs(abs(w) - 1.0) > max(tol, 1e-6):
-            raise DomainError(f"{z} is not on the lemniscate")
-        phi = math.atan2(w.imag, w.real)
-        best = None
-        for i, arc in enumerate(arcs):
-            k0 = math.ceil((arc.t_lo - phi) / (2.0 * math.pi) - 1e-12)
-            cand = phi + 2.0 * math.pi * (k0 + np.arange(arc.winding))
-            pts = arc.point(cand)
-            j = int(np.argmin(np.abs(pts - z)))
-            d = abs(pts[j] - z)
-            if best is None or d < best[0]:
-                best = (d, i, float(cand[j]), complex(pts[j]))
-        d, i, t, point = best
-        if d > tol * (1.0 + abs(z)):
-            raise DomainError(f"{z} is not on the lemniscate (distance {d:.2e})")
-        return i, t, point
-    # generic fallback: dense sampling plus interval refinement
+    # lemniscate; parametrize has already rejected unknown kinds
+    w = complex(support.poly(z))
+    if abs(abs(w) - 1.0) > max(tol, 1e-6):
+        raise DomainError(f"{z} is not on the lemniscate")
+    phi = math.atan2(w.imag, w.real)
     best = None
     for i, arc in enumerate(arcs):
-        ts = np.linspace(arc.t_lo, arc.t_hi, 4097)
-        j = int(np.argmin(np.abs(arc.point(ts) - z)))
-        lo = ts[max(0, j - 1)]
-        hi = ts[min(len(ts) - 1, j + 1)]
-        for _ in range(40):
-            tt = np.linspace(lo, hi, 9)
-            k = int(np.argmin(np.abs(arc.point(tt) - z)))
-            lo = tt[max(0, k - 1)]
-            hi = tt[min(8, k + 1)]
-        t = 0.5 * (lo + hi)
-        point = complex(arc.point(t))
-        d = abs(point - z)
+        k0 = math.ceil((arc.t_lo - phi) / (2.0 * math.pi) - 1e-12)
+        cand = phi + 2.0 * math.pi * (k0 + np.arange(arc.winding))
+        pts = arc.point(cand)
+        j = int(np.argmin(np.abs(pts - z)))
+        d = abs(pts[j] - z)
         if best is None or d < best[0]:
-            best = (d, i, t, point)
+            best = (d, i, float(cand[j]), complex(pts[j]))
     d, i, t, point = best
     if d > tol * (1.0 + abs(z)):
-        raise DomainError(f"{z} is not on the support (distance {d:.2e})")
+        raise DomainError(f"{z} is not on the lemniscate (distance {d:.2e})")
     return i, t, point

@@ -152,18 +152,16 @@ class Piece:
 
 
 class MeasureSpec:
-    """A support, one weight piece per arc, and the evaluation point z0."""
+    """A support, one weight piece for all its arcs, and the point z0."""
 
-    def __init__(self, support, pieces, z0=None, chebyshev=False):
-        if isinstance(pieces, Piece):
-            pieces = [pieces]
-        if not pieces:
-            raise InputError("a measure needs at least one weight piece")
+    def __init__(self, support, piece, z0=None, chebyshev=False):
+        if not isinstance(piece, Piece):
+            raise InputError("a measure needs one weight Piece")
         if chebyshev and support.kind != "interval":
             raise CapabilityError("the inverse square root factor is only "
                                   "defined on interval supports")
         self.support = support
-        self.pieces = list(pieces)
+        self.piece = piece
         self.chebyshev = bool(chebyshev)
         self.z0 = None if z0 is None else complex(z0)
         self._z0_loc = None
@@ -172,16 +170,10 @@ class MeasureSpec:
         self._validate_smooth()
 
     def _validate_smooth(self):
-        for i, arc in enumerate(parametrize(self.support)):
-            piece = self.piece_for(i)
+        for arc in parametrize(self.support):
             ts = np.linspace(arc.t_lo, arc.t_hi, 257)
-            if np.min(piece.smooth(ts)) <= 0:
+            if np.min(self.piece.smooth(ts)) <= 0:
                 raise InputError("smooth factor must stay positive on the arc")
-
-    def piece_for(self, arc_index):
-        if arc_index < len(self.pieces):
-            return self.pieces[arc_index]
-        return self.pieces[0]
 
     def z0_location(self):
         if self.z0 is None:
@@ -189,7 +181,7 @@ class MeasureSpec:
         return self._z0_loc
 
     def with_z0(self, z0):
-        return MeasureSpec(self.support, self.pieces, z0=z0,
+        return MeasureSpec(self.support, self.piece, z0=z0,
                            chebyshev=self.chebyshev)
 
     def scaled(self, c):
@@ -197,12 +189,12 @@ class MeasureSpec:
         c = float(c)
         if not c > 0:
             raise InputError("scale factor must be positive")
-        pieces = [Piece(p.weight.scaled(c), p.smooth) for p in self.pieces]
-        return MeasureSpec(self.support, pieces, z0=self.z0,
+        piece = Piece(self.piece.weight.scaled(c), self.piece.smooth)
+        return MeasureSpec(self.support, piece, z0=self.z0,
                            chebyshev=self.chebyshev)
 
     def __repr__(self):
-        return (f"MeasureSpec({self.support.kind}, pieces={self.pieces}, "
+        return (f"MeasureSpec({self.support.kind}, piece={self.piece}, "
                 f"z0={self.z0}, chebyshev={self.chebyshev})")
 
 
@@ -216,7 +208,7 @@ def weight_at(measure, t, arc_index=0, side=None):
     lo, hi = arc.t_lo - 1e-12, arc.t_hi + 1e-12
     if np.any(tt < lo) or np.any(tt > hi):
         raise DomainError(f"parameter {t} outside [{arc.t_lo}, {arc.t_hi}]")
-    piece = measure.piece_for(arc_index)
+    piece = measure.piece
     return piece.smooth(tt) * piece.weight.value(tt, side=side)
 
 
@@ -233,9 +225,9 @@ def density_at(measure, t, arc_index=0, side=None):
 def jump_limits(measure):
     """One-sided density limits (left, right) at the measure's z0."""
     arc_index, t, _ = measure.z0_location()
-    piece = measure.piece_for(arc_index)
-    if isinstance(piece.weight, JumpWeight):
-        snapped = piece.weight.snap_to_jump(t)
+    weight = measure.piece.weight
+    if isinstance(weight, JumpWeight):
+        snapped = weight.snap_to_jump(t)
         if snapped is not None:
             return (float(density_at(measure, snapped, arc_index, side="left")),
                     float(density_at(measure, snapped, arc_index, side="right")))
@@ -295,9 +287,7 @@ def _require_unit_circle(measure, what):
     sup = measure.support
     if sup.kind != "circle" or sup.radius != 1.0 or sup.center != 0:
         raise CapabilityError(f"{what} requires a measure on the unit circle")
-    if len(measure.pieces) != 1:
-        raise CapabilityError(f"{what} requires a single weight piece")
-    piece = measure.pieces[0]
+    piece = measure.piece
     if not piece.smooth.is_constant:
         raise CapabilityError(f"{what} is only implemented for constant "
                               "smooth factors")
@@ -372,6 +362,9 @@ _KIND_PARAM_HELP = {
     "ellipse": "a b [rotation center_re center_im]",
     "lemniscate": "coefficients, lowest degree first, re or re,im tokens",
 }
+
+_ARCSINE_FLAGS = {"0": False, "1": True, "false": False, "true": True,
+                  "no": False, "yes": True}
 
 
 def _parse_number(tok, key):
@@ -474,7 +467,11 @@ def parse_measure_text(text):
         weight = JumpWeight(A, B, _parse_number(jump_param, "weight.jump_param"),
                             period=period)
 
-    chebyshev = arcsine.strip() not in ("0", "false", "no")
+    flag = arcsine.strip().lower()
+    if flag not in _ARCSINE_FLAGS:
+        raise MeasureFormatError(f"weight.arcsine: expected one of "
+                                 f"{', '.join(_ARCSINE_FLAGS)}, got {arcsine!r}")
+    chebyshev = _ARCSINE_FLAGS[flag]
     if chebyshev and kind != "interval":
         raise MeasureFormatError("weight.arcsine only applies to intervals")
 
@@ -521,15 +518,11 @@ def format_measure(measure):
         if sup.center != 0:
             parts.extend([num(sup.center.real), num(sup.center.imag)])
         lines.append("support.params = " + " ".join(parts))
-    elif sup.kind == "lemniscate":
+    else:  # lemniscate
         toks = [f"{num(c.real)},{num(c.imag)}" for c in sup.poly.coeffs]
         lines.append("support.params = " + " ".join(toks))
-    else:
-        raise CapabilityError(f"cannot serialize support kind {sup.kind!r}")
 
-    if len(measure.pieces) != 1:
-        raise CapabilityError("only single piece measures can be serialized")
-    piece = measure.pieces[0]
+    piece = measure.piece
     if isinstance(piece.weight, ConstantWeight):
         lines.append(f"weight.A = {num(piece.weight.c)}")
     else:
@@ -545,8 +538,12 @@ def format_measure(measure):
 
 
 def load_measure_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_measure_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MeasureFormatError(f"{path}: not UTF-8 text ({exc.reason})")
+    return parse_measure_text(text)
 
 
 def save_measure_file(measure, path):

@@ -57,10 +57,10 @@ def _arc_segments(measure):
     z0_arc, z0_t = None, None
     if measure.z0 is not None:
         z0_arc, z0_t, _ = measure.z0_location()
+    weight = measure.piece.weight
     segs = []
     for i, arc in enumerate(arcs):
-        piece = measure.piece_for(i)
-        breaks = list(piece.weight.breakpoints(arc.t_lo, arc.t_hi))
+        breaks = list(weight.breakpoints(arc.t_lo, arc.t_hi))
         if z0_arc == i:
             span = arc.t_hi - arc.t_lo
             for cand in (z0_t, z0_t - span, z0_t + span) if arc.closed else (z0_t,):
@@ -77,8 +77,7 @@ def _interval_segments(measure):
     """Segments in the substituted angle with x = mid + half*cos(theta)."""
     a, b = measure.support.interval
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    piece = measure.piece_for(0)
-    x_breaks = list(piece.weight.breakpoints(a, b))
+    x_breaks = list(measure.piece.weight.breakpoints(a, b))
     if measure.z0 is not None:
         _, x0, _ = measure.z0_location()
         if a + 1e-12 < x0 < b - 1e-12:
@@ -95,7 +94,7 @@ def _interval_factors(measure, theta):
     a, b = measure.support.interval
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x = mid + half * np.cos(theta)
-    piece = measure.piece_for(0)
+    piece = measure.piece
     factor = piece.smooth(x) * piece.weight.value(x) * half
     if not measure.chebyshev:
         factor = factor * np.sin(theta)
@@ -120,6 +119,7 @@ def build_rule(measure, max_degree, nodes_per_degree=6):
     total_panels = math.ceil(nodes_per_degree * (max_degree + 1) / PANEL_ORDER)
 
     arcs = parametrize(measure.support)
+    piece = measure.piece
     xr, wr = _gl_reference(PANEL_ORDER)
     nodes, weights, params, arc_idx = [], [], [], []
     for arc_i, lo, hi in segs:
@@ -134,7 +134,6 @@ def build_rule(measure, max_degree, nodes_per_degree=6):
                 params.append(x)
             else:
                 arc = arcs[arc_i]
-                piece = measure.piece_for(arc_i)
                 z = np.asarray(arc.point(t), dtype=complex)
                 factor = (piece.smooth(t) * piece.weight.value(t)
                           * np.abs(arc.velocity(t)))

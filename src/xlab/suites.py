@@ -16,8 +16,7 @@ import numpy as np
 from .christoffel import christoffel_lambda, kernel_prefix, orthonormalize
 from .equilibrium import equilibrium_density, green_potential
 from .errors import InputError
-from .geometry import (ComplexPolynomial, SupportSpec, parametrize,
-                       partition_arcs, preimages)
+from .geometry import ComplexPolynomial, SupportSpec, parametrize, preimages
 from .measures import (ConstantWeight, MeasureSpec, Piece, SmoothFactor,
                        circle_jump_measure, ellipse_jump_measure,
                        lemniscate_pullback_measure, symmetrize_to_interval,
@@ -202,12 +201,9 @@ def _constant_measure(support):
     return MeasureSpec(support, Piece(ConstantWeight(1.0), SmoothFactor()))
 
 
-def _fiber_sum(poly, f, nodes):
-    out = np.empty(len(nodes), dtype=complex)
-    for i, z in enumerate(nodes):
-        roots = preimages(poly, complex(poly(z)))
-        out[i] = np.sum(f(np.asarray(roots)))
-    return out
+def _fiber_sum(poly, f, images):
+    """Sum of f over the fiber T^{-1}(w), for each image point w."""
+    return np.array([np.sum(f(preimages(poly, complex(w)))) for w in images])
 
 
 def _integral_identity_checks(coeffs, tag):
@@ -224,16 +220,16 @@ def _integral_identity_checks(coeffs, tag):
     rhs = complex(integrate(rule, lambda z: f(z) * speed(z)))
     scale = abs(rhs)
 
-    # single fiber arc: integrating the fiber sum recovers the full integral
-    fiber_arc = SupportSpec.from_arcs(partition_arcs(poly)[:1])
-    arc_rule = build_rule(_constant_measure(fiber_arc), 16)
-    fsum = _fiber_sum(poly, f, arc_rule.nodes)
-    lhs1 = complex(np.sum(arc_rule.weights * fsum * speed(arc_rule.nodes)))
+    # |T'| ds = d(theta) on the curve, so integrating the fiber sum once
+    # around the image circle recovers the full integral
+    circle_rule = build_rule(uniform_circle_measure(), 16)
+    lhs1 = complex(np.sum(circle_rule.weights
+                          * _fiber_sum(poly, f, circle_rule.nodes)))
     checks = [_check(f"fiber-arc-integral-{tag}", abs(lhs1 - rhs) / scale,
-                     1e-9, "fiber sum over one arc vs full curve")]
+                     1e-9, "fiber sum over the image circle vs full curve")]
 
     # whole curve: the fiber sum integrates to N times the plain integral
-    fsum_full = _fiber_sum(poly, f, rule.nodes)
+    fsum_full = _fiber_sum(poly, f, poly(rule.nodes))
     lhs2 = complex(np.sum(rule.weights * fsum_full * speed(rule.nodes)))
     checks.append(_check(f"fiber-sum-integral-{tag}",
                          abs(lhs2 - n * rhs) / (n * scale),
@@ -331,11 +327,10 @@ def _suite_properties(tol):
     # kernel and direct methods agree
     worst = 0.0
     for measure in measures.values():
-        rule = build_rule(measure, 60)
-        basis = orthonormalize(rule, 60)
+        basis = orthonormalize(build_rule(measure, 60), 60)
         for n in (5, 17, 33, 60):
-            a = christoffel_lambda(measure, n, rule=rule, basis=basis).lambda_n
-            b = christoffel_lambda(measure, n, method="direct", rule=rule,
+            a = christoffel_lambda(measure, n, basis=basis).lambda_n
+            b = christoffel_lambda(measure, n, method="direct",
                                    basis=basis).lambda_n
             worst = max(worst, abs(a - b) / a)
     checks.append(_check("method-agreement", worst, 1e-10,

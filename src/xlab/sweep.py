@@ -5,8 +5,8 @@ reads every smaller n off the kernel prefix sums, then extrapolates
 n * lambda_n with a least-squares 1/n + 1/n^2 model (the limit itself
 carries no proven rate, so the model is an engineering choice recorded in
 the fit).  On circles and intervals the values come from the Szegő and
-Stieltjes recurrences, which store no basis; other supports, and the
-direct method, use one Arnoldi orthonormalization.
+Stieltjes recurrences, which store no basis; other supports use one Arnoldi
+orthonormalization.
 """
 
 import math
@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .christoffel import (christoffel_lambda, kernel_prefix, orthonormalize,
-                          recurrence_values)
+from .christoffel import kernel_prefix, orthonormalize, recurrence_values
 from .equilibrium import equilibrium_density
-from .errors import CapabilityError, DegeneracyError, DomainError, InputError
+from .errors import DegeneracyError, DomainError, InputError
 from .measures import jump_limits
 from .quadrature import build_rule
 
 JUMP_FACTOR_TIE_RTOL = 1e-12  # relative |A-B| below which the limit value is used
+FIT_WINDOW = 6                # largest successful rows the extrapolation fits
 
 
 def jump_factor(A, B):
@@ -100,14 +100,12 @@ class FitModel:
 class SweepResult:
     measure: object
     z: complex
-    method: str
     rows: list = field(default_factory=list)
     extrapolated_limit: float = None
     fit_model: FitModel = None
-    # rule_s, orthonormalize_s, kernel_prefix_s (0.0 for the direct method),
-    # node_count, achieved_degree, residual_max and reorth_steps (Arnoldi
-    # steps that took a second Gram-Schmidt pass, 0 on the recurrence path)
-    # of the shared basis
+    # rule_s, orthonormalize_s, kernel_prefix_s, node_count, achieved_degree,
+    # residual_max and reorth_steps (Arnoldi steps that took a second
+    # Gram-Schmidt pass, 0 on the recurrence path) of the shared basis
     stages: dict = field(default_factory=dict)
 
     @property
@@ -115,28 +113,26 @@ class SweepResult:
         return [r for r in self.rows if r.ok]
 
 
-def run_sweep(measure, z=None, schedule=None, method="kernel",
-              nodes_per_degree=6):
+def run_sweep(measure, z=None, schedule=None):
     """Evaluate lambda_n over a degree schedule from one pass to max(schedule).
 
-    With the kernel method on a circle or an interval, ``recurrence_values``
-    gives p_k(z) for every k up to max(schedule); elsewhere, and for the
-    direct method, one orthonormalization at max(schedule) gives a shared
-    basis.  Either way the kernel prefix sums give lambda_n for all smaller
-    n.  A breakdown marks the unreachable rows as failed and the sweep
-    continues up to the achieved degree.  ``result.stages`` records the time
-    of each setup stage (``orthonormalize_s`` is the recurrence time on the
-    recurrence path), the size and quality of the basis, and how many
-    Arnoldi steps were reorthogonalized.  Where no jump law applies (a
-    support without one, or z off the support) the predicted limit is nan.
+    On a circle or an interval ``recurrence_values`` gives p_k(z) for every
+    k up to max(schedule); elsewhere one orthonormalization at max(schedule)
+    gives a shared basis.  Either way the kernel prefix sums give lambda_n
+    for all smaller n.  A breakdown marks the unreachable rows as failed and
+    the sweep continues up to the achieved degree.  ``result.stages`` records
+    the time of each setup stage (``orthonormalize_s`` is the recurrence time
+    on the recurrence path), the size and quality of the basis, and how many
+    Arnoldi steps were reorthogonalized.  Where no jump law applies (z off
+    the support) the predicted limit is nan.
     """
     if not schedule:
         raise InputError("schedule must be a non-empty increasing list")
     schedule = [int(n) for n in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("schedule must be strictly increasing")
-    if method not in ("kernel", "direct"):
-        raise InputError(f"unknown method {method!r}")
+    if schedule[0] < 1:
+        raise InputError(f"schedule degrees must be at least 1, got {schedule[0]}")
     if z is None:
         z = measure.z0
         if z is None:
@@ -145,14 +141,14 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
 
     try:
         predicted = predicted_limit(measure, z=z)
-    except (CapabilityError, DomainError):
+    except DomainError:
         predicted = float("nan")
 
     n_max = schedule[-1]
     t0 = time.perf_counter()
-    rule = build_rule(measure, n_max, nodes_per_degree=nodes_per_degree)
+    rule = build_rule(measure, n_max)
     t1 = time.perf_counter()
-    if method == "kernel" and measure.support.kind in ("circle", "interval"):
+    if measure.support.kind in ("circle", "interval"):
         p, residual = recurrence_values(rule, measure.support, n_max, z)
         achieved, reorth = p.size - 1, 0
         t2 = time.perf_counter()
@@ -167,8 +163,7 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
         achieved, reorth = basis.degree, basis.reorthogonalized
         residual = float(basis.norm_residuals.max())
         t2 = time.perf_counter()
-        if method == "kernel":
-            prefix = kernel_prefix(basis, z)
+        prefix = kernel_prefix(basis, z)
     t3 = time.perf_counter()
     note = f"degenerate beyond degree {achieved}" if achieved < n_max else ""
 
@@ -176,7 +171,7 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
               "kernel_prefix_s": t3 - t2, "node_count": rule.node_count,
               "achieved_degree": achieved, "residual_max": residual,
               "reorth_steps": reorth}
-    result = SweepResult(measure=measure, z=z, method=method, stages=stages)
+    result = SweepResult(measure=measure, z=z, stages=stages)
     for n in schedule:
         t_row = time.perf_counter()
         if n > achieved:
@@ -185,11 +180,7 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
                 predicted_limit=predicted, relative_error=float("nan"),
                 wall_time=time.perf_counter() - t_row, ok=False, note=note))
             continue
-        if method == "kernel":
-            lam = 1.0 / float(prefix[n])
-        else:
-            lam = christoffel_lambda(measure, n, z=z, method="direct",
-                                     rule=rule, basis=basis).lambda_n
+        lam = 1.0 / float(prefix[n])
         nlam = n * lam
         rel = (nlam - predicted) / predicted if predicted == predicted else float("nan")
         result.rows.append(SweepRow(
@@ -198,10 +189,10 @@ def run_sweep(measure, z=None, schedule=None, method="kernel",
     return result
 
 
-def extrapolate(result, window=6):
+def extrapolate(result):
     """Extrapolated limit of n * lambda_n from the largest successful rows.
 
-    Fits L + c1/n + c2/n^2 by least squares over the largest ``window``
+    Fits L + c1/n + c2/n^2 by least squares over the largest FIT_WINDOW
     rows and returns L, recording coefficients and residual on
     ``result.fit_model``.  A fit whose rms residual exceeds 10% of the
     window spread is ill-conditioned: a warning is issued and the raw last
@@ -210,7 +201,7 @@ def extrapolate(result, window=6):
     rows = result.ok_rows
     if len(rows) < 4:
         raise DomainError("extrapolation needs at least 4 successful rows")
-    tail = rows[-min(window, len(rows)):]
+    tail = rows[-FIT_WINDOW:]
     ns = np.array([r.n for r in tail], dtype=float)
     ys = np.array([r.n_lambda_n for r in tail], dtype=float)
     design = np.column_stack([np.ones_like(ns), 1.0 / ns, 1.0 / ns ** 2])

@@ -51,7 +51,7 @@ def test_criterion_2_kernel_vs_direct(capsys):
         for n in range(61):
             kernel = 1.0 / prefix[n]
             direct = christoffel_lambda(measure, n, method="direct",
-                                        rule=rule, basis=basis).lambda_n
+                                        basis=basis).lambda_n
             worst = max(worst, abs(kernel - direct) / direct)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 60.0

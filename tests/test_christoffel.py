@@ -77,9 +77,8 @@ def test_kernel_vs_direct_methods():
     rule = build_rule(measure, 40)
     basis = orthonormalize(rule, 40)
     for n in (3, 17, 40):
-        a = christoffel_lambda(measure, n, rule=rule, basis=basis)
-        b = christoffel_lambda(measure, n, method="direct", rule=rule,
-                               basis=basis)
+        a = christoffel_lambda(measure, n, basis=basis)
+        b = christoffel_lambda(measure, n, method="direct", basis=basis)
         assert a.method == "kernel" and b.method == "direct"
         assert abs(a.lambda_n - b.lambda_n) <= 1e-10 * a.lambda_n
 

@@ -163,6 +163,25 @@ def test_missing_measure_file_is_input_error(capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_measure_file_is_input_error(kind, tmp_path, capsys):
+    path = tmp_path / "bad.measure"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"support.kind = circle\nweight.A = \xff\xfe\n")
+    code = main(["lambda", "--measure", str(path), "--z", "1,0", "--n", "3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_output_directory_is_input_error(circle_file, tmp_path, capsys):
+    code = main(["sweep", "--measure", circle_file, "--n-min", "8",
+                 "--n-max", "16", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_malformed_measure_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.measure"
     bad.write_text("kind = dodecahedron\n")
@@ -194,3 +213,11 @@ def test_no_arguments_is_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_lambda_nodes_per_degree_is_usage_error(uniform_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda", "--measure", uniform_file, "--z", "1,0", "--n", "3",
+              "--nodes-per-degree", "8"])
+    assert exc.value.code == 2
+    assert "--nodes-per-degree" in capsys.readouterr().err

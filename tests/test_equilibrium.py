@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from xlab.equilibrium import (density_profile, equilibrium_density,
                               green_potential)
-from xlab.errors import CapabilityError, DomainError, GeometryError
-from xlab.geometry import ComplexPolynomial, SupportSpec, partition_arcs
+from xlab.errors import DomainError, GeometryError
+from xlab.geometry import ComplexPolynomial, SupportSpec
 from xlab.quadrature import build_rule, integrate
 from xlab.suites import _constant_measure, _green_residuals
 
@@ -150,10 +150,6 @@ def test_green_potential_dispatch():
         G, dG = green_potential(support)
         z = np.array([3.0 + 1.0j, -2.0 - 4.0j])
         assert G(z).shape == dG(z).shape == (2,)
-    arcs = partition_arcs(ComplexPolynomial([0, 0, 1.0]))[:1]
-    for build in (green_potential, equilibrium_density):
-        with pytest.raises(CapabilityError):
-            build(SupportSpec.from_arcs(arcs))
 
 
 def test_interval_density_through_projection():

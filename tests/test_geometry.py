@@ -6,8 +6,8 @@ import pytest
 
 from xlab.errors import DomainError, GeometryError
 from xlab.geometry import (ComplexPolynomial, SupportSpec, arc_length,
-                           parametrize, partition_arcs, preimages,
-                           project_to_support, trace_lemniscate)
+                           parametrize, preimages, project_to_support,
+                           trace_lemniscate)
 
 
 def test_polynomial_basics():
@@ -134,15 +134,6 @@ def test_trace_rejects_singular_lemniscate():
             trace_lemniscate(ComplexPolynomial(coeffs))
 
 
-def test_partition_arcs_fibers():
-    parts = partition_arcs(ComplexPolynomial([0, 0, 0, 1.0]))
-    assert len(parts) == 3
-    for part in parts:
-        assert abs(part.span - 2.0 * math.pi) < 1e-12
-    for a, b in zip(parts, parts[1:]):
-        assert abs(complex(a.point(a.t_hi)) - complex(b.point(b.t_lo))) < 1e-9
-
-
 def test_project_to_support_circle_and_interval():
     circle = SupportSpec.make_circle()
     i, t, pt = project_to_support(circle, (1.0 + 2e-9) * 1j)
@@ -174,13 +165,3 @@ def test_project_to_support_ellipse_and_lemniscate():
     assert abs(pt - z) < 1e-12
     with pytest.raises(DomainError):
         project_to_support(lemn, 1.4 + 1.4j)
-
-
-def test_support_from_arcs_roundtrip():
-    base = SupportSpec.make_lemniscate(ComplexPolynomial([0, 0, 1.0]))
-    part = partition_arcs(base.poly)[:1]
-    sup = SupportSpec.from_arcs(part)
-    assert sup.kind == "arcs"
-    arcs = parametrize(sup)
-    assert len(arcs) == 1
-    assert abs(arcs[0].span - 2.0 * math.pi) < 1e-12

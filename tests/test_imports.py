@@ -3,8 +3,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "xlab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "xlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -24,7 +26,7 @@ def test_modules_found():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + DEMOS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []

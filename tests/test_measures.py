@@ -165,7 +165,7 @@ def test_parse_rejects_bad_input():
 def test_parse_equal_jump_values_is_constant(tmp_path, capsys):
     base = "support.kind = circle\nsupport.params = 1.0\nweight.A = 2\n"
     for text in ("weight.B = 2\n", "weight.B = 2.0\n", "weight.B = 2e0\n"):
-        weight = parse_measure_text(base + text).pieces[0].weight
+        weight = parse_measure_text(base + text).piece.weight
         assert isinstance(weight, ConstantWeight) and weight.c == 2.0
     with pytest.raises(MeasureFormatError, match="jump_param"):
         parse_measure_text(base + "weight.B = 3\n")
@@ -174,6 +174,17 @@ def test_parse_equal_jump_values_is_constant(tmp_path, capsys):
     assert main(["lambda", "--measure", str(path), "--z", "1,0",
                  "--n", "3"]) == 2
     assert "jump_param" in capsys.readouterr().err
+
+
+def test_parse_arcsine_flag():
+    base = "support.kind = interval\nsupport.params = -1 1\nweight.A = 1\n"
+    for text, want in (("0", False), ("1", True), ("true", True),
+                       ("False", False), ("YES", True), ("No", False)):
+        measure = parse_measure_text(base + f"weight.arcsine = {text}\n")
+        assert measure.chebyshev is want
+    for text in ("off", "on", "2", "y"):
+        with pytest.raises(MeasureFormatError, match="arcsine"):
+            parse_measure_text(base + f"weight.arcsine = {text}\n")
 
 
 def test_parse_auto_jump_resolution():

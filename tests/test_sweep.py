@@ -7,7 +7,8 @@ import xlab.sweep as sweep_mod
 from xlab.christoffel import kernel_diag, orthonormalize
 from xlab.errors import DegeneracyError, DomainError, InputError
 from xlab.measures import (circle_jump_measure, ellipse_jump_measure,
-                           symmetrize_to_interval, uniform_circle_measure)
+                           lemniscate_pullback_measure, symmetrize_to_interval,
+                           uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
 from xlab.sweep import (SWEEP_CSV_HEADER, SweepResult, SweepRow, extrapolate,
                         format_sweep_csv, geometric_schedule, jump_factor,
@@ -97,19 +98,19 @@ def test_run_sweep_validates_schedule():
         run_sweep(uniform_circle_measure(), schedule=[4])  # no z0 anywhere
 
 
-def test_run_sweep_rejects_unknown_method_before_work(monkeypatch):
+def test_run_sweep_rejects_degrees_below_one_before_work(monkeypatch):
     def no_rule(*args, **kwargs):
-        raise AssertionError("build_rule ran before method validation")
+        raise AssertionError("build_rule ran before schedule validation")
 
     monkeypatch.setattr(sweep_mod, "build_rule", no_rule)
-    with pytest.raises(InputError, match="bogus"):
-        run_sweep(uniform_circle_measure(z0=1.0), schedule=[256],
-                  method="bogus")
+    for schedule in ([-2, 4], [0, 4]):
+        with pytest.raises(InputError, match="at least 1"):
+            run_sweep(uniform_circle_measure(z0=1.0), schedule=schedule)
 
 
 def test_extrapolate_synthetic_models():
     def rows_from(ns, f):
-        res = SweepResult(measure=None, z=0j, method="kernel")
+        res = SweepResult(measure=None, z=0j)
         for n in ns:
             y = f(n)
             res.rows.append(SweepRow(n=n, lambda_n=y / n, n_lambda_n=y,
@@ -131,7 +132,7 @@ def test_extrapolate_synthetic_models():
 
 
 def test_extrapolate_needs_four_rows():
-    res = SweepResult(measure=None, z=0j, method="kernel")
+    res = SweepResult(measure=None, z=0j)
     for n in (10, 20, 40):
         res.rows.append(SweepRow(n, 1.0 / n, 1.0, 1.0, 0.0, 0.0))
     with pytest.raises(DomainError):
@@ -139,7 +140,7 @@ def test_extrapolate_needs_four_rows():
 
 
 def test_extrapolate_flags_ill_conditioned_fit():
-    res = SweepResult(measure=None, z=0j, method="kernel")
+    res = SweepResult(measure=None, z=0j)
     values = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
     for n, y in zip((10, 20, 40, 80, 160, 320), values):
         res.rows.append(SweepRow(n, y / n, y, 1.5, 0.0, 0.0))
@@ -213,19 +214,12 @@ def test_sweep_csv_deterministic(tmp_path):
     assert float(row[1]) == a.rows[0].lambda_n
 
 
-def test_run_sweep_direct_method_agrees():
-    measure = circle_jump_measure()
-    a = run_sweep(measure, schedule=[6, 12])
-    b = run_sweep(measure, schedule=[6, 12], method="direct")
-    for ra, rb in zip(a.rows, b.rows):
-        assert abs(ra.lambda_n - rb.lambda_n) <= 1e-10 * ra.lambda_n
-
-
 def test_run_sweep_reports_reorthogonalized_steps():
-    # the direct method builds an Arnoldi basis even on an interval, whose
-    # steps take the second Gram-Schmidt pass about half the time
-    measure = symmetrize_to_interval(circle_jump_measure())
-    result = run_sweep(measure, schedule=[8, 16], method="direct")
+    # a lemniscate sweep goes through Arnoldi, whose steps on T = z^2 - 2
+    # take the second Gram-Schmidt pass about half the time
+    measure = lemniscate_pullback_measure([-2.0, 0.0, 1.0])
+    result = run_sweep(measure, schedule=[8, 16])
     basis = orthonormalize(build_rule(measure, 16), 16)
     assert result.stages["reorth_steps"] == basis.reorthogonalized > 0
-    assert run_sweep(measure, schedule=[8, 16]).stages["reorth_steps"] == 0
+    interval = symmetrize_to_interval(circle_jump_measure())
+    assert run_sweep(interval, schedule=[8, 16]).stages["reorth_steps"] == 0
