@@ -15,16 +15,19 @@ evaluates the basis anywhere in the plane.  The Christoffel function follows
 either from the kernel identity 1/lambda_n(z) = sum |p_k(z)|^2 or, as a
 cross-check, by integrating the reconstructed minimal polynomial.  On circles
 and intervals ``recurrence_values`` gives p_k(z) by the Szegő or Stieltjes
-recurrence instead, without storing a basis.
+recurrence instead, without storing a basis, and on a lemniscate |T| = 1 of
+degree 2 ``quadratic_pullback_prefix`` gives the kernel from two such
+recurrences on the circle in w = T(z).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (CapabilityError, DegeneracyError, DomainError,
                      InputError, NumericError)
+from .geometry import SupportSpec
 from .quadrature import build_rule
 
 BREAKDOWN_REL = 1e-14
@@ -89,32 +92,30 @@ def orthonormalize(rule, degree):
             f"rule is only exact for products of degree {rule.max_exact_degree}, "
             f"cannot orthonormalize to degree {degree}")
 
-    # Wc[k] = w * conj(Q[k]) is written once with Q[k], so each projection
-    # <v, p_j> = Wc[j] @ v is one GEMV with no copy of the basis.
+    # <v, p_j> = conj(Q[j] @ conj(w * v)): one GEMV against the stored
+    # basis, with no weighted copy of it.
     x, w = rule.nodes, rule.weights
     m = x.size
     mass = float(w.sum())
     Q = np.empty((degree + 1, m), dtype=complex)
-    Wc = np.empty((degree + 1, m), dtype=complex)
     H = np.zeros((degree + 2, degree + 1), dtype=complex)
     Q[0] = 1.0 / math.sqrt(mass)
-    np.multiply(w, Q[0], out=Wc[0])
     reorth = 0
     for k in range(degree):
         v = x * Q[k]
         scale = math.sqrt(float(np.dot(w, np.abs(v) ** 2)))
-        h = Wc[:k + 1] @ v
+        h = np.conjugate(Q[:k + 1] @ np.conjugate(w * v))
         v -= h @ Q[:k + 1]
         nrm = math.sqrt(float(np.dot(w, np.abs(v) ** 2)))
         if nrm < REORTH * scale:
-            h2 = Wc[:k + 1] @ v
+            h2 = np.conjugate(Q[:k + 1] @ np.conjugate(w * v))
             v -= h2 @ Q[:k + 1]
             h += h2
             nrm = math.sqrt(float(np.dot(w, np.abs(v) ** 2)))
             reorth += 1
         if not math.isfinite(nrm) or nrm <= BREAKDOWN_REL * scale:
             partial = _finish_basis(rule, H[:k + 2, :k + 1], Q[:k + 1],
-                                    Wc[:k + 1], mass, reorth)
+                                    mass, reorth)
             raise DegeneracyError(
                 f"orthonormalization broke down at degree {k + 1}: the measure "
                 f"supports polynomials only up to degree {k}",
@@ -122,20 +123,19 @@ def orthonormalize(rule, degree):
         H[:k + 1, k] = h
         H[k + 1, k] = nrm
         np.divide(v, nrm, out=Q[k + 1])
-        np.multiply(w, np.conjugate(Q[k + 1]), out=Wc[k + 1])
-    return _finish_basis(rule, H, Q, Wc, mass, reorth)
+    return _finish_basis(rule, H, Q, mass, reorth)
 
 
-def _finish_basis(rule, H, Q, Wc, mass, reorthogonalized=0):
+def _finish_basis(rule, H, Q, mass, reorthogonalized=0):
     # G[j, k] = <p_j, p_k>; its distance from the identity certifies the
     # basis.  G is Hermitian, so only its upper triangle is formed, block
     # column by block column, and column k's largest |G - I| is the larger of
     # the triangle's column k and row k.
-    n = Q.shape[0]
+    n, w = Q.shape[0], rule.weights
     col, row = np.zeros(n), np.zeros(n)
     for lo in range(0, n, GRAM_BLOCK):
         hi = min(lo + GRAM_BLOCK, n)
-        G = Q[:hi] @ Wc[lo:hi].T
+        G = Q[:hi] @ (w * np.conjugate(Q[lo:hi])).T
         G[np.arange(lo, hi), np.arange(hi - lo)] -= 1.0
         G = np.abs(G)
         col[lo:hi] = G.max(axis=0)
@@ -293,3 +293,39 @@ def recurrence_values(rule, support, degree, z):
     K = np.array(kept)
     G = K @ (w * np.conjugate(K)).T - np.eye(len(kept))
     return np.array(values), float(np.abs(G).max())
+
+
+def quadratic_pullback_prefix(rule, poly, degree, z):
+    """K_n(z), n <= degree, for a circle measure pulled back through T.
+
+    T(z) = c2 (z - s)^2 + d has degree 2, and ``rule`` integrates the circle
+    measure v(theta) d(theta) whose pullback v(arg T) ds lives on |T| = 1.
+    Both points s +- r of the fiber of w have |T'| = 2 |c2| |r|, so even
+    polynomials q(T) and odd ones (z - s) q(T) are orthogonal, and
+
+        K_n(z) = K^e_{n//2}(T(z)) + |z - s|^2 K^o_{(n-1)//2}(T(z)),
+
+    where K^e and K^o belong to v(theta) |c2|^(-1/2) |w - d|^(-1/2) d(theta)
+    and v(theta) |c2|^(-3/2) |w - d|^(1/2) d(theta) on the unit circle.  Both
+    come from ``recurrence_values`` (Geronimo and Van Assche, Trans. AMS 308,
+    1988).
+
+    Returns (prefix, residual): ``prefix`` stops at the achieved degree, and
+    ``residual`` is the larger of the two recurrences' residuals.
+    """
+    if poly.degree != 2:
+        raise CapabilityError("the pullback route needs T of degree 2")
+    c0, c1, c2 = poly.coeffs
+    s, d = -c1 / (2.0 * c2), c0 - c1 * c1 / (4.0 * c2)
+    root = np.sqrt(np.abs(rule.nodes - d) / abs(c2))  # |z - s| on the fiber
+    even_rule = replace(rule, weights=rule.weights / (abs(c2) * root))
+    odd_rule = replace(rule, weights=rule.weights * root / abs(c2))
+    circle, z = SupportSpec.make_circle(), complex(z)
+    even, res_e = recurrence_values(even_rule, circle, degree // 2, poly(z))
+    odd, res_o = recurrence_values(odd_rule, circle, max(degree - 1, 0) // 2,
+                                   poly(z))
+    achieved = min(2 * even.size - 1, 2 * odd.size, degree)
+    terms = np.empty(achieved + 1)
+    terms[0::2] = np.abs(even[:achieved // 2 + 1]) ** 2
+    terms[1::2] = abs(z - s) ** 2 * np.abs(odd[:(achieved + 1) // 2]) ** 2
+    return np.cumsum(terms), max(res_e, res_o)

@@ -6,6 +6,7 @@ error.  All file output is deterministic (floats are written with repr).
 
 import argparse
 import json
+import os
 import sys
 
 from .christoffel import christoffel_lambda
@@ -45,10 +46,23 @@ def _cmd_lambda(args):
     return 0
 
 
+def _check_writable(path):
+    """Raise OSError now, not after the work, when ``path`` cannot be written.
+
+    The probe opens for appending, so an existing file keeps its contents,
+    and a file the probe created is removed again.
+    """
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_sweep(args):
     measure = load_measure_file(args.measure)
     z = _parse_point(measure, args.z)
     schedule = geometric_schedule(args.n_min, args.n_max, args.ratio)
+    _check_writable(args.out)
     result = run_sweep(measure, z=z, schedule=schedule)
     if args.extrapolate:
         limit = extrapolate(result)

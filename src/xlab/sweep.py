@@ -5,10 +5,13 @@ reads every smaller n off the kernel prefix sums, then extrapolates
 n * lambda_n with a least-squares 1/n + 1/n^2 model (the limit itself
 carries no proven rate, so the model is an engineering choice recorded in
 the fit).  On circles and intervals the values come from the Szegő and
-Stieltjes recurrences, which store no basis; other supports use one Arnoldi
-orthonormalization.
+Stieltjes recurrences, which store no basis.  A lemniscate |T| = 1 of degree
+2 whose weight is pulled back from the circle is swept through its inverse
+image, by two Szegő recurrences on the circle in w = T(z).  Other supports
+use one Arnoldi orthonormalization.
 """
 
+import cmath
 import math
 import time
 import warnings
@@ -16,10 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .christoffel import kernel_prefix, orthonormalize, recurrence_values
+from .christoffel import (kernel_prefix, orthonormalize,
+                          quadratic_pullback_prefix, recurrence_values)
 from .equilibrium import equilibrium_density
 from .errors import DegeneracyError, DomainError, InputError
-from .measures import jump_limits
+from .geometry import SupportSpec
+from .measures import MeasureSpec, jump_limits
 from .quadrature import build_rule
 
 JUMP_FACTOR_TIE_RTOL = 1e-12  # relative |A-B| below which the limit value is used
@@ -70,7 +75,6 @@ class SweepRow:
     n_lambda_n: float
     predicted_limit: float
     relative_error: float
-    wall_time: float
     ok: bool = True
     note: str = ""
 
@@ -105,7 +109,7 @@ class SweepResult:
     fit_model: FitModel = None
     # rule_s, orthonormalize_s, kernel_prefix_s, node_count, achieved_degree,
     # residual_max and reorth_steps (Arnoldi steps that took a second
-    # Gram-Schmidt pass, 0 on the recurrence path) of the shared basis
+    # Gram-Schmidt pass, 0 on the recurrence paths) of the shared basis
     stages: dict = field(default_factory=dict)
 
     @property
@@ -117,14 +121,18 @@ def run_sweep(measure, z=None, schedule=None):
     """Evaluate lambda_n over a degree schedule from one pass to max(schedule).
 
     On a circle or an interval ``recurrence_values`` gives p_k(z) for every
-    k up to max(schedule); elsewhere one orthonormalization at max(schedule)
-    gives a shared basis.  Either way the kernel prefix sums give lambda_n
-    for all smaller n.  A breakdown marks the unreachable rows as failed and
-    the sweep continues up to the achieved degree.  ``result.stages`` records
-    the time of each setup stage (``orthonormalize_s`` is the recurrence time
-    on the recurrence path), the size and quality of the basis, and how many
-    Arnoldi steps were reorthogonalized.  Where no jump law applies (z off
-    the support) the predicted limit is nan.
+    k up to max(schedule).  On a quadratic lemniscate whose weight depends on
+    T(z) alone (a constant smooth factor and a weight of period 2 pi),
+    ``quadratic_pullback_prefix`` gives the kernel from two recurrences on a
+    rule for the image circle, of half the degree.  Elsewhere one
+    orthonormalization at max(schedule) gives a shared basis.  Either way the
+    kernel prefix sums give lambda_n for all smaller n.  A breakdown marks
+    the unreachable rows as failed and the sweep continues up to the achieved
+    degree.  ``result.stages`` records the time of each setup stage
+    (``orthonormalize_s`` is the recurrence time on the recurrence paths),
+    the size and quality of the basis, and how many Arnoldi steps were
+    reorthogonalized.  Where no jump law applies (z off the support) the
+    predicted limit is nan.
     """
     if not schedule:
         raise InputError("schedule must be a non-empty increasing list")
@@ -145,10 +153,19 @@ def run_sweep(measure, z=None, schedule=None):
         predicted = float("nan")
 
     n_max = schedule[-1]
+    image = _image_circle_measure(measure)
     t0 = time.perf_counter()
-    rule = build_rule(measure, n_max)
+    if image is None:
+        rule = build_rule(measure, n_max)
+    else:
+        rule = build_rule(image, n_max // 2)
     t1 = time.perf_counter()
-    if measure.support.kind in ("circle", "interval"):
+    if image is not None:
+        prefix, residual = quadratic_pullback_prefix(
+            rule, measure.support.poly, n_max, z)
+        achieved, reorth = prefix.size - 1, 0
+        t2 = time.perf_counter()
+    elif measure.support.kind in ("circle", "interval"):
         p, residual = recurrence_values(rule, measure.support, n_max, z)
         achieved, reorth = p.size - 1, 0
         t2 = time.perf_counter()
@@ -173,20 +190,38 @@ def run_sweep(measure, z=None, schedule=None):
               "reorth_steps": reorth}
     result = SweepResult(measure=measure, z=z, stages=stages)
     for n in schedule:
-        t_row = time.perf_counter()
         if n > achieved:
             result.rows.append(SweepRow(
                 n=n, lambda_n=float("nan"), n_lambda_n=float("nan"),
                 predicted_limit=predicted, relative_error=float("nan"),
-                wall_time=time.perf_counter() - t_row, ok=False, note=note))
+                ok=False, note=note))
             continue
         lam = 1.0 / float(prefix[n])
         nlam = n * lam
         rel = (nlam - predicted) / predicted if predicted == predicted else float("nan")
         result.rows.append(SweepRow(
             n=n, lambda_n=lam, n_lambda_n=nlam, predicted_limit=predicted,
-            relative_error=rel, wall_time=time.perf_counter() - t_row))
+            relative_error=rel))
     return result
+
+
+def _image_circle_measure(measure):
+    """The unit circle measure that ``measure`` is pulled back from, or None.
+
+    Only a lemniscate |T| = 1 with deg T = 2 whose weight depends on the
+    image angle alone qualifies: a constant smooth factor and a weight of
+    period 2 pi.  The circle measure carries the same weight piece, and its
+    z0 is T(z0).
+    """
+    support, piece = measure.support, measure.piece
+    period = getattr(piece.weight, "period", 2.0 * math.pi)
+    if (support.kind != "lemniscate" or support.poly.degree != 2
+            or not piece.smooth.is_constant or period != 2.0 * math.pi):
+        return None
+    z0 = None
+    if measure.z0 is not None:
+        z0 = cmath.exp(1j * measure.z0_location()[1])
+    return MeasureSpec(SupportSpec.make_circle(), piece, z0=z0)
 
 
 def extrapolate(result):

@@ -13,9 +13,10 @@ from mpmath import mp
 import xlab
 from xlab.christoffel import (_finish_basis, christoffel_lambda,
                               extremal_polynomial_values, kernel_diag,
-                              kernel_prefix, orthonormalize, recurrence_values)
+                              kernel_prefix, orthonormalize,
+                              quadratic_pullback_prefix, recurrence_values)
 from xlab.errors import CapabilityError, DegeneracyError, DomainError
-from xlab.geometry import SupportSpec
+from xlab.geometry import ComplexPolynomial, SupportSpec
 from xlab.measures import (ConstantWeight, MeasureSpec, Piece, SmoothFactor,
                            circle_jump_measure, ellipse_jump_measure,
                            interval_jump_measure, symmetrize_to_interval,
@@ -141,8 +142,8 @@ def test_degeneracy_reports_partial_basis():
 
 
 def test_norm_residuals_match_explicit_gram():
-    # the residuals come from the stored rows w * conj(Q); recompute them
-    # from the node values alone.  Degree 150 spans several Gram blocks.
+    # the residuals come from Gram blocks formed one block at a time;
+    # recompute them from the full product.  Degree 150 spans several blocks.
     full = orthonormalize(build_rule(circle_jump_measure(), 60), 60)
     blocks = orthonormalize(build_rule(ellipse_jump_measure(1.25, 0.75), 150),
                             150)
@@ -159,7 +160,11 @@ def test_norm_residuals_match_explicit_gram():
     Q = rng.standard_normal((150, 200)) + 1j * rng.standard_normal((150, 200))
     w = rng.uniform(0.5, 1.5, 200)
     Q /= np.sqrt((np.abs(Q) ** 2) @ w)[:, None]
-    got = _finish_basis(full.rule, None, Q, w * Q.conj(), 1.0).norm_residuals
+    rule = QuadratureRule(nodes=np.zeros(200, dtype=complex), weights=w,
+                          params=np.zeros(200),
+                          arc_index=np.zeros(200, dtype=int),
+                          max_exact_degree=149)
+    got = _finish_basis(rule, None, Q, 1.0).norm_residuals
     explicit = np.abs((Q * w) @ Q.conj().T - np.eye(150)).max(axis=0)
     assert np.max(np.abs(got - explicit) / explicit) <= 1e-13
 
@@ -247,6 +252,9 @@ def test_recurrence_rejects_other_supports():
         recurrence_values(rule, measure.support, 8, measure.z0)
     with pytest.raises(DomainError):
         recurrence_values(rule, SupportSpec.make_circle(), 9, 1.0)
+    with pytest.raises(CapabilityError):
+        quadratic_pullback_prefix(rule, ComplexPolynomial([0.0, 0.0, 0.0, 1.0]),
+                                  8, 1.0)
 
 
 def test_golub_welsch_weights_match_recurrence():

@@ -179,7 +179,26 @@ def test_output_directory_is_input_error(circle_file, tmp_path, capsys):
     code = main(["sweep", "--measure", circle_file, "--n-min", "8",
                  "--n-max", "16", "--out", str(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("input error:")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert captured.out == ""  # it failed before the sweep printed anything
+
+
+def test_failed_sweep_leaves_output_untouched(circle_file, tmp_path, capsys,
+                                              monkeypatch):
+    def boom(*args, **kwargs):
+        raise NumericError("synthetic numeric failure")
+
+    monkeypatch.setattr(cli_mod, "run_sweep", boom)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for path in (new, old):
+        code = main(["sweep", "--measure", circle_file, "--n-min", "8",
+                     "--n-max", "16", "--out", str(path)])
+        assert code == 3
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+    capsys.readouterr()
 
 
 def test_malformed_measure_file_is_input_error(tmp_path, capsys):

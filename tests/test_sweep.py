@@ -1,12 +1,16 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xlab.sweep as sweep_mod
-from xlab.christoffel import kernel_diag, orthonormalize
+from xlab.christoffel import kernel_diag, kernel_prefix, orthonormalize
 from xlab.errors import DegeneracyError, DomainError, InputError
-from xlab.measures import (circle_jump_measure, ellipse_jump_measure,
+from xlab.measures import (JumpWeight, MeasureSpec, Piece, SmoothFactor,
+                           circle_jump_measure, ellipse_jump_measure,
                            lemniscate_pullback_measure, symmetrize_to_interval,
                            uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
@@ -114,8 +118,7 @@ def test_extrapolate_synthetic_models():
         for n in ns:
             y = f(n)
             res.rows.append(SweepRow(n=n, lambda_n=y / n, n_lambda_n=y,
-                                     predicted_limit=1.0, relative_error=0.0,
-                                     wall_time=0.0))
+                                     predicted_limit=1.0, relative_error=0.0))
         return res
 
     res = rows_from((10, 20, 40, 80), lambda n: 1.0 + 1.0 / n)
@@ -134,7 +137,7 @@ def test_extrapolate_synthetic_models():
 def test_extrapolate_needs_four_rows():
     res = SweepResult(measure=None, z=0j)
     for n in (10, 20, 40):
-        res.rows.append(SweepRow(n, 1.0 / n, 1.0, 1.0, 0.0, 0.0))
+        res.rows.append(SweepRow(n, 1.0 / n, 1.0, 1.0, 0.0))
     with pytest.raises(DomainError):
         extrapolate(res)
 
@@ -143,7 +146,7 @@ def test_extrapolate_flags_ill_conditioned_fit():
     res = SweepResult(measure=None, z=0j)
     values = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0]
     for n, y in zip((10, 20, 40, 80, 160, 320), values):
-        res.rows.append(SweepRow(n, y / n, y, 1.5, 0.0, 0.0))
+        res.rows.append(SweepRow(n, y / n, y, 1.5, 0.0))
     with pytest.warns(RuntimeWarning):
         value = extrapolate(res)
     assert res.fit_model.flagged
@@ -215,11 +218,75 @@ def test_sweep_csv_deterministic(tmp_path):
 
 
 def test_run_sweep_reports_reorthogonalized_steps():
-    # a lemniscate sweep goes through Arnoldi, whose steps on T = z^2 - 2
-    # take the second Gram-Schmidt pass about half the time
-    measure = lemniscate_pullback_measure([-2.0, 0.0, 1.0])
+    # an ellipse sweep goes through Arnoldi, and on this flat ellipse one
+    # step of 16 takes the second Gram-Schmidt pass
+    measure = ellipse_jump_measure(1.0, 0.1)
     result = run_sweep(measure, schedule=[8, 16])
     basis = orthonormalize(build_rule(measure, 16), 16)
     assert result.stages["reorth_steps"] == basis.reorthogonalized > 0
     interval = symmetrize_to_interval(circle_jump_measure())
     assert run_sweep(interval, schedule=[8, 16]).stages["reorth_steps"] == 0
+
+
+def _assert_rows_match_arnoldi(result, measure, z):
+    n_max = result.rows[-1].n
+    want = kernel_prefix(orthonormalize(build_rule(measure, n_max), n_max), z)
+    for row in result.rows:
+        assert row.ok
+        got = 1.0 / row.lambda_n
+        assert abs(got - want[row.n]) <= 1e-12 * want[row.n], row.n
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(c2_abs=st.floats(0.5, 2.0), c2_arg=st.floats(0.0, 2.0 * math.pi),
+       s_re=st.floats(-1.0, 1.0), s_im=st.floats(-1.0, 1.0),
+       d_abs=st.one_of(st.floats(0.0, 0.6), st.floats(1.5, 2.5)),
+       d_arg=st.floats(0.0, 2.0 * math.pi),
+       rho=st.sampled_from([0.5, 1.0, 1.5]),
+       theta=st.floats(0.0, 2.0 * math.pi), branch=st.sampled_from([1, -1]))
+def test_quadratic_lemniscate_sweep_matches_arnoldi(c2_abs, c2_arg, s_re, s_im,
+                                                    d_abs, d_arg, rho, theta,
+                                                    branch):
+    # T(z) = c2 (z - s)^2 + d, whose critical value d stays clear of the unit
+    # circle; z = s +- sqrt((w - d) / c2) with |w| = rho lies inside, on or
+    # outside the lemniscate |T| = 1.  Every degree up to 40 is compared with
+    # Arnoldi on the lemniscate's own rule.
+    c2 = c2_abs * cmath.exp(1j * c2_arg)
+    s, d = complex(s_re, s_im), d_abs * cmath.exp(1j * d_arg)
+    measure = lemniscate_pullback_measure([c2 * s * s + d, -2.0 * c2 * s, c2])
+    z = s + branch * cmath.sqrt((rho * cmath.exp(1j * theta) - d) / c2)
+    result = run_sweep(measure, z=z, schedule=list(range(1, 41)))
+    _assert_rows_match_arnoldi(result, measure, z)
+
+
+def test_quadratic_lemniscate_sweep_skips_arnoldi(monkeypatch):
+    def no_arnoldi(*args, **kwargs):
+        raise AssertionError("a quadratic pullback sweep ran Arnoldi")
+
+    measure = lemniscate_pullback_measure([-2.0, 0.0, 1.0])
+    monkeypatch.setattr(sweep_mod, "orthonormalize", no_arnoldi)
+    result = run_sweep(measure, schedule=[8, 31, 64])
+    monkeypatch.undo()
+    _assert_rows_match_arnoldi(result, measure, measure.z0)
+    assert result.stages["node_count"] < build_rule(measure, 64).node_count
+    assert result.stages["achieved_degree"] == 64
+    assert result.stages["residual_max"] < 1e-14
+
+
+def test_other_lemniscate_sweeps_keep_arnoldi():
+    # on |z^2| = 1 the arc parameter runs over [0, 4 pi], so a smooth factor
+    # in it or a jump without period 2 pi is no function of T(z); a cubic
+    # has no even/odd splitting
+    base = lemniscate_pullback_measure([0.0, 0.0, 1.0])
+    cases = [MeasureSpec(base.support,
+                         Piece(base.piece.weight, SmoothFactor([1.0, 0.1])),
+                         z0=base.z0),
+             MeasureSpec(base.support,
+                         Piece(JumpWeight(2.0, 1.0, 1.0), SmoothFactor()),
+                         z0=base.z0),
+             lemniscate_pullback_measure([0.3, -1.5, 0.0, 1.0])]
+    for measure in cases:
+        result = run_sweep(measure, schedule=[8, 15, 32])
+        assert (result.stages["node_count"]
+                == build_rule(measure, 32).node_count)
+        _assert_rows_match_arnoldi(result, measure, measure.z0)
