@@ -13,21 +13,20 @@ recurrence
 
 evaluates the basis anywhere in the plane.  The Christoffel function follows
 either from the kernel identity 1/lambda_n(z) = sum |p_k(z)|^2 or, as a
-cross-check, by integrating the reconstructed minimal polynomial.  On circles
-and intervals ``recurrence_values`` gives p_k(z) by the Szegő or Stieltjes
-recurrence instead, without storing a basis, and on a lemniscate |T| = 1 of
-degree 2 ``quadratic_pullback_prefix`` gives the kernel from two such
-recurrences on the circle in w = T(z).
+cross-check, by integrating the reconstructed minimal polynomial.  Sweeps
+store no basis: on circles and intervals ``recurrence_values`` gives p_k(z)
+by the Szegő or Stieltjes recurrence, and on ellipses and lemniscates
+``gram_prefix`` gives the kernel prefix from one Cholesky factor of a Gram
+matrix built from moments of the rule.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CapabilityError, DegeneracyError, DomainError,
                      InputError, NumericError)
-from .geometry import SupportSpec
 from .quadrature import build_rule
 
 BREAKDOWN_REL = 1e-14
@@ -35,8 +34,8 @@ BREAKDOWN_REL = 1e-14
 # pass leaves about 1/sqrt(2) of |z p_k|; at 1/2 every interval step skips the
 # second pass and K_512(z0) drifts 6.5e-13 from the Stieltjes recurrence.
 REORTH = 2 ** -0.5
-GRAM_BLOCK = 64        # columns of the Gram certificate formed per product
-CERTIFY_STRIDE = 32    # recurrence polynomials kept for the Gram certificate
+GRAM_BLOCK = 64        # rows or columns per block product (certificates, Cholesky)
+CERTIFY_STRIDE = 32    # sweep polynomials kept for the Gram certificate
 
 
 class OrthoBasis:
@@ -75,6 +74,15 @@ class OrthoBasis:
         return P[:, 0] if scalar else P
 
 
+def _check_degree(rule, degree):
+    if degree < 0:
+        raise InputError("degree must be nonnegative")
+    if degree > rule.max_exact_degree:
+        raise DomainError(
+            f"rule is only exact for products of degree {rule.max_exact_degree}, "
+            f"cannot reach degree {degree}")
+
+
 def orthonormalize(rule, degree):
     """Orthonormal basis of degree ``degree`` for the rule's measure.
 
@@ -85,12 +93,7 @@ def orthonormalize(rule, degree):
     cannot support the requested degree; the exception carries the achieved
     degree and the partial basis.
     """
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
-    if degree > rule.max_exact_degree:
-        raise DomainError(
-            f"rule is only exact for products of degree {rule.max_exact_degree}, "
-            f"cannot orthonormalize to degree {degree}")
+    _check_degree(rule, degree)
 
     # <v, p_j> = conj(Q[j] @ conj(w * v)): one GEMV against the stored
     # basis, with no weighted copy of it.
@@ -240,12 +243,7 @@ def recurrence_values(rule, support, degree, z):
     delta_jk| over every CERTIFY_STRIDE-th polynomial and the last one, a
     global check of the orthonormality the recurrence assumes.
     """
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
-    if degree > rule.max_exact_degree:
-        raise DomainError(
-            f"rule is only exact for products of degree {rule.max_exact_degree}, "
-            f"cannot evaluate the recurrence to degree {degree}")
+    _check_degree(rule, degree)
     w = rule.weights
     norm = lambda v: math.sqrt(float(np.dot(w, np.abs(v) ** 2)))
     z = complex(z)
@@ -295,37 +293,102 @@ def recurrence_values(rule, support, degree, z):
     return np.array(values), float(np.abs(G).max())
 
 
-def quadratic_pullback_prefix(rule, poly, degree, z):
-    """K_n(z), n <= degree, for a circle measure pulled back through T.
+def gram_prefix(rule, support, degree, z):
+    """K_n(z), n <= degree, for a rule on an ellipse or a lemniscate support.
 
-    T(z) = c2 (z - s)^2 + d has degree 2, and ``rule`` integrates the circle
-    measure v(theta) d(theta) whose pullback v(arg T) ds lives on |T| = 1.
-    Both points s +- r of the fiber of w have |T'| = 2 |c2| |r|, so even
-    polynomials q(T) and odd ones (z - s) q(T) are orthogonal, and
-
-        K_n(z) = K^e_{n//2}(T(z)) + |z - s|^2 K^o_{(n-1)//2}(T(z)),
-
-    where K^e and K^o belong to v(theta) |c2|^(-1/2) |w - d|^(-1/2) d(theta)
-    and v(theta) |c2|^(-3/2) |w - d|^(1/2) d(theta) on the unit circle.  Both
-    come from ``recurrence_values`` (Geronimo and Van Assche, Trans. AMS 308,
-    1988).
-
-    Returns (prefix, residual): ``prefix`` stops at the achieved degree, and
-    ``residual`` is the larger of the two recurrences' residuals.
+    The Gram matrix G of a Faber-type basis phi_k, nearly orthonormal on the
+    curve (Suetin, Series of Faber Polynomials, 1998), comes from O(degree)
+    moments of the rule in the node angle theta.  On an ellipse with axes
+    a >= b (a tall one turned by pi/2), phi_k = e^k + (r/e)^k with e the
+    exterior variable, e^{i theta} at the nodes, and r = (a-b)/(a+b): G is
+    Toeplitz plus Hankel.  On a lemniscate |T| = 1 of degree N, G is block
+    Toeplitz in phi_{jN+k} = (z - s)^k T^j, k < N, s = -c_{N-1}/(N c_N),
+    since T = e^{i theta} at the nodes.  The Cholesky factor G = R^H R,
+    bordered by phi(z), gives p(z) = R^{-H} phi(z): the matrix Szegő
+    recursion in O(degree^3) (Damanik, Pushnitski and Simon, Surveys in
+    Approximation Theory 4, 2008).  Returns (prefix, residual): K_n(z) up to
+    the degree where ``_bordered_cholesky`` stops, and the residual that
+    ``recurrence_values`` reports, for the polynomials R^{-H} phi.
     """
-    if poly.degree != 2:
-        raise CapabilityError("the pullback route needs T of degree 2")
-    c0, c1, c2 = poly.coeffs
-    s, d = -c1 / (2.0 * c2), c0 - c1 * c1 / (4.0 * c2)
-    root = np.sqrt(np.abs(rule.nodes - d) / abs(c2))  # |z - s| on the fiber
-    even_rule = replace(rule, weights=rule.weights / (abs(c2) * root))
-    odd_rule = replace(rule, weights=rule.weights * root / abs(c2))
-    circle, z = SupportSpec.make_circle(), complex(z)
-    even, res_e = recurrence_values(even_rule, circle, degree // 2, poly(z))
-    odd, res_o = recurrence_values(odd_rule, circle, max(degree - 1, 0) // 2,
-                                   poly(z))
-    achieved = min(2 * even.size - 1, 2 * odd.size, degree)
-    terms = np.empty(achieved + 1)
-    terms[0::2] = np.abs(even[:achieved // 2 + 1]) ** 2
-    terms[1::2] = abs(z - s) ** 2 * np.abs(odd[:(achieved + 1) // 2]) ** 2
-    return np.cumsum(terms), max(res_e, res_o)
+    _check_degree(rule, degree)
+    z, w, n = complex(z), rule.weights, degree
+    q = np.arange(n + 1)
+    if support.kind == "ellipse":
+        (a, b), rho = support.axes, support.rotation
+        if a < b:
+            a, b, rho = b, a, rho + 0.5 * math.pi
+        theta = rule.params + support.rotation - rho
+        f = math.sqrt((a - b) * (a + b))
+        u = (z - support.center) * complex(math.cos(rho), -math.sin(rho))
+        root = np.sqrt(u - f) * np.sqrt(u + f)
+        # phi_k = e^k + e'^k with e e' = r, whichever branch e takes
+        phi = ((u + root) / (a + b)) ** q + ((u - root) / (a + b)) ** q
+        r = ((a - b) / (a + b)) ** q
+        mu = np.concatenate([P @ (shift * w)
+                             for _, P, shift in _power_blocks(theta, 2 * n + 1)])
+        mu = np.concatenate([np.conjugate(mu[:0:-1]), mu])  # p = -2n .. 2n
+        j, k = np.ogrid[:n + 1, :n + 1]
+        T, H = mu[2 * n + j - k], mu[2 * n + j + k]  # mu_{-p} = conj(mu_p)
+        G = T + r[j] * r[k] * np.conjugate(T) + r[k] * H + r[j] * np.conjugate(H)
+
+        def at_nodes(C):  # sum_k C[:, k] phi_k at the nodes
+            Y = series(np.vstack([C, np.conjugate(C * r[:C.shape[1]])]))
+            return Y[:len(C)] + np.conjugate(Y[len(C):])
+    elif support.kind == "lemniscate":
+        poly, N = support.poly, support.poly.degree
+        s = -poly.coeffs[N - 1] / (N * poly.coeffs[N])
+        phi = (z - s) ** (q % N) * complex(poly(z)) ** (q // N)
+        theta, Z = rule.params, (rule.nodes[:, None] - s) ** np.arange(N)
+        V = (w[:, None, None] * Z[:, :, None] * np.conjugate(Z[:, None, :])).reshape(-1, N * N)
+        M = np.concatenate([P @ (shift[:, None] * V) for _, P, shift
+                            in _power_blocks(theta, n // N + 1)]).reshape(-1, N, N)
+        M = np.concatenate([np.conjugate(M[:0:-1].transpose(0, 2, 1)), M])
+        G = M[n // N + q[:, None] // N - q // N, q[:, None] % N, q % N]
+
+        def at_nodes(C):
+            return sum(Z[:, k] * series(C[:, k::N]) for k in range(N))
+    else:
+        raise CapabilityError(f"no Gram route for {support.kind} supports")
+
+    def series(C):  # sum_p C[:, p] e^{i p theta} at the nodes
+        return sum((C[:, lo:lo + GRAM_BLOCK] @ P) * shift
+                   for lo, P, shift in _power_blocks(theta, C.shape[1]))
+
+    R, p = _bordered_cholesky(G, phi)
+    keep = sorted({*range(0, p.size, CERTIFY_STRIDE), p.size - 1})
+    Y = np.eye(p.size, dtype=complex)[:, keep]  # to become columns of R^{-1}
+    for lo in reversed(range(0, p.size, GRAM_BLOCK)):
+        hi = lo + GRAM_BLOCK
+        Y[lo:hi] = np.linalg.inv(R[lo:hi, lo:hi]) @ (Y[lo:hi] - R[lo:hi, hi:] @ Y[hi:])
+    Q = at_nodes(np.conjugate(Y.T))  # p_k at the nodes, k in keep
+    residual = np.abs(Q @ (w * np.conjugate(Q)).T - np.eye(len(keep))).max()
+    return np.cumsum(np.abs(p) ** 2), float(residual)
+
+
+def _power_blocks(theta, count):
+    """(lo, rows e^{i p theta}, p < min(GRAM_BLOCK, count - lo), e^{i lo theta}),
+    whose product is e^{i (lo + p) theta}; a row is a product of at most
+    log2(GRAM_BLOCK) exact exponentials, so no error grows from power to power."""
+    B = np.ones((1, theta.size), dtype=complex)
+    while B.shape[0] < GRAM_BLOCK:
+        B = np.vstack([B, B * np.exp(1j * B.shape[0] * theta)])
+    for lo in range(0, count, GRAM_BLOCK):
+        yield lo, B[:count - lo], np.exp(1j * lo * theta)
+
+
+def _bordered_cholesky(G, phi):
+    """Upper factor R of G = R^H R and R^{-H} phi, GRAM_BLOCK rows at a time,
+    both stopped before the first pivot below BREAKDOWN_REL of its diagonal
+    entry (a pivot's rounding error is about 1e-16 of that entry)."""
+    n = G.shape[0]
+    R = np.hstack([G, phi[:, None]])
+    for lo in range(0, n, GRAM_BLOCK):
+        hi = min(lo + GRAM_BLOCK, n)
+        R[lo:hi, lo:] -= np.conjugate(R[:lo, lo:hi]).T @ R[:lo, lo:]
+        for k in range(lo, hi):
+            R[k, k:] -= np.conjugate(R[lo:k, k]) @ R[lo:k, k:]
+            d = R[k, k].real
+            if not d > BREAKDOWN_REL * G[k, k].real:
+                return np.triu(R[:k, :k]), R[:k, n]
+            R[k, k:] /= math.sqrt(d)
+    return np.triu(R[:, :n]), R[:, n]

@@ -49,12 +49,6 @@ class ComplexPolynomial:
             return ComplexPolynomial([0.0])
         return ComplexPolynomial(np.polynomial.polynomial.polyder(self.coeffs))
 
-    def shifted(self, delta):
-        """Polynomial T(z) + delta."""
-        c = self.coeffs.copy()
-        c[0] += delta
-        return ComplexPolynomial(c)
-
     def __repr__(self):
         return f"ComplexPolynomial({list(self.coeffs)})"
 

@@ -46,9 +46,6 @@ class SmoothFactor:
     def __call__(self, t):
         return _polyval(np.asarray(t, dtype=float), self.coeffs)
 
-    def scaled(self, c):
-        return SmoothFactor(self.coeffs * float(c))
-
     def __repr__(self):
         return f"SmoothFactor({[float(c) for c in self.coeffs]})"
 

@@ -24,13 +24,12 @@ class QuadratureRule:
     """Discrete measure: complex nodes with positive weights.
 
     ``params`` holds the arc parameter of each node (the x coordinate for
-    interval supports) and ``arc_index`` which arc it came from.
+    interval supports).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     params: np.ndarray
-    arc_index: np.ndarray
     max_exact_degree: int
 
     @property
@@ -121,7 +120,7 @@ def build_rule(measure, max_degree, nodes_per_degree=6):
     arcs = parametrize(measure.support)
     piece = measure.piece
     xr, wr = _gl_reference(PANEL_ORDER)
-    nodes, weights, params, arc_idx = [], [], [], []
+    nodes, weights, params = [], [], []
     for arc_i, lo, hi in segs:
         n_panels = max(1, math.ceil(total_panels * (hi - lo) / total_len))
         edges = np.linspace(lo, hi, n_panels + 1)
@@ -140,17 +139,15 @@ def build_rule(measure, max_degree, nodes_per_degree=6):
                 nodes.append(z)
                 params.append(t)
             weights.append(half_p * wr * factor)
-            arc_idx.append(np.full(t.size, arc_i, dtype=int))
 
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
     params = np.concatenate(params)
-    arc_idx = np.concatenate(arc_idx)
     if not np.all(np.isfinite(weights)) or weights.min() <= 0:
         raise NumericError("quadrature weights must be positive and finite")
 
     return QuadratureRule(nodes=nodes, weights=weights, params=params,
-                          arc_index=arc_idx, max_exact_degree=max_degree)
+                          max_exact_degree=max_degree)
 
 
 def integrate(rule, f):

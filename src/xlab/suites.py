@@ -162,18 +162,18 @@ def _suite_lemniscate_jump(tol):
     checks, result = _jump_sweep_checks("lemniscate", measure, CIRCLE_LIMIT,
                                         tol)
 
-    # degree halving: the sweep reads K_n(z0) = K_{n//2}(z0^2) +
-    # K_{(n-1)//2}(z0^2) off two circle recurrences, since even and odd
-    # polynomials are orthogonal on the z^2 lemniscate; Arnoldi on the
-    # lemniscate's own rule computes K_n without that identity
-    n_max = result.rows[-1].n
-    K = kernel_prefix(orthonormalize(build_rule(measure, n_max), n_max),
-                      measure.z0)
-    worst = max(abs(1.0 / r.lambda_n - K[r.n]) * r.lambda_n
+    # degree halving: even and odd polynomials are orthogonal on the z^2
+    # lemniscate, so K_n(z0) = K_{n//2}(z0^2) + |z0|^2 K_{(n-1)//2}(z0^2)
+    # with K of the circle measure, from its own rule and recurrence
+    circle = run_sweep(circle_jump_measure(), z=measure.z0 ** 2,
+                       schedule=list(range(1, 257)))
+    K = {r.n: 1.0 / r.lambda_n for r in circle.rows}
+    worst = max(abs(1.0 / r.lambda_n - K[r.n // 2]
+                    - abs(measure.z0) ** 2 * K[(r.n - 1) // 2]) * r.lambda_n
                 for r in result.rows)
     checks.append(_check("degree-halving", worst, 1e-12,
-                         "K_n on z^2 lemniscate from the circle recurrences "
-                         "vs Arnoldi on the lemniscate rule"))
+                         "K_n on the z^2 lemniscate (Gram route) vs two "
+                         "circle kernels at z0^2 (Szegő recurrence)"))
 
     # the paper's case proper: |z^2 - 2| = 1 has two components, around
     # -sqrt(2) and sqrt(2); z0, the first preimage of the circle's jump

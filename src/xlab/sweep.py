@@ -4,14 +4,12 @@ A sweep evaluates p_0(z), ..., p_N(z) once at the largest degree N and
 reads every smaller n off the kernel prefix sums, then extrapolates
 n * lambda_n with a least-squares 1/n + 1/n^2 model (the limit itself
 carries no proven rate, so the model is an engineering choice recorded in
-the fit).  On circles and intervals the values come from the Szegő and
-Stieltjes recurrences, which store no basis.  A lemniscate |T| = 1 of degree
-2 whose weight is pulled back from the circle is swept through its inverse
-image, by two Szegő recurrences on the circle in w = T(z).  Other supports
-use one Arnoldi orthonormalization.
+the fit).  The route depends on the support kind alone.  On circles and
+intervals the values come from the Szegő and Stieltjes recurrences, which
+store no basis.  On ellipses and lemniscates one Cholesky factor of a Gram
+matrix in a Faber-type basis gives the whole prefix.
 """
 
-import cmath
 import math
 import time
 import warnings
@@ -19,12 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .christoffel import (kernel_prefix, orthonormalize,
-                          quadratic_pullback_prefix, recurrence_values)
+from .christoffel import gram_prefix, recurrence_values
 from .equilibrium import equilibrium_density
-from .errors import DegeneracyError, DomainError, InputError
-from .geometry import SupportSpec
-from .measures import MeasureSpec, jump_limits
+from .errors import DomainError, InputError
+from .measures import jump_limits
 from .quadrature import build_rule
 
 JUMP_FACTOR_TIE_RTOL = 1e-12  # relative |A-B| below which the limit value is used
@@ -107,9 +103,8 @@ class SweepResult:
     rows: list = field(default_factory=list)
     extrapolated_limit: float = None
     fit_model: FitModel = None
-    # rule_s, orthonormalize_s, kernel_prefix_s, node_count, achieved_degree,
-    # residual_max and reorth_steps (Arnoldi steps that took a second
-    # Gram-Schmidt pass, 0 on the recurrence paths) of the shared basis
+    # rule_s, kernel_prefix_s (recurrence or Gram factor and the prefix
+    # sums), node_count, achieved_degree and residual_max
     stages: dict = field(default_factory=dict)
 
     @property
@@ -121,18 +116,14 @@ def run_sweep(measure, z=None, schedule=None):
     """Evaluate lambda_n over a degree schedule from one pass to max(schedule).
 
     On a circle or an interval ``recurrence_values`` gives p_k(z) for every
-    k up to max(schedule).  On a quadratic lemniscate whose weight depends on
-    T(z) alone (a constant smooth factor and a weight of period 2 pi),
-    ``quadratic_pullback_prefix`` gives the kernel from two recurrences on a
-    rule for the image circle, of half the degree.  Elsewhere one
-    orthonormalization at max(schedule) gives a shared basis.  Either way the
-    kernel prefix sums give lambda_n for all smaller n.  A breakdown marks
-    the unreachable rows as failed and the sweep continues up to the achieved
-    degree.  ``result.stages`` records the time of each setup stage
-    (``orthonormalize_s`` is the recurrence time on the recurrence paths),
-    the size and quality of the basis, and how many Arnoldi steps were
-    reorthogonalized.  Where no jump law applies (z off the support) the
-    predicted limit is nan.
+    k up to max(schedule); on an ellipse or a lemniscate ``gram_prefix``
+    gives the kernel prefix from one Cholesky factor.  Either way the prefix
+    sums K_n(z) give lambda_n for all smaller n.  A breakdown marks the
+    unreachable rows as failed and the sweep continues up to the achieved
+    degree; so does a kernel that overflows, z being too far from the
+    support.  ``result.stages`` records the time of each setup stage and the
+    size and quality of the orthonormal polynomials.  Where no jump law
+    applies (z off the support) the predicted limit is nan.
     """
     if not schedule:
         raise InputError("schedule must be a non-empty increasing list")
@@ -153,75 +144,33 @@ def run_sweep(measure, z=None, schedule=None):
         predicted = float("nan")
 
     n_max = schedule[-1]
-    image = _image_circle_measure(measure)
     t0 = time.perf_counter()
-    if image is None:
-        rule = build_rule(measure, n_max)
-    else:
-        rule = build_rule(image, n_max // 2)
+    rule = build_rule(measure, n_max)
     t1 = time.perf_counter()
-    if image is not None:
-        prefix, residual = quadratic_pullback_prefix(
-            rule, measure.support.poly, n_max, z)
-        achieved, reorth = prefix.size - 1, 0
-        t2 = time.perf_counter()
-    elif measure.support.kind in ("circle", "interval"):
-        p, residual = recurrence_values(rule, measure.support, n_max, z)
-        achieved, reorth = p.size - 1, 0
-        t2 = time.perf_counter()
-        prefix = np.cumsum(np.abs(p) ** 2)
-    else:
-        try:
-            basis = orthonormalize(rule, n_max)
-        except DegeneracyError as exc:
-            if exc.basis is None:
-                raise
-            basis = exc.basis
-        achieved, reorth = basis.degree, basis.reorthogonalized
-        residual = float(basis.norm_residuals.max())
-        t2 = time.perf_counter()
-        prefix = kernel_prefix(basis, z)
-    t3 = time.perf_counter()
-    note = f"degenerate beyond degree {achieved}" if achieved < n_max else ""
+    with np.errstate(over="ignore", invalid="ignore"):  # a far z overflows
+        if measure.support.kind in ("circle", "interval"):
+            p, residual = recurrence_values(rule, measure.support, n_max, z)
+            prefix = np.cumsum(np.abs(p) ** 2)
+        else:
+            prefix, residual = gram_prefix(rule, measure.support, n_max, z)
+    t2 = time.perf_counter()
+    achieved = prefix.size - 1
 
-    stages = {"rule_s": t1 - t0, "orthonormalize_s": t2 - t1,
-              "kernel_prefix_s": t3 - t2, "node_count": rule.node_count,
-              "achieved_degree": achieved, "residual_max": residual,
-              "reorth_steps": reorth}
+    stages = {"rule_s": t1 - t0, "kernel_prefix_s": t2 - t1,
+              "node_count": rule.node_count, "achieved_degree": achieved,
+              "residual_max": residual}
     result = SweepResult(measure=measure, z=z, stages=stages)
     for n in schedule:
-        if n > achieved:
-            result.rows.append(SweepRow(
-                n=n, lambda_n=float("nan"), n_lambda_n=float("nan"),
-                predicted_limit=predicted, relative_error=float("nan"),
-                ok=False, note=note))
-            continue
-        lam = 1.0 / float(prefix[n])
-        nlam = n * lam
-        rel = (nlam - predicted) / predicted if predicted == predicted else float("nan")
+        lam = 1.0 / float(prefix[n]) if n <= achieved else float("nan")
+        ok = lam > 0  # 0 where K_n overflowed
+        note = "" if ok else (
+            f"degenerate beyond degree {achieved}" if n > achieved
+            else "kernel overflow: z is too far from the support")
+        lam = lam if ok else float("nan")
         result.rows.append(SweepRow(
-            n=n, lambda_n=lam, n_lambda_n=nlam, predicted_limit=predicted,
-            relative_error=rel))
+            n=n, lambda_n=lam, n_lambda_n=n * lam, predicted_limit=predicted,
+            relative_error=(n * lam - predicted) / predicted, ok=ok, note=note))
     return result
-
-
-def _image_circle_measure(measure):
-    """The unit circle measure that ``measure`` is pulled back from, or None.
-
-    Only a lemniscate |T| = 1 with deg T = 2 whose weight depends on the
-    image angle alone qualifies: a constant smooth factor and a weight of
-    period 2 pi.  The circle measure carries the same weight piece, and its
-    z0 is T(z0).
-    """
-    support, piece = measure.support, measure.piece
-    period = getattr(piece.weight, "period", 2.0 * math.pi)
-    if (support.kind != "lemniscate" or support.poly.degree != 2
-            or not piece.smooth.is_constant or period != 2.0 * math.pi):
-        return None
-    z0 = None
-    if measure.z0 is not None:
-        z0 = cmath.exp(1j * measure.z0_location()[1])
-    return MeasureSpec(SupportSpec.make_circle(), piece, z0=z0)
 
 
 def extrapolate(result):

@@ -12,11 +12,11 @@ from mpmath import mp
 
 import xlab
 from xlab.christoffel import (_finish_basis, christoffel_lambda,
-                              extremal_polynomial_values, kernel_diag,
-                              kernel_prefix, orthonormalize,
-                              quadratic_pullback_prefix, recurrence_values)
+                              extremal_polynomial_values, gram_prefix,
+                              kernel_diag, kernel_prefix, orthonormalize,
+                              recurrence_values)
 from xlab.errors import CapabilityError, DegeneracyError, DomainError
-from xlab.geometry import ComplexPolynomial, SupportSpec
+from xlab.geometry import SupportSpec
 from xlab.measures import (ConstantWeight, MeasureSpec, Piece, SmoothFactor,
                            circle_jump_measure, ellipse_jump_measure,
                            interval_jump_measure, symmetrize_to_interval,
@@ -127,8 +127,7 @@ def _four_node_rule():
     ts = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
     return QuadratureRule(nodes=np.exp(1j * ts),
                           weights=np.full(4, 0.5 * math.pi),
-                          params=ts, arc_index=np.zeros(4, dtype=int),
-                          max_exact_degree=8)
+                          params=ts, max_exact_degree=8)
 
 
 def test_degeneracy_reports_partial_basis():
@@ -161,9 +160,7 @@ def test_norm_residuals_match_explicit_gram():
     w = rng.uniform(0.5, 1.5, 200)
     Q /= np.sqrt((np.abs(Q) ** 2) @ w)[:, None]
     rule = QuadratureRule(nodes=np.zeros(200, dtype=complex), weights=w,
-                          params=np.zeros(200),
-                          arc_index=np.zeros(200, dtype=int),
-                          max_exact_degree=149)
+                          params=np.zeros(200), max_exact_degree=149)
     got = _finish_basis(rule, None, Q, 1.0).norm_residuals
     explicit = np.abs((Q * w) @ Q.conj().T - np.eye(150)).max(axis=0)
     assert np.max(np.abs(got - explicit) / explicit) <= 1e-13
@@ -232,7 +229,7 @@ def test_recurrence_breakdown_matches_arnoldi():
     three = QuadratureRule(nodes=np.array([-0.5, 0.1, 0.7], dtype=complex),
                            weights=np.array([0.3, 0.5, 0.2]),
                            params=np.array([-0.5, 0.1, 0.7]),
-                           arc_index=np.zeros(3, dtype=int), max_exact_degree=6)
+                           max_exact_degree=6)
     cases = ((_four_node_rule(), SupportSpec.make_circle(), 0.3 + 0.9j),
              (three, SupportSpec.make_interval(-1.0, 1.0), 0.2 + 0.1j))
     for rule, support, z in cases:
@@ -246,15 +243,19 @@ def test_recurrence_breakdown_matches_arnoldi():
 
 
 def test_recurrence_rejects_other_supports():
+    # and the Gram route rejects the recurrences' supports
     measure = ellipse_jump_measure(1.25, 0.75)
     rule = build_rule(measure, 8)
     with pytest.raises(CapabilityError):
         recurrence_values(rule, measure.support, 8, measure.z0)
     with pytest.raises(DomainError):
         recurrence_values(rule, SupportSpec.make_circle(), 9, 1.0)
-    with pytest.raises(CapabilityError):
-        quadratic_pullback_prefix(rule, ComplexPolynomial([0.0, 0.0, 0.0, 1.0]),
-                                  8, 1.0)
+    for support in (SupportSpec.make_circle(),
+                    SupportSpec.make_interval(-1.0, 1.0)):
+        with pytest.raises(CapabilityError):
+            gram_prefix(rule, support, 8, 1.0)
+    with pytest.raises(DomainError):
+        gram_prefix(rule, measure.support, 9, 1.0)
 
 
 def test_golub_welsch_weights_match_recurrence():

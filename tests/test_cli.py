@@ -74,6 +74,20 @@ def test_sweep_subcommand_csv(circle_file, tmp_path, capsys):
     assert out2.read_text() == text
 
 
+def test_sweep_far_point_lists_failed_rows(circle_file, tmp_path, capsys):
+    # |p_n(1e80)|^2 overflows from n = 2 on: those rows fail, as at a
+    # degenerate degree, and are written as nan
+    out_csv = tmp_path / "far.csv"
+    code = main(["sweep", "--measure", circle_file, "--z", "1e80,0",
+                 "--n-min", "1", "--n-max", "8", "--out", str(out_csv)])
+    assert code == 0
+    assert "failed rows: n in [2, 3, 4, 5, 6, 8]" in capsys.readouterr().err
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows if r[1] == "nan"] == ["2", "3", "4", "5", "6",
+                                                     "8"]
+    assert float(rows[0][1]) > 0
+
+
 def test_equilibrium_subcommand_csv(circle_file, tmp_path, capsys):
     out_csv = tmp_path / "density.csv"
     code = main(["equilibrium", "--measure", circle_file,

@@ -20,13 +20,6 @@ def test_polynomial_basics():
     assert d(1.5) == 3.0
 
 
-def test_polynomial_shift_adds_constant():
-    p = ComplexPolynomial([1.0, 2.0, 0.5 + 1j])
-    q = p.shifted(0.3 - 0.2j)
-    for z in (0.0, 1.0, -2j, 0.7 + 0.4j):
-        assert abs(q(z) - (p(z) + 0.3 - 0.2j)) < 1e-12
-
-
 def test_preimages_sorted_and_polished():
     roots = preimages(ComplexPolynomial([-4.0, 0.0, 1.0]), 1.0 + 0j)
     assert np.allclose(roots, [-math.sqrt(5), math.sqrt(5)])

@@ -3,17 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import xlab.sweep as sweep_mod
-from xlab.christoffel import kernel_diag, kernel_prefix, orthonormalize
-from xlab.errors import DegeneracyError, DomainError, InputError
-from xlab.measures import (JumpWeight, MeasureSpec, Piece, SmoothFactor,
-                           circle_jump_measure, ellipse_jump_measure,
-                           lemniscate_pullback_measure, symmetrize_to_interval,
+from xlab.christoffel import (christoffel_lambda, kernel_diag, kernel_prefix,
+                              orthonormalize)
+from xlab.errors import DomainError, InputError
+from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
+                           preimages)
+from xlab.measures import (ConstantWeight, JumpWeight, MeasureSpec, Piece,
+                           SmoothFactor, circle_jump_measure,
                            uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
+from xlab.suites import standard_jump_measures
 from xlab.sweep import (SWEEP_CSV_HEADER, SweepResult, SweepRow, extrapolate,
                         format_sweep_csv, geometric_schedule, jump_factor,
                         predicted_limit, run_sweep, write_sweep_csv)
@@ -38,8 +41,6 @@ def test_jump_factor_between_values():
 
 
 def test_predicted_limits_closed_forms():
-    from xlab.suites import standard_jump_measures
-
     targets = {"circle": 2.0 * math.pi / math.log(2.0),
                "interval": math.pi / math.log(2.0),
                "lemniscate": 2.0 * math.pi / math.log(2.0),
@@ -80,16 +81,13 @@ def test_run_sweep_circle_exact_row():
         rel=1e-12)
     lam = [r.lambda_n for r in result.rows]
     assert all(b <= a for a, b in zip(lam, lam[1:]))
-    assert set(result.stages) == {"rule_s", "orthonormalize_s",
-                                  "kernel_prefix_s", "node_count",
-                                  "achieved_degree", "residual_max",
-                                  "reorth_steps"}
-    for key in ("rule_s", "orthonormalize_s", "kernel_prefix_s"):
+    assert set(result.stages) == {"rule_s", "kernel_prefix_s", "node_count",
+                                  "achieved_degree", "residual_max"}
+    for key in ("rule_s", "kernel_prefix_s"):
         assert result.stages[key] > 0
     assert result.stages["node_count"] >= 6 * 17
     assert result.stages["achieved_degree"] == 16
     assert result.stages["residual_max"] < 1e-14
-    assert result.stages["reorth_steps"] == 0  # the Szegő recurrence
 
 
 def test_run_sweep_validates_schedule():
@@ -154,17 +152,17 @@ def test_extrapolate_flags_ill_conditioned_fit():
 
 
 def test_run_sweep_marks_degenerate_rows_failed(monkeypatch):
-    # an ellipse still goes through Arnoldi, so the breakdown is injected there
-    measure = ellipse_jump_measure(1.25, 0.75)
-    rule = build_rule(measure, 20)
-    partial = orthonormalize(rule, 10)
-
-    def fake_orthonormalize(rule_arg, degree):
-        raise DegeneracyError("synthetic breakdown", achieved_degree=10,
-                              basis=partial)
-
-    monkeypatch.setattr(sweep_mod, "orthonormalize", fake_orthonormalize)
+    # twelve equispaced nodes of weight pi/6 integrate e^{i p theta} exactly
+    # for |p| < 12, so on a round ellipse of constant weight they keep every
+    # Gram entry up to degree 11, and the Gram route breaks down at 12
+    measure = MeasureSpec(SupportSpec.make_ellipse(1.0, 1.0),
+                          Piece(ConstantWeight(1.0), SmoothFactor()), z0=1.0)
+    ts = math.pi / 6 * np.arange(12)
+    rule = QuadratureRule(nodes=np.exp(1j * ts), weights=np.full(12, math.pi / 6),
+                          params=ts, max_exact_degree=20)
+    monkeypatch.setattr(sweep_mod, "build_rule", lambda *args, **kwargs: rule)
     result = run_sweep(measure, schedule=[5, 10, 15, 20])
+    assert result.stages["achieved_degree"] == 11
     by_n = {r.n: r for r in result.rows}
     assert by_n[5].ok and by_n[10].ok
     assert not by_n[15].ok and not by_n[20].ok
@@ -187,7 +185,7 @@ def test_run_sweep_recurrence_breaks_down_on_few_nodes(monkeypatch):
     ts = 0.5 * math.pi * np.arange(4)
     rule = QuadratureRule(nodes=np.exp(1j * ts),
                           weights=np.full(4, 0.5 * math.pi), params=ts,
-                          arc_index=np.zeros(4, dtype=int), max_exact_degree=8)
+                          max_exact_degree=8)
     monkeypatch.setattr(sweep_mod, "build_rule", lambda *args, **kwargs: rule)
     result = run_sweep(uniform_circle_measure(z0=1.0), schedule=[1, 3, 5, 8])
     by_n = {r.n: r for r in result.rows}
@@ -217,17 +215,6 @@ def test_sweep_csv_deterministic(tmp_path):
     assert float(row[1]) == a.rows[0].lambda_n
 
 
-def test_run_sweep_reports_reorthogonalized_steps():
-    # an ellipse sweep goes through Arnoldi, and on this flat ellipse one
-    # step of 16 takes the second Gram-Schmidt pass
-    measure = ellipse_jump_measure(1.0, 0.1)
-    result = run_sweep(measure, schedule=[8, 16])
-    basis = orthonormalize(build_rule(measure, 16), 16)
-    assert result.stages["reorth_steps"] == basis.reorthogonalized > 0
-    interval = symmetrize_to_interval(circle_jump_measure())
-    assert run_sweep(interval, schedule=[8, 16]).stages["reorth_steps"] == 0
-
-
 def _assert_rows_match_arnoldi(result, measure, z):
     n_max = result.rows[-1].n
     want = kernel_prefix(orthonormalize(build_rule(measure, n_max), n_max), z)
@@ -237,56 +224,56 @@ def _assert_rows_match_arnoldi(result, measure, z):
         assert abs(got - want[row.n]) <= 1e-12 * want[row.n], row.n
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(c2_abs=st.floats(0.5, 2.0), c2_arg=st.floats(0.0, 2.0 * math.pi),
-       s_re=st.floats(-1.0, 1.0), s_im=st.floats(-1.0, 1.0),
-       d_abs=st.one_of(st.floats(0.0, 0.6), st.floats(1.5, 2.5)),
-       d_arg=st.floats(0.0, 2.0 * math.pi),
-       rho=st.sampled_from([0.5, 1.0, 1.5]),
-       theta=st.floats(0.0, 2.0 * math.pi), branch=st.sampled_from([1, -1]))
-def test_quadratic_lemniscate_sweep_matches_arnoldi(c2_abs, c2_arg, s_re, s_im,
-                                                    d_abs, d_arg, rho, theta,
-                                                    branch):
-    # T(z) = c2 (z - s)^2 + d, whose critical value d stays clear of the unit
-    # circle; z = s +- sqrt((w - d) / c2) with |w| = rho lies inside, on or
-    # outside the lemniscate |T| = 1.  Every degree up to 40 is compared with
-    # Arnoldi on the lemniscate's own rule.
-    c2 = c2_abs * cmath.exp(1j * c2_arg)
-    s, d = complex(s_re, s_im), d_abs * cmath.exp(1j * d_arg)
-    measure = lemniscate_pullback_measure([c2 * s * s + d, -2.0 * c2 * s, c2])
-    z = s + branch * cmath.sqrt((rho * cmath.exp(1j * theta) - d) / c2)
+def test_run_sweep_marks_overflowed_rows_failed():
+    # far from the support K_n(z) overflows float64 between n = 16 and 64
+    for measure in standard_jump_measures().values():
+        result = run_sweep(measure, z=1000.0, schedule=[8, 16, 64, 256])
+        for row in result.rows[:2]:
+            want = christoffel_lambda(measure, row.n, z=1000.0).lambda_n
+            assert row.ok and row.lambda_n == pytest.approx(want, rel=1e-12)
+        for row in result.rows[2:]:
+            assert not row.ok and math.isnan(row.lambda_n)
+            assert row.note == "kernel overflow: z is too far from the support"
+
+
+def _lemniscate_poly(degree, coeffs):
+    # monic T of the given degree whose critical values stay 0.25 away from
+    # the unit circle, so that |T| = 1 is smooth and well traced
+    poly = ComplexPolynomial([complex(*c) for c in coeffs[:degree]] + [1.0])
+    critical = np.polynomial.polynomial.polyroots(poly.derivative().coeffs)
+    assume(np.all(np.abs(np.abs(poly(critical)) - 1.0) > 0.25))
+    return poly
+
+
+@pytest.mark.parametrize("shape", [0.1, 0.999, 1.0, 1.6, 2, 3, 4])
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(size=st.floats(0.3, 2.0), rotation=st.floats(0.0, 2.0 * math.pi),
+       center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=4, max_size=4),
+       slope=st.sampled_from([0.0, 0.03]), periodic=st.booleans(),
+       jump=st.floats(0.0, 2.0 * math.pi), rho=st.sampled_from([0.5, 1.0, 1.5]),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_gram_sweep_matches_arnoldi(shape, size, rotation, center, coeffs,
+                                    slope, periodic, jump, rho, angle):
+    # a float shape is the axis ratio b/a of an ellipse (flat, nearly round,
+    # round, tall), rotated and off centre; an integer one is the degree of
+    # a lemniscate |T| = 1.  The weight has a constant or linear smooth
+    # factor and a periodic or aperiodic jump.  z is a curve point scaled by
+    # rho about the centre (ellipse) or a point of T^{-1}(rho e^{i angle})
+    # (lemniscate): inside, on or outside the curve.  Every degree up to 40
+    # is compared with Arnoldi on the sweep's own rule.
+    if isinstance(shape, float):
+        support = SupportSpec.make_ellipse(size, size * shape,
+                                           center=complex(*center),
+                                           rotation=rotation)
+        z = complex(parametrize(support)[0].point(angle))
+        z = support.center + rho * (z - support.center)
+    else:
+        poly = _lemniscate_poly(shape, coeffs)
+        support = SupportSpec.make_lemniscate(poly)
+        z = preimages(poly, rho * cmath.exp(1j * angle))[int(angle) % shape]
+    weight = JumpWeight(2.0, 1.0, jump, 2.0 * math.pi if periodic else None)
+    measure = MeasureSpec(support, Piece(weight, SmoothFactor([1.0, slope])))
     result = run_sweep(measure, z=z, schedule=list(range(1, 41)))
     _assert_rows_match_arnoldi(result, measure, z)
-
-
-def test_quadratic_lemniscate_sweep_skips_arnoldi(monkeypatch):
-    def no_arnoldi(*args, **kwargs):
-        raise AssertionError("a quadratic pullback sweep ran Arnoldi")
-
-    measure = lemniscate_pullback_measure([-2.0, 0.0, 1.0])
-    monkeypatch.setattr(sweep_mod, "orthonormalize", no_arnoldi)
-    result = run_sweep(measure, schedule=[8, 31, 64])
-    monkeypatch.undo()
-    _assert_rows_match_arnoldi(result, measure, measure.z0)
-    assert result.stages["node_count"] < build_rule(measure, 64).node_count
-    assert result.stages["achieved_degree"] == 64
-    assert result.stages["residual_max"] < 1e-14
-
-
-def test_other_lemniscate_sweeps_keep_arnoldi():
-    # on |z^2| = 1 the arc parameter runs over [0, 4 pi], so a smooth factor
-    # in it or a jump without period 2 pi is no function of T(z); a cubic
-    # has no even/odd splitting
-    base = lemniscate_pullback_measure([0.0, 0.0, 1.0])
-    cases = [MeasureSpec(base.support,
-                         Piece(base.piece.weight, SmoothFactor([1.0, 0.1])),
-                         z0=base.z0),
-             MeasureSpec(base.support,
-                         Piece(JumpWeight(2.0, 1.0, 1.0), SmoothFactor()),
-                         z0=base.z0),
-             lemniscate_pullback_measure([0.3, -1.5, 0.0, 1.0])]
-    for measure in cases:
-        result = run_sweep(measure, schedule=[8, 15, 32])
-        assert (result.stages["node_count"]
-                == build_rule(measure, 32).node_count)
-        _assert_rows_match_arnoldi(result, measure, measure.z0)
