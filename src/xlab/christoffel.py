@@ -317,19 +317,24 @@ def gram_prefix(rule, support, degree, z):
         (a, b), rho = support.axes, support.rotation
         if a < b:
             a, b, rho = b, a, rho + 0.5 * math.pi
-        theta = rule.params + support.rotation - rho
+        powers = _power_blocks(rule.params + support.rotation - rho)
         f = math.sqrt((a - b) * (a + b))
         u = (z - support.center) * complex(math.cos(rho), -math.sin(rho))
         root = np.sqrt(u - f) * np.sqrt(u + f)
         # phi_k = e^k + e'^k with e e' = r, whichever branch e takes
         phi = ((u + root) / (a + b)) ** q + ((u - root) / (a + b)) ** q
         r = ((a - b) / (a + b)) ** q
-        mu = np.concatenate([P @ (shift * w)
-                             for _, P, shift in _power_blocks(theta, 2 * n + 1)])
+        mu = np.concatenate([P @ (shift * w) for _, P, shift in powers(2 * n + 1)])
         mu = np.concatenate([np.conjugate(mu[:0:-1]), mu])  # p = -2n .. 2n
-        j, k = np.ogrid[:n + 1, :n + 1]
-        T, H = mu[2 * n + j - k], mu[2 * n + j + k]  # mu_{-p} = conj(mu_p)
-        G = T + r[j] * r[k] * np.conjugate(T) + r[k] * H + r[j] * np.conjugate(H)
+        # G = T + r_j r_k conj(T) + r_k H + r_j conj(H), with T[j, k] = mu_{j-k}
+        # and H[j, k] = mu_{j+k} strided views of mu; r_j conj(H) = (r_k H)^H
+        W = np.lib.stride_tricks.sliding_window_view(mu, n + 1)
+        T, H = W[n:2 * n + 1, ::-1], W[2 * n:]
+        G = np.conjugate(T) * np.multiply.outer(r, r)
+        G += T
+        X = H * r
+        G += X
+        G += np.conjugate(X.T)
 
         def at_nodes(C):  # sum_k C[:, k] phi_k at the nodes
             Y = series(np.vstack([C, np.conjugate(C * r[:C.shape[1]])]))
@@ -338,12 +343,14 @@ def gram_prefix(rule, support, degree, z):
         poly, N = support.poly, support.poly.degree
         s = -poly.coeffs[N - 1] / (N * poly.coeffs[N])
         phi = (z - s) ** (q % N) * complex(poly(z)) ** (q // N)
-        theta, Z = rule.params, (rule.nodes[:, None] - s) ** np.arange(N)
+        powers, Z = _power_blocks(rule.params), (rule.nodes[:, None] - s) ** np.arange(N)
         V = (w[:, None, None] * Z[:, :, None] * np.conjugate(Z[:, None, :])).reshape(-1, N * N)
         M = np.concatenate([P @ (shift[:, None] * V) for _, P, shift
-                            in _power_blocks(theta, n // N + 1)]).reshape(-1, N, N)
+                            in powers(n // N + 1)]).reshape(-1, N, N)
         M = np.concatenate([np.conjugate(M[:0:-1].transpose(0, 2, 1)), M])
-        G = M[n // N + q[:, None] // N - q // N, q[:, None] % N, q % N]
+        # G[jN + a, kN + b] = M[j - k, a, b], from a strided view of M
+        W = np.lib.stride_tricks.sliding_window_view(M, n // N + 1, axis=0)
+        G = W[..., ::-1].transpose(0, 1, 3, 2).reshape(N * len(W), -1)[:n + 1, :n + 1]
 
         def at_nodes(C):
             return sum(Z[:, k] * series(C[:, k::N]) for k in range(N))
@@ -352,7 +359,7 @@ def gram_prefix(rule, support, degree, z):
 
     def series(C):  # sum_p C[:, p] e^{i p theta} at the nodes
         return sum((C[:, lo:lo + GRAM_BLOCK] @ P) * shift
-                   for lo, P, shift in _power_blocks(theta, C.shape[1]))
+                   for lo, P, shift in powers(C.shape[1]))
 
     R, p = _bordered_cholesky(G, phi)
     keep = sorted({*range(0, p.size, CERTIFY_STRIDE), p.size - 1})
@@ -365,15 +372,17 @@ def gram_prefix(rule, support, degree, z):
     return np.cumsum(np.abs(p) ** 2), float(residual)
 
 
-def _power_blocks(theta, count):
-    """(lo, rows e^{i p theta}, p < min(GRAM_BLOCK, count - lo), e^{i lo theta}),
-    whose product is e^{i (lo + p) theta}; a row is a product of at most
+def _power_blocks(theta):
+    """count -> (lo, rows e^{i p theta}, p < min(GRAM_BLOCK, count - lo),
+    e^{i lo theta}), lo < count, whose product is e^{i (lo + p) theta}.  The
+    rows come from one table, built once per ``gram_prefix`` call and shared by
+    the moments and every ``series``; a row is a product of at most
     log2(GRAM_BLOCK) exact exponentials, so no error grows from power to power."""
     B = np.ones((1, theta.size), dtype=complex)
     while B.shape[0] < GRAM_BLOCK:
         B = np.vstack([B, B * np.exp(1j * B.shape[0] * theta)])
-    for lo in range(0, count, GRAM_BLOCK):
-        yield lo, B[:count - lo], np.exp(1j * lo * theta)
+    return lambda count: ((lo, B[:count - lo], np.exp(1j * lo * theta))
+                          for lo in range(0, count, GRAM_BLOCK))
 
 
 def _bordered_cholesky(G, phi):

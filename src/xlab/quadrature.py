@@ -3,7 +3,10 @@
 Panels never straddle a weight jump: the parameter domain is split at every
 switch point and at the evaluation point z0, and each segment between those
 points gets equal panels.  On a segment the integrand of a polynomial product
-is analytic, so no refinement toward the segment ends is needed.
+is analytic, so no refinement toward the segment ends is needed.  A segment's
+panels are laid out as one (panels, PANEL_ORDER) array of parameters, so the
+arc, the weight and the smooth factor are evaluated one segment at a time (on
+a lemniscate, batched Newton solves per segment rather than per panel).
 Interval measures are integrated in the substituted variable x = cos(theta),
 which turns an arcsine factor 1/sqrt(1 - x^2) into a bounded integrand.
 """
@@ -17,6 +20,7 @@ from .errors import InputError, NumericError
 from .geometry import parametrize
 
 PANEL_ORDER = 24
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
 @dataclass
@@ -39,15 +43,6 @@ class QuadratureRule:
     @property
     def mass(self):
         return float(self.weights.sum())
-
-
-_GL_CACHE = {}
-
-
-def _gl_reference(order):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
 
 
 def _arc_segments(measure):
@@ -119,35 +114,30 @@ def build_rule(measure, max_degree, nodes_per_degree=6):
 
     arcs = parametrize(measure.support)
     piece = measure.piece
-    xr, wr = _gl_reference(PANEL_ORDER)
     nodes, weights, params = [], [], []
     for arc_i, lo, hi in segs:
         n_panels = max(1, math.ceil(total_panels * (hi - lo) / total_len))
         edges = np.linspace(lo, hi, n_panels + 1)
-        for pa, pb in zip(edges[:-1], edges[1:]):
-            mid_p, half_p = 0.5 * (pa + pb), 0.5 * (pb - pa)
-            t = mid_p + half_p * xr
-            if interval:
-                x, factor = _interval_factors(measure, t)
-                nodes.append(x.astype(complex))
-                params.append(x)
-            else:
-                arc = arcs[arc_i]
-                z = np.asarray(arc.point(t), dtype=complex)
-                factor = (piece.smooth(t) * piece.weight.value(t)
-                          * np.abs(arc.velocity(t)))
-                nodes.append(z)
-                params.append(t)
-            weights.append(half_p * wr * factor)
+        mid_p = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+        half_p = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+        t = (mid_p + half_p * _GL_X).ravel()
+        if interval:
+            x, factor = _interval_factors(measure, t)
+            nodes.append(x.astype(complex))
+            params.append(x)
+        else:
+            arc = arcs[arc_i]
+            nodes.append(np.asarray(arc.point(t), dtype=complex))
+            factor = (piece.smooth(t) * piece.weight.value(t)
+                      * np.abs(arc.velocity(t)))
+            params.append(t)
+        weights.append((half_p * _GL_W).ravel() * factor)
 
-    nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
-    params = np.concatenate(params)
     if not np.all(np.isfinite(weights)) or weights.min() <= 0:
         raise NumericError("quadrature weights must be positive and finite")
-
-    return QuadratureRule(nodes=nodes, weights=weights, params=params,
-                          max_exact_degree=max_degree)
+    return QuadratureRule(nodes=np.concatenate(nodes), weights=weights,
+                          params=np.concatenate(params), max_exact_degree=max_degree)
 
 
 def integrate(rule, f):

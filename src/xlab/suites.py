@@ -181,7 +181,10 @@ def _suite_lemniscate_jump(tol):
     two = lemniscate_pullback_measure(ComplexPolynomial([-2.0, 0.0, 1.0]))
     more, _ = _jump_sweep_checks("two-component", two, predicted_limit(two),
                                  tol)
-    return checks + more
+    # a cubic, |z^3 - 1.5 z + 0.3| = 1: two components, winding 1 and 2
+    cubic = lemniscate_pullback_measure(ComplexPolynomial([0.3, -1.5, 0.0, 1.0]))
+    third, _ = _jump_sweep_checks("cubic", cubic, predicted_limit(cubic), tol)
+    return checks + more + third
 
 
 def _suite_ellipse_jump(tol):

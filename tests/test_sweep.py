@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
                            preimages)
 from xlab.measures import (ConstantWeight, JumpWeight, MeasureSpec, Piece,
                            SmoothFactor, circle_jump_measure,
-                           uniform_circle_measure)
+                           ellipse_jump_measure, uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
 from xlab.suites import standard_jump_measures
 from xlab.sweep import (SWEEP_CSV_HEADER, SweepResult, SweepRow, extrapolate,
@@ -277,3 +278,63 @@ def test_gram_sweep_matches_arnoldi(shape, size, rotation, center, coeffs,
     measure = MeasureSpec(support, Piece(weight, SmoothFactor([1.0, slope])))
     result = run_sweep(measure, z=z, schedule=list(range(1, 41)))
     _assert_rows_match_arnoldi(result, measure, z)
+
+
+@functools.lru_cache(maxsize=None)
+def _standard(kind):
+    return standard_jump_measures()[kind]
+
+
+def _rows_lambda(measure, z, schedule=tuple(range(1, 41))):
+    result = run_sweep(measure, z=z, schedule=list(schedule))
+    assert all(r.ok for r in result.rows)
+    return np.array([r.lambda_n for r in result.rows])
+
+
+@pytest.mark.parametrize("kind", ["circle", "ellipse"])
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(turn=st.floats(0.0, 2.0 * math.pi),
+       shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       jump=st.floats(0.0, 2.0 * math.pi), rho=st.sampled_from([0.5, 1.0, 1.5]),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_lambda_invariant_under_rigid_motion(kind, turn, shift, jump, rho,
+                                             angle):
+    # the measure turned by `turn` about the origin and moved by `shift`,
+    # with z moved alike; z is a curve point scaled by rho (inside, on or
+    # outside the curve)
+    shift = complex(*shift)
+    if kind == "circle":
+        base = circle_jump_measure(jump_param=jump)
+        moved = circle_jump_measure(jump_param=jump + turn, center=shift)
+    else:
+        base = ellipse_jump_measure(1.3, 0.7, jump_param=jump)
+        moved = ellipse_jump_measure(1.3, 0.7, jump_param=jump, center=shift,
+                                     rotation=turn)
+    z = rho * complex(parametrize(base.support)[0].point(angle))
+    want = _rows_lambda(base, z)
+    got = _rows_lambda(moved, shift + cmath.exp(1j * turn) * z)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["circle", "interval", "lemniscate",
+                                  "ellipse"])
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(c=st.floats(1e-3, 1e3),
+       offset=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+def test_lambda_scales_with_the_measure(kind, c, offset):
+    measure = _standard(kind)
+    z = measure.z0 + complex(*offset)
+    want = c * _rows_lambda(measure, z)
+    got = _rows_lambda(measure.scaled(c), z)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["circle", "interval", "lemniscate",
+                                  "ellipse"])
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_lambda_decreases_along_a_sweep(kind, offset):
+    measure = _standard(kind)
+    lam = _rows_lambda(measure, measure.z0 + complex(*offset),
+                       schedule=range(1, 65))
+    assert np.all(lam[1:] <= lam[:-1])
