@@ -7,6 +7,14 @@ are parametrized by the continuous image angle theta, meaning
 T(z(theta)) = exp(i*theta).  In that parametrization a jump of
 a circle weight at angle t0 pulls back to parameter jumps at t0 mod 2*pi on
 every component, which is what the measure layer relies on.
+
+The fiber is carried by predictor-corrector continuation in at most
+TURN_STEPS steps per turn.  A step is accepted only if no corrector moves a
+root, and no root moves between consecutive grid targets, by more than a
+quarter of the smallest root distance at the step's ends; otherwise it is
+halved.  Points on an arc are Newton solves started from the traced grid,
+each stopped at its own residual, so a point does not depend on which other
+points are solved with it.
 """
 
 import cmath
@@ -20,10 +28,8 @@ from .errors import DomainError, GeometryError, NumericError, TracingError
 # Tracing and root-finding tolerances.
 CRITICAL_POINT_TOL = 1e-6   # ||T(c)| - 1| below this at a root c of T' is a node
 PREIMAGE_TOL = 1e-10        # residual bound for polished roots
-TURN_STEPS = 64             # continuation steps per turn of the image circle, at most
+TURN_STEPS = 8              # continuation steps per turn of the image circle, at most
 GRID_PER_TURN = 1024        # Newton start points per turn along each arc
-
-_polyval = np.polynomial.polynomial.polyval
 
 
 class ComplexPolynomial:
@@ -42,7 +48,14 @@ class ComplexPolynomial:
         return self.coeffs.size - 1
 
     def __call__(self, z):
-        return _polyval(z, self.coeffs)
+        # Horner's rule in numpy's polyval order, without its per-call set-up
+        if isinstance(z, (tuple, list)):
+            z = np.asarray(z)
+        c = self.coeffs
+        out = c[-1] + z * 0
+        for a in c[-2::-1]:
+            out = a + out * z
+        return out
 
     def derivative(self):
         if self.degree == 0:
@@ -71,10 +84,18 @@ class ArcParametrization:
     t_hi: float
     closed: bool = False
     winding: int = None
+    # (point, velocity) from one evaluation, for arcs that can share the work
+    _jet: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def span(self):
         return self.t_hi - self.t_lo
+
+    def point_velocity(self, t):
+        """``(point(t), velocity(t))``; a lemniscate arc solves each point once."""
+        if self._jet is not None:
+            return self._jet(t)
+        return self.point(t), self.velocity(t)
 
 
 def arc_length(arc, t_lo=None, t_hi=None, panels=64, order=16):
@@ -209,21 +230,29 @@ def preimages(poly, w, tol=PREIMAGE_TOL):
 
 
 def _image_newton(poly, dpoly, z, w_target, tol=5e-14, maxit=40):
-    """Full Newton solve of T(z) = w_target, vectorized over points."""
-    z = np.asarray(z, dtype=complex).copy()
+    """Full Newton solve of T(z) = w_target, vectorized over points.
+
+    Each point stops once its own residual is below tol, and one closing
+    Newton step on every point then takes it to rounding level, so a point
+    comes out the same whichever other points share its solve.
+    """
+    z = np.asarray(z, dtype=complex)
     w_target = np.asarray(w_target, dtype=complex)
     for _ in range(maxit):
         f = poly(z) - w_target
-        if np.max(np.abs(f)) < tol:
+        live = np.abs(f) >= tol
+        if not live.any():
             break
         g = dpoly(z)
         if np.min(np.abs(g)) < 1e-300:
             raise TracingError("Newton hit a critical point of T")
-        z = z - f / g
-    res = np.max(np.abs(poly(z) - w_target))
-    if res > 100 * tol:
-        raise TracingError(f"image Newton residual {res:.3e} did not converge")
-    return z
+        z = np.where(live, z - f / g, z)
+    else:
+        f = poly(z) - w_target
+        res = np.max(np.abs(f))
+        if not res <= 100 * tol:
+            raise TracingError(f"image Newton residual {res:.3e} did not converge")
+    return z - f / dpoly(z)
 
 
 def _component_arc(poly, dpoly, theta0, grid_z, winding):
@@ -241,13 +270,16 @@ def _component_arc(poly, dpoly, theta0, grid_z, winding):
         z = _image_newton(poly, dpoly, grid[idx], np.exp(1j * th))
         return z.reshape(shape)
 
-    def _vel(theta, dpoly=dpoly, solve=_solve):
+    def _jet(theta, dpoly=dpoly, solve=_solve):
         theta = np.asarray(theta, dtype=float)
         z = solve(theta)
-        return 1j * np.exp(1j * theta) / dpoly(z)
+        return z, 1j * np.exp(1j * theta) / dpoly(z)
 
-    return ArcParametrization(point=_solve, velocity=_vel, t_lo=theta0,
-                              t_hi=theta0 + span, closed=True, winding=winding)
+    arc = ArcParametrization(point=_solve, velocity=lambda theta: _jet(theta)[1],
+                             t_lo=theta0, t_hi=theta0 + span, closed=True,
+                             winding=winding)
+    arc._jet = _jet
+    return arc
 
 
 def _fiber_gap(z):
@@ -260,19 +292,26 @@ def _fiber_gap(z):
 def _carry_fiber(poly, dpoly, fiber):
     """Carry the fiber T^{-1}(exp(i*theta)) from theta = 0 once around.
 
-    Each step moves all roots together with the tangent predictor
-    z + h*i*exp(i*theta)/T'(z) and corrects them, and the grid points the step
-    passes, in one batched Newton solve.  A step is halved while any corrector
-    moves a root by more than a quarter of the smallest root distance in the
-    fibers at either end, so no root changes branch.  Returns the tracks (row
-    i follows root i through theta = 2*pi*k/GRID_PER_TURN, k < GRID_PER_TURN)
-    and the fiber reached at theta = 2*pi.
+    Each step, at most 1/TURN_STEPS of a turn, moves all roots together with
+    the tangent predictor z + h*i*exp(i*theta)/T'(z) and corrects them, and
+    the grid points the step passes, in one batched Newton solve.  Let the
+    guard be a quarter of the smallest root distance in the fibers at either
+    end of the step.  The step is halved, so that no root changes branch,
+    while any corrector moves a root by more than the guard, or any track
+    moves by more than the guard between consecutive targets (the step's
+    start fiber counting as the first).  The first test assumes a small
+    predictor error, which grows with the square of the step; the second
+    catches a branch change at grid resolution whatever the step length.
+    After an accepted step the step length doubles again, up to its cap.
+    Returns the tracks (row i follows root i through
+    theta = 2*pi*k/GRID_PER_TURN, k < GRID_PER_TURN) and the fiber reached
+    at theta = 2*pi.
     """
     # the position s is measured in grid steps; halving keeps it dyadic, exact
     turn = float(GRID_PER_TURN)
     tracks = np.empty((fiber.size, GRID_PER_TURN + 1), dtype=complex)
     tracks[:, 0] = fiber
-    z, s = fiber, 0.0
+    z, s, gap = fiber, 0.0, _fiber_gap(fiber)
     step_max = step = turn / TURN_STEPS
     while s < turn:
         s_new = min(s + step, turn)
@@ -284,8 +323,11 @@ def _carry_fiber(poly, dpoly, fiber):
         try:
             sol = _image_newton(poly, dpoly, pred,
                                 np.exp(2j * math.pi * targets / turn))
-            guard = 0.25 * min(_fiber_gap(z), _fiber_gap(sol[:, -1]))
-            ok = np.max(np.abs(sol - pred)) <= guard
+            gap_new = _fiber_gap(sol[:, -1])
+            guard = 0.25 * min(gap, gap_new)
+            moves = np.diff(np.column_stack((z, sol)), axis=1)
+            ok = (np.max(np.abs(sol - pred)) <= guard
+                  and np.max(np.abs(moves)) <= guard)
         except TracingError:
             ok = False
         if not ok:
@@ -294,13 +336,9 @@ def _carry_fiber(poly, dpoly, fiber):
                 raise TracingError("fiber continuation step underflow")
             continue
         tracks[:, ks] = sol[:, :-1]
-        z, s = sol[:, -1], s_new
+        z, s, gap = sol[:, -1], s_new, gap_new
         step = min(2.0 * step, step_max)
-    # one more Newton step takes every grid point from the solve's stopping
-    # residual to rounding level; arc points at grid angles are read unchanged
-    grid = tracks[:, :GRID_PER_TURN]
-    grid -= (poly(grid) - np.exp(2j * math.pi * np.arange(GRID_PER_TURN) / turn)) / dpoly(grid)
-    return grid, z
+    return tracks[:, :GRID_PER_TURN], z
 
 
 def trace_lemniscate(poly):

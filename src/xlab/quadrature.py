@@ -6,7 +6,8 @@ points gets equal panels.  On a segment the integrand of a polynomial product
 is analytic, so no refinement toward the segment ends is needed.  A segment's
 panels are laid out as one (panels, PANEL_ORDER) array of parameters, so the
 arc, the weight and the smooth factor are evaluated one segment at a time (on
-a lemniscate, batched Newton solves per segment rather than per panel).
+a lemniscate, one batched Newton solve per segment gives the nodes and their
+velocities).
 Interval measures are integrated in the substituted variable x = cos(theta),
 which turns an arcsine factor 1/sqrt(1 - x^2) into a bounded integrand.
 """
@@ -126,10 +127,9 @@ def build_rule(measure, max_degree, nodes_per_degree=6):
             nodes.append(x.astype(complex))
             params.append(x)
         else:
-            arc = arcs[arc_i]
-            nodes.append(np.asarray(arc.point(t), dtype=complex))
-            factor = (piece.smooth(t) * piece.weight.value(t)
-                      * np.abs(arc.velocity(t)))
+            z, v = arcs[arc_i].point_velocity(t)
+            nodes.append(np.asarray(z, dtype=complex))
+            factor = piece.smooth(t) * piece.weight.value(t) * np.abs(v)
             params.append(t)
         weights.append((half_p * _GL_W).ravel() * factor)
 

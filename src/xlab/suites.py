@@ -284,7 +284,7 @@ def _green_residuals(support, nodes):
     normal = 0.0
     for arc in parametrize(support):
         t = arc.t_lo + (np.arange(16) + 0.5) * arc.span / 16
-        z, v = np.asarray(arc.point(t), dtype=complex), arc.velocity(t)
+        z, v = arc.point_velocity(t)
         step = -1e-6j * v / np.abs(v)
         dens = np.array([density(p) for p in z])
         if support.kind == "interval":

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from xlab import geometry
 from xlab.errors import DomainError, GeometryError
 from xlab.geometry import (ComplexPolynomial, SupportSpec, arc_length,
                            parametrize, preimages, project_to_support,
@@ -18,6 +21,11 @@ def test_polynomial_basics():
     d = p.derivative()
     assert d.degree == 1
     assert d(1.5) == 3.0
+    # Horner's rule in polyval's order gives polyval's values bit for bit
+    c = [0.3 - 1.0j, 2.0, -1.5j, 0.5]
+    z = np.array([[0.3 - 1.2j, 2.0], [1.0j, -0.7 + 0.1j]])
+    assert np.array_equal(ComplexPolynomial(c)(z), np.polynomial.polynomial.polyval(z, c))
+    assert np.array_equal(p([3.0, 1j]), [5.0, -5.0])
 
 
 def test_preimages_sorted_and_polished():
@@ -114,6 +122,57 @@ def test_trace_near_figure_eight_node(coeffs, windings):
     arcs = trace_lemniscate(poly)
     assert [arc.winding for arc in arcs] == windings
     _assert_image_angle_arcs(poly, arcs)
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0, 1.0], [-2.0, 0.0, 1.0],
+                                    [0.0, -0.5, 0.0, 1.0]])
+def test_trace_takes_one_solve_per_step(coeffs, monkeypatch):
+    # on curves far from a critical value no continuation step is halved
+    calls = []
+    solve = geometry._image_newton
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_image_newton", counted)
+    trace_lemniscate(ComplexPolynomial(coeffs))
+    assert len(calls) == geometry.TURN_STEPS
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0, 1.0], [-2.0, 0.0, 1.0],
+                                    [0.3, -1.5, 0.0, 1.0]])
+def test_arc_point_independent_of_batch(coeffs):
+    # every point stops at its own residual, so batching changes no bit
+    for arc in trace_lemniscate(ComplexPolynomial(coeffs)):
+        ts = arc.t_lo + (np.arange(257) + 0.37) * arc.span / 257
+        batched = arc.point(ts)
+        alone = np.array([complex(arc.point(t)) for t in ts])
+        assert np.array_equal(batched, alone)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(roots=st.lists(st.complex_numbers(max_magnitude=1.5), min_size=2, max_size=5),
+       pick=st.integers(0, 3), gap=st.floats(-3.0, -1.0), inside=st.booleans())
+def test_trace_matches_short_step_trace(roots, pick, gap, inside):
+    # the long-step trace follows the same branches as one capped at 64
+    # steps a turn; T is scaled so that one critical value lies 10**gap off
+    # the unit circle, and every critical value must lie 1e-3 off it
+    npp = np.polynomial.polynomial
+    monic = npp.polyfromroots(roots)
+    critical = npp.polyroots(npp.polyder(monic))
+    value = abs(npp.polyval(critical[pick % critical.size], monic))
+    assume(value > 1e-3)
+    poly = ComplexPolynomial(monic * (1.0 + (-1.0 if inside else 1.0) * 10.0 ** gap) / value)
+    assume(np.min(np.abs(np.abs(poly(critical)) - 1.0)) >= 1e-3)
+    arcs = trace_lemniscate(poly)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "TURN_STEPS", 64)
+        short = trace_lemniscate(poly)
+    assert [arc.winding for arc in arcs] == [arc.winding for arc in short]
+    for arc, ref in zip(arcs, short):
+        ts = np.linspace(arc.t_lo, arc.t_hi, 97)
+        assert np.max(np.abs(arc.point(ts) - ref.point(ts))) < 1e-12
 
 
 def test_trace_rejects_singular_lemniscate():
