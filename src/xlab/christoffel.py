@@ -1,23 +1,29 @@
 """Orthonormal bases and Christoffel functions for discrete measures.
 
-The basis p_0, ..., p_n orthonormal under a quadrature rule is built by
-Arnoldi iteration on the node values.  Each step runs one classical
-Gram-Schmidt pass, and a second one only when the first cancels, that is when
-the norm falls below REORTH times its value before projection: the "twice is
-enough" test of Daniel, Gragg, Kaufman and Stewart (Math. Comp. 30, 1976).
-No Gram matrix of monomials is ever formed, which keeps the process stable far
-beyond the degrees where normal equations fail.  The recorded Hessenberg
-recurrence
+The Christoffel function follows from the kernel identity
+1/lambda_n(z) = K_n(z) = sum_{k <= n} |p_k(z)|^2.  ``support_prefix`` gives
+every K_n(z) up to a degree without storing a basis, by a route that depends
+on the support kind alone: on circles and intervals ``recurrence_values``
+gives p_k(z) by the Szegő or Stieltjes recurrence, and on ellipses and
+lemniscates ``gram_prefix`` gives the prefix from one Cholesky factor of a
+Gram matrix built from moments of the rule.  Sweeps and kernel
+``christoffel_lambda`` calls take this route.
+
+Where node values are needed (``method="direct"``, an explicit ``basis``,
+``OrthoBasis`` itself) the basis p_0, ..., p_n orthonormal under a
+quadrature rule is built by Arnoldi iteration on the node values.  Each step
+runs one classical Gram-Schmidt pass, and a second one only when the first
+cancels, that is when the norm falls below REORTH times its value before
+projection: the "twice is enough" test of Daniel, Gragg, Kaufman and Stewart
+(Math. Comp. 30, 1976).  No Gram matrix of monomials is ever formed, which
+keeps the process stable far beyond the degrees where normal equations fail.
+The recorded Hessenberg recurrence
 
     H[k+1, k] * p_{k+1}(z) = z * p_k(z) - sum_{j <= k} H[j, k] * p_j(z)
 
-evaluates the basis anywhere in the plane.  The Christoffel function follows
-either from the kernel identity 1/lambda_n(z) = sum |p_k(z)|^2 or, as a
-cross-check, by integrating the reconstructed minimal polynomial.  Sweeps
-store no basis: on circles and intervals ``recurrence_values`` gives p_k(z)
-by the Szegő or Stieltjes recurrence, and on ellipses and lemniscates
-``gram_prefix`` gives the kernel prefix from one Cholesky factor of a Gram
-matrix built from moments of the rule.
+evaluates the basis anywhere in the plane.  The direct method integrates the
+reconstructed minimal polynomial instead of inverting the kernel, which
+checks the kernel against an independent computation.
 """
 
 import math
@@ -150,19 +156,21 @@ def _finish_basis(rule, H, Q, mass, reorthogonalized=0):
 
 @dataclass
 class ChristoffelValue:
-    """lambda_n(mu, z) together with how it was obtained."""
+    """lambda_n(mu, z) together with how it was obtained.
+
+    ``route`` names what gave the polynomial values: "recurrence" or "gram"
+    (see ``support_prefix``) or "arnoldi" (an ``OrthoBasis``).
+    """
 
     n: int
     z: complex
     lambda_n: float
     method: str
+    route: str
     extremal_coeffs: np.ndarray = None
 
 
-def kernel_diag(basis, z, upto=None):
-    """Diagonal kernel value K_n(z) = sum_k |p_k(z)|^2."""
-    p = basis.evaluate(z, upto=upto)
-    K = float(np.dot(p, np.conjugate(p)).real)
+def _checked_kernel(K):
     if not math.isfinite(K):
         raise NumericError("kernel overflow: z is too far from the support")
     if K <= 0:
@@ -170,13 +178,24 @@ def kernel_diag(basis, z, upto=None):
     return K
 
 
+def kernel_diag(basis, z, upto=None):
+    """Diagonal kernel value K_n(z) = sum_k |p_k(z)|^2."""
+    p = basis.evaluate(z, upto=upto)
+    return _checked_kernel(float(np.dot(p, np.conjugate(p)).real))
+
+
 def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
     """The Christoffel function lambda_n(mu, z).
 
-    ``method`` "kernel" inverts the diagonal kernel; "direct" reconstructs
-    the minimizing polynomial from its kernel coefficients, renormalizes it
-    at z, and integrates its square, which checks the whole pipeline.  Pass
-    ``basis`` to reuse work across calls.
+    ``method`` "kernel" inverts the diagonal kernel K_n(z); without a
+    ``basis`` it reads K_n(z) off ``support_prefix`` on ``build_rule(measure,
+    n)``, the route ``run_sweep`` takes, and stores no basis.  "direct"
+    reconstructs the minimizing polynomial from its kernel coefficients in an
+    Arnoldi basis, renormalizes it at z, and integrates its square, which
+    checks the kernel against an independent computation.  Pass ``basis`` to
+    reuse an Arnoldi basis across calls; both methods then read it.  A
+    measure that cannot carry degree n raises DegeneracyError with the
+    achieved degree, and a kernel that overflows or vanishes NumericError.
     """
     if z is None:
         z = measure.z0
@@ -185,6 +204,17 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
     z = complex(z)
     if method not in ("kernel", "direct"):
         raise InputError(f"unknown method {method!r}")
+    if basis is None and method == "kernel":
+        prefix, _, route = support_prefix(build_rule(measure, n),
+                                          measure.support, n, z)
+        if prefix.size <= n:
+            raise DegeneracyError(
+                f"the {route} route broke down at degree {prefix.size}: the "
+                f"measure supports polynomials only up to degree "
+                f"{prefix.size - 1}", achieved_degree=prefix.size - 1)
+        K = _checked_kernel(float(prefix[n]))
+        return ChristoffelValue(n=n, z=z, lambda_n=1.0 / K, method=method,
+                                route=route)
     if basis is None:
         basis = orthonormalize(build_rule(measure, n), n)
     if basis.degree < n:
@@ -192,7 +222,8 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
 
     if method == "kernel":
         K = kernel_diag(basis, z, upto=n)
-        return ChristoffelValue(n=n, z=z, lambda_n=1.0 / K, method=method)
+        return ChristoffelValue(n=n, z=z, lambda_n=1.0 / K, method=method,
+                                route="arnoldi")
 
     # direct: P = sum_k conj(p_k(z)) p_k / K, then lambda = int |P|^2 dmu
     p = basis.evaluate(z, upto=n)
@@ -206,7 +237,7 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
     Pn = c @ basis.node_values[:n + 1]
     lam = float(np.dot(basis.rule.weights, np.abs(Pn) ** 2))
     return ChristoffelValue(n=n, z=z, lambda_n=lam, method=method,
-                            extremal_coeffs=c)
+                            route="arnoldi", extremal_coeffs=c)
 
 
 def extremal_polynomial_values(basis, value, points):
@@ -224,6 +255,23 @@ def kernel_prefix(basis, z):
     """K_n(z) for every n up to the basis degree, via one evaluation."""
     p = basis.evaluate(z)
     return np.cumsum(np.abs(p) ** 2)
+
+
+def support_prefix(rule, support, degree, z):
+    """K_n(z) for every n up to ``degree``, by the route for the support kind.
+
+    Circles and intervals take ``recurrence_values`` and ellipses and
+    lemniscates ``gram_prefix``; neither stores a basis.  Returns (prefix,
+    residual, route), route being "recurrence" or "gram".  The prefix stops
+    at the achieved degree when the discrete measure breaks the route down.
+    A z far from the support overflows entries of the prefix to inf or nan,
+    without a warning; callers test them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if support.kind in ("circle", "interval"):
+            p, residual = recurrence_values(rule, support, degree, z)
+            return np.cumsum(np.abs(p) ** 2), residual, "recurrence"
+        return (*gram_prefix(rule, support, degree, z), "gram")
 
 
 def recurrence_values(rule, support, degree, z):

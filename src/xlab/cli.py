@@ -41,6 +41,7 @@ def _cmd_lambda(args):
     print(f"n = {value.n}")
     print(f"z = {value.z!r}")
     print(f"method = {value.method}")
+    print(f"route = {value.route}")
     print(f"lambda_n = {value.lambda_n!r}")
     print(f"n_lambda_n = {value.n * value.lambda_n!r}")
     return 0

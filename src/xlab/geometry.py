@@ -10,11 +10,10 @@ every component, which is what the measure layer relies on.
 
 The fiber is carried by predictor-corrector continuation in at most
 TURN_STEPS steps per turn.  A step is accepted only if no corrector moves a
-root, and no root moves between consecutive grid targets, by more than a
-quarter of the smallest root distance at the step's ends; otherwise it is
-halved.  Points on an arc are Newton solves started from the traced grid,
-each stopped at its own residual, so a point does not depend on which other
-points are solved with it.
+root by more than a quarter of the smallest root distance at the step's
+ends; otherwise it is halved.  Points on an arc are Newton solves started
+from the traced grid, each stopped at its own residual, so a point does not
+depend on which other points are solved with it.
 """
 
 import cmath
@@ -294,15 +293,11 @@ def _carry_fiber(poly, dpoly, fiber):
 
     Each step, at most 1/TURN_STEPS of a turn, moves all roots together with
     the tangent predictor z + h*i*exp(i*theta)/T'(z) and corrects them, and
-    the grid points the step passes, in one batched Newton solve.  Let the
-    guard be a quarter of the smallest root distance in the fibers at either
-    end of the step.  The step is halved, so that no root changes branch,
-    while any corrector moves a root by more than the guard, or any track
-    moves by more than the guard between consecutive targets (the step's
-    start fiber counting as the first).  The first test assumes a small
-    predictor error, which grows with the square of the step; the second
-    catches a branch change at grid resolution whatever the step length.
-    After an accepted step the step length doubles again, up to its cap.
+    the grid points the step passes, in one batched Newton solve.  The step
+    is halved, so that no root changes branch, while any corrector moves a
+    root by more than a quarter of the smallest root distance in the fibers
+    at either end of the step.  After an accepted step the step length
+    doubles again, up to its cap.
     Returns the tracks (row i follows root i through
     theta = 2*pi*k/GRID_PER_TURN, k < GRID_PER_TURN) and the fiber reached
     at theta = 2*pi.
@@ -324,10 +319,7 @@ def _carry_fiber(poly, dpoly, fiber):
             sol = _image_newton(poly, dpoly, pred,
                                 np.exp(2j * math.pi * targets / turn))
             gap_new = _fiber_gap(sol[:, -1])
-            guard = 0.25 * min(gap, gap_new)
-            moves = np.diff(np.column_stack((z, sol)), axis=1)
-            ok = (np.max(np.abs(sol - pred)) <= guard
-                  and np.max(np.abs(moves)) <= guard)
+            ok = np.max(np.abs(sol - pred)) <= 0.25 * min(gap, gap_new)
         except TracingError:
             ok = False
         if not ok:

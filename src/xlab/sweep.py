@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .christoffel import gram_prefix, recurrence_values
+from .christoffel import support_prefix
 from .equilibrium import equilibrium_density
 from .errors import DomainError, InputError
 from .measures import jump_limits
@@ -115,10 +115,10 @@ class SweepResult:
 def run_sweep(measure, z=None, schedule=None):
     """Evaluate lambda_n over a degree schedule from one pass to max(schedule).
 
-    On a circle or an interval ``recurrence_values`` gives p_k(z) for every
-    k up to max(schedule); on an ellipse or a lemniscate ``gram_prefix``
-    gives the kernel prefix from one Cholesky factor.  Either way the prefix
-    sums K_n(z) give lambda_n for all smaller n.  A breakdown marks the
+    ``support_prefix`` gives the kernel prefix sums K_n(z) up to
+    max(schedule), by the Szegő or Stieltjes recurrence on a circle or an
+    interval and by one Cholesky factor on an ellipse or a lemniscate, and
+    they give lambda_n for all smaller n.  A breakdown marks the
     unreachable rows as failed and the sweep continues up to the achieved
     degree; so does a kernel that overflows, z being too far from the
     support.  ``result.stages`` records the time of each setup stage and the
@@ -147,12 +147,7 @@ def run_sweep(measure, z=None, schedule=None):
     t0 = time.perf_counter()
     rule = build_rule(measure, n_max)
     t1 = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):  # a far z overflows
-        if measure.support.kind in ("circle", "interval"):
-            p, residual = recurrence_values(rule, measure.support, n_max, z)
-            prefix = np.cumsum(np.abs(p) ** 2)
-        else:
-            prefix, residual = gram_prefix(rule, measure.support, n_max, z)
+    prefix, residual, _ = support_prefix(rule, measure.support, n_max, z)
     t2 = time.perf_counter()
     achieved = prefix.size - 1
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -11,19 +12,30 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import xlab
+import xlab.christoffel as christoffel_mod
 from xlab.christoffel import (_finish_basis, christoffel_lambda,
                               extremal_polynomial_values, gram_prefix,
                               kernel_diag, kernel_prefix, orthonormalize,
                               recurrence_values)
 from xlab.errors import CapabilityError, DegeneracyError, DomainError
-from xlab.geometry import SupportSpec
+from xlab.geometry import ComplexPolynomial, SupportSpec, parametrize
 from xlab.measures import (ConstantWeight, MeasureSpec, Piece, SmoothFactor,
                            circle_jump_measure, ellipse_jump_measure,
-                           interval_jump_measure, symmetrize_to_interval,
-                           uniform_circle_measure)
+                           interval_jump_measure, lemniscate_pullback_measure,
+                           load_measure_file, parse_measure_text,
+                           symmetrize_to_interval, uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
 from xlab.suites import standard_jump_measures
 from xlab.sweep import run_sweep
+
+MEASURES = pathlib.Path(__file__).resolve().parent.parent / "measures"
+CUBIC_TEXT = ("support.kind = lemniscate\n"
+              "support.params = 0,0 -0.5,0 0,0 1,0\n"
+              "weight.A = 2.0\nweight.B = 1.0\n"
+              f"weight.jump_param = {math.pi / 2!r}\n"
+              "eval.z0 = auto-jump\n")
+ROUTES = {"circle": "recurrence", "interval": "recurrence",
+          "ellipse": "gram", "lemniscate": "gram"}
 
 
 @pytest.fixture(scope="module")
@@ -198,14 +210,17 @@ def _toeplitz_gram_lambda(A, B, t0, n, z):
 
 def test_lambda_toeplitz_gram_oracle():
     # the third weight is not symmetric under conjugation, so its moments
-    # are complex and a transposed Gram matrix would not match
+    # are complex and a transposed Gram matrix would not match.  An explicit
+    # basis keeps Arnoldi under the oracle; the sweep twin below checks the
+    # Szegő recurrence, which kernel lambda takes without a basis
     params = ((2.0, 1.0, math.pi / 2), (1.0, 1.0, math.pi / 2),
               (3.0, 0.5, 0.3))
     for A, B, t0 in params:
         measure = circle_jump_measure(A=A, B=B, jump_param=t0)
         for n in (4, 12, 24):
+            basis = orthonormalize(build_rule(measure, n), n)
             for z in (measure.z0, cmath.exp(-2.0j), 0.5 + 0.2j):
-                got = christoffel_lambda(measure, n, z=z).lambda_n
+                got = christoffel_lambda(measure, n, z=z, basis=basis).lambda_n
                 want = _toeplitz_gram_lambda(A, B, t0, n, z)
                 assert abs(got - want) <= 1e-13 * want, (A, B, t0, n, z)
 
@@ -240,6 +255,45 @@ def test_recurrence_breakdown_matches_arnoldi():
         assert values.size - 1 == err.value.achieved_degree
         assert np.max(np.abs(values - partial.evaluate(z))) <= 1e-13
         assert residual < 1e-13
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(
+    MEASURES.glob("*.measure"))] + ["cubic_lemniscate_jump"])
+def test_kernel_lambda_route_matches_arnoldi(name):
+    # without a basis kernel lambda_n reads K_n off the sweep's route;
+    # Arnoldi on the same rule is the independent value.  z is the measure's
+    # z0 and a point on the curve
+    if name == "cubic_lemniscate_jump":  # |z^3 - z/2| = 1
+        measure = parse_measure_text(CUBIC_TEXT)
+    else:
+        measure = load_measure_file(MEASURES / f"{name}.measure")
+    arc = parametrize(measure.support)[0]
+    on_curve = complex(arc.point(arc.t_lo + 0.3 * (arc.t_hi - arc.t_lo)))
+    for n in (8, 33, 96):
+        basis = orthonormalize(build_rule(measure, n), n)
+        for z in (measure.z0, on_curve):
+            got = christoffel_lambda(measure, n, z=z)
+            want = christoffel_lambda(measure, n, z=z, basis=basis)
+            assert (got.route, want.route) == (ROUTES[measure.support.kind],
+                                               "arnoldi")
+            assert abs(got.lambda_n - want.lambda_n) <= 1e-13 * want.lambda_n
+
+
+def test_kernel_lambda_route_degeneracy_matches_arnoldi(monkeypatch):
+    # the four-node rule is consistent with the unit circle, the round
+    # ellipse and the lemniscate |z| = 1, whatever their route
+    monkeypatch.setattr(christoffel_mod, "build_rule",
+                        lambda *args, **kwargs: _four_node_rule())
+    for measure in (circle_jump_measure(), ellipse_jump_measure(1.0, 1.0),
+                    lemniscate_pullback_measure(ComplexPolynomial([0, 1]))):
+        with pytest.raises(DegeneracyError) as route:
+            christoffel_lambda(measure, 8)
+        with pytest.raises(DegeneracyError) as arnoldi:
+            christoffel_lambda(measure, 8, method="direct")
+        assert route.value.achieved_degree == arnoldi.value.achieved_degree == 3
+        assert route.value.basis is None
+        value = christoffel_lambda(measure, 3)
+        assert value.lambda_n == pytest.approx(0.5 * math.pi, rel=1e-14)
 
 
 def test_recurrence_rejects_other_supports():

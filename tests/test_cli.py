@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -12,6 +13,8 @@ from xlab.errors import NumericError
 from xlab.measures import (circle_jump_measure, save_measure_file,
                            uniform_circle_measure)
 from xlab.sweep import SWEEP_CSV_HEADER
+
+MEASURES = pathlib.Path(__file__).resolve().parent.parent / "measures"
 
 
 @pytest.fixture
@@ -54,6 +57,30 @@ def test_lambda_auto_jump_point(circle_file, capsys):
     lam1 = float(out.split("lambda_n = ")[1].splitlines()[0])
     lam2 = float(out2.split("lambda_n = ")[1].splitlines()[0])
     assert abs(lam1 - lam2) <= 1e-10 * lam1
+
+
+@pytest.mark.parametrize("name, route", [
+    ("circle_jump", "recurrence"), ("interval_jump", "recurrence"),
+    ("ellipse_jump", "gram"), ("lemniscate_z2_jump", "gram")])
+def test_lambda_names_its_route(name, route, capsys):
+    path = str(MEASURES / f"{name}.measure")
+    for method, want in (("kernel", route), ("direct", "arnoldi")):
+        code = main(["lambda", "--measure", path, "--z", "auto-jump",
+                     "--n", "12", "--method", method])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:4] == [f"method = {method}", f"route = {want}"]
+
+
+@pytest.mark.parametrize("path", sorted(MEASURES.glob("*.measure")),
+                         ids=lambda p: p.stem)
+def test_lambda_far_point_is_numeric_error(path, capsys):
+    # K_256(1000) overflows float64 on every route, and the route reports it
+    # with kernel_diag's error
+    code = main(["lambda", "--measure", str(path), "--z", "1000,0",
+                 "--n", "256"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numeric error: kernel overflow")
 
 
 def test_sweep_subcommand_csv(circle_file, tmp_path, capsys):

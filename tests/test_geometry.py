@@ -175,6 +175,27 @@ def test_trace_matches_short_step_trace(roots, pick, gap, inside):
         assert np.max(np.abs(arc.point(ts) - ref.point(ts))) < 1e-12
 
 
+@pytest.mark.parametrize("value", [(1.0 + 1e-4) * cmath.exp(2.0j),
+                                   (1.0 - 3e-3) * cmath.exp(2.0j),
+                                   (1.0 + 3e-3) * cmath.exp(-1.0j),
+                                   -(1.0 - 1e-4)])
+def test_near_pinch_trace_matches_grid_step_trace(value):
+    # T = z^2 + value has its critical value 1e-4 or 3e-3 off the circle.
+    # There accepted steps move a root by more than a quarter of the fiber
+    # gap between consecutive grid angles, and the corrector test alone must
+    # still keep every branch: compare with one step per grid angle
+    poly = ComplexPolynomial([value, 0.0, 1.0])
+    arcs = trace_lemniscate(poly)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "TURN_STEPS", geometry.GRID_PER_TURN)
+        fine = trace_lemniscate(poly)
+    assert [arc.winding for arc in arcs] == [arc.winding for arc in fine]
+    for arc, ref in zip(arcs, fine):
+        ts = np.linspace(arc.t_lo, arc.t_hi, 97)
+        assert np.max(np.abs(arc.point(ts) - ref.point(ts))) < 1e-12
+        _assert_image_angle_arcs(poly, [arc])
+
+
 def test_trace_rejects_singular_lemniscate():
     # T'(1) = 0 with |T(1)| = 1: the curve crosses itself at z = 1.  For
     # z^2 - 2z the node sits at image angle pi; for (z - 1)^2 + e^{i alpha}

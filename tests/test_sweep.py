@@ -230,7 +230,8 @@ def test_run_sweep_marks_overflowed_rows_failed():
     for measure in standard_jump_measures().values():
         result = run_sweep(measure, z=1000.0, schedule=[8, 16, 64, 256])
         for row in result.rows[:2]:
-            want = christoffel_lambda(measure, row.n, z=1000.0).lambda_n
+            basis = orthonormalize(build_rule(measure, row.n), row.n)
+            want = 1.0 / kernel_diag(basis, 1000.0)
             assert row.ok and row.lambda_n == pytest.approx(want, rel=1e-12)
         for row in result.rows[2:]:
             assert not row.ok and math.isnan(row.lambda_n)
@@ -246,27 +247,39 @@ def _lemniscate_poly(degree, coeffs):
     return poly
 
 
-@pytest.mark.parametrize("shape", [0.1, 0.999, 1.0, 1.6, 2, 3, 4])
-@settings(max_examples=4, derandomize=True, deadline=None)
-@given(size=st.floats(0.3, 2.0), rotation=st.floats(0.0, 2.0 * math.pi),
-       center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-       coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
-                       min_size=4, max_size=4),
-       slope=st.sampled_from([0.0, 0.03]), periodic=st.booleans(),
-       jump=st.floats(0.0, 2.0 * math.pi), rho=st.sampled_from([0.5, 1.0, 1.5]),
-       angle=st.floats(0.0, 2.0 * math.pi))
-def test_gram_sweep_matches_arnoldi(shape, size, rotation, center, coeffs,
-                                    slope, periodic, jump, rho, angle):
-    # a float shape is the axis ratio b/a of an ellipse (flat, nearly round,
-    # round, tall), rotated and off centre; an integer one is the degree of
-    # a lemniscate |T| = 1.  The weight has a constant or linear smooth
-    # factor and a periodic or aperiodic jump.  z is a curve point scaled by
-    # rho about the centre (ellipse) or a point of T^{-1}(rho e^{i angle})
-    # (lemniscate): inside, on or outside the curve.  Every degree up to 40
-    # is compared with Arnoldi on the sweep's own rule.
-    if isinstance(shape, float):
-        support = SupportSpec.make_ellipse(size, size * shape,
-                                           center=complex(*center),
+# a random jump measure and evaluation point, drawn by hypothesis (see
+# _random_jump_measure)
+RANDOM_MEASURE = dict(
+    size=st.floats(0.3, 2.0), rotation=st.floats(0.0, 2.0 * math.pi),
+    center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                    min_size=4, max_size=4),
+    slope=st.sampled_from([0.0, 0.03]), periodic=st.booleans(),
+    jump=st.floats(0.0, 2.0 * math.pi), rho=st.sampled_from([0.5, 1.0, 1.5]),
+    angle=st.floats(0.0, 2.0 * math.pi))
+
+
+def _random_jump_measure(shape, size, rotation, center, coeffs, slope,
+                         periodic, jump, rho, angle):
+    # "circle" and "interval" name those supports; a float shape is the axis
+    # ratio b/a of an ellipse (flat, nearly round, round, tall), rotated and
+    # off centre; an integer one is the degree of a lemniscate |T| = 1.  The
+    # weight has a constant or linear smooth factor and a periodic or
+    # aperiodic jump (an interval's is at a point inside it).  z is a curve
+    # point scaled by rho about the centre (circle, ellipse), a point of
+    # T^{-1}(rho e^{i angle}) (lemniscate) or a point of the interval moved
+    # off it by (rho - 1) size: inside, on or outside the support
+    center = complex(*center)
+    if shape == "interval":
+        support = SupportSpec.make_interval(center.real - size,
+                                            center.real + size)
+        jump = center.real + 0.9 * size * math.cos(jump)
+        z = center.real + size * math.cos(angle) + 1j * (rho - 1.0) * size
+    elif shape == "circle":
+        support = SupportSpec.make_circle(size, center=center)
+        z = center + rho * size * cmath.exp(1j * angle)
+    elif isinstance(shape, float):
+        support = SupportSpec.make_ellipse(size, size * shape, center=center,
                                            rotation=rotation)
         z = complex(parametrize(support)[0].point(angle))
         z = support.center + rho * (z - support.center)
@@ -274,10 +287,33 @@ def test_gram_sweep_matches_arnoldi(shape, size, rotation, center, coeffs,
         poly = _lemniscate_poly(shape, coeffs)
         support = SupportSpec.make_lemniscate(poly)
         z = preimages(poly, rho * cmath.exp(1j * angle))[int(angle) % shape]
-    weight = JumpWeight(2.0, 1.0, jump, 2.0 * math.pi if periodic else None)
-    measure = MeasureSpec(support, Piece(weight, SmoothFactor([1.0, slope])))
+    period = 2.0 * math.pi if periodic and shape != "interval" else None
+    weight = JumpWeight(2.0, 1.0, jump, period)
+    return MeasureSpec(support, Piece(weight, SmoothFactor([1.0, slope]))), z
+
+
+@pytest.mark.parametrize("shape", [0.1, 0.999, 1.0, 1.6, 2, 3, 4])
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(**RANDOM_MEASURE)
+def test_gram_sweep_matches_arnoldi(shape, **draw):
+    # every degree up to 40 is compared with Arnoldi on the sweep's own rule
+    measure, z = _random_jump_measure(shape, **draw)
     result = run_sweep(measure, z=z, schedule=list(range(1, 41)))
     _assert_rows_match_arnoldi(result, measure, z)
+
+
+@pytest.mark.parametrize("shape", ["circle", "interval", 0.6, 2, 3])
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(n=st.integers(1, 48), **RANDOM_MEASURE)
+def test_kernel_lambda_matches_direct(shape, n, **draw):
+    # kernel lambda_n by the sweep's route (recurrence or Gram factor) and
+    # direct lambda_n, the integral of the extremal polynomial built in an
+    # Arnoldi basis, share only the quadrature rule
+    measure, z = _random_jump_measure(shape, **draw)
+    kernel = christoffel_lambda(measure, n, z=z)
+    direct = christoffel_lambda(measure, n, z=z, method="direct")
+    assert kernel.route != direct.route == "arnoldi"
+    assert abs(kernel.lambda_n - direct.lambda_n) <= 1e-12 * direct.lambda_n
 
 
 @functools.lru_cache(maxsize=None)
