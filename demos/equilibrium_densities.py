@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from xlab import (ComplexPolynomial, ConstantWeight, MeasureSpec, Piece,
-                  SmoothFactor, SupportSpec, build_rule, density_profile,
-                  equilibrium_density, green_potential, integrate)
+from xlab import (ComplexPolynomial, ConstantWeight, MeasureSpec, SupportSpec,
+                  build_rule, density_profile, equilibrium_density,
+                  green_potential, integrate)
 
 supports = {
     "circle r=1": (SupportSpec.make_circle(), 1.0),
@@ -35,8 +35,7 @@ print(f"{'support':20s} {'mass':>14s} {'max|Re G| on E':>15s} "
 for name, (support, cap) in supports.items():
     dens = equilibrium_density(support)
     G, _ = green_potential(support)
-    piece = Piece(ConstantWeight(1.0), SmoothFactor())
-    rule = build_rule(MeasureSpec(support, piece), 24)
+    rule = build_rule(MeasureSpec(support, ConstantWeight(1.0)), 24)
     mass = integrate(rule, lambda z: np.array([dens(p)
                                                for p in np.atleast_1d(z)]))
     on_curve = np.max(np.abs(G(rule.nodes).real))

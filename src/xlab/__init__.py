@@ -17,10 +17,9 @@ from .errors import (CapabilityError, DegeneracyError, DomainError,
 from .geometry import (ArcParametrization, ComplexPolynomial, SupportSpec,
                        arc_length, parametrize, preimages,
                        project_to_support, trace_lemniscate)
-from .measures import (ConstantWeight, JumpWeight, MeasureSpec, Piece,
-                       SmoothFactor, circle_jump_measure, density_at,
-                       ellipse_jump_measure, format_measure,
-                       interval_jump_measure, jump_limits,
+from .measures import (ConstantWeight, JumpWeight, MeasureSpec, SmoothFactor,
+                       circle_jump_measure, density_at, ellipse_jump_measure,
+                       format_measure, interval_jump_measure, jump_limits,
                        lemniscate_pullback_measure, load_measure_file,
                        parse_measure_text, pullback_to_lemniscate,
                        save_measure_file, symmetrize_to_interval,
@@ -39,7 +38,7 @@ __all__ = [
     "ChristoffelValue", "ComplexPolynomial", "ConstantWeight",
     "DegeneracyError", "DomainError", "FitModel", "GeometryError",
     "InputError", "JumpWeight", "MeasureFormatError", "MeasureSpec",
-    "NumericError", "OrthoBasis", "Piece", "QuadratureRule", "SUITE_NAMES",
+    "NumericError", "OrthoBasis", "QuadratureRule", "SUITE_NAMES",
     "SWEEP_CSV_HEADER", "SmoothFactor", "SuiteReport", "SupportSpec",
     "SweepResult", "SweepRow", "SymmetryError", "TracingError",
     "XlabError", "arc_length", "build_rule", "christoffel_lambda",

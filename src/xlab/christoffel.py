@@ -179,9 +179,14 @@ def _checked_kernel(K):
 
 
 def kernel_diag(basis, z, upto=None):
-    """Diagonal kernel value K_n(z) = sum_k |p_k(z)|^2."""
-    p = basis.evaluate(z, upto=upto)
-    return _checked_kernel(float(np.dot(p, np.conjugate(p)).real))
+    """Diagonal kernel value K_n(z) = sum_k |p_k(z)|^2.
+
+    A z far from the support overflows the values to inf or nan without a
+    warning, as in ``support_prefix``; the check raises NumericError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = basis.evaluate(z, upto=upto)
+        return _checked_kernel(float(np.dot(p, np.conjugate(p)).real))
 
 
 def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
@@ -226,10 +231,9 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
                                 route="arnoldi")
 
     # direct: P = sum_k conj(p_k(z)) p_k / K, then lambda = int |P|^2 dmu
-    p = basis.evaluate(z, upto=n)
-    K = float(np.dot(p, np.conjugate(p)).real)
-    if K <= 0 or not math.isfinite(K):
-        raise NumericError("kernel vanished or overflowed at z")
+    with np.errstate(over="ignore", invalid="ignore"):  # as in kernel_diag
+        p = basis.evaluate(z, upto=n)
+        K = _checked_kernel(float(np.dot(p, np.conjugate(p)).real))
     c = np.conjugate(p) / K
     value_at_z = complex(np.dot(c, p))
     if abs(value_at_z - 1.0) > 1e-9:

@@ -19,24 +19,9 @@ from .sweep import extrapolate, geometric_schedule, run_sweep, write_sweep_csv
 EQUILIBRIUM_CSV_HEADER = "t_param,re(z),im(z),density,normal_derivative"
 
 
-def _parse_point(measure, text):
-    """--z argument: 're,im' or 'auto-jump' (the measure's jump point)."""
-    if text == "auto-jump":
-        return _resolve_z0("auto-jump", measure.support, measure.piece.weight)
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise InputError(f"cannot parse point {text!r}; expected re,im or auto-jump")
-
-
 def _cmd_lambda(args):
     measure = load_measure_file(args.measure)
-    z = _parse_point(measure, args.z)
+    z = _resolve_z0(args.z, measure.support, measure.weight)
     value = christoffel_lambda(measure, args.n, z=z, method=args.method)
     print(f"n = {value.n}")
     print(f"z = {value.z!r}")
@@ -61,7 +46,7 @@ def _check_writable(path):
 
 def _cmd_sweep(args):
     measure = load_measure_file(args.measure)
-    z = _parse_point(measure, args.z)
+    z = _resolve_z0(args.z, measure.support, measure.weight)
     schedule = geometric_schedule(args.n_min, args.n_max, args.ratio)
     _check_writable(args.out)
     result = run_sweep(measure, z=z, schedule=schedule)

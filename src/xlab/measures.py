@@ -1,18 +1,19 @@
-"""Measures on supports: piecewise-constant jumps times a smooth factor.
+"""Measures on supports: a constant or jump weight times a smooth factor.
 
-A measure is d(mu) = w0(t) * v(t) * (arc speed) dt on each arc, where v is
-either a constant or a jump weight.  On an open arc a jump weight takes the
-value A for t <= t0 and B for t > t0.  On a closed arc of period P it takes
-the value B on the closed half [t0, t0 + P/2] and A on the open complement,
-so there are two switch points, t0 and its antipode.  Interval measures may
-additionally carry an inverse square root factor 1/sqrt(1 - s(x)^2) with s
-the affine map onto [-1, 1]; that factor is what cosine symmetrization of a
-circle measure produces.
+A measure is d(mu) = w0(t) * v(t) * (arc speed) dt on every arc of its
+support, with w0 a positive polynomial ``SmoothFactor`` and v a
+``ConstantWeight`` or a ``JumpWeight``.  On an open arc a jump weight takes
+the value A for t <= t0 and B for t > t0.  On a closed arc of period P it
+takes the value B on the closed half [t0, t0 + P/2] and A on the open
+complement, so there are two switch points, t0 and its antipode, and the
+one-sided limits (left, right) are (A, B) at t0 and (B, A) at the antipode.
+Interval measures may additionally carry an inverse square root factor
+1/sqrt(1 - s(x)^2) with s the affine map onto [-1, 1]; that factor is what
+cosine symmetrization of a circle measure produces.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +36,6 @@ class SmoothFactor:
             raise InputError("smooth factor needs a nonempty coefficient list")
         self.coeffs = c
 
-    @classmethod
-    def constant(cls, c=1.0):
-        return cls([float(c)])
-
     @property
     def is_constant(self):
         return self.coeffs.size == 1 or not np.any(self.coeffs[1:])
@@ -59,7 +56,7 @@ class ConstantWeight:
             raise InputError("weight must be positive")
         self.c = c
 
-    def value(self, t, side=None):
+    def value(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.c)
 
     def breakpoints(self, t_lo, t_hi):
@@ -75,8 +72,7 @@ class ConstantWeight:
 class JumpWeight:
     """Two-valued weight switching at jump_param (and its antipode if periodic).
 
-    ``side`` selects one-sided limits: "left" is the limit from below in t,
-    "right" from above.  A equals B is allowed and makes the weight constant.
+    A equals B is allowed and makes the weight constant.
     """
 
     def __init__(self, A, B, jump_param, period=None):
@@ -88,23 +84,12 @@ class JumpWeight:
         self.jump_param = float(jump_param)
         self.period = None if period is None else float(period)
 
-    def value(self, t, side=None):
+    def value(self, t):
         t = np.asarray(t, dtype=float)
         if self.period is None:
-            if side == "right":
-                below = t < self.jump_param
-            else:  # pointwise and left limits agree on an open arc
-                below = t <= self.jump_param
-            return np.where(below, self.A, self.B)
+            return np.where(t <= self.jump_param, self.A, self.B)
         tau = np.mod(t - self.jump_param, self.period)
-        half = 0.5 * self.period
-        if side == "left":
-            on_b = (tau > 0) & (tau <= half)
-        elif side == "right":
-            on_b = tau < half  # includes tau == 0
-        else:
-            on_b = tau <= half
-        return np.where(on_b, self.B, self.A)
+        return np.where(tau <= 0.5 * self.period, self.B, self.A)
 
     def breakpoints(self, t_lo, t_hi):
         """Switch parameters strictly inside (t_lo, t_hi)."""
@@ -142,23 +127,18 @@ class JumpWeight:
                 f"jump_param={self.jump_param}, period={self.period})")
 
 
-@dataclass
-class Piece:
-    weight: object
-    smooth: SmoothFactor
-
-
 class MeasureSpec:
-    """A support, one weight piece for all its arcs, and the point z0."""
+    """A support, one weight and smooth factor for all its arcs, and z0."""
 
-    def __init__(self, support, piece, z0=None, chebyshev=False):
-        if not isinstance(piece, Piece):
-            raise InputError("a measure needs one weight Piece")
+    def __init__(self, support, weight, smooth=None, z0=None, chebyshev=False):
+        if not isinstance(weight, (ConstantWeight, JumpWeight)):
+            raise InputError("a measure needs a ConstantWeight or a JumpWeight")
         if chebyshev and support.kind != "interval":
             raise CapabilityError("the inverse square root factor is only "
                                   "defined on interval supports")
         self.support = support
-        self.piece = piece
+        self.weight = weight
+        self.smooth = smooth or SmoothFactor()
         self.chebyshev = bool(chebyshev)
         self.z0 = None if z0 is None else complex(z0)
         self._z0_loc = None
@@ -169,7 +149,7 @@ class MeasureSpec:
     def _validate_smooth(self):
         for arc in parametrize(self.support):
             ts = np.linspace(arc.t_lo, arc.t_hi, 257)
-            if np.min(self.piece.smooth(ts)) <= 0:
+            if np.min(self.smooth(ts)) <= 0:
                 raise InputError("smooth factor must stay positive on the arc")
 
     def z0_location(self):
@@ -178,7 +158,7 @@ class MeasureSpec:
         return self._z0_loc
 
     def with_z0(self, z0):
-        return MeasureSpec(self.support, self.piece, z0=z0,
+        return MeasureSpec(self.support, self.weight, self.smooth, z0=z0,
                            chebyshev=self.chebyshev)
 
     def scaled(self, c):
@@ -186,17 +166,17 @@ class MeasureSpec:
         c = float(c)
         if not c > 0:
             raise InputError("scale factor must be positive")
-        piece = Piece(self.piece.weight.scaled(c), self.piece.smooth)
-        return MeasureSpec(self.support, piece, z0=self.z0,
-                           chebyshev=self.chebyshev)
+        return MeasureSpec(self.support, self.weight.scaled(c), self.smooth,
+                           z0=self.z0, chebyshev=self.chebyshev)
 
     def __repr__(self):
-        return (f"MeasureSpec({self.support.kind}, piece={self.piece}, "
-                f"z0={self.z0}, chebyshev={self.chebyshev})")
+        return (f"MeasureSpec({self.support.kind}, weight={self.weight}, "
+                f"smooth={self.smooth}, z0={self.z0}, "
+                f"chebyshev={self.chebyshev})")
 
 
-def weight_at(measure, t, arc_index=0, side=None):
-    """The piece value w0(t) * v(t) at parameter t, without the arcsine factor."""
+def weight_at(measure, t, arc_index=0):
+    """The weight w0(t) * v(t) at parameter t, without the arcsine factor."""
     arcs = parametrize(measure.support)
     if not 0 <= arc_index < len(arcs):
         raise DomainError(f"no arc with index {arc_index}")
@@ -205,13 +185,10 @@ def weight_at(measure, t, arc_index=0, side=None):
     lo, hi = arc.t_lo - 1e-12, arc.t_hi + 1e-12
     if np.any(tt < lo) or np.any(tt > hi):
         raise DomainError(f"parameter {t} outside [{arc.t_lo}, {arc.t_hi}]")
-    piece = measure.piece
-    return piece.smooth(tt) * piece.weight.value(tt, side=side)
+    return measure.smooth(tt) * measure.weight.value(tt)
 
 
-def density_at(measure, t, arc_index=0, side=None):
-    """Weight per unit arc length, including the arcsine factor if present."""
-    val = weight_at(measure, t, arc_index=arc_index, side=side)
+def _with_arcsine(measure, t, val):
     if measure.chebyshev:
         a, b = measure.support.interval
         s = (2.0 * np.asarray(t, dtype=float) - (a + b)) / (b - a)
@@ -219,17 +196,25 @@ def density_at(measure, t, arc_index=0, side=None):
     return val
 
 
+def density_at(measure, t, arc_index=0):
+    """Weight per unit arc length, including the arcsine factor if present."""
+    return _with_arcsine(measure, t, weight_at(measure, t, arc_index=arc_index))
+
+
 def jump_limits(measure):
     """One-sided density limits (left, right) at the measure's z0."""
     arc_index, t, _ = measure.z0_location()
-    weight = measure.piece.weight
-    if isinstance(weight, JumpWeight):
-        snapped = weight.snap_to_jump(t)
-        if snapped is not None:
-            return (float(density_at(measure, snapped, arc_index, side="left")),
-                    float(density_at(measure, snapped, arc_index, side="right")))
-    v = float(density_at(measure, t, arc_index))
-    return v, v
+    weight = measure.weight
+    snapped = weight.snap_to_jump(t) if isinstance(weight, JumpWeight) else None
+    if snapped is None:
+        v = float(density_at(measure, t, arc_index))
+        return v, v
+    sides = np.array([weight.A, weight.B])
+    if (weight.period is not None
+            and round((snapped - weight.jump_param) / (0.5 * weight.period)) % 2):
+        sides = sides[::-1]  # the antipode switches from B back to A
+    left, right = _with_arcsine(measure, snapped, measure.smooth(snapped) * sides)
+    return float(left), float(right)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +222,7 @@ def jump_limits(measure):
 
 def uniform_circle_measure(radius=1.0, center=0j, weight=1.0, z0=None):
     support = SupportSpec.make_circle(radius=radius, center=center)
-    return MeasureSpec(support, Piece(ConstantWeight(weight), SmoothFactor()),
-                       z0=z0)
+    return MeasureSpec(support, ConstantWeight(weight), z0=z0)
 
 
 def circle_jump_measure(A=2.0, B=1.0, jump_param=math.pi / 2, radius=1.0,
@@ -246,9 +230,8 @@ def circle_jump_measure(A=2.0, B=1.0, jump_param=math.pi / 2, radius=1.0,
     support = SupportSpec.make_circle(radius=radius, center=center)
     if z0 == "jump":
         z0 = complex(center) + radius * cmath.exp(1j * jump_param)
-    piece = Piece(JumpWeight(A, B, jump_param, period=2.0 * math.pi),
-                  smooth or SmoothFactor())
-    return MeasureSpec(support, piece, z0=z0)
+    weight = JumpWeight(A, B, jump_param, period=2.0 * math.pi)
+    return MeasureSpec(support, weight, smooth, z0=z0)
 
 
 def interval_jump_measure(a=-1.0, b=1.0, A=2.0, B=1.0, jump_param=0.0,
@@ -256,8 +239,8 @@ def interval_jump_measure(a=-1.0, b=1.0, A=2.0, B=1.0, jump_param=0.0,
     support = SupportSpec.make_interval(a, b)
     if z0 == "jump":
         z0 = complex(jump_param)
-    piece = Piece(JumpWeight(A, B, jump_param), smooth or SmoothFactor())
-    return MeasureSpec(support, piece, z0=z0, chebyshev=chebyshev)
+    return MeasureSpec(support, JumpWeight(A, B, jump_param), smooth, z0=z0,
+                       chebyshev=chebyshev)
 
 
 def ellipse_jump_measure(a, b, A=2.0, B=1.0, jump_param=0.0, center=0j,
@@ -265,9 +248,8 @@ def ellipse_jump_measure(a, b, A=2.0, B=1.0, jump_param=0.0, center=0j,
     support = SupportSpec.make_ellipse(a, b, center=center, rotation=rotation)
     if z0 == "jump":
         z0 = complex(parametrize(support)[0].point(jump_param))
-    piece = Piece(JumpWeight(A, B, jump_param, period=2.0 * math.pi),
-                  smooth or SmoothFactor())
-    return MeasureSpec(support, piece, z0=z0)
+    weight = JumpWeight(A, B, jump_param, period=2.0 * math.pi)
+    return MeasureSpec(support, weight, smooth, z0=z0)
 
 
 def lemniscate_pullback_measure(poly, A=2.0, B=1.0, jump_param=math.pi / 2,
@@ -284,11 +266,9 @@ def _require_unit_circle(measure, what):
     sup = measure.support
     if sup.kind != "circle" or sup.radius != 1.0 or sup.center != 0:
         raise CapabilityError(f"{what} requires a measure on the unit circle")
-    piece = measure.piece
-    if not piece.smooth.is_constant:
+    if not measure.smooth.is_constant:
         raise CapabilityError(f"{what} is only implemented for constant "
                               "smooth factors")
-    return piece
 
 
 def symmetrize_to_interval(measure):
@@ -296,39 +276,32 @@ def symmetrize_to_interval(measure):
 
     With x = cos t the image measure has density w0 * v_int(x) / sqrt(1-x^2)
     where v_int inherits the jump; integrals against even test functions
-    transfer with a factor two.  Raises SymmetryError when the circle weight
-    is not symmetric under t -> -t.
+    transfer with a factor two.  A 2 pi-periodic jump weight is symmetric
+    under t -> -t exactly when A == B or its switch points sit at +-pi/2
+    (|cos t0| <= JUMP_SNAP_TOL); any other weight raises SymmetryError.
     """
-    piece = _require_unit_circle(measure, "symmetrization")
-    w0 = float(piece.smooth.coeffs[0])
-    ts = (np.arange(1, 128) + 0.317) * (2.0 * math.pi / 128.0)
-    fwd = piece.weight.value(ts)
-    bwd = piece.weight.value(2.0 * math.pi - ts)
-    if np.max(np.abs(fwd - bwd)) > 1e-9 * np.max(np.abs(fwd)):
+    _require_unit_circle(measure, "symmetrization")
+    weight = measure.weight
+    if isinstance(weight, ConstantWeight):
+        new_weight = ConstantWeight(weight.c)
+    elif weight.A == weight.B:
+        new_weight = ConstantWeight(weight.A)
+    elif (weight.period != 2.0 * math.pi
+          or abs(math.cos(weight.jump_param)) > JUMP_SNAP_TOL):
         raise SymmetryError("circle weight is not symmetric under t -> -t")
-
-    if isinstance(piece.weight, ConstantWeight):
-        new_weight = ConstantWeight(piece.weight.c)
     else:
-        t0 = piece.weight.jump_param % (2.0 * math.pi)
+        t0 = weight.jump_param % (2.0 * math.pi)
         tb = t0 if t0 <= math.pi else 2.0 * math.pi - t0
-        if tb < 1e-12 or math.pi - tb < 1e-12:
-            # switch points sit at the fold points, nothing jumps inside
-            new_weight = ConstantWeight(float(piece.weight.value(math.pi / 2)))
-        else:
-            x_jump = math.cos(tb)
-            above = float(piece.weight.value(0.5 * tb))           # x > x_jump
-            below = float(piece.weight.value(0.5 * (tb + math.pi)))
-            if above == below:
-                new_weight = ConstantWeight(above)
-            else:
-                new_weight = JumpWeight(below, above, x_jump)
+        # B holds on [t0, t0 + pi]: x <= cos(tb) when t0 is near pi/2
+        below, above = ((weight.B, weight.A) if math.sin(t0) > 0
+                        else (weight.A, weight.B))
+        new_weight = JumpWeight(below, above, math.cos(tb))
     support = SupportSpec.make_interval(-1.0, 1.0)
     z0 = None
     if measure.z0 is not None:
         _, t, _ = measure.z0_location()
         z0 = complex(min(max(math.cos(t), -1.0), 1.0))
-    return MeasureSpec(support, Piece(new_weight, SmoothFactor.constant(w0)),
+    return MeasureSpec(support, new_weight, SmoothFactor(measure.smooth.coeffs[:1]),
                        z0=z0, chebyshev=True)
 
 
@@ -340,24 +313,35 @@ def pullback_to_lemniscate(measure, poly, z0=None):
     is not given, the first preimage of the circle's z0 (in deterministic
     order) is used.
     """
-    piece = _require_unit_circle(measure, "lemniscate pullback")
+    _require_unit_circle(measure, "lemniscate pullback")
     if not isinstance(poly, ComplexPolynomial):
         poly = ComplexPolynomial(poly)
     support = SupportSpec.make_lemniscate(poly)
     if z0 is None and measure.z0 is not None:
         from .geometry import preimages
         z0 = complex(preimages(poly, measure.z0)[0])
-    return MeasureSpec(support, Piece(piece.weight, piece.smooth), z0=z0)
+    return MeasureSpec(support, measure.weight, measure.smooth, z0=z0)
 
 
 # ---------------------------------------------------------------------------
 # measure description files
 
-_KIND_PARAM_HELP = {
-    "interval": "a b",
-    "circle": "radius [center_re center_im]",
-    "ellipse": "a b [rotation center_re center_im]",
-    "lemniscate": "coefficients, lowest degree first, re or re,im tokens",
+# support.params of the kinds with real parameters: the help text, the
+# accepted token counts (omitted trailing values are 0), the support made
+# from all the values, and all the values of a support.
+_SUPPORT_PARAMS = {
+    "interval": ("a b", (2,),
+                 SupportSpec.make_interval,
+                 lambda sup: sup.interval),
+    "circle": ("radius [center_re center_im]", (1, 3),
+               lambda r, cx, cy: SupportSpec.make_circle(
+                   radius=r, center=complex(cx, cy)),
+               lambda sup: (sup.radius, sup.center.real, sup.center.imag)),
+    "ellipse": ("a b [rotation center_re center_im]", (2, 3, 5),
+                lambda a, b, rot, cx, cy: SupportSpec.make_ellipse(
+                    a, b, center=complex(cx, cy), rotation=rot),
+                lambda sup: (*sup.axes, sup.rotation, sup.center.real,
+                             sup.center.imag)),
 }
 
 _ARCSINE_FLAGS = {"0": False, "1": True, "false": False, "true": True,
@@ -381,6 +365,24 @@ def _parse_complex(tok, key):
         raise MeasureFormatError(f"{key}: cannot parse complex number {tok!r}")
 
 
+def _parse_support(kind, toks):
+    if kind == "lemniscate":
+        if not toks:
+            raise MeasureFormatError("support.params for a lemniscate: "
+                                     "coefficients, lowest degree first, "
+                                     "re or re,im tokens")
+        coeffs = [_parse_complex(t, "support.params") for t in toks]
+        return SupportSpec.make_lemniscate(ComplexPolynomial(coeffs))
+    if kind not in _SUPPORT_PARAMS:
+        raise MeasureFormatError(f"unknown support.kind {kind!r}")
+    help_text, counts, make, _ = _SUPPORT_PARAMS[kind]
+    if len(toks) not in counts:
+        raise MeasureFormatError(f"support.params for support.kind = {kind}: "
+                                 + help_text)
+    values = [_parse_number(t, "support.params") for t in toks]
+    return make(*values, *[0.0] * (counts[-1] - len(values)))
+
+
 def parse_measure_text(text):
     """Parse the key = value measure description format."""
     entries = {}
@@ -401,43 +403,7 @@ def parse_measure_text(text):
     if kind is None:
         raise MeasureFormatError("missing key support.kind")
     params = entries.pop("support.params", "")
-    toks = params.replace(";", " ").split()
-    if kind == "interval":
-        if len(toks) != 2:
-            raise MeasureFormatError("support.params for an interval: "
-                                     + _KIND_PARAM_HELP["interval"])
-        support = SupportSpec.make_interval(_parse_number(toks[0], "support.params"),
-                                            _parse_number(toks[1], "support.params"))
-    elif kind == "circle":
-        if len(toks) not in (1, 3):
-            raise MeasureFormatError("support.params for a circle: "
-                                     + _KIND_PARAM_HELP["circle"])
-        radius = _parse_number(toks[0], "support.params")
-        center = 0j
-        if len(toks) == 3:
-            center = complex(_parse_number(toks[1], "support.params"),
-                             _parse_number(toks[2], "support.params"))
-        support = SupportSpec.make_circle(radius=radius, center=center)
-    elif kind == "ellipse":
-        if len(toks) not in (2, 3, 5):
-            raise MeasureFormatError("support.params for an ellipse: "
-                                     + _KIND_PARAM_HELP["ellipse"])
-        a = _parse_number(toks[0], "support.params")
-        b = _parse_number(toks[1], "support.params")
-        rotation = _parse_number(toks[2], "support.params") if len(toks) >= 3 else 0.0
-        center = 0j
-        if len(toks) == 5:
-            center = complex(_parse_number(toks[3], "support.params"),
-                             _parse_number(toks[4], "support.params"))
-        support = SupportSpec.make_ellipse(a, b, center=center, rotation=rotation)
-    elif kind == "lemniscate":
-        if not toks:
-            raise MeasureFormatError("support.params for a lemniscate: "
-                                     + _KIND_PARAM_HELP["lemniscate"])
-        coeffs = [_parse_complex(t, "support.params") for t in toks]
-        support = SupportSpec.make_lemniscate(ComplexPolynomial(coeffs))
-    else:
-        raise MeasureFormatError(f"unknown support.kind {kind!r}")
+    support = _parse_support(kind, params.replace(";", " ").split())
 
     A = entries.pop("weight.A", None)
     B = entries.pop("weight.B", None)
@@ -472,61 +438,52 @@ def parse_measure_text(text):
     if chebyshev and kind != "interval":
         raise MeasureFormatError("weight.arcsine only applies to intervals")
 
-    measure = MeasureSpec(support, Piece(weight, smooth), chebyshev=chebyshev)
+    measure = MeasureSpec(support, weight, smooth, chebyshev=chebyshev)
     if z0_spec is not None:
         measure = measure.with_z0(_resolve_z0(z0_spec, support, weight))
     return measure
 
 
 def _resolve_z0(z0_spec, support, weight):
-    if z0_spec == "auto-jump":
-        if not isinstance(weight, JumpWeight):
-            raise MeasureFormatError("eval.z0 = auto-jump needs a jump weight")
-        arcs = parametrize(support)
-        arc = arcs[0]
-        t0 = weight.jump_param
-        if support.kind == "lemniscate":
-            # first switch parameter inside the leading component
-            k0 = math.ceil((arc.t_lo - t0) / (2.0 * math.pi) - 1e-12)
-            t0 = t0 + 2.0 * math.pi * k0
-        return complex(arc.point(t0))
-    return _parse_complex(z0_spec, "eval.z0")
+    """A point written 're', 're,im' or 'auto-jump' (the first jump point)."""
+    if z0_spec != "auto-jump":
+        return _parse_complex(z0_spec, "point (re,im or auto-jump)")
+    if not isinstance(weight, JumpWeight):
+        raise MeasureFormatError("auto-jump needs a jump weight")
+    arc = parametrize(support)[0]
+    t0 = weight.jump_param
+    if support.kind == "lemniscate":
+        # first switch parameter inside the leading component
+        k0 = math.ceil((arc.t_lo - t0) / (2.0 * math.pi) - 1e-12)
+        t0 = t0 + 2.0 * math.pi * k0
+    return complex(arc.point(t0))
 
 
 def format_measure(measure):
-    """Serialize a measure back into the key = value text format."""
+    """Serialize a measure back into the key = value text format.
+
+    support.params takes the fewest accepted tokens whose omitted values
+    are all 0.
+    """
     sup = measure.support
     num = lambda x: repr(float(x))
-    lines = [f"support.kind = {sup.kind}"]
-    if sup.kind == "interval":
-        a, b = sup.interval
-        lines.append(f"support.params = {num(a)} {num(b)}")
-    elif sup.kind == "circle":
-        if sup.center != 0:
-            lines.append(f"support.params = {num(sup.radius)} "
-                         f"{num(sup.center.real)} {num(sup.center.imag)}")
-        else:
-            lines.append(f"support.params = {num(sup.radius)}")
-    elif sup.kind == "ellipse":
-        a, b = sup.axes
-        parts = [num(a), num(b)]
-        if sup.rotation != 0 or sup.center != 0:
-            parts.append(num(sup.rotation))
-        if sup.center != 0:
-            parts.extend([num(sup.center.real), num(sup.center.imag)])
-        lines.append("support.params = " + " ".join(parts))
-    else:  # lemniscate
+    if sup.kind == "lemniscate":
         toks = [f"{num(c.real)},{num(c.imag)}" for c in sup.poly.coeffs]
-        lines.append("support.params = " + " ".join(toks))
-
-    piece = measure.piece
-    if isinstance(piece.weight, ConstantWeight):
-        lines.append(f"weight.A = {num(piece.weight.c)}")
     else:
-        lines.append(f"weight.A = {num(piece.weight.A)}")
-        lines.append(f"weight.B = {num(piece.weight.B)}")
-        lines.append(f"weight.jump_param = {num(piece.weight.jump_param)}")
-    lines.append("weight.w0 = " + " ".join(num(c) for c in piece.smooth.coeffs))
+        _, counts, _, values_of = _SUPPORT_PARAMS[sup.kind]
+        values = values_of(sup)
+        count = next(c for c in counts if not any(values[c:]))
+        toks = [num(v) for v in values[:count]]
+    lines = [f"support.kind = {sup.kind}", "support.params = " + " ".join(toks)]
+
+    weight = measure.weight
+    if isinstance(weight, ConstantWeight):
+        lines.append(f"weight.A = {num(weight.c)}")
+    else:
+        lines.append(f"weight.A = {num(weight.A)}")
+        lines.append(f"weight.B = {num(weight.B)}")
+        lines.append(f"weight.jump_param = {num(weight.jump_param)}")
+    lines.append("weight.w0 = " + " ".join(num(c) for c in measure.smooth.coeffs))
     if measure.chebyshev:
         lines.append("weight.arcsine = 1")
     if measure.z0 is not None:

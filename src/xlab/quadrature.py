@@ -8,8 +8,9 @@ panels are laid out as one (panels, PANEL_ORDER) array of parameters, so the
 arc, the weight and the smooth factor are evaluated one segment at a time (on
 a lemniscate, one batched Newton solve per segment gives the nodes and their
 velocities).
-Interval measures are integrated in the substituted variable x = cos(theta),
-which turns an arcsine factor 1/sqrt(1 - x^2) into a bounded integrand.
+Interval measures are integrated in the angle theta of x = cos(theta): their
+switch points and z0 map through acos onto [0, pi], and an arcsine factor
+1/sqrt(1 - x^2) becomes a bounded integrand.
 """
 
 import math
@@ -46,42 +47,35 @@ class QuadratureRule:
         return float(self.weights.sum())
 
 
-def _arc_segments(measure):
-    """Smooth segments (arc_index, lo, hi) for non-interval supports."""
-    arcs = parametrize(measure.support)
+def _segments(measure):
+    """Jump-free segments (arc_index, lo, hi) of the integration parameter.
+
+    Each arc splits at the weight's switch points and at z0.  On an interval
+    the parameter is theta with x = mid + half*cos(theta), so the x breaks
+    map through acos onto [0, pi].
+    """
     z0_arc, z0_t = None, None
     if measure.z0 is not None:
         z0_arc, z0_t, _ = measure.z0_location()
-    weight = measure.piece.weight
     segs = []
-    for i, arc in enumerate(arcs):
-        breaks = list(weight.breakpoints(arc.t_lo, arc.t_hi))
+    for i, arc in enumerate(parametrize(measure.support)):
+        lo, hi = arc.t_lo, arc.t_hi
+        breaks = list(measure.weight.breakpoints(lo, hi))
         if z0_arc == i:
-            span = arc.t_hi - arc.t_lo
+            span = hi - lo
             for cand in (z0_t, z0_t - span, z0_t + span) if arc.closed else (z0_t,):
-                if arc.t_lo + 1e-12 < cand < arc.t_hi - 1e-12:
+                if lo + 1e-12 < cand < hi - 1e-12:
                     breaks.append(cand)
-        edges = sorted({arc.t_lo, arc.t_hi, *breaks})
+        if measure.support.kind == "interval":
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            breaks = [math.acos(min(1.0, max(-1.0, (x - mid) / half)))
+                      for x in breaks]
+            lo, hi = 0.0, math.pi
+        edges = sorted({lo, hi, *breaks})
         edges = [e for j, e in enumerate(edges)
                  if j == 0 or e - edges[j - 1] > 1e-13]
         segs.extend((i, a, b) for a, b in zip(edges[:-1], edges[1:]))
     return segs
-
-
-def _interval_segments(measure):
-    """Segments in the substituted angle with x = mid + half*cos(theta)."""
-    a, b = measure.support.interval
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x_breaks = list(measure.piece.weight.breakpoints(a, b))
-    if measure.z0 is not None:
-        _, x0, _ = measure.z0_location()
-        if a + 1e-12 < x0 < b - 1e-12:
-            x_breaks.append(x0)
-    thetas = sorted(math.acos(min(1.0, max(-1.0, (x - mid) / half)))
-                    for x in x_breaks)
-    edges = sorted({0.0, math.pi, *thetas})
-    edges = [e for j, e in enumerate(edges) if j == 0 or e - edges[j - 1] > 1e-13]
-    return [(0, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def _interval_factors(measure, theta):
@@ -89,8 +83,7 @@ def _interval_factors(measure, theta):
     a, b = measure.support.interval
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x = mid + half * np.cos(theta)
-    piece = measure.piece
-    factor = piece.smooth(x) * piece.weight.value(x) * half
+    factor = measure.smooth(x) * measure.weight.value(x) * half
     if not measure.chebyshev:
         factor = factor * np.sin(theta)
     return x, factor
@@ -109,12 +102,11 @@ def build_rule(measure, max_degree, nodes_per_degree=6):
         raise InputError("nodes_per_degree below 4 cannot resolve the degree")
 
     interval = measure.support.kind == "interval"
-    segs = _interval_segments(measure) if interval else _arc_segments(measure)
+    segs = _segments(measure)
     total_len = sum(hi - lo for (_, lo, hi) in segs)
     total_panels = math.ceil(nodes_per_degree * (max_degree + 1) / PANEL_ORDER)
 
     arcs = parametrize(measure.support)
-    piece = measure.piece
     nodes, weights, params = [], [], []
     for arc_i, lo, hi in segs:
         n_panels = max(1, math.ceil(total_panels * (hi - lo) / total_len))
@@ -129,7 +121,7 @@ def build_rule(measure, max_degree, nodes_per_degree=6):
         else:
             z, v = arcs[arc_i].point_velocity(t)
             nodes.append(np.asarray(z, dtype=complex))
-            factor = piece.smooth(t) * piece.weight.value(t) * np.abs(v)
+            factor = measure.smooth(t) * measure.weight.value(t) * np.abs(v)
             params.append(t)
         weights.append((half_p * _GL_W).ravel() * factor)
 

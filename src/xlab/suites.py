@@ -17,10 +17,9 @@ from .christoffel import christoffel_lambda, kernel_prefix, orthonormalize
 from .equilibrium import equilibrium_density, green_potential
 from .errors import InputError
 from .geometry import ComplexPolynomial, SupportSpec, parametrize, preimages
-from .measures import (ConstantWeight, MeasureSpec, Piece, SmoothFactor,
-                       circle_jump_measure, ellipse_jump_measure,
-                       lemniscate_pullback_measure, symmetrize_to_interval,
-                       uniform_circle_measure)
+from .measures import (ConstantWeight, MeasureSpec, circle_jump_measure,
+                       ellipse_jump_measure, lemniscate_pullback_measure,
+                       symmetrize_to_interval, uniform_circle_measure)
 from .quadrature import build_rule, integrate
 from .sweep import (extrapolate, geometric_schedule, predicted_limit,
                     run_sweep)
@@ -199,7 +198,7 @@ def _suite_ellipse_jump(tol):
 
 
 def _constant_measure(support):
-    return MeasureSpec(support, Piece(ConstantWeight(1.0), SmoothFactor()))
+    return MeasureSpec(support, ConstantWeight(1.0))
 
 
 def _fiber_sum(poly, f, images):

@@ -17,13 +17,14 @@ from xlab.christoffel import (_finish_basis, christoffel_lambda,
                               extremal_polynomial_values, gram_prefix,
                               kernel_diag, kernel_prefix, orthonormalize,
                               recurrence_values)
-from xlab.errors import CapabilityError, DegeneracyError, DomainError
+from xlab.errors import (CapabilityError, DegeneracyError, DomainError,
+                         NumericError)
 from xlab.geometry import ComplexPolynomial, SupportSpec, parametrize
-from xlab.measures import (ConstantWeight, MeasureSpec, Piece, SmoothFactor,
-                           circle_jump_measure, ellipse_jump_measure,
-                           interval_jump_measure, lemniscate_pullback_measure,
-                           load_measure_file, parse_measure_text,
-                           symmetrize_to_interval, uniform_circle_measure)
+from xlab.measures import (ConstantWeight, MeasureSpec, circle_jump_measure,
+                           ellipse_jump_measure, interval_jump_measure,
+                           lemniscate_pullback_measure, load_measure_file,
+                           parse_measure_text, symmetrize_to_interval,
+                           uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
 from xlab.suites import standard_jump_measures
 from xlab.sweep import run_sweep
@@ -75,8 +76,7 @@ def test_chebyshev_kernel_oracle():
     # dmu = dx / sqrt(1 - x^2): orthonormal polynomials are the scaled
     # Chebyshev T_k, so at x = 0 the kernel steps only on even degrees
     m = MeasureSpec(SupportSpec.make_interval(-1.0, 1.0),
-                    Piece(ConstantWeight(1.0), SmoothFactor()),
-                    chebyshev=True)
+                    ConstantWeight(1.0), chebyshev=True)
     rule = build_rule(m, 8)
     basis = orthonormalize(rule, 8)
     prefix = kernel_prefix(basis, 0.0 + 0j)
@@ -368,6 +368,19 @@ def test_kernel_prefix_matches_kernel_diag():
     for n in (0, 7, 20):
         assert prefix[n] == pytest.approx(kernel_diag(basis, measure.z0,
                                                       upto=n), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_arnoldi_far_point_is_numeric_error_without_warning(bases_512):
+    # |p_k(1000)|^2 overflows float64 below degree 256 on every standard
+    # measure; like the route, an explicit basis reports it only by the error
+    for name, (measure, _, basis) in bases_512.items():
+        with pytest.raises(NumericError, match="kernel overflow"):
+            kernel_diag(basis, 1000.0, upto=256)
+        for method in ("kernel", "direct"):
+            with pytest.raises(NumericError, match="kernel overflow"):
+                christoffel_lambda(measure, 256, z=1000.0, method=method,
+                                   basis=basis)
 
 
 def test_second_pass_only_where_first_cancels(bases_512):

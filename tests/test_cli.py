@@ -83,6 +83,18 @@ def test_lambda_far_point_is_numeric_error(path, capsys):
     assert capsys.readouterr().err.startswith("numeric error: kernel overflow")
 
 
+def test_point_grammar(circle_file, capsys):
+    # --z takes the grammar of eval.z0: re, re,im or auto-jump
+    for z in ("1", "1,0", "auto-jump"):
+        assert main(["lambda", "--measure", circle_file, "--z", z,
+                     "--n", "4"]) == 0
+    capsys.readouterr()
+    assert main(["lambda", "--measure", circle_file, "--z", "1,2,3",
+                 "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "re,im or auto-jump" in err and "eval.z0" not in err
+
+
 def test_sweep_subcommand_csv(circle_file, tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     code = main(["sweep", "--measure", circle_file, "--n-min", "8",

@@ -7,6 +7,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "xlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -26,7 +27,7 @@ def test_modules_found():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES + DEMOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + DEMOS + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []

@@ -8,7 +8,7 @@ from xlab.cli import main
 from xlab.errors import (CapabilityError, DomainError, InputError,
                          MeasureFormatError, SymmetryError)
 from xlab.geometry import ComplexPolynomial
-from xlab.measures import (ConstantWeight, JumpWeight, MeasureSpec, Piece,
+from xlab.measures import (ConstantWeight, JumpWeight, MeasureSpec,
                            SmoothFactor, circle_jump_measure, density_at,
                            ellipse_jump_measure, format_measure,
                            interval_jump_measure, jump_limits,
@@ -22,15 +22,18 @@ def test_jump_weight_periodic_sides():
     w = JumpWeight(2.0, 1.0, math.pi / 2, period=2.0 * math.pi)
     # B occupies the closed half-period starting at the jump parameter
     assert w.value(math.pi / 2) == 1.0
-    assert w.value(math.pi / 2, side="left") == 2.0
-    assert w.value(math.pi / 2, side="right") == 1.0
     assert w.value(3 * math.pi / 2) == 1.0
-    assert w.value(3 * math.pi / 2, side="left") == 1.0
-    assert w.value(3 * math.pi / 2, side="right") == 2.0
     assert w.value(0.0) == 2.0
     assert w.value(math.pi) == 1.0
-    # periodic copies
-    assert w.value(math.pi / 2 + 2.0 * math.pi, side="left") == 2.0
+    # one-sided limits (left, right) at z0: (A, B) at the jump, (B, A) at
+    # its antipode, whatever parameter names the point
+    for t, want in ((math.pi / 2, (2.0, 1.0)), (3 * math.pi / 2, (1.0, 2.0)),
+                    (math.pi / 2 + 2.0 * math.pi, (2.0, 1.0)),
+                    (-math.pi / 2, (1.0, 2.0))):
+        m = circle_jump_measure(z0=cmath.exp(1j * t))
+        assert jump_limits(m) == want, t
+    for jump_param in (3 * math.pi / 2, -math.pi / 2, math.pi / 2 + 2.0 * math.pi):
+        assert jump_limits(circle_jump_measure(jump_param=jump_param)) == (2.0, 1.0)
 
 
 def test_jump_weight_open_arc_sides():
@@ -38,8 +41,13 @@ def test_jump_weight_open_arc_sides():
     assert w.value(0.0) == 2.0
     assert w.value(-1e-9) == 2.0
     assert w.value(1e-9) == 1.0
-    assert w.value(0.0, side="left") == 2.0
-    assert w.value(0.0, side="right") == 1.0
+    # the smooth factor and the arcsine factor at the jump scale both sides
+    smooth = SmoothFactor([1.0, 0.5])
+    m = interval_jump_measure(jump_param=0.3, smooth=smooth)
+    assert jump_limits(m) == (2.0 * 1.15, 1.15)
+    m = interval_jump_measure(jump_param=0.3, smooth=smooth, chebyshev=True)
+    scale = 1.15 / math.sqrt(1.0 - 0.3 ** 2)
+    assert jump_limits(m) == pytest.approx((2.0 * scale, scale), rel=1e-15)
 
 
 def test_jump_weight_breakpoints_and_snap():
@@ -74,11 +82,12 @@ def test_jump_limits_left_right():
 
 
 def test_smooth_factor_validation():
-    support_measure = uniform_circle_measure()
-    piece = Piece(ConstantWeight(1.0), SmoothFactor([1.0, -2.0]))
+    support = uniform_circle_measure().support
     # 1 - 2t goes negative on [0, 2 pi]
-    with pytest.raises(InputError):
-        MeasureSpec(support_measure.support, piece)
+    with pytest.raises(InputError, match="positive"):
+        MeasureSpec(support, ConstantWeight(1.0), SmoothFactor([1.0, -2.0]))
+    with pytest.raises(InputError, match="JumpWeight"):
+        MeasureSpec(support, SmoothFactor())
 
 
 def test_measure_scaling():
@@ -112,6 +121,26 @@ def test_symmetrize_rejects_asymmetric_and_nonunit():
         symmetrize_to_interval(circle_jump_measure(jump_param=math.pi / 4))
     with pytest.raises(CapabilityError):
         symmetrize_to_interval(circle_jump_measure(radius=2.0))
+
+
+@pytest.mark.parametrize("d", [1e-6, 1e-3, 1e-2])
+def test_symmetrize_rejects_jump_near_fold_axis(d):
+    # switch points at pi/2 + d and 3 pi/2 + d are not mirror images: the
+    # image would jump at x = -sin(d), not at the image z0
+    with pytest.raises(SymmetryError):
+        symmetrize_to_interval(circle_jump_measure(jump_param=math.pi / 2 + d))
+
+
+def test_symmetrize_jump_at_three_halves_pi():
+    circle = circle_jump_measure(jump_param=3 * math.pi / 2)
+    assert jump_limits(circle) == (2.0, 1.0)
+    interval = symmetrize_to_interval(circle)
+    assert jump_limits(interval) == (2.0, 1.0)
+    assert float(weight_at(interval, 0.5)) == 1.0
+    # same-valued sides and constant weights fold to constants
+    for m in (circle_jump_measure(A=1.5, B=1.5, jump_param=0.7),
+              uniform_circle_measure(weight=1.5)):
+        assert isinstance(symmetrize_to_interval(m).weight, ConstantWeight)
 
 
 def test_pullback_weight_composition():
@@ -148,6 +177,20 @@ def test_measure_file_roundtrip():
         assert format_measure(again) == text
 
 
+def test_format_keeps_shortest_support_params():
+    # trailing support.params that are 0 are left out, and only those
+    for measure, params in (
+            (ellipse_jump_measure(1.25, 0.75, rotation=0.3), "1.25 0.75 0.3"),
+            (ellipse_jump_measure(1.25, 0.75, center=0.5j),
+             "1.25 0.75 0.0 0.0 0.5"),
+            (circle_jump_measure(radius=2.0, center=0.5), "2.0 0.5 0.0"),
+            (uniform_circle_measure(), "1.0"),
+            (interval_jump_measure(a=0.0, b=3.0, jump_param=1.0), "0.0 3.0")):
+        text = format_measure(measure)
+        assert f"support.params = {params}\n" in text
+        assert format_measure(parse_measure_text(text)) == text
+
+
 def test_parse_rejects_bad_input():
     good = format_measure(circle_jump_measure())
     with pytest.raises(MeasureFormatError):
@@ -165,7 +208,7 @@ def test_parse_rejects_bad_input():
 def test_parse_equal_jump_values_is_constant(tmp_path, capsys):
     base = "support.kind = circle\nsupport.params = 1.0\nweight.A = 2\n"
     for text in ("weight.B = 2\n", "weight.B = 2.0\n", "weight.B = 2e0\n"):
-        weight = parse_measure_text(base + text).piece.weight
+        weight = parse_measure_text(base + text).weight
         assert isinstance(weight, ConstantWeight) and weight.c == 2.0
     with pytest.raises(MeasureFormatError, match="jump_param"):
         parse_measure_text(base + "weight.B = 3\n")

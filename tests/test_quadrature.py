@@ -7,8 +7,7 @@ import pytest
 from xlab.christoffel import kernel_prefix, orthonormalize
 from xlab.errors import InputError, NumericError
 from xlab.geometry import ComplexPolynomial, SupportSpec, parametrize
-from xlab.measures import (ConstantWeight, MeasureSpec, Piece, SmoothFactor,
-                           circle_jump_measure, ellipse_jump_measure,
+from xlab.measures import (ConstantWeight, MeasureSpec, circle_jump_measure, ellipse_jump_measure,
                            interval_jump_measure, lemniscate_pullback_measure,
                            symmetrize_to_interval, uniform_circle_measure)
 from xlab import quadrature
@@ -17,7 +16,7 @@ from xlab.suites import standard_jump_measures
 
 
 def _constant_measure(support):
-    return MeasureSpec(support, Piece(ConstantWeight(1.0), SmoothFactor()))
+    return MeasureSpec(support, ConstantWeight(1.0))
 
 
 def test_circle_mass_and_moments():
@@ -46,8 +45,7 @@ def test_jump_mass_splits_at_jump():
 
 
 def test_interval_arcsine_mass():
-    m = MeasureSpec(SupportSpec.make_interval(-1.0, 1.0),
-                    Piece(ConstantWeight(1.0), SmoothFactor()),
+    m = MeasureSpec(SupportSpec.make_interval(-1.0, 1.0), ConstantWeight(1.0),
                     chebyshev=True)
     rule = build_rule(m, 12)
     assert rule.mass == pytest.approx(math.pi, abs=1e-13)
@@ -103,7 +101,7 @@ def test_polynomial_exactness_vs_refined(name):
     measure = _exactness_measure(name)
     if name != "ellipse":
         _, t0, _ = measure.z0_location()
-        assert measure.piece.weight.snap_to_jump(t0) is None
+        assert measure.weight.snap_to_jump(t0) is None
     coarse = build_rule(measure, 20, nodes_per_degree=6)
     fine = build_rule(measure, 20, nodes_per_degree=24)
     rng = np.random.default_rng(7)
@@ -174,12 +172,11 @@ def test_rule_determinism():
 def _panel_by_panel_rule(measure, max_degree):
     # build_rule's layout evaluated one panel at a time, as a reference
     interval = measure.support.kind == "interval"
-    segs = (quadrature._interval_segments(measure) if interval
-            else quadrature._arc_segments(measure))
+    segs = quadrature._segments(measure)
     total_len = sum(hi - lo for (_, lo, hi) in segs)
     total_panels = math.ceil(6 * (max_degree + 1) / PANEL_ORDER)
     xr, wr = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    piece, nodes, weights = measure.piece, [], []
+    nodes, weights = [], []
     for arc_i, lo, hi in segs:
         n_panels = max(1, math.ceil(total_panels * (hi - lo) / total_len))
         edges = np.linspace(lo, hi, n_panels + 1)
@@ -191,7 +188,7 @@ def _panel_by_panel_rule(measure, max_degree):
             else:
                 arc = parametrize(measure.support)[arc_i]
                 nodes.append(arc.point(t))
-                factor = (piece.smooth(t) * piece.weight.value(t)
+                factor = (measure.smooth(t) * measure.weight.value(t)
                           * np.abs(arc.velocity(t)))
             weights.append(0.5 * (pb - pa) * wr * factor)
     return np.concatenate(nodes), np.concatenate(weights)

@@ -13,7 +13,7 @@ from xlab.christoffel import (christoffel_lambda, kernel_diag, kernel_prefix,
 from xlab.errors import DomainError, InputError
 from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
                            preimages)
-from xlab.measures import (ConstantWeight, JumpWeight, MeasureSpec, Piece,
+from xlab.measures import (ConstantWeight, JumpWeight, MeasureSpec,
                            SmoothFactor, circle_jump_measure,
                            ellipse_jump_measure, uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
@@ -157,7 +157,7 @@ def test_run_sweep_marks_degenerate_rows_failed(monkeypatch):
     # for |p| < 12, so on a round ellipse of constant weight they keep every
     # Gram entry up to degree 11, and the Gram route breaks down at 12
     measure = MeasureSpec(SupportSpec.make_ellipse(1.0, 1.0),
-                          Piece(ConstantWeight(1.0), SmoothFactor()), z0=1.0)
+                          ConstantWeight(1.0), z0=1.0)
     ts = math.pi / 6 * np.arange(12)
     rule = QuadratureRule(nodes=np.exp(1j * ts), weights=np.full(12, math.pi / 6),
                           params=ts, max_exact_degree=20)
@@ -289,7 +289,7 @@ def _random_jump_measure(shape, size, rotation, center, coeffs, slope,
         z = preimages(poly, rho * cmath.exp(1j * angle))[int(angle) % shape]
     period = 2.0 * math.pi if periodic and shape != "interval" else None
     weight = JumpWeight(2.0, 1.0, jump, period)
-    return MeasureSpec(support, Piece(weight, SmoothFactor([1.0, slope]))), z
+    return MeasureSpec(support, weight, SmoothFactor([1.0, slope])), z
 
 
 @pytest.mark.parametrize("shape", [0.1, 0.999, 1.0, 1.6, 2, 3, 4])
