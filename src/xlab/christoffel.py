@@ -3,11 +3,12 @@
 The Christoffel function follows from the kernel identity
 1/lambda_n(z) = K_n(z) = sum_{k <= n} |p_k(z)|^2.  ``support_prefix`` gives
 every K_n(z) up to a degree without storing a basis, by a route that depends
-on the support kind alone: on circles and intervals ``recurrence_values``
-gives p_k(z) by the Szegő or Stieltjes recurrence, and on ellipses and
-lemniscates ``gram_prefix`` gives the prefix from one Cholesky factor of a
-Gram matrix built from moments of the rule.  Sweeps and kernel
-``christoffel_lambda`` calls take this route.
+on the support kind alone: on intervals ``recurrence_values`` gives p_k(z) by
+the Stieltjes recurrence, and on ellipses, circles and lemniscates
+``gram_prefix`` gives the prefix from one Cholesky factor of a Gram matrix
+built from moments of the rule.  A circle |z - c| = r is the lemniscate of
+T(z) = (z - c)/r, of degree 1, and takes the lemniscates' branch.  Sweeps and
+kernel ``christoffel_lambda`` calls take this route.
 
 Where node values are needed (``method="direct"``, an explicit ``basis``,
 ``OrthoBasis`` itself) the basis p_0, ..., p_n orthonormal under a
@@ -264,30 +265,27 @@ def kernel_prefix(basis, z):
 def support_prefix(rule, support, degree, z):
     """K_n(z) for every n up to ``degree``, by the route for the support kind.
 
-    Circles and intervals take ``recurrence_values`` and ellipses and
-    lemniscates ``gram_prefix``; neither stores a basis.  Returns (prefix,
-    residual, route), route being "recurrence" or "gram".  The prefix stops
-    at the achieved degree when the discrete measure breaks the route down.
-    A z far from the support overflows entries of the prefix to inf or nan,
+    Intervals take ``recurrence_values`` and every other support
+    ``gram_prefix``; neither stores a basis.  Returns (prefix, residual,
+    route), route being "recurrence" or "gram".  The prefix stops at the
+    achieved degree when the discrete measure breaks the route down.  A z
+    far from the support overflows entries of the prefix to inf or nan,
     without a warning; callers test them.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if support.kind in ("circle", "interval"):
+        if support.kind == "interval":
             p, residual = recurrence_values(rule, support, degree, z)
             return np.cumsum(np.abs(p) ** 2), residual, "recurrence"
         return (*gram_prefix(rule, support, degree, z), "gram")
 
 
 def recurrence_values(rule, support, degree, z):
-    """p_0(z), ..., p_degree(z) for a rule on a circle or an interval support.
+    """p_0(z), ..., p_degree(z) for a rule on an interval support.
 
-    No basis is stored: each step keeps only the current node values.  On an
-    interval the polynomials follow the Stieltjes three-term recurrence
-    (Gautschi, Orthogonal Polynomials: Computation and Approximation, 2004);
-    on a circle, in u = (z - center) / radius, the Szegő recursion carries
-    phi_k together with its reversed polynomial phi*_k (Simon, Orthogonal
-    Polynomials on the Unit Circle, 2005).  Both take O(degree * m) time and
-    O(m) memory.
+    The polynomials follow the Stieltjes three-term recurrence (Gautschi,
+    Orthogonal Polynomials: Computation and Approximation, 2004), in
+    O(degree * m) time and O(m) memory: no basis is stored, each step keeps
+    only the current node values.
 
     Returns (values, residual).  ``values`` stops at the achieved degree when
     the discrete measure breaks the recurrence down, under the same relative
@@ -296,44 +294,26 @@ def recurrence_values(rule, support, degree, z):
     global check of the orthonormality the recurrence assumes.
     """
     _check_degree(rule, degree)
-    w = rule.weights
-    norm = lambda v: math.sqrt(float(np.dot(w, np.abs(v) ** 2)))
-    z = complex(z)
-    circle = support.kind == "circle"
-    if circle:
-        t = (rule.nodes - support.center) / support.radius
-        z = (z - support.center) / support.radius
-    elif support.kind == "interval":
-        t = rule.nodes.real
-    else:
+    if support.kind != "interval":
         raise CapabilityError(f"no recurrence for {support.kind} supports")
+    w, t, z = rule.weights, rule.nodes.real, complex(z)
+    norm = lambda v: math.sqrt(float(np.dot(w, v * v)))
 
-    p = np.full(t.size, 1.0 / math.sqrt(float(w.sum())), dtype=t.dtype)
-    p_rev, p_prev, beta = p, np.zeros_like(p), 0.0
-    values = [complex(p[0])]
-    q_rev, q_prev = values[0], 0j
-    kept = [p]
+    p = np.full(t.size, 1.0 / math.sqrt(float(w.sum())))
+    p_prev, beta, q_prev = np.zeros_like(p), 0.0, 0j
+    values, kept = [complex(p[0])], [p]
     for k in range(degree):
         v = t * p
         scale = norm(v)
-        if circle:
-            c = complex(np.dot(w * v, np.conjugate(p_rev)))
-            v -= c * p_rev
-        else:
-            v -= beta * p_prev
-            a = float(np.dot(w * v, p))
-            v -= a * p
+        v -= beta * p_prev
+        a = float(np.dot(w * v, p))
+        v -= a * p
         nrm = norm(v)
         if not math.isfinite(nrm) or nrm <= BREAKDOWN_REL * scale:
             break
         q = values[-1]
-        if circle:
-            p_rev = (p_rev - c.conjugate() * t * p) / nrm
-            q, q_rev = ((z * q - c * q_rev) / nrm,
-                        (q_rev - c.conjugate() * z * q) / nrm)
-        else:
-            q, q_prev = (z * q - beta * q_prev - a * q) / nrm, q
-            p_prev, beta = p, nrm
+        q, q_prev = (z * q - beta * q_prev - a * q) / nrm, q
+        p_prev, beta = p, nrm
         p = v / nrm
         values.append(q)
         if (k + 1) % CERTIFY_STRIDE == 0:
@@ -341,25 +321,27 @@ def recurrence_values(rule, support, degree, z):
     if kept[-1] is not p:
         kept.append(p)
     K = np.array(kept)
-    G = K @ (w * np.conjugate(K)).T - np.eye(len(kept))
+    G = K @ (w * K).T - np.eye(len(kept))
     return np.array(values), float(np.abs(G).max())
 
 
 def gram_prefix(rule, support, degree, z):
-    """K_n(z), n <= degree, for a rule on an ellipse or a lemniscate support.
+    """K_n(z), n <= degree, for a rule on an ellipse, a circle or a lemniscate.
 
     The Gram matrix G of a Faber-type basis phi_k, nearly orthonormal on the
     curve (Suetin, Series of Faber Polynomials, 1998), comes from O(degree)
     moments of the rule in the node angle theta.  On an ellipse with axes
     a >= b (a tall one turned by pi/2), phi_k = e^k + (r/e)^k with e the
     exterior variable, e^{i theta} at the nodes, and r = (a-b)/(a+b): G is
-    Toeplitz plus Hankel.  On a lemniscate |T| = 1 of degree N, G is block
+    Toeplitz plus Hankel.  On a support |T| = 1 with a ``level_polynomial``
+    T of degree N (a lemniscate, or a circle with N = 1), G is block
     Toeplitz in phi_{jN+k} = (z - s)^k T^j, k < N, s = -c_{N-1}/(N c_N),
     since T = e^{i theta} at the nodes.  The Cholesky factor G = R^H R,
     bordered by phi(z), gives p(z) = R^{-H} phi(z): the matrix Szegő
     recursion in O(degree^3) (Damanik, Pushnitski and Simon, Surveys in
-    Approximation Theory 4, 2008).  Returns (prefix, residual): K_n(z) up to
-    the degree where ``_bordered_cholesky`` stops, and the residual that
+    Approximation Theory 4, 2008), whose 1 x 1 case on the circle is the
+    scalar Szegő recursion.  Returns (prefix, residual): K_n(z) up to the
+    degree where ``_bordered_cholesky`` stops, and the residual that
     ``recurrence_values`` reports, for the polynomials R^{-H} phi.
     """
     _check_degree(rule, degree)
@@ -391,8 +373,8 @@ def gram_prefix(rule, support, degree, z):
         def at_nodes(C):  # sum_k C[:, k] phi_k at the nodes
             Y = series(np.vstack([C, np.conjugate(C * r[:C.shape[1]])]))
             return Y[:len(C)] + np.conjugate(Y[len(C):])
-    elif support.kind == "lemniscate":
-        poly, N = support.poly, support.poly.degree
+    elif (poly := support.level_polynomial) is not None:
+        N = poly.degree
         s = -poly.coeffs[N - 1] / (N * poly.coeffs[N])
         phi = (z - s) ** (q % N) * complex(poly(z)) ** (q // N)
         powers, Z = _power_blocks(rule.params), (rule.nodes[:, None] - s) ** np.arange(N)

@@ -25,22 +25,20 @@ def green_potential(support):
     Returns numpy-vectorized callables (G, dG) with Re G the Green's
     function of the exterior with pole at infinity:
 
-    * circle |z - c| = r: G = log((z - c)/r);
     * interval [a, b]: G = log(s + sqrt(s - 1) sqrt(s + 1)) with
       s = (2z - a - b)/(b - a);
     * ellipse with semi-axes a >= b, rotation rho and center c:
       G = log((zeta + sqrt(zeta - f) sqrt(zeta + f))/(a + b)) with
       zeta = e^{-i rho}(z - c) and foci +-f, f = sqrt(a^2 - b^2); a tall
       ellipse (a < b) is the wide one turned by pi/2;
-    * lemniscate |T(z)| = 1 of degree N: G = (1/N) log T.
+    * a support |T(z)| = 1 with a ``level_polynomial`` T of degree N:
+      G = (1/N) log T.  On a lemniscate T is its polynomial; on the circle
+      |z - c| = r it is (z - c)/r, so G = log((z - c)/r) and G' = 1/(z - c).
 
     The square root is split as sqrt(u - f) sqrt(u + f): the principal
     sqrt(u^2 - f^2) takes the wrong sheet when Re u < 0.
     """
     kind = support.kind
-    if kind == "circle":
-        c, r = support.center, support.radius
-        return (lambda z: np.log((z - c) / r), lambda z: 1.0 / (z - c))
     if kind == "interval":
         a, b = support.interval
 
@@ -70,8 +68,8 @@ def green_potential(support):
             return np.log((zeta + root) / (a + b))
 
         return G, lambda z: turn / _zeta_root(z)[1]
-    # lemniscate
-    T, dT, n = support.poly, support.poly.derivative(), support.poly.degree
+    T = support.level_polynomial  # a circle or a lemniscate
+    dT, n = T.derivative(), T.degree
     return (lambda z: np.log(T(z)) / n,
             lambda z: dT(z) / (n * T(z)))
 

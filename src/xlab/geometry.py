@@ -158,6 +158,15 @@ class SupportSpec:
             raise GeometryError("lemniscate polynomial must have degree >= 1")
         return cls(kind="lemniscate", poly=poly)
 
+    @property
+    def level_polynomial(self):
+        """T with the support = {|T| = 1}: ``poly`` on a lemniscate and
+        (z - c)/r, of degree 1, on the circle |z - c| = r; None otherwise."""
+        if self.kind == "circle":
+            return ComplexPolynomial([-self.center / self.radius,
+                                      1.0 / self.radius])
+        return self.poly if self.kind == "lemniscate" else None
+
 
 def parametrize(support):
     """Smooth arcs covering the support, traced and cached for lemniscates."""

@@ -163,16 +163,17 @@ def _suite_lemniscate_jump(tol):
 
     # degree halving: even and odd polynomials are orthogonal on the z^2
     # lemniscate, so K_n(z0) = K_{n//2}(z0^2) + |z0|^2 K_{(n-1)//2}(z0^2)
-    # with K of the circle measure, from its own rule and recurrence
-    circle = run_sweep(circle_jump_measure(), z=measure.z0 ** 2,
-                       schedule=list(range(1, 257)))
-    K = {r.n: 1.0 / r.lambda_n for r in circle.rows}
+    # with K of the circle measure, from its own rule and an Arnoldi basis:
+    # the sweep's route on the circle is the lemniscate's Gram code at
+    # N = 1, so it would not check that code independently
+    K = kernel_prefix(orthonormalize(build_rule(circle_jump_measure(), 256),
+                                     256), measure.z0 ** 2)
     worst = max(abs(1.0 / r.lambda_n - K[r.n // 2]
                     - abs(measure.z0) ** 2 * K[(r.n - 1) // 2]) * r.lambda_n
                 for r in result.rows)
     checks.append(_check("degree-halving", worst, 1e-12,
                          "K_n on the z^2 lemniscate (Gram route) vs two "
-                         "circle kernels at z0^2 (Szegő recurrence)"))
+                         "circle kernels at z0^2 (Arnoldi)"))
 
     # the paper's case proper: |z^2 - 2| = 1 has two components, around
     # -sqrt(2) and sqrt(2); z0, the first preimage of the circle's jump
@@ -250,14 +251,12 @@ def _integral_identity_checks(coeffs, tag):
 def _capacity(support):
     """Logarithmic capacity in closed form (Ransford, Potential Theory in
     the Complex Plane, 1995, section 5.2)."""
-    if support.kind == "circle":
-        return support.radius
     if support.kind == "interval":
         a, b = support.interval
         return (b - a) / 4.0
     if support.kind == "ellipse":
         return sum(support.axes) / 2.0
-    poly = support.poly
+    poly = support.level_polynomial  # |c_1|^(-1) = r on a circle
     return abs(poly.coeffs[-1]) ** (-1.0 / poly.degree)
 
 

@@ -4,10 +4,11 @@ A sweep evaluates p_0(z), ..., p_N(z) once at the largest degree N and
 reads every smaller n off the kernel prefix sums, then extrapolates
 n * lambda_n with a least-squares 1/n + 1/n^2 model (the limit itself
 carries no proven rate, so the model is an engineering choice recorded in
-the fit).  The route depends on the support kind alone.  On circles and
-intervals the values come from the Szegő and Stieltjes recurrences, which
-store no basis.  On ellipses and lemniscates one Cholesky factor of a Gram
-matrix in a Faber-type basis gives the whole prefix.
+the fit).  The route depends on the support kind alone.  On intervals the
+values come from the Stieltjes recurrence, which stores no basis.  On
+ellipses, circles and lemniscates one Cholesky factor of a Gram matrix in a
+Faber-type basis gives the whole prefix; a circle is the lemniscate of a
+degree-1 polynomial.
 """
 
 import math
@@ -104,7 +105,8 @@ class SweepResult:
     extrapolated_limit: float = None
     fit_model: FitModel = None
     # rule_s, kernel_prefix_s (recurrence or Gram factor and the prefix
-    # sums), node_count, achieved_degree and residual_max
+    # sums), route ("recurrence" or "gram"), node_count, achieved_degree and
+    # residual_max
     stages: dict = field(default_factory=dict)
 
     @property
@@ -116,13 +118,13 @@ def run_sweep(measure, z=None, schedule=None):
     """Evaluate lambda_n over a degree schedule from one pass to max(schedule).
 
     ``support_prefix`` gives the kernel prefix sums K_n(z) up to
-    max(schedule), by the Szegő or Stieltjes recurrence on a circle or an
-    interval and by one Cholesky factor on an ellipse or a lemniscate, and
-    they give lambda_n for all smaller n.  A breakdown marks the
-    unreachable rows as failed and the sweep continues up to the achieved
-    degree; so does a kernel that overflows, z being too far from the
-    support.  ``result.stages`` records the time of each setup stage and the
-    size and quality of the orthonormal polynomials.  Where no jump law
+    max(schedule), by the Stieltjes recurrence on an interval and by one
+    Cholesky factor on an ellipse, a circle or a lemniscate, and they give
+    lambda_n for all smaller n.  A breakdown marks the unreachable rows as
+    failed and the sweep continues up to the achieved degree; so does a
+    kernel that overflows, z being too far from the support.
+    ``result.stages`` records the time of each setup stage, the route, and
+    the size and quality of the orthonormal polynomials.  Where no jump law
     applies (z off the support) the predicted limit is nan.
     """
     if not schedule:
@@ -147,11 +149,11 @@ def run_sweep(measure, z=None, schedule=None):
     t0 = time.perf_counter()
     rule = build_rule(measure, n_max)
     t1 = time.perf_counter()
-    prefix, residual, _ = support_prefix(rule, measure.support, n_max, z)
+    prefix, residual, route = support_prefix(rule, measure.support, n_max, z)
     t2 = time.perf_counter()
     achieved = prefix.size - 1
 
-    stages = {"rule_s": t1 - t0, "kernel_prefix_s": t2 - t1,
+    stages = {"rule_s": t1 - t0, "kernel_prefix_s": t2 - t1, "route": route,
               "node_count": rule.node_count, "achieved_degree": achieved,
               "residual_max": residual}
     result = SweepResult(measure=measure, z=z, stages=stages)

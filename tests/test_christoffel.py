@@ -16,7 +16,7 @@ import xlab.christoffel as christoffel_mod
 from xlab.christoffel import (_finish_basis, christoffel_lambda,
                               extremal_polynomial_values, gram_prefix,
                               kernel_diag, kernel_prefix, orthonormalize,
-                              recurrence_values)
+                              recurrence_values, support_prefix)
 from xlab.errors import (CapabilityError, DegeneracyError, DomainError,
                          NumericError)
 from xlab.geometry import ComplexPolynomial, SupportSpec, parametrize
@@ -35,7 +35,7 @@ CUBIC_TEXT = ("support.kind = lemniscate\n"
               "weight.A = 2.0\nweight.B = 1.0\n"
               f"weight.jump_param = {math.pi / 2!r}\n"
               "eval.z0 = auto-jump\n")
-ROUTES = {"circle": "recurrence", "interval": "recurrence",
+ROUTES = {"circle": "gram", "interval": "recurrence",
           "ellipse": "gram", "lemniscate": "gram"}
 
 
@@ -212,7 +212,7 @@ def test_lambda_toeplitz_gram_oracle():
     # the third weight is not symmetric under conjugation, so its moments
     # are complex and a transposed Gram matrix would not match.  An explicit
     # basis keeps Arnoldi under the oracle; the sweep twin below checks the
-    # Szegő recurrence, which kernel lambda takes without a basis
+    # Gram route's Toeplitz branch, which kernel lambda takes without a basis
     params = ((2.0, 1.0, math.pi / 2), (1.0, 1.0, math.pi / 2),
               (3.0, 0.5, 0.3))
     for A, B, t0 in params:
@@ -226,12 +226,14 @@ def test_lambda_toeplitz_gram_oracle():
 
 
 def test_run_sweep_toeplitz_gram_oracle():
-    # the same 27 cases through the sweep, which takes the Szegő recurrence
+    # the same 27 cases through the sweep, which takes the Gram route's
+    # Toeplitz branch (the circle as a degree-1 lemniscate), and 9 more at
+    # 2 + i, off the curve
     params = ((2.0, 1.0, math.pi / 2), (1.0, 1.0, math.pi / 2),
               (3.0, 0.5, 0.3))
     for A, B, t0 in params:
         measure = circle_jump_measure(A=A, B=B, jump_param=t0)
-        for z in (measure.z0, cmath.exp(-2.0j), 0.5 + 0.2j):
+        for z in (measure.z0, cmath.exp(-2.0j), 0.5 + 0.2j, 2.0 + 1.0j):
             rows = run_sweep(measure, z=z, schedule=[4, 12, 24]).rows
             for row in rows:
                 want = _toeplitz_gram_lambda(A, B, t0, row.n, z)
@@ -240,21 +242,26 @@ def test_run_sweep_toeplitz_gram_oracle():
 
 
 def test_recurrence_breakdown_matches_arnoldi():
-    # four circle nodes and three interval nodes support degrees 3 and 2
+    # four circle nodes and three interval nodes support degrees 3 and 2;
+    # the circle takes the Gram route, which gives kernels, not values
     three = QuadratureRule(nodes=np.array([-0.5, 0.1, 0.7], dtype=complex),
                            weights=np.array([0.3, 0.5, 0.2]),
                            params=np.array([-0.5, 0.1, 0.7]),
                            max_exact_degree=6)
     cases = ((_four_node_rule(), SupportSpec.make_circle(), 0.3 + 0.9j),
              (three, SupportSpec.make_interval(-1.0, 1.0), 0.2 + 0.1j))
-    for rule, support, z in cases:
+    for (rule, support, z), degree in zip(cases, (3, 2)):
         with pytest.raises(DegeneracyError) as err:
             orthonormalize(rule, 6)
         partial = err.value.basis
-        values, residual = recurrence_values(rule, support, 6, z)
-        assert values.size - 1 == err.value.achieved_degree
-        assert np.max(np.abs(values - partial.evaluate(z))) <= 1e-13
+        prefix, residual, route = support_prefix(rule, support, 6, z)
+        assert prefix.size - 1 == err.value.achieved_degree == degree
+        assert np.max(np.abs(prefix - kernel_prefix(partial, z))
+                      / prefix) <= 1e-13
         assert residual < 1e-13
+        if route == "recurrence":
+            values, _ = recurrence_values(rule, support, 6, z)
+            assert np.max(np.abs(values - partial.evaluate(z))) <= 1e-13
 
 
 @pytest.mark.parametrize("name", [p.stem for p in sorted(
@@ -297,17 +304,16 @@ def test_kernel_lambda_route_degeneracy_matches_arnoldi(monkeypatch):
 
 
 def test_recurrence_rejects_other_supports():
-    # and the Gram route rejects the recurrences' supports
+    # and the Gram route rejects the recurrence's support, the interval
     measure = ellipse_jump_measure(1.25, 0.75)
     rule = build_rule(measure, 8)
-    with pytest.raises(CapabilityError):
-        recurrence_values(rule, measure.support, 8, measure.z0)
-    with pytest.raises(DomainError):
-        recurrence_values(rule, SupportSpec.make_circle(), 9, 1.0)
-    for support in (SupportSpec.make_circle(),
-                    SupportSpec.make_interval(-1.0, 1.0)):
+    for support in (measure.support, SupportSpec.make_circle()):
         with pytest.raises(CapabilityError):
-            gram_prefix(rule, support, 8, 1.0)
+            recurrence_values(rule, support, 8, 1.0)
+    with pytest.raises(DomainError):
+        recurrence_values(rule, SupportSpec.make_interval(-1.0, 1.0), 9, 1.0)
+    with pytest.raises(CapabilityError):
+        gram_prefix(rule, SupportSpec.make_interval(-1.0, 1.0), 8, 1.0)
     with pytest.raises(DomainError):
         gram_prefix(rule, measure.support, 9, 1.0)
 
@@ -335,8 +341,9 @@ def test_golub_welsch_weights_match_recurrence():
        size=st.floats(0.2, 3.0), s=st.floats(0.05, 0.95),
        off=st.sampled_from([0.0, 0.4, -0.4]))
 def test_recurrence_matches_arnoldi_prefix(circle, a, b, size, s, off):
-    # circles of any centre and radius, intervals with any endpoints; z on
-    # the support, inside or outside it (above it for an interval)
+    # the route on circles of any centre and radius (the Gram route) and on
+    # intervals with any endpoints (the recurrence); z on the support, inside
+    # or outside it (above it for an interval)
     if circle:
         measure = circle_jump_measure(radius=size, center=complex(a, b))
         z = measure.support.center + size * (1.0 + off) * cmath.exp(
@@ -346,8 +353,7 @@ def test_recurrence_matches_arnoldi_prefix(circle, a, b, size, s, off):
         z = complex(a + s * size, off * size)
     rule = build_rule(measure, 40)
     want = kernel_prefix(orthonormalize(rule, 40), z)
-    values, residual = recurrence_values(rule, measure.support, 40, z)
-    got = np.cumsum(np.abs(values) ** 2)
+    got, residual, _ = support_prefix(rule, measure.support, 40, z)
     assert np.max(np.abs(got - want) / want) <= 1e-12
     assert residual < 1e-13
 

@@ -60,7 +60,7 @@ def test_lambda_auto_jump_point(circle_file, capsys):
 
 
 @pytest.mark.parametrize("name, route", [
-    ("circle_jump", "recurrence"), ("interval_jump", "recurrence"),
+    ("circle_jump", "gram"), ("interval_jump", "recurrence"),
     ("ellipse_jump", "gram"), ("lemniscate_z2_jump", "gram")])
 def test_lambda_names_its_route(name, route, capsys):
     path = str(MEASURES / f"{name}.measure")

@@ -131,6 +131,27 @@ def test_green_potential():
         assert normal < 1e-8, support
 
 
+def test_circle_green_potential_is_the_closed_form():
+    # the circle |z - c| = r is the lemniscate of T = (z - c)/r; its
+    # (1/N) log T and T'/(N T) at N = 1 are log((z - c)/r) and 1/(z - c)
+    t = 2.0 * math.pi * (np.arange(7) + 0.3) / 7
+    for r, c in ((0.5, 1.0 + 2.0j), (2.0, 0j)):
+        support = SupportSpec.make_circle(r, center=c)
+        T = support.level_polynomial
+        assert T.degree == 1
+        on = c + r * np.exp(1j * t)
+        assert np.max(np.abs(np.abs(T(on)) - 1.0)) <= 1e-14
+        G, dG = green_potential(support)
+        for z in (on, c + 0.4 * (on - c), c + 3.0 * (on - c)):
+            assert np.max(np.abs(G(z) - np.log((z - c) / r))) <= 1e-14
+            want = 1.0 / (z - c)
+            assert np.max(np.abs(dG(z) - want) / np.abs(want)) <= 1e-14
+    lemniscate = SupportSpec.make_lemniscate(ComplexPolynomial([0, 0, 1.0]))
+    assert lemniscate.level_polynomial is lemniscate.poly
+    assert SupportSpec.make_interval(-1, 1).level_polynomial is None
+    assert SupportSpec.make_ellipse(1.25, 0.75).level_polynomial is None
+
+
 def test_densities_normalize_to_one():
     supports = [SupportSpec.make_circle(radius=2.0),
                 SupportSpec.make_interval(-1.0, 1.0),

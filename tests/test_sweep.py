@@ -82,13 +82,17 @@ def test_run_sweep_circle_exact_row():
         rel=1e-12)
     lam = [r.lambda_n for r in result.rows]
     assert all(b <= a for a, b in zip(lam, lam[1:]))
-    assert set(result.stages) == {"rule_s", "kernel_prefix_s", "node_count",
-                                  "achieved_degree", "residual_max"}
+    assert set(result.stages) == {"rule_s", "kernel_prefix_s", "route",
+                                  "node_count", "achieved_degree",
+                                  "residual_max"}
     for key in ("rule_s", "kernel_prefix_s"):
         assert result.stages[key] > 0
     assert result.stages["node_count"] >= 6 * 17
     assert result.stages["achieved_degree"] == 16
     assert result.stages["residual_max"] < 1e-14
+    assert result.stages["route"] == "gram"
+    interval = run_sweep(_standard("interval"), schedule=[4])
+    assert interval.stages["route"] == "recurrence"
 
 
 def test_run_sweep_validates_schedule():
@@ -182,7 +186,7 @@ def test_run_sweep_marks_degenerate_rows_failed(monkeypatch):
 def test_run_sweep_recurrence_breaks_down_on_few_nodes(monkeypatch):
     # four equispaced nodes of weight pi/2 integrate z^j conj(z)^k exactly
     # for |j - k| < 4, so degrees up to 3 keep the exact law 2 pi/(n + 1)
-    # and the Szegő recurrence itself breaks down at degree 4
+    # and the Gram route's Cholesky factor itself breaks down at degree 4
     ts = 0.5 * math.pi * np.arange(4)
     rule = QuadratureRule(nodes=np.exp(1j * ts),
                           weights=np.full(4, 0.5 * math.pi), params=ts,
