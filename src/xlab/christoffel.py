@@ -330,8 +330,8 @@ def gram_prefix(rule, support, degree, z):
 
     The Gram matrix G of a Faber-type basis phi_k, nearly orthonormal on the
     curve (Suetin, Series of Faber Polynomials, 1998), comes from O(degree)
-    moments of the rule in the node angle theta.  On an ellipse with axes
-    a >= b (a tall one turned by pi/2), phi_k = e^k + (r/e)^k with e the
+    moments of the rule in the node angle theta.  On an ellipse with
+    ``joukowski_frame`` axes a >= b, phi_k = e^k + (r/e)^k with e the
     exterior variable, e^{i theta} at the nodes, and r = (a-b)/(a+b): G is
     Toeplitz plus Hankel.  On a support |T| = 1 with a ``level_polynomial``
     T of degree N (a lemniscate, or a circle with N = 1), G is block
@@ -348,12 +348,10 @@ def gram_prefix(rule, support, degree, z):
     z, w, n = complex(z), rule.weights, degree
     q = np.arange(n + 1)
     if support.kind == "ellipse":
-        (a, b), rho = support.axes, support.rotation
-        if a < b:
-            a, b, rho = b, a, rho + 0.5 * math.pi
+        c, rho, a, b = support.joukowski_frame
         powers = _power_blocks(rule.params + support.rotation - rho)
         f = math.sqrt((a - b) * (a + b))
-        u = (z - support.center) * complex(math.cos(rho), -math.sin(rho))
+        u = (z - c) * complex(math.cos(rho), -math.sin(rho))
         root = np.sqrt(u - f) * np.sqrt(u + f)
         # phi_k = e^k + e'^k with e e' = r, whichever branch e takes
         phi = ((u + root) / (a + b)) ** q + ((u - root) / (a + b)) ** q

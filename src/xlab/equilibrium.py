@@ -16,8 +16,6 @@ import numpy as np
 from .errors import DomainError
 from .geometry import parametrize, project_to_support
 
-OFF_CURVE_TOL = 1e-8  # points farther than this from the support are rejected
-
 
 def green_potential(support):
     """Complex Green's potential G of the support and its derivative G'.
@@ -25,12 +23,12 @@ def green_potential(support):
     Returns numpy-vectorized callables (G, dG) with Re G the Green's
     function of the exterior with pole at infinity:
 
-    * interval [a, b]: G = log(s + sqrt(s - 1) sqrt(s + 1)) with
-      s = (2z - a - b)/(b - a);
-    * ellipse with semi-axes a >= b, rotation rho and center c:
+    * a support with a ``joukowski_frame`` (c, rho, a, b), an ellipse or an
+      interval as the flat ellipse b = 0:
       G = log((zeta + sqrt(zeta - f) sqrt(zeta + f))/(a + b)) with
-      zeta = e^{-i rho}(z - c) and foci +-f, f = sqrt(a^2 - b^2); a tall
-      ellipse (a < b) is the wide one turned by pi/2;
+      zeta = e^{-i rho}(z - c) and foci +-f, f = sqrt(a^2 - b^2).  On
+      [lo, hi] this is log(s + sqrt(s - 1) sqrt(s + 1)) with
+      s = (2z - lo - hi)/(hi - lo);
     * a support |T(z)| = 1 with a ``level_polynomial`` T of degree N:
       G = (1/N) log T.  On a lemniscate T is its polynomial; on the circle
       |z - c| = r it is (z - c)/r, so G = log((z - c)/r) and G' = 1/(z - c).
@@ -38,26 +36,11 @@ def green_potential(support):
     The square root is split as sqrt(u - f) sqrt(u + f): the principal
     sqrt(u^2 - f^2) takes the wrong sheet when Re u < 0.
     """
-    kind = support.kind
-    if kind == "interval":
-        a, b = support.interval
-
-        def _s_root(z):
-            s = (2.0 * np.asarray(z, dtype=complex) - a - b) / (b - a)
-            return s, np.sqrt(s - 1.0) * np.sqrt(s + 1.0)
-
-        def G(z):
-            s, root = _s_root(z)
-            return np.log(s + root)
-
-        return G, lambda z: 2.0 / ((b - a) * _s_root(z)[1])
-    if kind == "ellipse":
-        a, b = support.axes
-        rho = support.rotation
-        if a < b:
-            a, b, rho = b, a, rho + 0.5 * math.pi
+    frame = support.joukowski_frame
+    if frame is not None:
+        c, rho, a, b = frame
         f = math.sqrt((a - b) * (a + b))
-        turn, c = np.exp(-1j * rho), support.center
+        turn = np.exp(-1j * rho)
 
         def _zeta_root(z):
             zeta = turn * (np.asarray(z, dtype=complex) - c)
@@ -83,14 +66,15 @@ def equilibrium_density(support):
     """Equilibrium density z -> |G'(z)|/(2 pi) at points of the support,
     doubled on an interval, whose two sides are merged.
 
-    Points farther than OFF_CURVE_TOL from the support, and the endpoints
-    of an interval, where the density is infinite, raise DomainError.
+    Points that ``project_to_support`` does not place on the support, and
+    the endpoints of an interval, where the density is infinite, raise
+    DomainError.
     """
     _, dG = green_potential(support)
     sides = _sides(support)
 
     def density(z):
-        _, x, point = project_to_support(support, z, tol=OFF_CURVE_TOL)
+        _, x, point = project_to_support(support, z)
         if support.kind == "interval" and not (
                 support.interval[0] < x < support.interval[1]):
             raise DomainError(f"x = {x} is not interior to {support.interval}")

@@ -27,6 +27,7 @@ from .errors import DomainError, GeometryError, NumericError, TracingError
 # Tracing and root-finding tolerances.
 CRITICAL_POINT_TOL = 1e-6   # ||T(c)| - 1| below this at a root c of T' is a node
 PREIMAGE_TOL = 1e-10        # residual bound for polished roots
+OFF_CURVE_TOL = 1e-8        # points farther than this from the support are rejected
 TURN_STEPS = 8              # continuation steps per turn of the image circle, at most
 GRID_PER_TURN = 1024        # Newton start points per turn along each arc
 
@@ -70,18 +71,15 @@ class ArcParametrization:
     """One smooth arc of a support.
 
     ``point`` maps parameter values to points in the plane, ``velocity`` is
-    its derivative; both accept scalars or numpy arrays.  ``closed`` marks a
-    full closed loop (the parameter wraps modulo the interval length).  For
-    lemniscate components the parameter is the continuous angle of T(z) and
-    ``winding`` counts how many times T covers the image circle along the
-    component.
+    its derivative; both accept scalars or numpy arrays.  For lemniscate
+    components the parameter is the continuous angle of T(z) and ``winding``
+    counts how many times T covers the image circle along the component.
     """
 
     point: object
     velocity: object
     t_lo: float
     t_hi: float
-    closed: bool = False
     winding: int = None
     # (point, velocity) from one evaluation, for arcs that can share the work
     _jet: object = field(default=None, init=False, repr=False, compare=False)
@@ -97,12 +95,10 @@ class ArcParametrization:
         return self.point(t), self.velocity(t)
 
 
-def arc_length(arc, t_lo=None, t_hi=None, panels=64, order=16):
-    """Arc length of ``arc`` between two parameters via panelwise Gauss rules."""
-    lo = arc.t_lo if t_lo is None else t_lo
-    hi = arc.t_hi if t_hi is None else t_hi
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
+def arc_length(arc):
+    """Length of ``arc`` by 16-point Gauss rules on 64 equal parameter panels."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(arc.t_lo, arc.t_hi, 65)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         t = 0.5 * (b - a) * x + 0.5 * (a + b)
@@ -167,6 +163,22 @@ class SupportSpec:
                                       1.0 / self.radius])
         return self.poly if self.kind == "lemniscate" else None
 
+    @property
+    def joukowski_frame(self):
+        """(c, rho, a, b), a >= b >= 0, with the support traced by
+        c + e^{i rho} (a cos t + i b sin t): an ellipse, turned by pi/2 when
+        tall, and the interval [lo, hi] as the flat ellipse
+        ((lo + hi)/2, 0, (hi - lo)/2, 0); None otherwise."""
+        if self.kind == "interval":
+            lo, hi = self.interval
+            return 0.5 * (lo + hi), 0.0, 0.5 * (hi - lo), 0.0
+        if self.kind != "ellipse":
+            return None
+        (a, b), rho = self.axes, self.rotation
+        if a < b:
+            a, b, rho = b, a, rho + 0.5 * math.pi
+        return self.center, rho, a, b
+
 
 def parametrize(support):
     """Smooth arcs covering the support, traced and cached for lemniscates."""
@@ -185,7 +197,7 @@ def parametrize(support):
         arcs = [ArcParametrization(
             point=lambda t, c=c, r=r: c + r * np.exp(1j * np.asarray(t, dtype=float)),
             velocity=lambda t, r=r: 1j * r * np.exp(1j * np.asarray(t, dtype=float)),
-            t_lo=0.0, t_hi=2.0 * math.pi, closed=True)]
+            t_lo=0.0, t_hi=2.0 * math.pi)]
     elif kind == "ellipse":
         a, b = support.axes
         c, rot = support.center, cmath.exp(1j * support.rotation)
@@ -199,7 +211,7 @@ def parametrize(support):
             return rot * (-a * np.sin(t) + 1j * b * np.cos(t))
 
         arcs = [ArcParametrization(point=_pt, velocity=_vel, t_lo=0.0,
-                                   t_hi=2.0 * math.pi, closed=True)]
+                                   t_hi=2.0 * math.pi)]
     elif kind == "lemniscate":
         arcs = trace_lemniscate(support.poly)
     else:
@@ -209,11 +221,11 @@ def parametrize(support):
     return arcs
 
 
-def preimages(poly, w, tol=PREIMAGE_TOL):
+def preimages(poly, w):
     """All solutions of T(z) = w, as a deterministically ordered array.
 
     Roots come from the companion matrix of T - w and are polished by a few
-    Newton steps; the polished residual must satisfy |T(z) - w| < tol * scale.
+    Newton steps, to |T(z) - w| <= PREIMAGE_TOL * max(1, |w|) or NumericError.
     """
     if not isinstance(poly, ComplexPolynomial):
         poly = ComplexPolynomial(poly)
@@ -228,11 +240,10 @@ def preimages(poly, w, tol=PREIMAGE_TOL):
         g = dp(z)
         safe = np.abs(g) > 1e-300
         z = z - np.where(safe, f / np.where(safe, g, 1.0), 0.0)
-    res = np.abs(poly(z) - w)
-    scale = max(1.0, abs(w))
-    if res.max() > tol * scale:
+    res, bound = np.abs(poly(z) - w).max(), PREIMAGE_TOL * max(1.0, abs(w))
+    if res > bound:
         raise NumericError(
-            f"preimage polishing stalled: residual {res.max():.3e} exceeds {tol * scale:.1e}")
+            f"preimage polishing stalled: residual {res:.3e} exceeds {bound:.1e}")
     order = np.lexsort((np.round(z.imag, 9), np.round(z.real, 9)))
     return z[order]
 
@@ -284,8 +295,7 @@ def _component_arc(poly, dpoly, theta0, grid_z, winding):
         return z, 1j * np.exp(1j * theta) / dpoly(z)
 
     arc = ArcParametrization(point=_solve, velocity=lambda theta: _jet(theta)[1],
-                             t_lo=theta0, t_hi=theta0 + span, closed=True,
-                             winding=winding)
+                             t_lo=theta0, t_hi=theta0 + span, winding=winding)
     arc._jet = _jet
     return arc
 
@@ -384,12 +394,13 @@ def trace_lemniscate(poly):
     return arcs
 
 
-def project_to_support(support, z, tol=1e-8):
+def project_to_support(support, z):
     """Locate z on the support: returns (arc index, parameter, nearest point).
 
-    Raises DomainError when z is farther than tol from the support.
+    Raises DomainError when z is farther than OFF_CURVE_TOL from the support
+    (OFF_CURVE_TOL * (1 + |z|) on a lemniscate).
     """
-    z = complex(z)
+    z, tol = complex(z), OFF_CURVE_TOL
     arcs = parametrize(support)
     if support.kind == "interval":
         a, b = support.interval

@@ -1,15 +1,16 @@
 """Composite Gauss-Legendre quadrature adapted to jump measures.
 
 Panels never straddle a weight jump: the parameter domain is split at every
-switch point and at the evaluation point z0, and each segment between those
-points gets equal panels.  On a segment the integrand of a polynomial product
-is analytic, so no refinement toward the segment ends is needed.  A segment's
+switch point of the weight, and each segment between those points gets equal
+panels.  On a segment the integrand of a polynomial product is analytic, so
+no refinement toward the segment ends is needed, and the rule is a function
+of the measure alone, whatever its evaluation point z0.  A segment's
 panels are laid out as one (panels, PANEL_ORDER) array of parameters, so the
 arc, the weight and the smooth factor are evaluated one segment at a time (on
 a lemniscate, one batched Newton solve per segment gives the nodes and their
 velocities).
 Interval measures are integrated in the angle theta of x = cos(theta): their
-switch points and z0 map through acos onto [0, pi], and an arcsine factor
+switch points map through acos onto [0, pi], and an arcsine factor
 1/sqrt(1 - x^2) becomes a bounded integrand.
 """
 
@@ -22,6 +23,7 @@ from .errors import InputError, NumericError
 from .geometry import parametrize
 
 PANEL_ORDER = 24
+NODES_PER_DEGREE = 6   # the node budget per degree of exactness
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
@@ -50,22 +52,14 @@ class QuadratureRule:
 def _segments(measure):
     """Jump-free segments (arc_index, lo, hi) of the integration parameter.
 
-    Each arc splits at the weight's switch points and at z0.  On an interval
-    the parameter is theta with x = mid + half*cos(theta), so the x breaks
-    map through acos onto [0, pi].
+    Each arc splits at the weight's switch points.  On an interval the
+    parameter is theta with x = mid + half*cos(theta), so the x breaks map
+    through acos onto [0, pi].
     """
-    z0_arc, z0_t = None, None
-    if measure.z0 is not None:
-        z0_arc, z0_t, _ = measure.z0_location()
     segs = []
     for i, arc in enumerate(parametrize(measure.support)):
         lo, hi = arc.t_lo, arc.t_hi
-        breaks = list(measure.weight.breakpoints(lo, hi))
-        if z0_arc == i:
-            span = hi - lo
-            for cand in (z0_t, z0_t - span, z0_t + span) if arc.closed else (z0_t,):
-                if lo + 1e-12 < cand < hi - 1e-12:
-                    breaks.append(cand)
+        breaks = measure.weight.breakpoints(lo, hi)
         if measure.support.kind == "interval":
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             breaks = [math.acos(min(1.0, max(-1.0, (x - mid) / half)))
@@ -89,22 +83,21 @@ def _interval_factors(measure, theta):
     return x, factor
 
 
-def build_rule(measure, max_degree, nodes_per_degree=6):
+def build_rule(measure, max_degree):
     """Quadrature rule integrating polynomial products up to ``max_degree``.
 
-    The node budget is nodes_per_degree * (max_degree + 1), spread over the
+    The node budget is NODES_PER_DEGREE * (max_degree + 1), spread over the
     jump-free segments in proportion to parameter length; each segment gets
-    at least one panel, so the rule may carry a few panels more.
+    at least one panel, so the rule may carry a few panels more.  The rule
+    does not depend on the measure's z0.
     """
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
-    if nodes_per_degree < 4:
-        raise InputError("nodes_per_degree below 4 cannot resolve the degree")
 
     interval = measure.support.kind == "interval"
     segs = _segments(measure)
     total_len = sum(hi - lo for (_, lo, hi) in segs)
-    total_panels = math.ceil(nodes_per_degree * (max_degree + 1) / PANEL_ORDER)
+    total_panels = math.ceil(NODES_PER_DEGREE * (max_degree + 1) / PANEL_ORDER)
 
     arcs = parametrize(measure.support)
     nodes, weights, params = [], [], []

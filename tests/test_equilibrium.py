@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from xlab.equilibrium import (density_profile, equilibrium_density,
                               green_potential)
@@ -150,6 +151,28 @@ def test_circle_green_potential_is_the_closed_form():
     assert lemniscate.level_polynomial is lemniscate.poly
     assert SupportSpec.make_interval(-1, 1).level_polynomial is None
     assert SupportSpec.make_ellipse(1.25, 0.75).level_polynomial is None
+
+
+def test_interval_green_potential_is_the_closed_form():
+    # the interval [lo, hi] is the flat ellipse of its joukowski_frame; its
+    # own closed form G = log(s + sqrt(s - 1) sqrt(s + 1)), G' = (2/(hi - lo))
+    # / (sqrt(s - 1) sqrt(s + 1)), s = (2z - lo - hi)/(hi - lo), at 40 digits
+    for lo, hi in ((-1.0, 1.0), (-0.5, 2.0), (0.3, 0.7)):
+        support = SupportSpec.make_interval(lo, hi)
+        assert support.joukowski_frame == (0.5 * (lo + hi), 0.0,
+                                           0.5 * (hi - lo), 0.0)
+        x = lo + (hi - lo) * np.array([0.001, 0.1, 0.37, 0.5, 0.82, 0.999])
+        z = np.concatenate([x + 0j, x + 0.3j, x - 0.2j,
+                            [lo - 0.5, hi + 0.5, 3.0 + 1.0j, -2.0 - 4.0j]])
+        G, dG = green_potential(support)
+        with mp.workdps(40):
+            for zk, g, dg in zip(z, G(z), dG(z)):
+                s = (2 * mp.mpc(zk.real, zk.imag) - lo - hi) / (mp.mpf(hi) - lo)
+                root = mp.sqrt(s - 1) * mp.sqrt(s + 1)
+                for got, want in ((g, mp.log(s + root)),
+                                  (dg, 2 / ((mp.mpf(hi) - lo) * root))):
+                    assert abs(got - want) <= 1e-13 * abs(want), (lo, hi, zk)
+    assert SupportSpec.make_circle().joukowski_frame is None
 
 
 def test_densities_normalize_to_one():

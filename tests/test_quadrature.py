@@ -11,7 +11,7 @@ from xlab.measures import (ConstantWeight, MeasureSpec, circle_jump_measure, ell
                            interval_jump_measure, lemniscate_pullback_measure,
                            symmetrize_to_interval, uniform_circle_measure)
 from xlab import quadrature
-from xlab.quadrature import PANEL_ORDER, build_rule, integrate
+from xlab.quadrature import NODES_PER_DEGREE, PANEL_ORDER, build_rule, integrate
 from xlab.suites import standard_jump_measures
 
 
@@ -62,9 +62,15 @@ def _on_curve(support, t, arc=0):
     return complex(parametrize(support)[arc].point(t))
 
 
+def _refined(measure, n, f):
+    # f times the node budget of build_rule(measure, n): the budget is
+    # NODES_PER_DEGREE * (degree + 1), so degree f * (n + 1) - 1 gives it
+    return build_rule(measure, f * (n + 1) - 1)
+
+
 def _exactness_measure(name):
-    # every z0 but the plain ellipse's sits between two switch points, so
-    # the rule splits a jump-free segment there
+    # every z0 but the plain ellipse's sits inside a jump-free segment,
+    # between two switch points; the rule does not split there
     if name == "ellipse":
         return ellipse_jump_measure(1.25, 0.75)
     if name == "off-centre-circle":
@@ -102,8 +108,8 @@ def test_polynomial_exactness_vs_refined(name):
     if name != "ellipse":
         _, t0, _ = measure.z0_location()
         assert measure.weight.snap_to_jump(t0) is None
-    coarse = build_rule(measure, 20, nodes_per_degree=6)
-    fine = build_rule(measure, 20, nodes_per_degree=24)
+    coarse = build_rule(measure, 20)
+    fine = _refined(measure, 20, 4)
     rng = np.random.default_rng(7)
     for _ in range(3):
         p = rng.standard_normal(21) + 1j * rng.standard_normal(21)
@@ -131,14 +137,31 @@ def test_lemniscate_constant_mass():
 
 
 def test_node_budget_and_panel_order():
-    rule = build_rule(uniform_circle_measure(), 10, nodes_per_degree=8)
-    assert rule.node_count >= 8 * 11
+    rule = build_rule(uniform_circle_measure(), 10)
+    assert rule.node_count >= NODES_PER_DEGREE * 11
     assert rule.node_count % PANEL_ORDER == 0
 
 
-def test_nodes_per_degree_validation():
+def test_negative_degree_is_rejected():
     with pytest.raises(InputError):
-        build_rule(uniform_circle_measure(), 10, nodes_per_degree=3)
+        build_rule(uniform_circle_measure(), -1)
+
+
+@pytest.mark.parametrize("name", ["off-centre-circle", "arcsine-interval",
+                                  "rotated-ellipse", "cubic"])
+def test_rule_does_not_depend_on_z0(name):
+    # the rule is a function of the measure: moving z0 off the switch points,
+    # or dropping it, changes no node and no weight
+    measure = _exactness_measure(name)
+    arc = len(parametrize(measure.support)) - 1
+    t_lo = parametrize(measure.support)[arc].t_lo
+    other = measure.with_z0(_on_curve(measure.support, t_lo + 1.3, arc=arc))
+    assert other.weight.snap_to_jump(other.z0_location()[1]) is None
+    want = build_rule(measure, 20)
+    for m in (other, measure.with_z0(None)):
+        got = build_rule(m, 20)
+        for field in ("nodes", "weights", "params"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_integrate_rejects_nonfinite():
@@ -151,13 +174,13 @@ def test_integrate_rejects_nonfinite():
 
 
 def test_kernel_matches_refined_rule():
-    # equal panels between the jumps and z0 already resolve the kernel:
+    # equal panels between the jumps already resolve the kernel:
     # doubling the nodes moves K_n(z0) by rounding only
     n = 256
     for name, measure in standard_jump_measures().items():
         got = kernel_prefix(orthonormalize(build_rule(measure, n), n),
                             measure.z0)
-        fine = build_rule(measure, n, nodes_per_degree=12)
+        fine = _refined(measure, n, 2)
         want = kernel_prefix(orthonormalize(fine, n), measure.z0)
         assert np.max(np.abs(got - want) / want) <= 1e-12, name
 
