@@ -5,10 +5,14 @@ The Christoffel function follows from the kernel identity
 every K_n(z) up to a degree without storing a basis, by a route that depends
 on the support kind alone: on intervals ``recurrence_values`` gives p_k(z) by
 the Stieltjes recurrence, and on ellipses, circles and lemniscates
-``gram_prefix`` gives the prefix from one Cholesky factor of a Gram matrix
-built from moments of the rule.  A circle |z - c| = r is the lemniscate of
-T(z) = (z - c)/r, of degree 1, and takes the lemniscates' branch.  Sweeps and
-kernel ``christoffel_lambda`` calls take this route.
+``gram_prefix`` gives the prefix from a Gram matrix built from moments of
+the rule.  On a lemniscate |T| = 1 that matrix is block Toeplitz, and the
+block Levinson recursion factors it in O(n^2 deg T + n m) for m nodes; a
+circle |z - c| = r is the lemniscate of T(z) = (z - c)/r, of degree 1.  Only
+the ellipse's Toeplitz-plus-Hankel matrix takes a Cholesky factor, in
+O(n^3).  Both routes certify the orthonormality of a few of their
+polynomials at the nodes, and a residual above CERTIFY_TOL refuses the
+result.  Sweeps and kernel ``christoffel_lambda`` calls take this route.
 
 Where node values are needed (``method="direct"``, an explicit ``basis``,
 ``OrthoBasis`` itself) the basis p_0, ..., p_n orthonormal under a
@@ -28,6 +32,7 @@ checks the kernel against an independent computation.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +47,9 @@ BREAKDOWN_REL = 1e-14
 # second pass and K_512(z0) drifts 6.5e-13 from the Stieltjes recurrence.
 REORTH = 2 ** -0.5
 GRAM_BLOCK = 64        # rows or columns per block product (certificates, Cholesky)
-CERTIFY_STRIDE = 32    # sweep polynomials kept for the Gram certificate
+CERTIFY_STRIDE = 32    # the certificate keeps every CERTIFY_STRIDE-th polynomial,
+CERTIFY_COUNT = 16     # and no more than CERTIFY_COUNT + 1 (see _certified)
+CERTIFY_TOL = 1e-10    # certificate residual above which a result is refused
 
 
 class OrthoBasis:
@@ -201,7 +208,8 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
     checks the kernel against an independent computation.  Pass ``basis`` to
     reuse an Arnoldi basis across calls; both methods then read it.  A
     measure that cannot carry degree n raises DegeneracyError with the
-    achieved degree, and a kernel that overflows or vanishes NumericError.
+    achieved degree, and a kernel that overflows or vanishes NumericError,
+    as does a route whose orthonormality residual exceeds CERTIFY_TOL.
     """
     if z is None:
         z = measure.z0
@@ -211,8 +219,12 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
     if method not in ("kernel", "direct"):
         raise InputError(f"unknown method {method!r}")
     if basis is None and method == "kernel":
-        prefix, _, route = support_prefix(build_rule(measure, n),
-                                          measure.support, n, z)
+        prefix, residual, route = support_prefix(build_rule(measure, n),
+                                                 measure.support, n, z)
+        if not residual <= CERTIFY_TOL:
+            raise NumericError(
+                f"the {route} route's orthonormality residual {residual:.1e} "
+                f"exceeds {CERTIFY_TOL:g}")
         if prefix.size <= n:
             raise DegeneracyError(
                 f"the {route} route broke down at degree {prefix.size}: the "
@@ -290,8 +302,9 @@ def recurrence_values(rule, support, degree, z):
     Returns (values, residual).  ``values`` stops at the achieved degree when
     the discrete measure breaks the recurrence down, under the same relative
     test as ``orthonormalize``.  ``residual`` is the largest |<p_j, p_k> -
-    delta_jk| over every CERTIFY_STRIDE-th polynomial and the last one, a
-    global check of the orthonormality the recurrence assumes.
+    delta_jk| over at most CERTIFY_COUNT + 1 polynomials spread over the
+    degrees and the last one (see ``_certified``), a global check of the
+    orthonormality the recurrence assumes, in O(degree * m).
     """
     _check_degree(rule, degree)
     if support.kind != "interval":
@@ -301,7 +314,7 @@ def recurrence_values(rule, support, degree, z):
 
     p = np.full(t.size, 1.0 / math.sqrt(float(w.sum())))
     p_prev, beta, q_prev = np.zeros_like(p), 0.0, 0j
-    values, kept = [complex(p[0])], [p]
+    values, kept, keep = [complex(p[0])], [p], set(_certified(degree, degree))
     for k in range(degree):
         v = t * p
         scale = norm(v)
@@ -316,7 +329,7 @@ def recurrence_values(rule, support, degree, z):
         p_prev, beta = p, nrm
         p = v / nrm
         values.append(q)
-        if (k + 1) % CERTIFY_STRIDE == 0:
+        if k + 1 in keep:
             kept.append(p)
     if kept[-1] is not p:
         kept.append(p)
@@ -330,30 +343,41 @@ def gram_prefix(rule, support, degree, z):
 
     The Gram matrix G of a Faber-type basis phi_k, nearly orthonormal on the
     curve (Suetin, Series of Faber Polynomials, 1998), comes from O(degree)
-    moments of the rule in the node angle theta.  On an ellipse with
-    ``joukowski_frame`` axes a >= b, phi_k = e^k + (r/e)^k with e the
-    exterior variable, e^{i theta} at the nodes, and r = (a-b)/(a+b): G is
-    Toeplitz plus Hankel.  On a support |T| = 1 with a ``level_polynomial``
-    T of degree N (a lemniscate, or a circle with N = 1), G is block
-    Toeplitz in phi_{jN+k} = (z - s)^k T^j, k < N, s = -c_{N-1}/(N c_N),
-    since T = e^{i theta} at the nodes.  The Cholesky factor G = R^H R,
-    bordered by phi(z), gives p(z) = R^{-H} phi(z): the matrix Szegő
-    recursion in O(degree^3) (Damanik, Pushnitski and Simon, Surveys in
-    Approximation Theory 4, 2008), whose 1 x 1 case on the circle is the
-    scalar Szegő recursion.  Returns (prefix, residual): K_n(z) up to the
-    degree where ``_bordered_cholesky`` stops, and the residual that
-    ``recurrence_values`` reports, for the polynomials R^{-H} phi.
+    moments of the rule in the node angle theta.  On a support |T| = 1 with
+    a ``level_polynomial`` T of degree N (a lemniscate, or a circle with
+    N = 1), G is block Toeplitz in phi_{jN+k} = (z - s)^k T^j, k < N,
+    s = -c_{N-1}/(N c_N), since T = e^{i theta} at the nodes; the matrix
+    Szegő recursion (Damanik, Pushnitski and Simon, Surveys in Approximation
+    Theory 4, 2008), run as ``_block_levinson``, gives p(z) in
+    O(degree^2 N + degree m) for m nodes, and on the circle it is the scalar
+    Szegő recursion.  On an ellipse with ``joukowski_frame`` axes a >= b,
+    phi_k = e^k + (r/e)^k with e the exterior variable, e^{i theta} at the
+    nodes, and r = (a-b)/(a+b): G is Toeplitz plus Hankel, and its Cholesky
+    factor G = R^H R, bordered by phi(z), gives p(z) = R^{-H} phi(z) in
+    O(degree^3).  Either factor stops before its first pivot below
+    BREAKDOWN_REL of its diagonal entry of G.  Returns (prefix, residual):
+    K_n(z) up to the degree where the factor breaks down, and the residual
+    that ``recurrence_values`` reports, for the polynomials p_k at the nodes,
+    each summed from its coefficients only up to its own degree.
     """
     _check_degree(rule, degree)
     z, w, n = complex(z), rule.weights, degree
-    q = np.arange(n + 1)
+
+    def series(C, top):  # sum_{p < top[i]} C[i, p] e^{i p theta}, top ascending
+        Y = np.zeros((len(C), w.size), dtype=complex)
+        for lo, P, shift in powers(C.shape[1]):
+            i = np.searchsorted(top, lo, side="right")  # rows of degree >= lo
+            Y[i:] += (C[i:, lo:lo + GRAM_BLOCK] @ P) * shift
+        return Y
+
     if support.kind == "ellipse":
         c, rho, a, b = support.joukowski_frame
-        powers = _power_blocks(rule.params + support.rotation - rho)
+        powers = _power_blocks(rule.params + support.rotation - rho, 2 * n + 1)
         f = math.sqrt((a - b) * (a + b))
         u = (z - c) * complex(math.cos(rho), -math.sin(rho))
         root = np.sqrt(u - f) * np.sqrt(u + f)
         # phi_k = e^k + e'^k with e e' = r, whichever branch e takes
+        q = np.arange(n + 1)
         phi = ((u + root) / (a + b)) ** q + ((u - root) / (a + b)) ** q
         r = ((a - b) / (a + b)) ** q
         mu = np.concatenate([P @ (shift * w) for _, P, shift in powers(2 * n + 1)])
@@ -367,54 +391,156 @@ def gram_prefix(rule, support, degree, z):
         X = H * r
         G += X
         G += np.conjugate(X.T)
-
-        def at_nodes(C):  # sum_k C[:, k] phi_k at the nodes
-            Y = series(np.vstack([C, np.conjugate(C * r[:C.shape[1]])]))
-            return Y[:len(C)] + np.conjugate(Y[len(C):])
+        R, p = _bordered_cholesky(G, phi)
+        keep = _certified(n, p.size - 1)
+        Y = np.eye(p.size, dtype=complex)[:, keep]  # to become columns of R^{-1}
+        for lo in reversed(range(0, p.size, GRAM_BLOCK)):
+            hi = lo + GRAM_BLOCK
+            Y[lo:hi] = np.linalg.inv(R[lo:hi, lo:hi]) @ (Y[lo:hi] - R[lo:hi, hi:] @ Y[hi:])
+        C = np.conjugate(Y.T)  # row i: p_{keep[i]} in the phi_k
+        # sum_k C[:, k] phi_k at the nodes, rows e^k and e'^k interleaved
+        halves = series(np.stack([C, np.conjugate(C * r[:p.size])], 1).reshape(
+            2 * len(keep), -1), np.repeat(np.add(keep, 1), 2))
+        Q = halves[0::2] + np.conjugate(halves[1::2])
     elif (poly := support.level_polynomial) is not None:
         N = poly.degree
         s = -poly.coeffs[N - 1] / (N * poly.coeffs[N])
-        phi = (z - s) ** (q % N) * complex(poly(z)) ** (q // N)
-        powers, Z = _power_blocks(rule.params), (rule.nodes[:, None] - s) ** np.arange(N)
+        powers = _power_blocks(rule.params, n // N + 1)
+        Z = (rule.nodes[:, None] - s) ** np.arange(N)
         V = (w[:, None, None] * Z[:, :, None] * np.conjugate(Z[:, None, :])).reshape(-1, N * N)
         M = np.concatenate([P @ (shift[:, None] * V) for _, P, shift
                             in powers(n // N + 1)]).reshape(-1, N, N)
-        M = np.concatenate([np.conjugate(M[:0:-1].transpose(0, 2, 1)), M])
-        # G[jN + a, kN + b] = M[j - k, a, b], from a strided view of M
-        W = np.lib.stride_tricks.sliding_window_view(M, n // N + 1, axis=0)
-        G = W[..., ::-1].transpose(0, 1, 3, 2).reshape(N * len(W), -1)[:n + 1, :n + 1]
-
-        def at_nodes(C):
-            return sum(Z[:, k] * series(C[:, k::N]) for k in range(N))
+        t, f = complex(poly(z)), (z - s) ** np.arange(N)
+        keep = _certified(n, n)
+        p, ok, C = _block_levinson(M, t, f, n + 1, keep)
+        if not ok.all():  # again to the achieved degree, to certify its last
+            keep = _certified(n, int(ok.argmin()) - 1)
+            p, _, C = _block_levinson(M, t, f, keep[-1] + 1, keep)
+        top = np.floor_divide(keep, N) + 1  # p_k has powers T^j, j <= k // N
+        Q = sum(Z[:, k] * series(C[:, k::N], top) for k in range(N))
     else:
         raise CapabilityError(f"no Gram route for {support.kind} supports")
-
-    def series(C):  # sum_p C[:, p] e^{i p theta} at the nodes
-        return sum((C[:, lo:lo + GRAM_BLOCK] @ P) * shift
-                   for lo, P, shift in powers(C.shape[1]))
-
-    R, p = _bordered_cholesky(G, phi)
-    keep = sorted({*range(0, p.size, CERTIFY_STRIDE), p.size - 1})
-    Y = np.eye(p.size, dtype=complex)[:, keep]  # to become columns of R^{-1}
-    for lo in reversed(range(0, p.size, GRAM_BLOCK)):
-        hi = lo + GRAM_BLOCK
-        Y[lo:hi] = np.linalg.inv(R[lo:hi, lo:hi]) @ (Y[lo:hi] - R[lo:hi, hi:] @ Y[hi:])
-    Q = at_nodes(np.conjugate(Y.T))  # p_k at the nodes, k in keep
-    residual = np.abs(Q @ (w * np.conjugate(Q)).T - np.eye(len(keep))).max()
+    residual = np.abs(Q @ (w * np.conjugate(Q)).T - np.eye(len(Q))).max()
     return np.cumsum(np.abs(p) ** 2), float(residual)
 
 
-def _power_blocks(theta):
+def _certified(degree, last):
+    """Degrees of the polynomials the orthonormality certificate keeps on the
+    way to ``degree``: every CERTIFY_STRIDE-th one, or every
+    ceil(degree / CERTIFY_COUNT)-th beyond degree 512, up to ``last``, and
+    ``last``.  Its cost is O(degree * m) for m nodes at any degree."""
+    stride = max(CERTIFY_STRIDE, -(-degree // CERTIFY_COUNT))
+    return sorted({*range(0, last + 1, stride), last})
+
+
+def _power_blocks(theta, limit):
     """count -> (lo, rows e^{i p theta}, p < min(GRAM_BLOCK, count - lo),
-    e^{i lo theta}), lo < count, whose product is e^{i (lo + p) theta}.  The
-    rows come from one table, built once per ``gram_prefix`` call and shared by
-    the moments and every ``series``; a row is a product of at most
-    log2(GRAM_BLOCK) exact exponentials, so no error grows from power to power."""
-    B = np.ones((1, theta.size), dtype=complex)
-    while B.shape[0] < GRAM_BLOCK:
-        B = np.vstack([B, B * np.exp(1j * B.shape[0] * theta)])
-    return lambda count: ((lo, B[:count - lo], np.exp(1j * lo * theta))
+    e^{i lo theta}), lo < count <= limit, whose product is
+    e^{i (lo + p) theta}.  The rows come from one table of
+    min(GRAM_BLOCK, limit) rows, built once per ``gram_prefix`` call by
+    doubling and shared by the moments and every ``series``; a row is a
+    product of at most log2(GRAM_BLOCK) exact exponentials, so no error grows
+    from power to power."""
+    B = np.empty((min(GRAM_BLOCK, limit), theta.size), dtype=complex)
+    B[0], h = 1.0, 1
+    while h < len(B):
+        k = min(h, len(B) - h)
+        np.multiply(B[:k], np.exp(1j * h * theta), out=B[h:h + k])
+        h += k
+    shifts = [np.exp(1j * lo * theta) for lo in range(0, limit, GRAM_BLOCK)]
+    return lambda count: ((lo, B[:count - lo], shifts[lo // GRAM_BLOCK])
                           for lo in range(0, count, GRAM_BLOCK))
+
+
+def _block_levinson(M, t, f, count, keep):
+    """p_0(z), ..., p_{count-1}(z) from the block Toeplitz Gram matrix
+    G[jN + a, kN + b] = M[j - k, a, b], M[-d] = M[d]^H, of Phi_j = T^j f
+    with f = ((z - s)^a)_{a < N} and t = T(z).
+
+    The block Levinson recursion (Whittle, Biometrika 50, 1963; Wiggins and
+    Robinson, J. Geophys. Res. 70, 1965) carries the forward polynomials
+    F_j = sum_i A_j[i] Phi_i, A_j[j] = I, orthogonal to Phi_0, ..., Phi_{j-1},
+    and the backward ones B_j = sum_i B_j[i] Phi_i, B_j[0] = I, orthogonal to
+    Phi_1, ..., Phi_j, with D_j = <F_j, F_j> and E_j = <B_j, B_j>.  Since
+    multiplying by T is an isometry at the nodes, the reflection block
+    Delta_j = <T F_j, Phi_0> = sum_i A_j[i] M[i + 1] and the gains
+    Kf = Delta_j E_j^{-1}, Kb = Delta_j^H D_j^{-1} give
+
+        F_{j+1} = T F_j - Kf B_j,      D_{j+1} = D_j - Kf Delta_j^H,
+        B_{j+1} = B_j - Kb T F_j,      E_{j+1} = E_j - Kb Delta_j,
+
+    O(j N^3) per step for the coefficients and O(N^2) for the values at z.
+    The lower Cholesky factors D_j = L_j L_j^H, taken after the loop, give
+    the scalar order p_{jN+a} = (L_j^{-1} F_j)[a], the same polynomials as
+    the Cholesky factor of G, whose pivots they are.
+
+    Returns (p, ok, C): p(z); ok, whether each pivot exceeds BREAKDOWN_REL
+    of its diagonal entry of G; and C, the coefficient rows of p_k in the
+    Phi basis (the rows of L_j^{-1} A_j), k in the ascending ``keep``.
+    """
+    N = M.shape[1]
+    J = (count - 1) // N
+    # a numpy call on a small block costs microseconds, and an np.linalg
+    # call ten: at N = 1 the blocks are numbers, multiplied and inverted as such
+    if N == 1:
+        block, mul = (lambda X: X[0, 0]), operator.mul
+        inverses = lambda E, D: (1 / E, 1 / D)
+    else:
+        block, mul = (lambda X: X), np.matmul
+        inverses = lambda E, D: np.linalg.inv(np.array([E, D]))
+    Mv = M[1:J + 1].reshape(-1, N)
+    A = np.zeros((N, (J + 1) * N), dtype=complex)  # A_j[i] in block J - j + i,
+    B = np.zeros_like(A)                            # B_j[i] in block i
+    A[:, J * N:] = B[:, :N] = np.eye(N)
+    D = np.full((J + 1, N, N), np.nan, dtype=complex)
+    F = np.full((J + 1, N, 1), np.nan, dtype=complex)  # F_j(z)
+    D[0] = M[0]
+    Dj = E = block(M[0])
+    F[0] = f[:, None]
+    Fz = Bz = block(F[0])
+    blocks = sorted({k // N for k in keep})
+    A_kept = np.zeros((len(blocks), N, count), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(J + 1):
+            Aj, Bj = A[:, (J - j) * N:], B[:, :(j + 1) * N]
+            if j in blocks:
+                A_kept[blocks.index(j), :, :(j + 1) * N] = Aj[:, :count]
+            if j == J:
+                break
+            delta = block(Aj @ Mv[:(j + 1) * N])
+            deltaH = delta.conjugate().T
+            try:
+                inv_E, inv_D = inverses(E, Dj)
+            except np.linalg.LinAlgError:  # a singular block: broken down
+                break
+            Kf, Kb = mul(delta, inv_E), mul(deltaH, inv_D)
+            back = mul(Kb, Aj)
+            A[:, (J - j - 1) * N:J * N] -= mul(Kf, Bj)
+            B[:, N:(j + 2) * N] -= back
+            Dj, E = Dj - mul(Kf, deltaH), E - mul(Kb, delta)
+            tF = t * Fz
+            Fz, Bz = tF - mul(Kf, Bz), Bz - mul(Kb, tF)
+            D[j + 1], F[j + 1] = Dj, Fz
+        pivots, p = _block_cholesky(D, F)
+        _, Y = _block_cholesky(D[blocks], A_kept)
+    ok = (pivots > BREAKDOWN_REL * M[0].diagonal().real).reshape(-1)[:count]
+    C = np.array([Y[blocks.index(k // N), k % N] for k in keep])
+    return p.reshape(-1)[:count], ok, C
+
+
+def _block_cholesky(D, X):
+    """Pivots of the lower Cholesky factors D_j = L_j L_j^H, batched over j,
+    and L_j^{-1} X_j, by elimination one column at a time."""
+    D, X = D.copy(), X.copy()
+    pivots = np.empty(D.shape[:2])
+    for a in range(D.shape[1]):
+        pivots[:, a] = d = D[:, a, a].real
+        root = np.sqrt(d)[:, None]
+        X[:, a] /= root
+        col = D[:, a + 1:, a] / root  # column a of L_j below the diagonal
+        X[:, a + 1:] -= col[:, :, None] * X[:, a, None, :]
+        D[:, a + 1:, a + 1:] -= col[:, :, None] * np.conjugate(col[:, None, :])
+    return pivots, X
 
 
 def _bordered_cholesky(G, phi):

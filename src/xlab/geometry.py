@@ -27,6 +27,8 @@ from .errors import DomainError, GeometryError, NumericError, TracingError
 # Tracing and root-finding tolerances.
 CRITICAL_POINT_TOL = 1e-6   # ||T(c)| - 1| below this at a root c of T' is a node
 PREIMAGE_TOL = 1e-10        # residual bound for polished roots
+IMAGE_NEWTON_TOL = 5e-14    # residual at which a point leaves the image Newton solve
+IMAGE_NEWTON_MAXIT = 40     # Newton steps of the image solve, at most
 OFF_CURVE_TOL = 1e-8        # points farther than this from the support are rejected
 TURN_STEPS = 8              # continuation steps per turn of the image circle, at most
 GRID_PER_TURN = 1024        # Newton start points per turn along each arc
@@ -248,18 +250,18 @@ def preimages(poly, w):
     return z[order]
 
 
-def _image_newton(poly, dpoly, z, w_target, tol=5e-14, maxit=40):
+def _image_newton(poly, dpoly, z, w_target):
     """Full Newton solve of T(z) = w_target, vectorized over points.
 
-    Each point stops once its own residual is below tol, and one closing
+    Each point stops once its own residual is below IMAGE_NEWTON_TOL, and one closing
     Newton step on every point then takes it to rounding level, so a point
     comes out the same whichever other points share its solve.
     """
     z = np.asarray(z, dtype=complex)
     w_target = np.asarray(w_target, dtype=complex)
-    for _ in range(maxit):
+    for _ in range(IMAGE_NEWTON_MAXIT):
         f = poly(z) - w_target
-        live = np.abs(f) >= tol
+        live = np.abs(f) >= IMAGE_NEWTON_TOL
         if not live.any():
             break
         g = dpoly(z)
@@ -269,7 +271,7 @@ def _image_newton(poly, dpoly, z, w_target, tol=5e-14, maxit=40):
     else:
         f = poly(z) - w_target
         res = np.max(np.abs(f))
-        if not res <= 100 * tol:
+        if not res <= 100 * IMAGE_NEWTON_TOL:
             raise TracingError(f"image Newton residual {res:.3e} did not converge")
     return z - f / dpoly(z)
 

@@ -6,9 +6,11 @@ n * lambda_n with a least-squares 1/n + 1/n^2 model (the limit itself
 carries no proven rate, so the model is an engineering choice recorded in
 the fit).  The route depends on the support kind alone.  On intervals the
 values come from the Stieltjes recurrence, which stores no basis.  On
-ellipses, circles and lemniscates one Cholesky factor of a Gram matrix in a
-Faber-type basis gives the whole prefix; a circle is the lemniscate of a
-degree-1 polynomial.
+ellipses, circles and lemniscates the Gram matrix of a Faber-type basis
+gives the whole prefix: on circles and lemniscates, where it is block
+Toeplitz, by the block Levinson recursion in O(N^2 deg T + N m) for m nodes
+(a circle is the lemniscate of a degree-1 polynomial), and on ellipses by
+one Cholesky factor in O(N^3).
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .christoffel import support_prefix
+from .christoffel import CERTIFY_TOL, support_prefix
 from .equilibrium import equilibrium_density
 from .errors import DomainError, InputError
 from .measures import jump_limits
@@ -118,11 +120,12 @@ def run_sweep(measure, z=None, schedule=None):
     """Evaluate lambda_n over a degree schedule from one pass to max(schedule).
 
     ``support_prefix`` gives the kernel prefix sums K_n(z) up to
-    max(schedule), by the Stieltjes recurrence on an interval and by one
-    Cholesky factor on an ellipse, a circle or a lemniscate, and they give
-    lambda_n for all smaller n.  A breakdown marks the unreachable rows as
+    max(schedule), by the Stieltjes recurrence on an interval, the block
+    Levinson recursion on a circle or a lemniscate and one Cholesky factor on
+    an ellipse, and they give lambda_n for all smaller n.  A breakdown marks the unreachable rows as
     failed and the sweep continues up to the achieved degree; so does a
-    kernel that overflows, z being too far from the support.
+    kernel that overflows, z being too far from the support.  An
+    orthonormality residual above CERTIFY_TOL fails every row.
     ``result.stages`` records the time of each setup stage, the route, and
     the size and quality of the orthonormal polynomials.  Where no jump law
     applies (z off the support) the predicted limit is nan.
@@ -159,10 +162,16 @@ def run_sweep(measure, z=None, schedule=None):
     result = SweepResult(measure=measure, z=z, stages=stages)
     for n in schedule:
         lam = 1.0 / float(prefix[n]) if n <= achieved else float("nan")
-        ok = lam > 0  # 0 where K_n overflowed
-        note = "" if ok else (
-            f"degenerate beyond degree {achieved}" if n > achieved
-            else "kernel overflow: z is too far from the support")
+        if not residual <= CERTIFY_TOL:
+            note = (f"orthonormality residual {residual:.1e} exceeds "
+                    f"{CERTIFY_TOL:g}")
+        elif n > achieved:
+            note = f"degenerate beyond degree {achieved}"
+        elif not lam > 0:  # 0 where K_n overflowed
+            note = "kernel overflow: z is too far from the support"
+        else:
+            note = ""
+        ok = not note
         lam = lam if ok else float("nan")
         result.rows.append(SweepRow(
             n=n, lambda_n=lam, n_lambda_n=n * lam, predicted_limit=predicted,

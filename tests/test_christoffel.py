@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -19,7 +19,8 @@ from xlab.christoffel import (_finish_basis, christoffel_lambda,
                               recurrence_values, support_prefix)
 from xlab.errors import (CapabilityError, DegeneracyError, DomainError,
                          NumericError)
-from xlab.geometry import ComplexPolynomial, SupportSpec, parametrize
+from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
+                           preimages)
 from xlab.measures import (ConstantWeight, MeasureSpec, circle_jump_measure,
                            ellipse_jump_measure, interval_jump_measure,
                            lemniscate_pullback_measure, load_measure_file,
@@ -27,7 +28,7 @@ from xlab.measures import (ConstantWeight, MeasureSpec, circle_jump_measure,
                            uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
 from xlab.suites import standard_jump_measures
-from xlab.sweep import run_sweep
+from xlab.sweep import geometric_schedule, run_sweep
 
 MEASURES = pathlib.Path(__file__).resolve().parent.parent / "measures"
 CUBIC_TEXT = ("support.kind = lemniscate\n"
@@ -178,26 +179,31 @@ def test_norm_residuals_match_explicit_gram():
     assert np.max(np.abs(got - explicit) / explicit) <= 1e-13
 
 
+def _circle_jump_moments(A, B, t0, n):
+    """c_m = int e^{-i m theta} w(theta) dtheta, |m| <= n, at the working
+    precision, exact over the two constant pieces of a circle jump weight
+    (B on [t0, t0 + pi], A on the rest)."""
+    A, B, t0 = mp.mpf(A), mp.mpf(B), mp.mpf(t0)
+
+    def arc_moment(a, b, m):
+        if m == 0:
+            return b - a
+        return 1j * (mp.expj(-m * b) - mp.expj(-m * a)) / m
+
+    return {m: B * arc_moment(t0, t0 + mp.pi, m)
+            + A * arc_moment(t0 + mp.pi, t0 + 2 * mp.pi, m)
+            for m in range(-n, n + 1)}
+
+
 def _toeplitz_gram_lambda(A, B, t0, n, z):
     """lambda_n(z) of a circle jump measure from its monomial Gram matrix.
 
-    Shares no code with the pipeline: the moments
-    c_m = int e^{-i m theta} w(theta) dtheta are exact over the two constant
-    pieces of the weight (B on [t0, t0 + pi], A on the rest), the Gram matrix
-    G[j, k] = int z^j conj(z^k) dmu = c_{k-j} is Toeplitz, and
+    Shares no code with the pipeline: the Gram matrix of the closed-form
+    moments, G[j, k] = int z^j conj(z^k) dmu = c_{k-j}, is Toeplitz, and
     1 / lambda_n(z) = v* G^{-1} v with v = (1, z, ..., z^n).
     """
     with mp.workdps(50):
-        A, B, t0 = mp.mpf(A), mp.mpf(B), mp.mpf(t0)
-
-        def arc_moment(a, b, m):
-            if m == 0:
-                return b - a
-            return 1j * (mp.expj(-m * b) - mp.expj(-m * a)) / m
-
-        c = {m: B * arc_moment(t0, t0 + mp.pi, m)
-             + A * arc_moment(t0 + mp.pi, t0 + 2 * mp.pi, m)
-             for m in range(-n, n + 1)}
+        c = _circle_jump_moments(A, B, t0, n)
         G = mp.matrix(n + 1, n + 1)
         for j in range(n + 1):
             for k in range(n + 1):
@@ -206,6 +212,57 @@ def _toeplitz_gram_lambda(A, B, t0, n, z):
         y = mp.lu_solve(G, v)
         K = mp.fsum(mp.conj(v[j]) * y[j] for j in range(n + 1))
         return float(1 / mp.re(K))
+
+
+FIXED_BITS = 192  # the oracle's Levinson works in integers times 2^-192
+
+
+def _szego_kernel_prefix(A, B, t0, n, zs):
+    """[K_0(z), ..., K_n(z)] of a circle jump measure for each z of zs.
+
+    Shares no code with the pipeline.  The monic orthogonal polynomials
+    satisfy the Szegő recursion Phi_{j+1} = z Phi_j - a_j Phi_j^*, with
+    ||Phi_{j+1}||^2 = (1 - |a_j|^2) ||Phi_j||^2 and
+    a_j ||Phi_j||^2 = sum_i Phi_j[i] c_{-i-1} from the closed-form moments.
+    That Levinson recursion runs in integers scaled by 2^FIXED_BITS, exact
+    but for one rounding per product (57 digits); the values at z and
+    K_n = sum_{j <= n} |Phi_j(z)|^2 / ||Phi_j||^2 at 50 digits.
+    """
+    one = 1 << FIXED_BITS
+    with mp.workdps(60):
+        c = _circle_jump_moments(A, B, t0, n + 1)
+        M = [(int(mp.nint(c[-d].real * one)), int(mp.nint(c[-d].imag * one)))
+             for d in range(n + 2)]
+    re, im = [one], [0]  # Phi_j's coefficients, constant term first
+    norms, alphas = [M[0][0]], []
+    for j in range(n):
+        dr = sum(x * M[i + 1][0] - y * M[i + 1][1]
+                 for i, (x, y) in enumerate(zip(re, im)))
+        di = sum(x * M[i + 1][1] + y * M[i + 1][0]
+                 for i, (x, y) in enumerate(zip(re, im)))
+        ar, ai = dr // norms[-1], di // norms[-1]
+        # Phi_{j+1}[i] = Phi_j[i - 1] - a_j conj(Phi_j[j - i])
+        rev_re, rev_im = re[::-1] + [0], im[::-1] + [0]
+        re, im = ([u - ((ar * v + ai * w) >> FIXED_BITS)
+                   for u, v, w in zip([0] + re, rev_re, rev_im)],
+                  [u - ((ai * v - ar * w) >> FIXED_BITS)
+                   for u, v, w in zip([0] + im, rev_re, rev_im)])
+        norms.append(norms[-1] - ((((ar * ar + ai * ai) >> FIXED_BITS)
+                                   * norms[-1]) >> FIXED_BITS))
+        alphas.append((ar, ai))
+    out = []
+    with mp.workdps(50):
+        scale = mp.mpf(one)
+        for z in zs:
+            z, phi, phi_star = mp.mpc(z), mp.mpc(1), mp.mpc(1)
+            K = [scale / norms[0]]
+            for (ar, ai), norm in zip(alphas, norms[1:]):
+                a = mp.mpc(ar, ai) / scale
+                phi, phi_star = (z * phi - a * phi_star,
+                                 phi_star - mp.conj(a) * z * phi)
+                K.append(K[-1] + abs(phi) ** 2 * scale / norm)
+            out.append([float(k) for k in K])
+    return out
 
 
 def test_lambda_toeplitz_gram_oracle():
@@ -241,6 +298,102 @@ def test_run_sweep_toeplitz_gram_oracle():
                                                                   row.n, z)
 
 
+def test_run_sweep_szego_oracle_at_512():
+    # the Gram route's block Levinson at N = 1 against a 50-digit Szegő
+    # recursion on the closed-form moments, through the sweep up to n = 512,
+    # on a symmetric and an asymmetric jump
+    for A, B, t0 in ((2.0, 1.0, math.pi / 2), (3.0, 0.5, 0.3)):
+        measure = circle_jump_measure(A=A, B=B, jump_param=t0)
+        points = (measure.z0, 0.5 + 0.2j)
+        oracle = _szego_kernel_prefix(A, B, t0, 512, points)
+        for z, K in zip(points, oracle):
+            result = run_sweep(measure, z=z, schedule=geometric_schedule(8, 512))
+            assert result.stages["route"] == "gram"
+            for row in result.rows:
+                want = 1.0 / K[row.n]
+                assert abs(row.lambda_n - want) <= 1e-13 * want, (A, B, z,
+                                                                  row.n)
+
+
+def _level_measure(N, coeffs, jump):
+    """A circle jump measure (N = 1), or one pulled back through a T of
+    degree N with the given lower coefficients and a real leading one of at
+    least 1/2."""
+    if N == 1:
+        (a, b), (r, _) = coeffs[0], coeffs[1]
+        return circle_jump_measure(radius=0.5 + abs(r), center=complex(a, b),
+                                   jump_param=jump, z0=None)
+    c = [complex(*ab) for ab in coeffs[:N]]
+    lead = 0.5 + abs(c[-1])
+    poly = ComplexPolynomial(c[:N] + [lead])
+    return lemniscate_pullback_measure(poly, jump_param=jump)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]),
+       coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=3, max_size=3),
+       jump=st.floats(0.0, 2 * math.pi), n=st.integers(1, 40),
+       arg=st.floats(0.0, 2 * math.pi), level=st.sampled_from([1.0, 0.5, 1.6]))
+def test_block_levinson_matches_arnoldi(N, coeffs, jump, n, arg, level):
+    # circles and lemniscates of degree 2 and 3, kept 1e-3 away from a
+    # pinch, at any degree (a multiple of N or not); z on the curve
+    # (|T| = 1), inside it (|T| = 0.5) or outside (|T| = 1.6)
+    measure = _level_measure(N, coeffs, jump)
+    poly = measure.support.level_polynomial
+    critical = poly.derivative()
+    if critical.degree >= 1:
+        values = np.abs(poly(np.roots(critical.coeffs[::-1])))
+        assume(np.min(np.abs(values - 1.0)) >= 1e-3)
+    z = complex(preimages(poly, level * cmath.exp(1j * arg))[0])
+    rule = build_rule(measure, n)
+    want = kernel_prefix(orthonormalize(rule, n), z)
+    got, residual, route = support_prefix(rule, measure.support, n, z)
+    assert route == "gram"
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    assert residual < 1e-13
+
+
+def test_certificate_keeps_a_bounded_spread():
+    # every 32nd polynomial up to degree 512, then 16 spread over the
+    # degrees, and always the last one reached
+    assert christoffel_mod._certified(512, 512) == list(range(0, 513, 32))
+    assert christoffel_mod._certified(8, 8) == [0, 8]
+    assert christoffel_mod._certified(8192, 8192) == list(range(0, 8193, 512))
+    assert christoffel_mod._certified(2047, 2047)[-2:] == [1920, 2047]
+    assert len(christoffel_mod._certified(2047, 2047)) == 17
+    assert christoffel_mod._certified(512, 70) == [0, 32, 64, 70]
+
+
+def test_power_table_is_sized_to_the_call():
+    # rows e^{i p theta} for p < min(GRAM_BLOCK, limit), each block shifted
+    # by e^{i lo theta}, against the exponentials themselves
+    theta = np.linspace(0.0, 2 * math.pi, 7, endpoint=False)
+    for limit in (1, 5, 64, 200):
+        blocks = list(christoffel_mod._power_blocks(theta, limit)(limit))
+        assert len(blocks[0][1]) == min(christoffel_mod.GRAM_BLOCK, limit)
+        for lo, P, shift in blocks:
+            p = lo + np.arange(len(P))
+            want = np.exp(1j * np.multiply.outer(p, theta))
+            assert np.max(np.abs(P * shift - want)) <= 1e-13
+        assert sum(len(P) for _, P, _ in blocks) == limit
+
+
+def test_uncertified_route_is_numeric_error(monkeypatch):
+    # kernel lambda_n refuses a route whose orthonormality residual is above
+    # CERTIFY_TOL and accepts one at it
+    real = christoffel_mod.support_prefix
+    measure = circle_jump_measure()
+    for residual in (2e-10, float("nan")):
+        monkeypatch.setattr(christoffel_mod, "support_prefix",
+                            lambda *args: (real(*args)[0], residual, "gram"))
+        with pytest.raises(NumericError, match="residual"):
+            christoffel_lambda(measure, 8)
+    monkeypatch.setattr(christoffel_mod, "support_prefix",
+                        lambda *args: (real(*args)[0], 1e-10, "gram"))
+    assert christoffel_lambda(measure, 8).lambda_n > 0
+
+
 def test_recurrence_breakdown_matches_arnoldi():
     # four circle nodes and three interval nodes support degrees 3 and 2;
     # the circle takes the Gram route, which gives kernels, not values
@@ -262,6 +415,27 @@ def test_recurrence_breakdown_matches_arnoldi():
         if route == "recurrence":
             values, _ = recurrence_values(rule, support, 6, z)
             assert np.max(np.abs(values - partial.evaluate(z))) <= 1e-13
+
+
+def test_block_levinson_breakdown_matches_arnoldi():
+    # K nodes on |z^N| = 1 carry degree K - 1: the route stops at the same
+    # degree as Arnoldi, at the first (K = 8, 9) or a later (K = 7) pivot of
+    # a block, or at an exactly singular block (K < N), and agrees with the
+    # partial basis there
+    z = 0.3 + 0.4j
+    for K, N in ((8, 2), (7, 2), (9, 3), (2, 3), (1, 2)):
+        nodes = np.exp(2j * math.pi * (np.arange(K) + 0.3) / K)
+        rule = QuadratureRule(nodes=nodes, weights=np.linspace(0.5, 1.5, K),
+                              params=np.angle(nodes ** N), max_exact_degree=24)
+        support = lemniscate_pullback_measure(
+            ComplexPolynomial([0] * N + [1])).support
+        with pytest.raises(DegeneracyError) as err:
+            orthonormalize(rule, 12)
+        prefix, residual, _ = support_prefix(rule, support, 12, z)
+        assert prefix.size - 1 == err.value.achieved_degree == K - 1
+        want = kernel_prefix(err.value.basis, z)
+        assert np.max(np.abs(prefix - want) / want) <= 1e-13
+        assert residual < 1e-13
 
 
 @pytest.mark.parametrize("name", [p.stem for p in sorted(

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import xlab.christoffel as christoffel_mod
 import xlab.cli as cli_mod
 from xlab.cli import EQUILIBRIUM_CSV_HEADER, main
 from xlab.errors import NumericError
@@ -278,6 +279,17 @@ def test_numeric_error_exit_code(uniform_file, capsys, monkeypatch):
                  "--n", "3"])
     assert code == 3
     assert "numeric" in capsys.readouterr().err.lower()
+
+
+def test_uncertified_route_exit_code(circle_file, capsys, monkeypatch):
+    # a route whose orthonormality residual is above CERTIFY_TOL
+    real = christoffel_mod.support_prefix
+    monkeypatch.setattr(christoffel_mod, "support_prefix",
+                        lambda *args: (real(*args)[0], 1e-9, "gram"))
+    code = main(["lambda", "--measure", circle_file, "--z", "auto-jump",
+                 "--n", "8"])
+    assert code == 3
+    assert "orthonormality residual" in capsys.readouterr().err
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -204,6 +204,23 @@ def test_run_sweep_recurrence_breaks_down_on_few_nodes(monkeypatch):
     assert result.stages["achieved_degree"] == 3
 
 
+def test_run_sweep_fails_every_row_on_an_uncertified_route(monkeypatch):
+    # a residual above CERTIFY_TOL (or nan) fails every row with a note; one
+    # at CERTIFY_TOL passes
+    real = sweep_mod.support_prefix
+    for residual in (2e-10, float("nan"), 1e-10):
+        monkeypatch.setattr(sweep_mod, "support_prefix",
+                            lambda *args: (real(*args)[0], residual, "gram"))
+        result = run_sweep(circle_jump_measure(), schedule=[4, 8, 16])
+        assert result.stages["residual_max"] is residual
+        for row in result.rows:
+            if residual <= 1e-10:
+                assert row.ok and row.note == ""
+            else:
+                assert not row.ok and math.isnan(row.lambda_n)
+                assert row.note.startswith("orthonormality residual")
+
+
 def test_sweep_csv_deterministic(tmp_path):
     measure = circle_jump_measure()
     a = run_sweep(measure, schedule=[8, 12, 16])
