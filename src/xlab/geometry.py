@@ -1,12 +1,15 @@
 """Supports for measures: intervals, circles, ellipses, polynomial lemniscates.
 
-Every support is described by a list of smooth parametrized arcs.  For a
-polynomial lemniscate sigma = {z : |T(z)| = 1} = T^{-1}(unit circle) the arcs
-come from carrying the fiber T^{-1}(exp(i*theta)) once around the circle and
-are parametrized by the continuous image angle theta, meaning
-T(z(theta)) = exp(i*theta).  In that parametrization a jump of
-a circle weight at angle t0 pulls back to parameter jumps at t0 mod 2*pi on
-every component, which is what the measure layer relies on.
+Every support is a list of smooth arcs, each given by one callable that
+returns points and velocities together.  Circles and ellipses share the
+closed form c + e^{i rotation}(a cos t + i b sin t), with a = b = radius on
+a circle.  For a polynomial lemniscate sigma = {z : |T(z)| = 1} =
+T^{-1}(unit circle) the arcs come from carrying the fiber
+T^{-1}(exp(i*theta)) once around the circle and are parametrized by the
+continuous image angle theta, meaning T(z(theta)) = exp(i*theta).  In that
+parametrization a jump of a circle weight at angle t0 pulls back to
+parameter jumps at t0 mod 2*pi on every component, which is what the
+measure layer relies on.
 
 The fiber is carried by predictor-corrector continuation in at most
 TURN_STEPS steps per turn.  A step is accepted only if no corrector moves a
@@ -72,29 +75,27 @@ class ComplexPolynomial:
 class ArcParametrization:
     """One smooth arc of a support.
 
-    ``point`` maps parameter values to points in the plane, ``velocity`` is
-    its derivative; both accept scalars or numpy arrays.  For lemniscate
-    components the parameter is the continuous angle of T(z) and ``winding``
-    counts how many times T covers the image circle along the component.
+    ``point_velocity`` maps parameters (scalars or numpy arrays) to the
+    arc's points and their derivatives in one evaluation; ``point`` and
+    ``velocity`` read its halves.  For lemniscate components the parameter
+    is the continuous angle of T(z) and ``winding`` counts how many times T
+    covers the image circle along the component.
     """
 
-    point: object
-    velocity: object
+    point_velocity: object
     t_lo: float
     t_hi: float
     winding: int = None
-    # (point, velocity) from one evaluation, for arcs that can share the work
-    _jet: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def span(self):
         return self.t_hi - self.t_lo
 
-    def point_velocity(self, t):
-        """``(point(t), velocity(t))``; a lemniscate arc solves each point once."""
-        if self._jet is not None:
-            return self._jet(t)
-        return self.point(t), self.velocity(t)
+    def point(self, t):
+        return self.point_velocity(t)[0]
+
+    def velocity(self, t):
+        return self.point_velocity(t)[1]
 
 
 def arc_length(arc):
@@ -190,30 +191,20 @@ def parametrize(support):
     kind = support.kind
     if kind == "interval":
         a, b = support.interval
-        arcs = [ArcParametrization(
-            point=lambda t: np.asarray(t, dtype=complex),
-            velocity=lambda t: np.ones_like(np.asarray(t, dtype=complex)),
-            t_lo=a, t_hi=b)]
-    elif kind == "circle":
-        c, r = support.center, support.radius
-        arcs = [ArcParametrization(
-            point=lambda t, c=c, r=r: c + r * np.exp(1j * np.asarray(t, dtype=float)),
-            velocity=lambda t, r=r: 1j * r * np.exp(1j * np.asarray(t, dtype=float)),
-            t_lo=0.0, t_hi=2.0 * math.pi)]
-    elif kind == "ellipse":
-        a, b = support.axes
+        arcs = [ArcParametrization(lambda t: (np.asarray(t, dtype=complex),
+                                              np.ones(np.shape(t), complex)),
+                                   t_lo=a, t_hi=b)]
+    elif kind in ("circle", "ellipse"):
+        a, b = support.axes or (support.radius, support.radius)
         c, rot = support.center, cmath.exp(1j * support.rotation)
 
-        def _pt(t, a=a, b=b, c=c, rot=rot):
+        def conic(t):
             t = np.asarray(t, dtype=float)
-            return c + rot * (a * np.cos(t) + 1j * b * np.sin(t))
+            cos, sin = np.cos(t), np.sin(t)
+            return (c + rot * (a * cos + 1j * b * sin),
+                    rot * (-a * sin + 1j * b * cos))
 
-        def _vel(t, a=a, b=b, rot=rot):
-            t = np.asarray(t, dtype=float)
-            return rot * (-a * np.sin(t) + 1j * b * np.cos(t))
-
-        arcs = [ArcParametrization(point=_pt, velocity=_vel, t_lo=0.0,
-                                   t_hi=2.0 * math.pi)]
+        arcs = [ArcParametrization(conic, t_lo=0.0, t_hi=2.0 * math.pi)]
     elif kind == "lemniscate":
         arcs = trace_lemniscate(support.poly)
     else:
@@ -276,30 +267,21 @@ def _image_newton(poly, dpoly, z, w_target):
     return z - f / dpoly(z)
 
 
-def _component_arc(poly, dpoly, theta0, grid_z, winding):
-    """Arc parametrized by the image angle, evaluated by Newton refinement."""
+def _component_arc(poly, dpoly, grid_z, winding):
+    """Arc of the image angle from 0, by Newton solves from its grid."""
     samples = grid_z.size
-    span = 2.0 * math.pi * winding
-    dt = span / samples
+    dt = 2.0 * math.pi * winding / samples
 
-    def _solve(theta, poly=poly, dpoly=dpoly, theta0=theta0, dt=dt,
-               grid=grid_z, samples=samples):
+    def point_velocity(theta):
         theta = np.asarray(theta, dtype=float)
-        shape = theta.shape
         th = np.atleast_1d(theta)
-        idx = np.mod(np.round((th - theta0) / dt).astype(int), samples)
-        z = _image_newton(poly, dpoly, grid[idx], np.exp(1j * th))
-        return z.reshape(shape)
-
-    def _jet(theta, dpoly=dpoly, solve=_solve):
-        theta = np.asarray(theta, dtype=float)
-        z = solve(theta)
+        idx = np.mod(np.round(th / dt).astype(int), samples)
+        z = _image_newton(poly, dpoly, grid_z[idx], np.exp(1j * th))
+        z = z.reshape(theta.shape)
         return z, 1j * np.exp(1j * theta) / dpoly(z)
 
-    arc = ArcParametrization(point=_solve, velocity=lambda theta: _jet(theta)[1],
-                             t_lo=theta0, t_hi=theta0 + span, winding=winding)
-    arc._jet = _jet
-    return arc
+    return ArcParametrization(point_velocity, t_lo=0.0,
+                              t_hi=2.0 * math.pi * winding, winding=winding)
 
 
 def _fiber_gap(z):
@@ -391,7 +373,7 @@ def trace_lemniscate(poly):
         while perm[cycle[-1]] != i:
             cycle.append(int(perm[cycle[-1]]))
         seen[cycle] = True
-        arcs.append(_component_arc(poly, dpoly, 0.0, tracks[cycle].ravel(),
+        arcs.append(_component_arc(poly, dpoly, tracks[cycle].ravel(),
                                    len(cycle)))
     return arcs
 
@@ -409,20 +391,13 @@ def project_to_support(support, z):
         if abs(z.imag) > tol or z.real < a - tol or z.real > b + tol:
             raise DomainError(f"{z} is not on the interval [{a}, {b}]")
         return 0, min(max(z.real, a), b), complex(min(max(z.real, a), b))
-    if support.kind == "circle":
-        c, r = support.center, support.radius
-        if abs(abs(z - c) - r) > tol:
-            raise DomainError(f"{z} is not on the circle")
-        t = math.atan2((z - c).imag, (z - c).real) % (2.0 * math.pi)
-        point = c + r * cmath.exp(1j * t)
-        return 0, t, point
-    if support.kind == "ellipse":
-        a, b = support.axes
+    if support.kind in ("circle", "ellipse"):
+        a, b = support.axes or (support.radius, support.radius)
         zeta = (z - support.center) * cmath.exp(-1j * support.rotation)
         t = math.atan2(zeta.imag / b, zeta.real / a) % (2.0 * math.pi)
         point = complex(arcs[0].point(t))
         if abs(point - z) > tol:
-            raise DomainError(f"{z} is not on the ellipse")
+            raise DomainError(f"{z} is not on the {support.kind}")
         return 0, t, point
     # lemniscate; parametrize has already rejected unknown kinds
     w = complex(support.poly(z))

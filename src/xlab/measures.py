@@ -202,18 +202,27 @@ def density_at(measure, t, arc_index=0):
 
 
 def jump_limits(measure):
-    """One-sided density limits (left, right) at the measure's z0."""
+    """One-sided density limits (left, right) at the measure's z0.
+
+    The seam of a closed arc, where [t_lo, t_hi) wraps around, is a switch
+    point of a non-constant smooth factor: there the left side reads it at
+    t_hi and the right side at t_lo.
+    """
     arc_index, t, _ = measure.z0_location()
     weight = measure.weight
     snapped = weight.snap_to_jump(t) if isinstance(weight, JumpWeight) else None
-    if snapped is None:
-        v = float(density_at(measure, t, arc_index))
-        return v, v
-    sides = np.array([weight.A, weight.B])
-    if (weight.period is not None
-            and round((snapped - weight.jump_param) / (0.5 * weight.period)) % 2):
-        sides = sides[::-1]  # the antipode switches from B back to A
-    left, right = _with_arcsine(measure, snapped, measure.smooth(snapped) * sides)
+    sides = weight.value([t, t])
+    if snapped is not None:
+        t, sides = snapped, np.array([weight.A, weight.B])
+        if (weight.period is not None
+                and round((snapped - weight.jump_param) / (0.5 * weight.period)) % 2):
+            sides = sides[::-1]  # the antipode switches from B back to A
+    arc = parametrize(measure.support)[arc_index]
+    params = np.array([t, t])
+    if (measure.support.kind != "interval"
+            and min(abs(t - arc.t_lo), abs(arc.t_hi - t)) < JUMP_SNAP_TOL):
+        params = np.array([arc.t_hi, arc.t_lo])
+    left, right = _with_arcsine(measure, params, measure.smooth(params) * sides)
     return float(left), float(right)
 
 

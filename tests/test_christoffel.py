@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.calculus.quadrature import GaussLegendre
 
 import xlab
 import xlab.christoffel as christoffel_mod
@@ -313,6 +314,73 @@ def test_run_sweep_szego_oracle_at_512():
                 want = 1.0 / K[row.n]
                 assert abs(row.lambda_n - want) <= 1e-13 * want, (A, B, z,
                                                                   row.n)
+
+
+def _ellipse_gram_lambda(a, b, A, B, t0, ns, zs):
+    """{(n, z): lambda_n(z)} of the jump measure on the ellipse
+    a cos t + i b sin t, with weight B on [t0, t0 + pi] and A on the rest.
+
+    Shares no code with the pipeline.  At 50 digits, mpmath's Gauss-Legendre
+    rule of degree 5 (48 points) on two panels of each jump-free segment
+    gives 192 nodes z and weights w times the arc speed; the monomial Gram
+    matrix G[j, k] = sum w z^j conj(z^k), by an LU factor of each leading
+    block, gives 1 / lambda_n(z) = v* G^{-1} v with v = (1, z, ..., z^n).
+    """
+    with mp.workdps(50):
+        gauss = GaussLegendre(mp)
+        a, b, half = mp.mpf(a), mp.mpf(b), mp.pi / 2
+        z, w = [], []
+        for lo, value in ((t0, B), (t0 + half, B), (t0 + 2 * half, A),
+                          (t0 + 3 * half, A)):
+            for t, weight in gauss.get_nodes(lo, lo + half, 5, mp.prec):
+                c, s = mp.cos(t), mp.sin(t)
+                z.append(mp.mpc(a * c, b * s))
+                w.append(value * weight * mp.sqrt((a * s) ** 2 + (b * c) ** 2))
+        powers = [[mp.mpc(1)] * len(z)]
+        for _ in range(max(ns)):
+            powers.append([p * x for p, x in zip(powers[-1], z)])
+        weighted = [[wi * p for wi, p in zip(w, row)] for row in powers]
+        conjugate = [[mp.conj(p) for p in row] for row in powers]
+        G = mp.matrix(max(ns) + 1)
+        for j in range(max(ns) + 1):
+            for k in range(j, max(ns) + 1):
+                G[j, k] = mp.fdot(weighted[j], conjugate[k])
+                G[k, j] = mp.conj(G[j, k])
+        out = {}
+        for n in ns:
+            LU, perm = mp.LU_decomp(G[:n + 1, :n + 1])
+            for zk in zs:
+                v = mp.matrix([mp.mpc(zk) ** j for j in range(n + 1)])
+                y = mp.U_solve(LU, mp.L_solve(LU, v, perm))
+                K = mp.fsum(mp.conj(v[j]) * y[j] for j in range(n + 1))
+                out[n, zk] = float(1 / mp.re(K))
+        return out
+
+
+# the arc speed of a cos t + i b sin t has branch points atanh(b/a) off the
+# real t axis, 0.100 for b/a = 0.1, which equal panels do not resolve at
+# small n: kernel and Arnoldi agree there, and both are 5.3e-8 off
+FLAT_ELLIPSE = pytest.mark.xfail(strict=True, reason="equal panels miss the "
+                                 "arc speed's branch points near the axis")
+
+
+@pytest.mark.parametrize("a, b, ns, points", [
+    pytest.param(1.25, 0.75, (4, 12, 24), ("z0", 0.3 + 0.2j, 2.0 + 1.0j),
+                 id="ellipse"),
+    pytest.param(1.0, 0.1, (4,), (2.0 + 1.0j,), id="flat-ellipse",
+                 marks=FLAT_ELLIPSE)])
+def test_ellipse_gram_oracle(a, b, ns, points):
+    # the Gram route through the sweep and through kernel lambda, at z0, and
+    # inside and outside the curve, against the 50-digit monomial Gram
+    measure = ellipse_jump_measure(a, b)
+    zs = [measure.z0 if z == "z0" else z for z in points]
+    oracle = _ellipse_gram_lambda(a, b, 2.0, 1.0, 0.0, ns, zs)
+    for z in zs:
+        for row in run_sweep(measure, z=z, schedule=list(ns)).rows:
+            want = oracle[row.n, z]
+            kernel = christoffel_lambda(measure, row.n, z=z).lambda_n
+            for got in (row.lambda_n, kernel):
+                assert abs(got - want) <= 1e-13 * want, (row.n, z)
 
 
 def _level_measure(N, coeffs, jump):

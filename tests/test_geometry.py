@@ -78,14 +78,42 @@ def test_trace_two_component_lemniscate():
         assert np.max(np.abs(np.abs(poly(arc.point(ts))) - 1.0)) < 1e-8
 
 
-def test_velocity_matches_finite_difference():
-    arcs = parametrize(SupportSpec.make_lemniscate(
-        ComplexPolynomial([-4.0, 0.0, 1.0])))
-    arc = arcs[0]
+@pytest.mark.parametrize("support", [
+    SupportSpec.make_interval(-0.5, 2.0),
+    SupportSpec.make_circle(radius=1.7, center=0.3 - 0.2j),
+    SupportSpec.make_ellipse(0.7, 1.3, rotation=0.4),
+    SupportSpec.make_lemniscate(ComplexPolynomial([-4.0, 0.0, 1.0]))],
+    ids=["interval", "off-centre-circle", "rotated-tall-ellipse", "lemniscate"])
+def test_velocity_matches_finite_difference(support):
+    # one callable gives both halves: point and velocity read it bit for bit
+    arc = parametrize(support)[0]
     h = 1e-6
-    for t in (0.5, 2.0, 4.4):
+    ts = arc.t_lo + np.array([0.1, 0.4, 0.7]) * arc.span
+    for t in (*ts, ts):
+        z, v = arc.point_velocity(t)
+        assert np.array_equal(z, arc.point(t))
+        assert np.array_equal(v, arc.velocity(t))
+        assert np.shape(z) == np.shape(v) == np.shape(t)
+    for t in ts:
         fd = (complex(arc.point(t + h)) - complex(arc.point(t - h))) / (2 * h)
         assert abs(fd - complex(arc.velocity(t))) < 1e-6
+
+
+def test_circle_is_the_round_ellipse():
+    # circles and ellipses share one closed form, so a circle of radius r
+    # and the ellipse with both semi-axes r agree bit for bit
+    r, c = 1.7, 0.3 - 0.2j
+    circle = SupportSpec.make_circle(radius=r, center=c)
+    ellipse = SupportSpec.make_ellipse(r, r, center=c)
+    ts = np.linspace(0.0, 2.0 * math.pi, 61)
+    (arc,), (round_arc,) = parametrize(circle), parametrize(ellipse)
+    for got, want in zip(arc.point_velocity(ts), round_arc.point_velocity(ts)):
+        assert np.array_equal(got, want)
+    for z in arc.point(ts[:-1]) + 1e-10 * np.exp(0.3j * np.arange(60)):
+        assert project_to_support(circle, z) == project_to_support(ellipse, z)
+    for support in (circle, ellipse):
+        with pytest.raises(DomainError, match=support.kind):
+            project_to_support(support, c + 1.01 * r)
 
 
 def _assert_image_angle_arcs(poly, arcs):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import xlab.sweep as sweep_mod
 from xlab.christoffel import (christoffel_lambda, kernel_diag, kernel_prefix,
                               orthonormalize)
+from xlab.equilibrium import equilibrium_density
 from xlab.errors import DomainError, InputError
 from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
                            preimages)
@@ -57,6 +58,25 @@ def test_predicted_limit_scaling():
     for c in (0.5, 2.0, 10.0):
         assert predicted_limit(m.scaled(c)) == pytest.approx(c * base,
                                                              rel=1e-12)
+
+
+def test_seam_of_a_closed_arc_is_a_jump_of_the_smooth_factor():
+    # w0(t) = 1 + 0.1 t differs at the two ends of [0, 2 pi): at z0 on the
+    # seam the left side reads w0(2 pi) and the right side w0(0).  On the
+    # ellipse the weight switches there too (A on the left, B on the right);
+    # on the circle, z0 = 1 lies inside the A segment
+    w0 = SmoothFactor([1.0, 0.1])
+    ellipse = ellipse_jump_measure(1.25, 0.75, smooth=w0)
+    circle = circle_jump_measure(smooth=w0, z0=1.0)
+    end = 2.0 * math.pi
+    for measure, left, right in ((ellipse, 2.0 * w0(end), 1.0 * w0(0.0)),
+                                 (circle, 2.0 * w0(end), 2.0 * w0(0.0))):
+        density = equilibrium_density(measure.support)(measure.z0)
+        want = jump_factor(left, right) / density
+        assert abs(predicted_limit(measure) - want) <= 1e-12 * want
+    result = run_sweep(ellipse, schedule=geometric_schedule(32, 512))
+    want = predicted_limit(ellipse)
+    assert abs(extrapolate(result) - want) <= 0.05 * want
 
 
 def test_geometric_schedule():
