@@ -9,10 +9,10 @@ the Stieltjes recurrence, and on ellipses, circles and lemniscates
 the rule.  On a lemniscate |T| = 1 that matrix is block Toeplitz, and the
 block Levinson recursion factors it in O(n^2 deg T + n m) for m nodes; a
 circle |z - c| = r is the lemniscate of T(z) = (z - c)/r, of degree 1.  Only
-the ellipse's Toeplitz-plus-Hankel matrix takes a Cholesky factor, in
-O(n^3).  Both routes certify the orthonormality of a few of their
-polynomials at the nodes, and a residual above CERTIFY_TOL refuses the
-result.  Sweeps and kernel ``christoffel_lambda`` calls take this route.
+the ellipse's matrix, Toeplitz plus a Hankel border a few dozen wide, takes
+a Cholesky factor, in O(n^3).  Both routes certify the orthonormality of a
+few of their polynomials at the nodes, and a residual above CERTIFY_TOL
+refuses the result.  Sweeps and kernel ``christoffel_lambda`` calls take this route.
 
 Where node values are needed (``method="direct"``, an explicit ``basis``,
 ``OrthoBasis`` itself) the basis p_0, ..., p_n orthonormal under a
@@ -50,6 +50,10 @@ GRAM_BLOCK = 64        # rows or columns per block product (certificates, Choles
 CERTIFY_STRIDE = 32    # the certificate keeps every CERTIFY_STRIDE-th polynomial,
 CERTIFY_COUNT = 16     # and no more than CERTIFY_COUNT + 1 (see _certified)
 CERTIFY_TOL = 1e-10    # certificate residual above which a result is refused
+# r^k below which the ellipse's Gram matrix and certificate drop phi_k's
+# (r/e)^k half: a dropped term is below 2^-64 mu_0, 2^-11 of the rounding
+# error of G's diagonal, about 2^-53 mu_0
+HANKEL_CUT = 2.0 ** -64
 
 
 class OrthoBasis:
@@ -310,31 +314,34 @@ def recurrence_values(rule, support, degree, z):
     if support.kind != "interval":
         raise CapabilityError(f"no recurrence for {support.kind} supports")
     w, t, z = rule.weights, rule.nodes.real, complex(z)
-    norm = lambda v: math.sqrt(float(np.dot(w, v * v)))
-
-    p = np.full(t.size, 1.0 / math.sqrt(float(w.sum())))
-    p_prev, beta, q_prev = np.zeros_like(p), 0.0, 0j
-    values, kept, keep = [complex(p[0])], [p], set(_certified(degree, degree))
+    # the recurrence runs on q_k = sqrt(w) p_k at the nodes, so every inner
+    # product is a plain dot; v = t q_k - beta q_{k-1} - a q_k, and the
+    # three buffers rotate without an array allocated per step
+    p0 = 1.0 / math.sqrt(float(w.sum()))
+    q, q_prev, v = np.sqrt(w) * p0, np.zeros_like(w), np.empty_like(w)
+    beta, pz_prev = 0.0, 0j
+    values, kept, keep = [complex(p0)], [q.copy()], set(_certified(degree, degree))
     for k in range(degree):
-        v = t * p
-        scale = norm(v)
-        v -= beta * p_prev
-        a = float(np.dot(w * v, p))
-        v -= a * p
-        nrm = norm(v)
+        np.multiply(t, q, out=v)
+        scale = math.sqrt(float(np.dot(v, v)))
+        q_prev *= beta
+        v -= q_prev
+        a = float(np.dot(v, q))
+        v -= np.multiply(a, q, out=q_prev)
+        nrm = math.sqrt(float(np.dot(v, v)))
         if not math.isfinite(nrm) or nrm <= BREAKDOWN_REL * scale:
             break
-        q = values[-1]
-        q, q_prev = (z * q - beta * q_prev - a * q) / nrm, q
-        p_prev, beta = p, nrm
-        p = v / nrm
-        values.append(q)
+        pz = values[-1]
+        values.append((z * pz - beta * pz_prev - a * pz) / nrm)
+        pz_prev, beta = pz, nrm
+        v /= nrm
+        q_prev, q, v = q, v, q_prev
         if k + 1 in keep:
-            kept.append(p)
-    if kept[-1] is not p:
-        kept.append(p)
+            kept.append(q.copy())
+    if len(values) - 1 not in keep:
+        kept.append(q.copy())
     K = np.array(kept)
-    G = K @ (w * K).T - np.eye(len(kept))
+    G = K @ K.T - np.eye(len(kept))
     return np.array(values), float(np.abs(G).max())
 
 
@@ -352,13 +359,16 @@ def gram_prefix(rule, support, degree, z):
     O(degree^2 N + degree m) for m nodes, and on the circle it is the scalar
     Szegő recursion.  On an ellipse with ``joukowski_frame`` axes a >= b,
     phi_k = e^k + (r/e)^k with e the exterior variable, e^{i theta} at the
-    nodes, and r = (a-b)/(a+b): G is Toeplitz plus Hankel, and its Cholesky
-    factor G = R^H R, bordered by phi(z), gives p(z) = R^{-H} phi(z) in
-    O(degree^3).  Either factor stops before its first pivot below
-    BREAKDOWN_REL of its diagonal entry of G.  Returns (prefix, residual):
-    K_n(z) up to the degree where the factor breaks down, and the residual
-    that ``recurrence_values`` reports, for the polynomials p_k at the nodes,
-    each summed from its coefficients only up to its own degree.
+    nodes, and r = (a-b)/(a+b): G is Toeplitz plus a Hankel border, its
+    first K rows and columns, K the number of r^k that reach HANKEL_CUT
+    (33 at r = 1/4, 1 on a round ellipse), so it takes moments only to
+    degree + K; its Cholesky factor G = R^H R, bordered by phi(z), gives
+    p(z) = R^{-H} phi(z) in O(degree^3).  Either factor stops before its
+    first pivot below BREAKDOWN_REL of its diagonal entry of G.  Returns
+    (prefix, residual): K_n(z) up to the degree where the factor breaks
+    down, and the residual that ``recurrence_values`` reports, for the
+    polynomials p_k at the nodes, each summed from its coefficients only up
+    to its own degree.
     """
     _check_degree(rule, degree)
     z, w, n = complex(z), rule.weights, degree
@@ -372,36 +382,43 @@ def gram_prefix(rule, support, degree, z):
 
     if support.kind == "ellipse":
         c, rho, a, b = support.joukowski_frame
-        powers = _power_blocks(rule.params + support.rotation - rho, 2 * n + 1)
+        q = np.arange(n + 1)
+        r = ((a - b) / (a + b)) ** q
+        K = int(np.count_nonzero(r >= HANKEL_CUT))  # width of the Hankel border
+        r = r[:K]
+        powers = _power_blocks(rule.params + support.rotation - rho, n + K)
         f = math.sqrt((a - b) * (a + b))
         u = (z - c) * complex(math.cos(rho), -math.sin(rho))
         root = np.sqrt(u - f) * np.sqrt(u + f)
         # phi_k = e^k + e'^k with e e' = r, whichever branch e takes
-        q = np.arange(n + 1)
         phi = ((u + root) / (a + b)) ** q + ((u - root) / (a + b)) ** q
-        r = ((a - b) / (a + b)) ** q
-        mu = np.concatenate([P @ (shift * w) for _, P, shift in powers(2 * n + 1)])
-        mu = np.concatenate([np.conjugate(mu[:0:-1]), mu])  # p = -2n .. 2n
-        # G = T + r_j r_k conj(T) + r_k H + r_j conj(H), with T[j, k] = mu_{j-k}
-        # and H[j, k] = mu_{j+k} strided views of mu; r_j conj(H) = (r_k H)^H
-        W = np.lib.stride_tricks.sliding_window_view(mu, n + 1)
-        T, H = W[n:2 * n + 1, ::-1], W[2 * n:]
-        G = np.conjugate(T) * np.multiply.outer(r, r)
-        G += T
-        X = H * r
-        G += X
-        G += np.conjugate(X.T)
-        R, p = _bordered_cholesky(G, phi)
+        mu = np.concatenate([P @ (shift * w) for _, P, shift in powers(n + K)])
+        # G = T + r_k H + r_j conj(H) + r_j r_k conj(T) with T[j, k] = mu_{j-k}
+        # and H[j, k] = mu_{j+k} strided views of mu; r_j conj(H) = (r_k H)^H,
+        # and only the first K columns of r_k H reach HANKEL_CUT
+        window = np.lib.stride_tricks.sliding_window_view
+        T = window(np.concatenate([np.conjugate(mu[n:0:-1]), mu[:n + 1]]),
+                   n + 1)[:, ::-1]
+        X = window(mu, K)[:n + 1] * r
+        A = np.empty((n + 1, n + 2), dtype=complex)  # G bordered by phi(z)
+        A[:, :n + 1], A[:, n + 1] = T, phi
+        A[:, :K] += X
+        A[:K, :n + 1] += np.conjugate(X.T)
+        A[:K, :K] += np.conjugate(T[:K, :K]) * np.multiply.outer(r, r)
+        R, p = _bordered_cholesky(A)
         keep = _certified(n, p.size - 1)
-        Y = np.eye(p.size, dtype=complex)[:, keep]  # to become columns of R^{-1}
+        Y = np.zeros((p.size, len(keep)), dtype=complex)  # to become
+        Y[keep, np.arange(len(keep))] = 1.0                # columns of R^{-1}
         for lo in reversed(range(0, p.size, GRAM_BLOCK)):
             hi = lo + GRAM_BLOCK
-            Y[lo:hi] = np.linalg.inv(R[lo:hi, lo:hi]) @ (Y[lo:hi] - R[lo:hi, hi:] @ Y[hi:])
+            Y[lo:hi] = np.linalg.inv(np.triu(R[lo:hi, lo:hi])) @ (
+                Y[lo:hi] - R[lo:hi, hi:] @ Y[hi:])
         C = np.conjugate(Y.T)  # row i: p_{keep[i]} in the phi_k
-        # sum_k C[:, k] phi_k at the nodes, rows e^k and e'^k interleaved
-        halves = series(np.stack([C, np.conjugate(C * r[:p.size])], 1).reshape(
-            2 * len(keep), -1), np.repeat(np.add(keep, 1), 2))
-        Q = halves[0::2] + np.conjugate(halves[1::2])
+        # sum_k C[:, k] phi_k at the nodes: the e^k half, and the e'^k half
+        # over its first K columns
+        top, k = np.add(keep, 1), min(K, p.size)
+        Q = series(C, top) + np.conjugate(series(
+            np.conjugate(C[:, :k] * r[:k]), np.minimum(top, k)))
     elif (poly := support.level_polynomial) is not None:
         N = poly.degree
         s = -poly.coeffs[N - 1] / (N * poly.coeffs[N])
@@ -543,19 +560,21 @@ def _block_cholesky(D, X):
     return pivots, X
 
 
-def _bordered_cholesky(G, phi):
-    """Upper factor R of G = R^H R and R^{-H} phi, GRAM_BLOCK rows at a time,
-    both stopped before the first pivot below BREAKDOWN_REL of its diagonal
-    entry (a pivot's rounding error is about 1e-16 of that entry)."""
-    n = G.shape[0]
-    R = np.hstack([G, phi[:, None]])
+def _bordered_cholesky(A):
+    """Upper factor R of G = R^H R and R^{-H} phi for A = [G | phi],
+    factored in place GRAM_BLOCK rows at a time; below its diagonal the
+    returned R holds leftovers of the elimination, not zeros.  Both stop
+    before the first pivot below BREAKDOWN_REL of its diagonal entry of G
+    (a pivot's rounding error is about 1e-16 of that entry)."""
+    n = A.shape[0]
+    diag = A.diagonal().real.copy()
     for lo in range(0, n, GRAM_BLOCK):
         hi = min(lo + GRAM_BLOCK, n)
-        R[lo:hi, lo:] -= np.conjugate(R[:lo, lo:hi]).T @ R[:lo, lo:]
+        A[lo:hi, lo:] -= np.conjugate(A[:lo, lo:hi]).T @ A[:lo, lo:]
         for k in range(lo, hi):
-            R[k, k:] -= np.conjugate(R[lo:k, k]) @ R[lo:k, k:]
-            d = R[k, k].real
-            if not d > BREAKDOWN_REL * G[k, k].real:
-                return np.triu(R[:k, :k]), R[:k, n]
-            R[k, k:] /= math.sqrt(d)
-    return np.triu(R[:, :n]), R[:, n]
+            A[k, k:] -= np.conjugate(A[lo:k, k]) @ A[lo:k, k:]
+            d = A[k, k].real
+            if not d > BREAKDOWN_REL * diag[k]:
+                return A[:k, :k], A[:k, n]
+            A[k, k:] /= math.sqrt(d)
+    return A[:, :n], A[:, n]

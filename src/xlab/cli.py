@@ -5,6 +5,7 @@ error.  All file output is deterministic (floats are written with repr).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -91,7 +92,10 @@ def _cmd_verify(args):
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; ``main`` maps its
+    ``command`` to a ``_cmd_*`` function at each call."""
     parser = argparse.ArgumentParser(
         prog="xlab",
         description="Christoffel-function asymptotics on curves with "
@@ -103,7 +107,6 @@ def build_parser():
     p.add_argument("--z", required=True, help="re,im or auto-jump")
     p.add_argument("--n", required=True, type=int, help="polynomial degree")
     p.add_argument("--method", choices=("kernel", "direct"), default="kernel")
-    p.set_defaults(func=_cmd_lambda)
 
     p = sub.add_parser("sweep", help="sweep n lambda_n over a degree schedule")
     p.add_argument("--measure", required=True, help="measure-spec file")
@@ -114,13 +117,11 @@ def build_parser():
     p.add_argument("--extrapolate", action="store_true",
                    help="fit and report the extrapolated limit")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("equilibrium", help="sample the equilibrium density")
     p.add_argument("--measure", required=True, help="measure-spec file")
     p.add_argument("--samples", required=True, type=int)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_equilibrium)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
@@ -128,15 +129,15 @@ def build_parser():
                    help="override the suite's headline tolerance")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
-    p.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = {"lambda": _cmd_lambda, "sweep": _cmd_sweep,
+               "equilibrium": _cmd_equilibrium, "verify": _cmd_verify}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

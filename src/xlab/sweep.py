@@ -10,7 +10,9 @@ ellipses, circles and lemniscates the Gram matrix of a Faber-type basis
 gives the whole prefix: on circles and lemniscates, where it is block
 Toeplitz, by the block Levinson recursion in O(N^2 deg T + N m) for m nodes
 (a circle is the lemniscate of a degree-1 polynomial), and on ellipses by
-one Cholesky factor in O(N^3).
+one Cholesky factor in O(N^3) of a Toeplitz matrix plus a Hankel border K
+rows and columns wide, K the number of powers of r = (a - b)/(a + b) above
+2^-64 (33 on the standard ellipse), from moments to degree N + K.
 """
 
 import math

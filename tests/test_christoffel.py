@@ -383,6 +383,59 @@ def test_ellipse_gram_oracle(a, b, ns, points):
                 assert abs(got - want) <= 1e-13 * want, (row.n, z)
 
 
+@pytest.mark.parametrize("a, b, ns", [
+    pytest.param(1.25, 0.75, (48, 96, 300), id="standard"),  # border K = 33
+    pytest.param(1.0, 0.1, (48, 96), id="flat"),             # K = 222
+    pytest.param(0.9, 0.9, (48, 96), id="round"),            # K = 1
+    pytest.param(1.0, 2.0, (48, 96), id="tall")])            # K = 41
+def test_ellipse_gram_route_beyond_its_border(a, b, ns):
+    # the 50-digit oracle stops at n = 24, inside the Hankel border; beyond
+    # it (or with the whole matrix bordered) the route's prefix matches
+    # Arnoldi on the same rule, and its certificate stays at rounding level
+    measure = ellipse_jump_measure(a, b)
+    for n in ns:
+        rule = build_rule(measure, n)
+        basis = orthonormalize(rule, n)
+        for z in (measure.z0, 0.3 + 0.2j):
+            got, residual, _ = support_prefix(rule, measure.support, n, z)
+            want = kernel_prefix(basis, z)
+            assert np.max(np.abs(got - want) / want) <= 1e-13, (n, z)
+            assert residual <= 1e-14, (n, z)
+
+
+def test_certificate_refuses_a_wrong_gram_matrix(monkeypatch):
+    # conj(G) factored on the ellipse (residual 0.25) and conj(M) taken by
+    # block Levinson on a circle jump at t = 1 (9.0e-2) fail the
+    # certificate; the standard circle jump at t = pi/2 is symmetric under
+    # conjugation, so there the same mutation changes nothing
+    real_cholesky = christoffel_mod._bordered_cholesky
+    real_levinson = christoffel_mod._block_levinson
+
+    def conjugated_cholesky(A):
+        A[:, :-1] = np.conjugate(A[:, :-1])
+        return real_cholesky(A)
+
+    conjugated_levinson = lambda M, *args: real_levinson(np.conjugate(M), *args)
+    cases = ((ellipse_jump_measure(1.25, 0.75), "_bordered_cholesky",
+              conjugated_cholesky, 0.2),
+             (circle_jump_measure(jump_param=1.0), "_block_levinson",
+              conjugated_levinson, 5e-2))
+    for measure, name, wrong, floor in cases:
+        rule = build_rule(measure, 64)
+        with monkeypatch.context() as patch:
+            patch.setattr(christoffel_mod, name, wrong)
+            _, residual, _ = support_prefix(rule, measure.support, 64, measure.z0)
+            assert residual >= floor
+            with pytest.raises(NumericError, match="residual"):
+                christoffel_lambda(measure, 64)
+            rows = run_sweep(measure, schedule=[8, 32, 64]).rows
+            assert not any(row.ok for row in rows)
+    symmetric = circle_jump_measure()
+    rule = build_rule(symmetric, 64)
+    monkeypatch.setattr(christoffel_mod, "_block_levinson", conjugated_levinson)
+    assert support_prefix(rule, symmetric.support, 64, 1.0)[1] < 1e-14
+
+
 def _level_measure(N, coeffs, jump):
     """A circle jump measure (N = 1), or one pulled back through a T of
     degree N with the given lower coefficients and a real leading one of at

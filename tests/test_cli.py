@@ -305,3 +305,21 @@ def test_lambda_nodes_per_degree_is_usage_error(uniform_file, capsys):
               "--nodes-per-degree", "8"])
     assert exc.value.code == 2
     assert "--nodes-per-degree" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(uniform_file, tmp_path, capsys,
+                                     monkeypatch):
+    # one parser per process serves different subcommands in turn, and a
+    # command function patched after it was built still runs
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    lam = ["lambda", "--measure", uniform_file, "--z", "1,0", "--n", "4"]
+    assert main(lam) == 0
+    out = tmp_path / "eq.csv"
+    assert main(["equilibrium", "--measure", uniform_file, "--samples", "8",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 9
+    assert "n = 4" in capsys.readouterr().out
+    seen = []
+    monkeypatch.setattr(cli_mod, "_cmd_lambda",
+                        lambda args: seen.append(args.n) or 7)
+    assert main(lam) == 7 and seen == [4]
