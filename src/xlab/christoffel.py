@@ -26,9 +26,12 @@ The recorded Hessenberg recurrence
 
     H[k+1, k] * p_{k+1}(z) = z * p_k(z) - sum_{j <= k} H[j, k] * p_j(z)
 
-evaluates the basis anywhere in the plane.  The direct method integrates the
-reconstructed minimal polynomial instead of inverting the kernel, which
-checks the kernel against an independent computation.
+evaluates the basis anywhere in the plane.  H is stored row by row, column
+k of H as one contiguous row, and ``OrthoBasis.evaluate`` returns
+(n + 1,) + z.shape values, so one point takes a 1-D dot product per step.
+The direct method integrates the reconstructed minimal polynomial instead of
+inverting the kernel, which checks the kernel against an independent
+computation.
 """
 
 import math
@@ -61,10 +64,13 @@ class OrthoBasis:
 
     ``hessenberg`` has shape (degree + 2, degree + 1); column k holds the
     projection coefficients and the new norm produced while orthogonalizing
-    z * p_k.  ``norm_residuals[k]`` is the largest observed deviation of
-    <p_j, p_k> from the identity, a direct quality certificate of the basis.
-    ``reorthogonalized`` counts the steps that took a second Gram-Schmidt
-    pass.
+    z * p_k.  ``orthonormalize`` stores H row by row, so ``hessenberg`` is
+    the transpose of a C-contiguous array and ``evaluate`` reads each step's
+    coefficients from one contiguous row; ``evaluate`` returns
+    (n + 1,) + z.shape values.  ``norm_residuals[k]`` is the largest observed
+    deviation of <p_j, p_k> from the identity, a direct quality certificate
+    of the basis.  ``reorthogonalized`` counts the steps that took a second
+    Gram-Schmidt pass.
     """
 
     def __init__(self, degree, hessenberg, node_values, norm_residuals,
@@ -78,18 +84,27 @@ class OrthoBasis:
         self.reorthogonalized = reorthogonalized
 
     def evaluate(self, z, upto=None):
-        """Values p_0(z), ..., p_upto(z); columns follow the shape of z."""
-        n = self.degree if upto is None else int(upto)
+        """Values p_0(z), ..., p_upto(z), shaped (upto + 1,) + z.shape.
+
+        ``z`` is one point or a 1-D array of points; ``upto`` an integer
+        degree, the basis degree by default.
+        """
+        try:
+            n = self.degree if upto is None else operator.index(upto)
+        except TypeError:
+            raise InputError(f"upto must be an integer, not {upto!r}") from None
         if not 0 <= n <= self.degree:
             raise DomainError(f"degree {n} outside the basis range")
-        scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        P = np.empty((n + 1, zz.size), dtype=complex)
+        zz = np.asarray(z, dtype=complex)
+        if zz.ndim > 1:
+            raise InputError("z must be a point or a 1-D array of points")
+        P = np.empty((n + 1,) + zz.shape, dtype=complex)
         P[0] = 1.0 / math.sqrt(self.mass)
-        H = self.hessenberg
+        Ht = self.hessenberg.T
         for k in range(n):
-            P[k + 1] = (zz * P[k] - H[:k + 1, k] @ P[:k + 1]) / H[k + 1, k].real
-        return P[:, 0] if scalar else P
+            h = Ht[k]
+            P[k + 1] = (zz * P[k] - h[:k + 1] @ P[:k + 1]) / h[k + 1].real
+        return P
 
 
 def _check_degree(rule, degree):
@@ -119,7 +134,9 @@ def orthonormalize(rule, degree):
     m = x.size
     mass = float(w.sum())
     Q = np.empty((degree + 1, m), dtype=complex)
-    H = np.zeros((degree + 2, degree + 1), dtype=complex)
+    # Ht[k] is column k of the Hessenberg matrix, so evaluate reads each
+    # step's coefficients from one contiguous row
+    Ht = np.zeros((degree + 1, degree + 2), dtype=complex)
     Q[0] = 1.0 / math.sqrt(mass)
     reorth = 0
     for k in range(degree):
@@ -135,16 +152,16 @@ def orthonormalize(rule, degree):
             nrm = math.sqrt(float(np.dot(w, np.abs(v) ** 2)))
             reorth += 1
         if not math.isfinite(nrm) or nrm <= BREAKDOWN_REL * scale:
-            partial = _finish_basis(rule, H[:k + 2, :k + 1], Q[:k + 1],
+            partial = _finish_basis(rule, Ht[:k + 1, :k + 2].T, Q[:k + 1],
                                     mass, reorth)
             raise DegeneracyError(
                 f"orthonormalization broke down at degree {k + 1}: the measure "
                 f"supports polynomials only up to degree {k}",
                 achieved_degree=k, basis=partial)
-        H[:k + 1, k] = h
-        H[k + 1, k] = nrm
+        Ht[k, :k + 1] = h
+        Ht[k, k + 1] = nrm
         np.divide(v, nrm, out=Q[k + 1])
-    return _finish_basis(rule, H, Q, mass, reorth)
+    return _finish_basis(rule, Ht.T, Q, mass, reorth)
 
 
 def _finish_basis(rule, H, Q, mass, reorthogonalized=0):
@@ -194,8 +211,12 @@ def kernel_diag(basis, z, upto=None):
     """Diagonal kernel value K_n(z) = sum_k |p_k(z)|^2.
 
     A z far from the support overflows the values to inf or nan without a
-    warning, as in ``support_prefix``; the check raises NumericError.
+    warning, as in ``support_prefix``; the check raises NumericError.  z is
+    one point; ``kernel_prefix`` takes arrays.
     """
+    if np.ndim(z):
+        raise InputError("kernel_diag takes one point z; use kernel_prefix "
+                         "for an array of points")
     with np.errstate(over="ignore", invalid="ignore"):
         p = basis.evaluate(z, upto=upto)
         return _checked_kernel(float(np.dot(p, np.conjugate(p)).real))
@@ -266,16 +287,15 @@ def extremal_polynomial_values(basis, value, points):
     if value.extremal_coeffs is None:
         raise DomainError("this ChristoffelValue carries no extremal "
                           "coefficients; compute it with method='direct'")
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    P = basis.evaluate(pts, upto=value.n)
-    out = value.extremal_coeffs @ P
-    return out if np.asarray(points).ndim else complex(out[0])
+    out = value.extremal_coeffs @ basis.evaluate(points, upto=value.n)
+    return out if np.ndim(out) else complex(out)
 
 
 def kernel_prefix(basis, z):
-    """K_n(z) for every n up to the basis degree, via one evaluation."""
+    """K_n(z) for every n up to the basis degree, via one evaluation;
+    for an array z, column i holds the prefix at z[i]."""
     p = basis.evaluate(z)
-    return np.cumsum(np.abs(p) ** 2)
+    return np.cumsum(np.abs(p) ** 2, axis=0)
 
 
 def support_prefix(rule, support, degree, z):
@@ -411,8 +431,8 @@ def gram_prefix(rule, support, degree, z):
         Y[keep, np.arange(len(keep))] = 1.0                # columns of R^{-1}
         for lo in reversed(range(0, p.size, GRAM_BLOCK)):
             hi = lo + GRAM_BLOCK
-            Y[lo:hi] = np.linalg.inv(np.triu(R[lo:hi, lo:hi])) @ (
-                Y[lo:hi] - R[lo:hi, hi:] @ Y[hi:])
+            Y[lo:hi] = np.linalg.solve(np.triu(R[lo:hi, lo:hi]),
+                                       Y[lo:hi] - R[lo:hi, hi:] @ Y[hi:])
         C = np.conjugate(Y.T)  # row i: p_{keep[i]} in the phi_k
         # sum_k C[:, k] phi_k at the nodes: the e^k half, and the e'^k half
         # over its first K columns

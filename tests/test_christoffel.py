@@ -19,7 +19,7 @@ from xlab.christoffel import (_finish_basis, christoffel_lambda,
                               kernel_diag, kernel_prefix, orthonormalize,
                               recurrence_values, support_prefix)
 from xlab.errors import (CapabilityError, DegeneracyError, DomainError,
-                         NumericError)
+                         InputError, NumericError)
 from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
                            preimages)
 from xlab.measures import (ConstantWeight, MeasureSpec, circle_jump_measure,
@@ -669,6 +669,124 @@ def test_kernel_prefix_matches_kernel_diag():
     for n in (0, 7, 20):
         assert prefix[n] == pytest.approx(kernel_diag(basis, measure.z0,
                                                       upto=n), rel=1e-14)
+    # on an array of points each column is one point's prefix, summed over
+    # the degrees only
+    points = [measure.z0, 0.3 + 0.2j]
+    columns = kernel_prefix(basis, points)
+    assert columns.shape == (21, 2)
+    for i, z in enumerate(points):
+        want = kernel_prefix(basis, z)
+        assert np.max(np.abs(columns[:, i] - want) / want) <= 1e-14
+
+
+def test_arnoldi_readers_reject_bad_input():
+    # a non-integral degree is refused, not truncated; an out-of-range one
+    # stays a DomainError; kernel_diag names kernel_prefix for arrays
+    basis = orthonormalize(build_rule(circle_jump_measure(), 8), 8)
+    for upto in (2.7, 3.0, "3"):
+        with pytest.raises(InputError, match="integer") as err:
+            basis.evaluate(0.5, upto=upto)
+        assert not isinstance(err.value, DomainError)
+    assert basis.evaluate(0.5, upto=np.int64(3)).shape == (4,)
+    for upto in (-1, 9):
+        with pytest.raises(DomainError):
+            basis.evaluate(0.5, upto=upto)
+    with pytest.raises(InputError, match="kernel_prefix"):
+        kernel_diag(basis, np.array([0.5, 0.2j]))
+    with pytest.raises(InputError, match="1-D"):
+        basis.evaluate(np.zeros((2, 2)))
+
+
+def test_evaluate_follows_the_shape_of_z():
+    measure = circle_jump_measure()
+    basis = orthonormalize(build_rule(measure, 16), 16)
+    value = christoffel_lambda(measure, 16, basis=basis, method="direct")
+    points = np.array([0.3 + 0.2j, -0.5j, 1.1])
+    cases = ((0.3 + 0.2j, (17,)), (np.array(0.3 + 0.2j), (17,)),
+             (list(points), (17, 3)), (points, (17, 3)))
+    for z, shape in cases:
+        assert basis.evaluate(z).shape == shape
+        assert basis.evaluate(z, upto=5).shape == (6,) + shape[1:]
+    got = extremal_polynomial_values(basis, value, 0.3 + 0.2j)
+    assert type(got) is complex
+    assert extremal_polynomial_values(basis, value, points).shape == (3,)
+    assert got == pytest.approx(
+        extremal_polynomial_values(basis, value, points)[0], rel=1e-14)
+
+
+def test_hessenberg_is_stored_row_by_row():
+    # evaluate reads column k of H as one contiguous row; the attribute
+    # keeps the shape (degree + 2, degree + 1), the partial basis too
+    basis = orthonormalize(build_rule(circle_jump_measure(), 12), 12)
+    assert basis.hessenberg.shape == (14, 13)
+    assert basis.hessenberg.T.flags.c_contiguous
+    assert np.all(np.abs(np.diagonal(basis.hessenberg, -1)[:12]) > 0)
+    assert not np.tril(basis.hessenberg, -2).any()
+    with pytest.raises(DegeneracyError) as err:
+        orthonormalize(_four_node_rule(), 8)
+    assert err.value.basis.hessenberg.shape == (5, 4)
+
+
+def _columnwise_values(basis, z):
+    """The recurrence read column by column from a C-ordered H, z as a
+    (k + 1) x 1 matrix."""
+    H = np.ascontiguousarray(basis.hessenberg)
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    P = np.empty((basis.degree + 1, zz.size), dtype=complex)
+    P[0] = 1.0 / math.sqrt(basis.mass)
+    for k in range(basis.degree):
+        P[k + 1] = (zz * P[k] - H[:k + 1, k] @ P[:k + 1]) / H[k + 1, k].real
+    return P[:, 0]
+
+
+@pytest.fixture(scope="module")
+def bases_256():
+    """(measure, basis) at degree 256 for each standard jump measure."""
+    return {name: (measure, orthonormalize(build_rule(measure, 256), 256))
+            for name, measure in standard_jump_measures().items()}
+
+
+def test_evaluate_matches_columnwise_recurrence(bases_256):
+    # on, near, off the curve and inside it; at z = 1000 the values overflow,
+    # and at the same degrees as the column-wise loop's
+    for name, (measure, basis) in bases_256.items():
+        z0 = complex(measure.z0)
+        for z in (z0, z0 + 1e-3j, z0 + 0.2 + 0.1j, 0.3 + 0.2j, 2 + 1j):
+            got, want = basis.evaluate(z), _columnwise_values(basis, z)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, (name, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = basis.evaluate(1000.0), _columnwise_values(basis, 1000.0)
+        finite = np.isfinite(want)
+        assert not finite.all(), name
+        assert np.array_equal(np.isfinite(got), finite), name
+        assert np.max(np.abs(got[finite] - want[finite])
+                      / np.abs(want[finite])) <= 1e-14
+
+
+@pytest.fixture(scope="module")
+def bases_64():
+    """Degree-64 bases of the standard jump measures and a partial basis."""
+    out = {name: orthonormalize(build_rule(measure, 64), 64)
+           for name, measure in standard_jump_measures().items()}
+    with pytest.raises(DegeneracyError) as err:
+        orthonormalize(_four_node_rule(), 8)
+    out["partial"] = err.value.basis
+    return out
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(name=st.sampled_from(["circle", "ellipse", "interval", "lemniscate",
+                             "partial"]),
+       points=st.lists(st.complex_numbers(max_magnitude=1.5, allow_nan=False,
+                                          allow_infinity=False),
+                       min_size=1, max_size=6))
+def test_evaluate_on_points_matches_each_point(bases_64, name, points):
+    # relative to the largest value: p_k(0) = 0 on a uniform circle
+    basis = bases_64[name]
+    table = basis.evaluate(np.array(points))
+    for i, z in enumerate(points):
+        want = basis.evaluate(z)
+        assert np.max(np.abs(table[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.filterwarnings("error")

@@ -307,6 +307,16 @@ def test_lambda_nodes_per_degree_is_usage_error(uniform_file, capsys):
     assert "--nodes-per-degree" in capsys.readouterr().err
 
 
+def test_lambda_non_integer_degree_is_usage_error(uniform_file, capsys):
+    # --n is parsed as an integer, so no non-integral degree reaches the
+    # library's Arnoldi readers
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda", "--measure", uniform_file, "--z", "1,0", "--n", "2.7",
+              "--method", "direct"])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+
+
 def test_main_builds_its_parser_once(uniform_file, tmp_path, capsys,
                                      monkeypatch):
     # one parser per process serves different subcommands in turn, and a
