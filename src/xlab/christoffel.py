@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CapabilityError, DegeneracyError, DomainError,
-                     InputError, NumericError)
+                     InputError, NumericError, as_index)
 from .quadrature import build_rule
 
 BREAKDOWN_REL = 1e-14
@@ -89,10 +89,7 @@ class OrthoBasis:
         ``z`` is one point or a 1-D array of points; ``upto`` an integer
         degree, the basis degree by default.
         """
-        try:
-            n = self.degree if upto is None else operator.index(upto)
-        except TypeError:
-            raise InputError(f"upto must be an integer, not {upto!r}") from None
+        n = self.degree if upto is None else as_index(upto, "upto")
         if not 0 <= n <= self.degree:
             raise DomainError(f"degree {n} outside the basis range")
         zz = np.asarray(z, dtype=complex)
@@ -108,7 +105,7 @@ class OrthoBasis:
 
 
 def _check_degree(rule, degree):
-    if degree < 0:
+    if as_index(degree, "degree") < 0:
         raise InputError("degree must be nonnegative")
     if degree > rule.max_exact_degree:
         raise DomainError(
@@ -236,6 +233,7 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
     achieved degree, and a kernel that overflows or vanishes NumericError,
     as does a route whose orthonormality residual exceeds CERTIFY_TOL.
     """
+    n = as_index(n, "n")
     if z is None:
         z = measure.z0
     if z is None:

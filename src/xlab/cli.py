@@ -83,7 +83,7 @@ def _cmd_equilibrium(args):
 
 
 def _cmd_verify(args):
-    report = verify(args.suite, tol=args.tol)
+    report = verify(args.suite)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -125,8 +125,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the suite's headline tolerance")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
     return parser

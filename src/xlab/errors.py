@@ -6,6 +6,8 @@ correctly failed to converge or lost too much accuracy).  The command line
 maps them to exit codes 2 and 3 respectively.
 """
 
+import operator
+
 
 class XlabError(Exception):
     """Base class for all library errors."""
@@ -33,6 +35,15 @@ class CapabilityError(InputError):
 
 class MeasureFormatError(InputError):
     """A measure description file could not be parsed."""
+
+
+def as_index(value, name):
+    """``value`` as an integer by ``operator.index``, so numpy integers pass
+    and 3.5 or "4" raise InputError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, not {value!r}") from None
 
 
 class NumericError(XlabError):

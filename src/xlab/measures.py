@@ -447,10 +447,8 @@ def parse_measure_text(text):
     if chebyshev and kind != "interval":
         raise MeasureFormatError("weight.arcsine only applies to intervals")
 
-    measure = MeasureSpec(support, weight, smooth, chebyshev=chebyshev)
-    if z0_spec is not None:
-        measure = measure.with_z0(_resolve_z0(z0_spec, support, weight))
-    return measure
+    z0 = None if z0_spec is None else _resolve_z0(z0_spec, support, weight)
+    return MeasureSpec(support, weight, smooth, z0=z0, chebyshev=chebyshev)
 
 
 def _resolve_z0(z0_spec, support, weight):

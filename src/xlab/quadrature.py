@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, as_index
 from .geometry import parametrize
 
 PANEL_ORDER = 24
@@ -91,6 +91,7 @@ def build_rule(measure, max_degree):
     at least one panel, so the rule may carry a few panels more.  The rule
     does not depend on the measure's z0.
     """
+    max_degree = as_index(max_degree, "max_degree")
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
 

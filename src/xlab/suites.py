@@ -2,8 +2,10 @@
 
 Each suite runs a self-contained experiment (exact circle law, jump
 sweeps per geometry, or the structural property checks) and reports
-measured values against tolerances.  The sweep tolerances are engineering
-choices: no convergence rate is known for the scaled values.
+measured values against tolerances.  Each tolerance is written once, at its
+check, and no caller can change it.  The jump suites sweep the four
+``standard_jump_measures``.  The sweep tolerances are engineering choices:
+no convergence rate is known for the scaled values.
 """
 
 import cmath
@@ -23,9 +25,6 @@ from .measures import (ConstantWeight, MeasureSpec, circle_jump_measure,
 from .quadrature import build_rule, integrate
 from .sweep import (extrapolate, geometric_schedule, predicted_limit,
                     run_sweep)
-
-SUITE_NAMES = ("circle-exact", "circle-jump", "interval-jump",
-               "lemniscate-jump", "ellipse-jump", "properties")
 
 CIRCLE_LIMIT = 2.0 * math.pi / math.log(2.0)
 INTERVAL_LIMIT = math.pi / math.log(2.0)
@@ -95,19 +94,17 @@ def standard_jump_measures():
     }
 
 
-def _suite_circle_exact(tol):
-    tol = 1e-12 if tol is None else tol
+def _suite_circle_exact():
+    # one sweep reads every n off the route that xlab lambda and xlab sweep
+    # take, under its certificate: a failed row is nan, which fails the check
     n_max = 100
-    measure = uniform_circle_measure(z0=1.0)
-    rule = build_rule(measure, n_max)
-    basis = orthonormalize(rule, n_max)
-    prefix = kernel_prefix(basis, 1.0 + 0j)
-    ns = np.arange(n_max + 1)
-    lam = 1.0 / prefix
-    exact = 2.0 * math.pi / (ns + 1)
+    rows = run_sweep(uniform_circle_measure(z0=1.0),
+                     schedule=range(1, n_max + 1)).rows
+    lam = np.array([r.lambda_n for r in rows])
+    exact = 2.0 * math.pi / (np.array([r.n for r in rows]) + 1)
     worst = float(np.max(np.abs(lam - exact) / exact))
-    return [_check("exact-law-max-rel-error", worst, tol,
-                   f"lambda_n vs 2 pi/(n+1) for n <= {n_max}")]
+    return [_check("exact-law-max-rel-error", worst, 1e-12,
+                   f"lambda_n vs 2 pi/(n+1) for 1 <= n <= {n_max}")]
 
 
 def _jump_sweep_checks(name, measure, target, tol_extrap, tol_raw=None):
@@ -129,10 +126,9 @@ def _jump_sweep_checks(name, measure, target, tol_extrap, tol_raw=None):
     return checks, result
 
 
-def _suite_circle_jump(tol):
-    tol = 0.02 if tol is None else tol
-    checks, _ = _jump_sweep_checks("circle", circle_jump_measure(),
-                                   CIRCLE_LIMIT, tol, tol_raw=0.05)
+def _suite_circle_jump():
+    checks, _ = _jump_sweep_checks("circle", standard_jump_measures()["circle"],
+                                   CIRCLE_LIMIT, 0.02, tol_raw=0.05)
 
     # continuity in the jump: A -> B degenerates to the smooth-case 2 pi
     tiny = circle_jump_measure(A=1.0 + 1e-6, B=1.0)
@@ -147,17 +143,16 @@ def _suite_circle_jump(tol):
     return checks
 
 
-def _suite_interval_jump(tol):
-    tol = 0.02 if tol is None else tol
-    measure = symmetrize_to_interval(circle_jump_measure())
-    checks, _ = _jump_sweep_checks("interval", measure, INTERVAL_LIMIT, tol)
+def _suite_interval_jump():
+    checks, _ = _jump_sweep_checks("interval",
+                                   standard_jump_measures()["interval"],
+                                   INTERVAL_LIMIT, 0.02)
     return checks
 
 
-def _suite_lemniscate_jump(tol):
-    tol = 0.03 if tol is None else tol
-    poly = ComplexPolynomial([0.0, 0.0, 1.0])
-    measure = lemniscate_pullback_measure(poly, z0=cmath.exp(1j * math.pi / 4))
+def _suite_lemniscate_jump():
+    tol = 0.03
+    measure = standard_jump_measures()["lemniscate"]
     checks, result = _jump_sweep_checks("lemniscate", measure, CIRCLE_LIMIT,
                                         tol)
 
@@ -187,14 +182,13 @@ def _suite_lemniscate_jump(tol):
     return checks + more + third
 
 
-def _suite_ellipse_jump(tol):
-    tol = 0.05 if tol is None else tol
-    measure = ellipse_jump_measure(1.25, 0.75)
+def _suite_ellipse_jump():
+    measure = standard_jump_measures()["ellipse"]
     pred = predicted_limit(measure)
     checks = [_check("predicted-closed-form",
                      abs(pred - ELLIPSE_LIMIT) / ELLIPSE_LIMIT, 1e-12,
                      f"predicted {pred!r} vs 3 pi/(2 ln 2)")]
-    more, _ = _jump_sweep_checks("ellipse", measure, ELLIPSE_LIMIT, tol)
+    more, _ = _jump_sweep_checks("ellipse", measure, ELLIPSE_LIMIT, 0.05)
     return checks + more
 
 
@@ -295,8 +289,7 @@ def _green_residuals(support, nodes):
     return on_support, at_infinity, normal
 
 
-def _suite_properties(tol):
-    del tol  # per-check tolerances are structural here
+def _suite_properties():
     checks = []
     measures = standard_jump_measures()
 
@@ -402,22 +395,20 @@ _SUITES = {
     "ellipse-jump": _suite_ellipse_jump,
     "properties": _suite_properties,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
-def verify(suite, tol=None):
+def verify(suite):
     """Run a named suite and return its report.
 
-    ``tol`` overrides the headline tolerance of the suite (the max
-    relative error for circle-exact, the extrapolated-limit tolerance for
-    the jump suites); secondary checks keep their own tolerances.
+    Every check carries the tolerance its suite states; none can be
+    overridden.
     """
     if suite not in _SUITES:
         raise InputError(f"unknown suite {suite!r}; expected one of "
                          + ", ".join(SUITE_NAMES))
-    if tol is not None and not tol > 0:
-        raise InputError("tolerance must be positive")
     t0 = time.perf_counter()
-    checks = _SUITES[suite](tol)
+    checks = _SUITES[suite]()
     report = SuiteReport(suite=suite, checks=checks,
                          wall_time=time.perf_counter() - t0)
     return report

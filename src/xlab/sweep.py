@@ -24,7 +24,7 @@ import numpy as np
 
 from .christoffel import CERTIFY_TOL, support_prefix
 from .equilibrium import equilibrium_density
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, as_index
 from .measures import jump_limits
 from .quadrature import build_rule
 
@@ -134,7 +134,7 @@ def run_sweep(measure, z=None, schedule=None):
     """
     if not schedule:
         raise InputError("schedule must be a non-empty increasing list")
-    schedule = [int(n) for n in schedule]
+    schedule = [as_index(n, "a schedule degree") for n in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("schedule must be strictly increasing")
     if schedule[0] < 1:

@@ -697,6 +697,28 @@ def test_arnoldi_readers_reject_bad_input():
         basis.evaluate(np.zeros((2, 2)))
 
 
+def test_non_integer_degree_is_input_error():
+    # every degree argument goes through operator.index: 3.5 and "4" are
+    # refused with InputError, numpy integers are accepted
+    measure = circle_jump_measure()
+    rule = build_rule(measure, 8)
+    basis = orthonormalize(rule, 8)
+    for n in (3.5, "4"):
+        with pytest.raises(InputError, match="integer"):
+            christoffel_lambda(measure, n)
+        with pytest.raises(InputError, match="integer"):
+            christoffel_lambda(measure, n, basis=basis)
+        with pytest.raises(InputError, match="integer"):
+            orthonormalize(rule, n)
+        with pytest.raises(InputError, match="integer"):
+            support_prefix(rule, measure.support, n, measure.z0)
+    value = christoffel_lambda(measure, np.int64(8))
+    assert value.lambda_n == christoffel_lambda(measure, 8).lambda_n
+    assert christoffel_lambda(measure, np.int64(8), basis=basis).lambda_n \
+        == christoffel_lambda(measure, 8, basis=basis).lambda_n
+    assert orthonormalize(rule, np.int64(8)).degree == 8
+
+
 def test_evaluate_follows_the_shape_of_z():
     measure = circle_jump_measure()
     basis = orthonormalize(build_rule(measure, 16), 16)

@@ -9,6 +9,7 @@ import pytest
 
 import xlab.christoffel as christoffel_mod
 import xlab.cli as cli_mod
+import xlab.suites as suites_mod
 from xlab.cli import EQUILIBRIUM_CSV_HEADER, main
 from xlab.errors import NumericError
 from xlab.measures import (circle_jump_measure, save_measure_file,
@@ -204,10 +205,20 @@ def test_python_m_xlab_runs_the_cli():
     assert "suite circle-exact: PASS" in done.stdout
 
 
-def test_verify_subcommand_failure_exit_code(capsys):
-    code = main(["verify", "--suite", "circle-exact", "--tol", "1e-20"])
+def test_verify_subcommand_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setitem(suites_mod._SUITES, "circle-exact", lambda: [
+        suites_mod._check("exact-law-max-rel-error", 1.0, 1e-12)])
+    code = main(["verify", "--suite", "circle-exact"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_tol_is_usage_error(capsys):
+    # the suites' tolerances are fixed: there is no option to loosen them
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "circle-exact", "--tol", "1"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_missing_measure_file_is_input_error(capsys):
@@ -255,12 +266,32 @@ def test_failed_sweep_leaves_output_untouched(circle_file, tmp_path, capsys,
     capsys.readouterr()
 
 
-def test_malformed_measure_file_is_input_error(tmp_path, capsys):
+CIRCLE_SUPPORT = "support.kind = circle\nsupport.params = 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind = dodecahedron\n", "missing key support.kind"),
+    ("support.kind circle\n", "line 1: expected key = value"),
+    ("support.kind =\n", "line 1: empty key or value"),
+    (CIRCLE_SUPPORT, "missing key weight.A"),
+    ("support.kind = lemniscate\nweight.A = 1\n",
+     "support.params for a lemniscate"),
+    (CIRCLE_SUPPORT + "weight.A = 1\nweight.arcsine = 1\n",
+     "weight.arcsine only applies to intervals"),
+    (CIRCLE_SUPPORT + "weight.A = 1\neval.z0 = auto-jump\n",
+     "auto-jump needs a jump weight"),
+    (CIRCLE_SUPPORT + "weight.A = 0\n", "weight must be positive"),
+    (CIRCLE_SUPPORT + "weight.A = abc\n", "cannot parse number 'abc'"),
+], ids=["no-kind", "no-equals", "empty-value", "no-weight",
+        "lemniscate-no-params", "arcsine-off-interval", "auto-jump-constant",
+        "zero-weight", "bad-number"])
+def test_malformed_measure_file_is_input_error(tmp_path, capsys, text,
+                                               message):
     bad = tmp_path / "bad.measure"
-    bad.write_text("kind = dodecahedron\n")
+    bad.write_text(text)
     code = main(["lambda", "--measure", str(bad), "--z", "1,0", "--n", "3"])
     assert code == 2
-    assert capsys.readouterr().err.strip()
+    assert message in capsys.readouterr().err
 
 
 def test_bad_point_argument_is_input_error(uniform_file, capsys):

@@ -224,6 +224,18 @@ def test_density_profile_shapes():
         density_profile(sup, 1)
 
 
+@pytest.mark.parametrize("samples", [3, 5])
+def test_density_profile_balances_counts(samples):
+    # |z^2 - 2| = 1 has two arcs of equal span, so the proportional counts
+    # round to 2 + 2: three samples trim one, five add one
+    sup = SupportSpec.make_lemniscate(ComplexPolynomial([-2.0, 0.0, 1.0]))
+    _, pts, density, _ = density_profile(sup, samples)
+    assert pts.size == samples
+    assert 1 <= np.sum(pts.real > 0) < samples
+    exact = equilibrium_density(sup)
+    assert np.allclose(density, [exact(p) for p in pts], rtol=1e-12, atol=0)
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(alpha=st.complex_numbers(min_magnitude=0.2, max_magnitude=5.0,
                                 allow_nan=False, allow_infinity=False),

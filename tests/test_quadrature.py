@@ -147,6 +147,16 @@ def test_negative_degree_is_rejected():
         build_rule(uniform_circle_measure(), -1)
 
 
+def test_non_integer_degree_is_rejected():
+    # a rule exact to degree 3.5 means nothing: refuse it, do not truncate
+    for degree in (3.5, "4"):
+        with pytest.raises(InputError, match="integer"):
+            build_rule(circle_jump_measure(), degree)
+    rule = build_rule(circle_jump_measure(), np.int64(4))
+    assert rule.max_exact_degree == 4
+    assert rule.weights.size == build_rule(circle_jump_measure(), 4).weights.size
+
+
 @pytest.mark.parametrize("name", ["off-centre-circle", "arcsine-interval",
                                   "rotated-ellipse", "cubic"])
 def test_rule_does_not_depend_on_z0(name):

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+import xlab.suites as suites_mod
 from xlab.errors import InputError
 from xlab.suites import SUITE_NAMES, verify
 
@@ -12,21 +15,27 @@ def test_circle_exact_suite_passes():
     assert report.wall_time > 0
 
 
-def test_tol_override_can_fail_suite():
-    report = verify("circle-exact", tol=1e-20)
+def test_failing_check_fails_suite(monkeypatch):
+    # one check over its tolerance, or one that measured nan (a failed sweep
+    # row), fails the suite however many others pass
+    monkeypatch.setitem(suites_mod._SUITES, "circle-exact", lambda: [
+        suites_mod._check("passes", 0.5, 1.0),
+        suites_mod._check("exact-law-max-rel-error", math.nan, 1e-12)])
+    report = verify("circle-exact")
     assert not report.passed
-    head = report.checks[0]
-    assert head.tolerance == 1e-20
-    assert not head.passed
+    head, failed = report.checks
+    assert head.passed
+    assert failed.tolerance == 1e-12
+    assert not failed.passed
+    assert report.lines()[1].startswith("[FAIL]")
+    assert report.lines()[-1].startswith("suite circle-exact: FAIL")
 
 
 def test_verify_rejects_bad_input():
     with pytest.raises(InputError):
         verify("no-such-suite")
-    with pytest.raises(InputError):
-        verify("circle-exact", tol=0.0)
-    with pytest.raises(InputError):
-        verify("circle-exact", tol=-1.0)
+    with pytest.raises(TypeError):
+        verify("circle-exact", tol=1.0)  # the tolerances are fixed
 
 
 def test_report_shape():

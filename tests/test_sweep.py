@@ -135,6 +135,15 @@ def test_run_sweep_rejects_degrees_below_one_before_work(monkeypatch):
             run_sweep(uniform_circle_measure(z0=1.0), schedule=schedule)
 
 
+def test_run_sweep_rejects_non_integer_degrees(monkeypatch):
+    m = uniform_circle_measure(z0=1.0)
+    ns = [r.n for r in run_sweep(m, schedule=[np.int64(4), np.int64(8)]).rows]
+    assert ns == [4, 8]
+    monkeypatch.setattr(sweep_mod, "build_rule", None)  # refused before work
+    with pytest.raises(InputError, match="integer"):
+        run_sweep(m, schedule=[8.7, 16.2])
+
+
 def test_extrapolate_synthetic_models():
     def rows_from(ns, f):
         res = SweepResult(measure=None, z=0j)
