@@ -204,6 +204,22 @@ def _checked_kernel(K):
     return K
 
 
+def route_kernel(prefix, residual, route, n):
+    """K_n(z) off a ``support_prefix`` result, or the route's refusal: a
+    residual above CERTIFY_TOL, then a breakdown below degree n
+    (DegeneracyError), then a kernel that overflowed or vanished."""
+    if not residual <= CERTIFY_TOL:
+        raise NumericError(
+            f"the {route} route's orthonormality residual {residual:.1e} "
+            f"exceeds {CERTIFY_TOL:g}")
+    if prefix.size <= n:
+        raise DegeneracyError(
+            f"the {route} route broke down at degree {prefix.size}: the "
+            f"measure supports polynomials only up to degree "
+            f"{prefix.size - 1}", achieved_degree=prefix.size - 1)
+    return _checked_kernel(float(prefix[n]))
+
+
 def kernel_diag(basis, z, upto=None):
     """Diagonal kernel value K_n(z) = sum_k |p_k(z)|^2.
 
@@ -244,16 +260,7 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
     if basis is None and method == "kernel":
         prefix, residual, route = support_prefix(build_rule(measure, n),
                                                  measure.support, n, z)
-        if not residual <= CERTIFY_TOL:
-            raise NumericError(
-                f"the {route} route's orthonormality residual {residual:.1e} "
-                f"exceeds {CERTIFY_TOL:g}")
-        if prefix.size <= n:
-            raise DegeneracyError(
-                f"the {route} route broke down at degree {prefix.size}: the "
-                f"measure supports polynomials only up to degree "
-                f"{prefix.size - 1}", achieved_degree=prefix.size - 1)
-        K = _checked_kernel(float(prefix[n]))
+        K = route_kernel(prefix, residual, route, n)
         return ChristoffelValue(n=n, z=z, lambda_n=1.0 / K, method=method,
                                 route=route)
     if basis is None:
@@ -271,9 +278,6 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
         p = basis.evaluate(z, upto=n)
         K = _checked_kernel(float(np.dot(p, np.conjugate(p)).real))
     c = np.conjugate(p) / K
-    value_at_z = complex(np.dot(c, p))
-    if abs(value_at_z - 1.0) > 1e-9:
-        raise NumericError("reconstructed minimizer is not normalized at z")
     Pn = c @ basis.node_values[:n + 1]
     lam = float(np.dot(basis.rule.weights, np.abs(Pn) ** 2))
     return ChristoffelValue(n=n, z=z, lambda_n=lam, method=method,
@@ -504,10 +508,11 @@ def _block_levinson(M, t, f, count, keep):
         F_{j+1} = T F_j - Kf B_j,      D_{j+1} = D_j - Kf Delta_j^H,
         B_{j+1} = B_j - Kb T F_j,      E_{j+1} = E_j - Kb Delta_j,
 
-    O(j N^3) per step for the coefficients and O(N^2) for the values at z.
-    The lower Cholesky factors D_j = L_j L_j^H, taken after the loop, give
-    the scalar order p_{jN+a} = (L_j^{-1} F_j)[a], the same polynomials as
-    the Cholesky factor of G, whose pivots they are.
+    on the coefficients alone, in O(j N^3) per step: the product that gives
+    Delta_j gives F_j(z) = sum_i A_j[i] Phi_i(z) too.  The lower Cholesky
+    factors D_j = L_j L_j^H, taken after the loop, give the scalar order
+    p_{jN+a} = (L_j^{-1} F_j)[a], the same polynomials as the Cholesky
+    factor of G, whose pivots they are.
 
     Returns (p, ok, C): p(z); ok, whether each pivot exceeds BREAKDOWN_REL
     of its diagonal entry of G; and C, the coefficient rows of p_k in the
@@ -516,23 +521,26 @@ def _block_levinson(M, t, f, count, keep):
     N = M.shape[1]
     J = (count - 1) // N
     # a numpy call on a small block costs microseconds, and an np.linalg
-    # call ten: at N = 1 the blocks are numbers, multiplied and inverted as such
+    # call ten: at N = 1 the blocks are Python numbers (a zero one is singular)
     if N == 1:
-        block, mul = (lambda X: X[0, 0]), operator.mul
+        block, adjoint, mul = (lambda P: P.item(0)), complex.conjugate, operator.mul
         inverses = lambda E, D: (1 / E, 1 / D)
     else:
-        block, mul = (lambda X: X), np.matmul
+        block, adjoint, mul = (lambda P: P[:, :N]), (lambda P: P.conj().T), np.matmul
         inverses = lambda E, D: np.linalg.inv(np.array([E, D]))
-    Mv = M[1:J + 1].reshape(-1, N)
+    # block i of W holds M[i + 1] beside Phi_i(z) = t^i f, one rounding per
+    # power, so that X_j = A_j W = [Delta_j | F_j(z)]
+    W = np.zeros((J + 1, N, N + 1), dtype=complex)
+    W[:J, :, :N], W[:, :, N], W[0, :, N] = M[1:J + 1], t, f
+    np.multiply.accumulate(W[:, :, N], out=W[:, :, N])
+    W = W.reshape(-1, N + 1)
     A = np.zeros((N, (J + 1) * N), dtype=complex)  # A_j[i] in block J - j + i,
     B = np.zeros_like(A)                            # B_j[i] in block i
     A[:, J * N:] = B[:, :N] = np.eye(N)
     D = np.full((J + 1, N, N), np.nan, dtype=complex)
-    F = np.full((J + 1, N, 1), np.nan, dtype=complex)  # F_j(z)
+    X = np.full((J + 1, N, N + 1), np.nan, dtype=complex)
     D[0] = M[0]
     Dj = E = block(M[0])
-    F[0] = f[:, None]
-    Fz = Bz = block(F[0])
     blocks = sorted({k // N for k in keep})
     A_kept = np.zeros((len(blocks), N, count), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -540,23 +548,22 @@ def _block_levinson(M, t, f, count, keep):
             Aj, Bj = A[:, (J - j) * N:], B[:, :(j + 1) * N]
             if j in blocks:
                 A_kept[blocks.index(j), :, :(j + 1) * N] = Aj[:, :count]
+            X[j] = Aj @ W[:(j + 1) * N]
             if j == J:
                 break
-            delta = block(Aj @ Mv[:(j + 1) * N])
-            deltaH = delta.conjugate().T
+            delta = block(X[j])
+            deltaH = adjoint(delta)
             try:
                 inv_E, inv_D = inverses(E, Dj)
-            except np.linalg.LinAlgError:  # a singular block: broken down
+            except (np.linalg.LinAlgError, ZeroDivisionError):  # broken down
                 break
             Kf, Kb = mul(delta, inv_E), mul(deltaH, inv_D)
             back = mul(Kb, Aj)
             A[:, (J - j - 1) * N:J * N] -= mul(Kf, Bj)
             B[:, N:(j + 2) * N] -= back
             Dj, E = Dj - mul(Kf, deltaH), E - mul(Kb, delta)
-            tF = t * Fz
-            Fz, Bz = tF - mul(Kf, Bz), Bz - mul(Kb, tF)
-            D[j + 1], F[j + 1] = Dj, Fz
-        pivots, p = _block_cholesky(D, F)
+            D[j + 1] = Dj
+        pivots, p = _block_cholesky(D, X[:, :, N:])
         _, Y = _block_cholesky(D[blocks], A_kept)
     ok = (pivots > BREAKDOWN_REL * M[0].diagonal().real).reshape(-1)[:count]
     C = np.array([Y[blocks.index(k // N), k % N] for k in keep])

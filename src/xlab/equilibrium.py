@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_index
 from .geometry import parametrize, project_to_support
 
 
@@ -94,7 +94,7 @@ def density_profile(support, samples):
     |G'|, the outward normal derivative of the Green's function; on an
     interval it is the sum over the two sides, 2 |G'|.
     """
-    samples = int(samples)
+    samples = as_index(samples, "samples")
     _, dG = green_potential(support)
     arcs = parametrize(support)
     if samples < len(arcs):

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import (CapabilityError, DomainError, InputError,
-                     MeasureFormatError, SymmetryError)
+                     MeasureFormatError, SymmetryError, as_index)
 from .geometry import (ComplexPolynomial, SupportSpec, parametrize,
                        project_to_support)
 
@@ -178,7 +178,7 @@ class MeasureSpec:
 def weight_at(measure, t, arc_index=0):
     """The weight w0(t) * v(t) at parameter t, without the arcsine factor."""
     arcs = parametrize(measure.support)
-    if not 0 <= arc_index < len(arcs):
+    if not 0 <= as_index(arc_index, "arc_index") < len(arcs):
         raise DomainError(f"no arc with index {arc_index}")
     arc = arcs[arc_index]
     tt = np.asarray(t, dtype=float)
@@ -300,11 +300,10 @@ def symmetrize_to_interval(measure):
         raise SymmetryError("circle weight is not symmetric under t -> -t")
     else:
         t0 = weight.jump_param % (2.0 * math.pi)
-        tb = t0 if t0 <= math.pi else 2.0 * math.pi - t0
-        # B holds on [t0, t0 + pi]: x <= cos(tb) when t0 is near pi/2
+        # B holds on [t0, t0 + pi]: x <= cos(t0) when t0 is near pi/2
         below, above = ((weight.B, weight.A) if math.sin(t0) > 0
                         else (weight.A, weight.B))
-        new_weight = JumpWeight(below, above, math.cos(tb))
+        new_weight = JumpWeight(below, above, math.cos(t0))
     support = SupportSpec.make_interval(-1.0, 1.0)
     z0 = None
     if measure.z0 is not None:

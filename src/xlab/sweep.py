@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .christoffel import CERTIFY_TOL, support_prefix
+from .christoffel import route_kernel, support_prefix
 from .equilibrium import equilibrium_density
-from .errors import DomainError, InputError, as_index
+from .errors import DomainError, InputError, NumericError, as_index
 from .measures import jump_limits
 from .quadrature import build_rule
 
@@ -58,7 +58,7 @@ def predicted_limit(measure, z=None):
 
 def geometric_schedule(n_min=8, n_max=512, ratio=1.25):
     """Strictly increasing degrees from n_min to exactly n_max."""
-    n_min, n_max = int(n_min), int(n_max)
+    n_min, n_max = as_index(n_min, "n_min"), as_index(n_max, "n_max")
     if not (1 <= n_min <= n_max):
         raise InputError("schedule needs 1 <= n_min <= n_max")
     if not ratio > 1.0:
@@ -124,17 +124,17 @@ def run_sweep(measure, z=None, schedule=None):
     ``support_prefix`` gives the kernel prefix sums K_n(z) up to
     max(schedule), by the Stieltjes recurrence on an interval, the block
     Levinson recursion on a circle or a lemniscate and one Cholesky factor on
-    an ellipse, and they give lambda_n for all smaller n.  A breakdown marks the unreachable rows as
-    failed and the sweep continues up to the achieved degree; so does a
-    kernel that overflows, z being too far from the support.  An
-    orthonormality residual above CERTIFY_TOL fails every row.
+    an ellipse, and they give lambda_n for all smaller n.  A row that
+    ``route_kernel`` refuses (beyond a breakdown, an overflowed kernel, or
+    every row under an uncertified route) fails with the refusal as its note.
     ``result.stages`` records the time of each setup stage, the route, and
     the size and quality of the orthonormal polynomials.  Where no jump law
     applies (z off the support) the predicted limit is nan.
     """
+    schedule = [as_index(n, "a schedule degree")
+                for n in (() if schedule is None else schedule)]
     if not schedule:
         raise InputError("schedule must be a non-empty increasing list")
-    schedule = [as_index(n, "a schedule degree") for n in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("schedule must be strictly increasing")
     if schedule[0] < 1:
@@ -156,28 +156,20 @@ def run_sweep(measure, z=None, schedule=None):
     t1 = time.perf_counter()
     prefix, residual, route = support_prefix(rule, measure.support, n_max, z)
     t2 = time.perf_counter()
-    achieved = prefix.size - 1
 
     stages = {"rule_s": t1 - t0, "kernel_prefix_s": t2 - t1, "route": route,
-              "node_count": rule.node_count, "achieved_degree": achieved,
+              "node_count": rule.node_count, "achieved_degree": prefix.size - 1,
               "residual_max": residual}
     result = SweepResult(measure=measure, z=z, stages=stages)
     for n in schedule:
-        lam = 1.0 / float(prefix[n]) if n <= achieved else float("nan")
-        if not residual <= CERTIFY_TOL:
-            note = (f"orthonormality residual {residual:.1e} exceeds "
-                    f"{CERTIFY_TOL:g}")
-        elif n > achieved:
-            note = f"degenerate beyond degree {achieved}"
-        elif not lam > 0:  # 0 where K_n overflowed
-            note = "kernel overflow: z is too far from the support"
-        else:
-            note = ""
-        ok = not note
-        lam = lam if ok else float("nan")
+        try:
+            lam, note = 1.0 / route_kernel(prefix, residual, route, n), ""
+        except NumericError as exc:
+            lam, note = float("nan"), str(exc)
         result.rows.append(SweepRow(
             n=n, lambda_n=lam, n_lambda_n=n * lam, predicted_limit=predicted,
-            relative_error=(n * lam - predicted) / predicted, ok=ok, note=note))
+            relative_error=(n * lam - predicted) / predicted, ok=not note,
+            note=note))
     return result
 
 

@@ -302,18 +302,30 @@ def test_run_sweep_toeplitz_gram_oracle():
 def test_run_sweep_szego_oracle_at_512():
     # the Gram route's block Levinson at N = 1 against a 50-digit Szegő
     # recursion on the closed-form moments, through the sweep up to n = 512,
-    # on a symmetric and an asymmetric jump
+    # on a symmetric and an asymmetric jump, at z0, inside the circle and
+    # just off it; then at N = 2 on the z^2 lemniscate, whose even and odd
+    # polynomials a(z^2) + z b(z^2) give
+    # K_n(z) = K_{n//2}(z^2) + |z|^2 K_{(n-1)//2}(z^2) in the circle's kernel
+    schedule = geometric_schedule(8, 512)
     for A, B, t0 in ((2.0, 1.0, math.pi / 2), (3.0, 0.5, 0.3)):
         measure = circle_jump_measure(A=A, B=B, jump_param=t0)
-        points = (measure.z0, 0.5 + 0.2j)
+        points = (measure.z0, 0.5 + 0.2j, 1.02 * measure.z0, 1.1 * measure.z0)
         oracle = _szego_kernel_prefix(A, B, t0, 512, points)
         for z, K in zip(points, oracle):
-            result = run_sweep(measure, z=z, schedule=geometric_schedule(8, 512))
+            result = run_sweep(measure, z=z, schedule=schedule)
             assert result.stages["route"] == "gram"
             for row in result.rows:
                 want = 1.0 / K[row.n]
                 assert abs(row.lambda_n - want) <= 1e-13 * want, (A, B, z,
                                                                   row.n)
+    lemniscate = lemniscate_pullback_measure(ComplexPolynomial([0.0, 0.0, 1.0]))
+    points = (1.02 * cmath.exp(0.25j * math.pi), 1.1 * cmath.exp(0.25j * math.pi))
+    oracle = _szego_kernel_prefix(2.0, 1.0, math.pi / 2, 256,
+                                  [z * z for z in points])
+    for z, K in zip(points, oracle):
+        for row in run_sweep(lemniscate, z=z, schedule=schedule).rows:
+            want = 1.0 / (K[row.n // 2] + abs(z) ** 2 * K[(row.n - 1) // 2])
+            assert abs(row.lambda_n - want) <= 1e-13 * want, (z, row.n)
 
 
 def _ellipse_gram_lambda(a, b, A, B, t0, ns, zs):

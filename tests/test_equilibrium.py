@@ -9,7 +9,7 @@ from mpmath import mp
 
 from xlab.equilibrium import (density_profile, equilibrium_density,
                               green_potential)
-from xlab.errors import DomainError, GeometryError
+from xlab.errors import DomainError, GeometryError, InputError
 from xlab.geometry import ComplexPolynomial, SupportSpec
 from xlab.quadrature import build_rule, integrate
 from xlab.suites import _constant_measure, _green_residuals
@@ -222,6 +222,11 @@ def test_density_profile_shapes():
     # fewer samples than arcs cannot give every arc a point
     with pytest.raises(DomainError):
         density_profile(sup, 1)
+    # the count is an integer, numpy integers included
+    assert density_profile(sup, np.int64(4))[1].size == 4
+    for samples in (3.5, "5", 4.0):
+        with pytest.raises(InputError, match="integer"):
+            density_profile(sup, samples)
 
 
 @pytest.mark.parametrize("samples", [3, 5])

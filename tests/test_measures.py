@@ -73,6 +73,12 @@ def test_weight_and_density_at():
     x = 0.6
     expected = 2.0 / math.sqrt(1.0 - x * x)
     assert abs(float(density_at(mi, x)) - expected) < 1e-14
+    # the arc index is an integer, numpy integers included
+    assert float(weight_at(m, 0.2, arc_index=np.int64(0))) == 2.0
+    for at in (weight_at, density_at):
+        for index in (0.0, "0"):
+            with pytest.raises(InputError, match="integer"):
+                at(m, 0.3, arc_index=index)
 
 
 def test_jump_limits_left_right():

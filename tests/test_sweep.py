@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import xlab.christoffel as christoffel_mod
 import xlab.sweep as sweep_mod
 from xlab.christoffel import (christoffel_lambda, kernel_diag, kernel_prefix,
                               orthonormalize)
 from xlab.equilibrium import equilibrium_density
-from xlab.errors import DomainError, InputError
+from xlab.errors import DegeneracyError, DomainError, InputError
 from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
                            preimages)
 from xlab.measures import (ConstantWeight, JumpWeight, MeasureSpec,
@@ -88,6 +89,11 @@ def test_geometric_schedule():
         geometric_schedule(0, 10, 1.25)
     with pytest.raises(InputError):
         geometric_schedule(8, 512, 1.0)
+    # integer bounds only, numpy integers included
+    assert geometric_schedule(np.int64(8), np.int64(16)) == [8, 10, 12, 15, 16]
+    for bounds in ((8.7, 16.2), (8, 16.0), ("8", 16)):
+        with pytest.raises(InputError, match="integer"):
+            geometric_schedule(*bounds)
 
 
 def test_run_sweep_circle_exact_row():
@@ -117,8 +123,10 @@ def test_run_sweep_circle_exact_row():
 
 def test_run_sweep_validates_schedule():
     m = uniform_circle_measure(z0=1.0)
-    with pytest.raises(InputError):
-        run_sweep(m, schedule=[])
+    # the degrees are read before the schedule is tested for emptiness
+    for schedule in ([], np.array([], dtype=int), None):
+        with pytest.raises(InputError, match="non-empty"):
+            run_sweep(m, schedule=schedule)
     with pytest.raises(InputError):
         run_sweep(m, schedule=[8, 8])
     with pytest.raises(DomainError):
@@ -137,8 +145,10 @@ def test_run_sweep_rejects_degrees_below_one_before_work(monkeypatch):
 
 def test_run_sweep_rejects_non_integer_degrees(monkeypatch):
     m = uniform_circle_measure(z0=1.0)
-    ns = [r.n for r in run_sweep(m, schedule=[np.int64(4), np.int64(8)]).rows]
-    assert ns == [4, 8]
+    want = [(r.n, r.lambda_n) for r in run_sweep(m, schedule=[4, 8]).rows]
+    for schedule in ([np.int64(4), np.int64(8)], np.array([4, 8])):
+        got = run_sweep(m, schedule=schedule).rows
+        assert [(r.n, r.lambda_n) for r in got] == want
     monkeypatch.setattr(sweep_mod, "build_rule", None)  # refused before work
     with pytest.raises(InputError, match="integer"):
         run_sweep(m, schedule=[8.7, 16.2])
@@ -201,7 +211,8 @@ def test_run_sweep_marks_degenerate_rows_failed(monkeypatch):
     assert by_n[5].ok and by_n[10].ok
     assert not by_n[15].ok and not by_n[20].ok
     assert math.isnan(by_n[20].lambda_n)
-    assert "degenerate" in by_n[20].note
+    assert by_n[20].note == ("the gram route broke down at degree 12: the "
+                             "measure supports polynomials only up to degree 11")
     # an independent basis on a rule of its own size gives the same value
     want = 10.0 / kernel_diag(orthonormalize(build_rule(measure, 10), 10),
                               measure.z0)
@@ -229,8 +240,16 @@ def test_run_sweep_recurrence_breaks_down_on_few_nodes(monkeypatch):
                                                  rel=1e-13)
     for n in (5, 8):
         assert not by_n[n].ok and math.isnan(by_n[n].lambda_n)
-        assert by_n[n].note == "degenerate beyond degree 3"
+        assert by_n[n].note == ("the gram route broke down at degree 4: the "
+                                "measure supports polynomials only up to "
+                                "degree 3")
     assert result.stages["achieved_degree"] == 3
+    # the note is the text of the error christoffel_lambda raises on the rule
+    monkeypatch.setattr(christoffel_mod, "build_rule",
+                        lambda *args, **kwargs: rule)
+    with pytest.raises(DegeneracyError) as err:
+        christoffel_lambda(uniform_circle_measure(z0=1.0), 8)
+    assert by_n[8].note == str(err.value)
 
 
 def test_run_sweep_fails_every_row_on_an_uncertified_route(monkeypatch):
@@ -247,7 +266,8 @@ def test_run_sweep_fails_every_row_on_an_uncertified_route(monkeypatch):
                 assert row.ok and row.note == ""
             else:
                 assert not row.ok and math.isnan(row.lambda_n)
-                assert row.note.startswith("orthonormality residual")
+                assert row.note.startswith("the gram route's orthonormality "
+                                           "residual")
 
 
 def test_sweep_csv_deterministic(tmp_path):
