@@ -7,8 +7,8 @@ at a jump point of the weight.
 """
 
 from .christoffel import (ChristoffelValue, OrthoBasis, christoffel_lambda,
-                          extremal_polynomial_values, kernel_diag,
-                          kernel_prefix, orthonormalize)
+                          extremal_polynomial_values, kernel_prefix,
+                          orthonormalize)
 from .equilibrium import density_profile, equilibrium_density, green_potential
 from .errors import (CapabilityError, DegeneracyError, DomainError,
                      GeometryError, InputError, MeasureFormatError,
@@ -46,9 +46,9 @@ __all__ = [
     "ellipse_jump_measure", "equilibrium_density", "extrapolate",
     "extremal_polynomial_values", "format_measure", "format_sweep_csv",
     "geometric_schedule", "green_potential", "integrate",
-    "interval_jump_measure", "jump_factor", "jump_limits", "kernel_diag",
-    "kernel_prefix", "lemniscate_pullback_measure", "load_measure_file",
-    "orthonormalize", "parametrize", "parse_measure_text",
+    "interval_jump_measure", "jump_factor", "jump_limits", "kernel_prefix",
+    "lemniscate_pullback_measure", "load_measure_file", "orthonormalize",
+    "parametrize", "parse_measure_text",
     "predicted_limit", "preimages", "project_to_support",
     "pullback_to_lemniscate", "run_sweep", "save_measure_file",
     "standard_jump_measures", "symmetrize_to_interval", "trace_lemniscate",

@@ -3,16 +3,17 @@
 The Christoffel function follows from the kernel identity
 1/lambda_n(z) = K_n(z) = sum_{k <= n} |p_k(z)|^2.  ``support_prefix`` gives
 every K_n(z) up to a degree without storing a basis, by a route that depends
-on the support kind alone: on intervals ``recurrence_values`` gives p_k(z) by
-the Stieltjes recurrence, and on ellipses, circles and lemniscates
-``gram_prefix`` gives the prefix from a Gram matrix built from moments of
-the rule.  On a lemniscate |T| = 1 that matrix is block Toeplitz, and the
-block Levinson recursion factors it in O(n^2 deg T + n m) for m nodes; a
-circle |z - c| = r is the lemniscate of T(z) = (z - c)/r, of degree 1.  Only
-the ellipse's matrix, Toeplitz plus a Hankel border a few dozen wide, takes
-a Cholesky factor, in O(n^3).  Both routes certify the orthonormality of a
-few of their polynomials at the nodes, and a residual above CERTIFY_TOL
-refuses the result.  Sweeps and kernel ``christoffel_lambda`` calls take this route.
+on the support kind alone: on intervals the Stieltjes recurrence, and on
+ellipses, circles and lemniscates a Gram matrix built from moments of the
+rule.  On a lemniscate |T| = 1 that matrix is block Toeplitz, and the block
+Levinson recursion factors it in O(n^2 deg T + n m) for m nodes; a circle
+|z - c| = r is the lemniscate of T(z) = (z - c)/r, of degree 1.  Only the
+ellipse's matrix, Toeplitz plus a Hankel border a few dozen wide, takes a
+Cholesky factor, in O(n^3).  Each route returns p_k(z) up to the degree it
+reaches, the node values Q of a few of its polynomials and the rows W that
+make Q W^T = I; ``support_prefix`` alone sums the prefix and certifies Q,
+and a residual above CERTIFY_TOL refuses the result.  Sweeps and kernel
+``christoffel_lambda`` calls take this route.
 
 Where node values are needed (``method="direct"``, an explicit ``basis``,
 ``OrthoBasis`` itself) the basis p_0, ..., p_n orthonormal under a
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapabilityError, DegeneracyError, DomainError,
-                     InputError, NumericError, as_index)
+from .errors import (DegeneracyError, DomainError, InputError,
+                     NumericError, as_index)
 from .quadrature import build_rule
 
 BREAKDOWN_REL = 1e-14
@@ -213,26 +214,12 @@ def route_kernel(prefix, residual, route, n):
             f"the {route} route's orthonormality residual {residual:.1e} "
             f"exceeds {CERTIFY_TOL:g}")
     if prefix.size <= n:
+        reach = (f"polynomials only up to degree {prefix.size - 1}"
+                 if prefix.size else "no polynomial")
         raise DegeneracyError(
             f"the {route} route broke down at degree {prefix.size}: the "
-            f"measure supports polynomials only up to degree "
-            f"{prefix.size - 1}", achieved_degree=prefix.size - 1)
+            f"measure supports {reach}", achieved_degree=prefix.size - 1)
     return _checked_kernel(float(prefix[n]))
-
-
-def kernel_diag(basis, z, upto=None):
-    """Diagonal kernel value K_n(z) = sum_k |p_k(z)|^2.
-
-    A z far from the support overflows the values to inf or nan without a
-    warning, as in ``support_prefix``; the check raises NumericError.  z is
-    one point; ``kernel_prefix`` takes arrays.
-    """
-    if np.ndim(z):
-        raise InputError("kernel_diag takes one point z; use kernel_prefix "
-                         "for an array of points")
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = basis.evaluate(z, upto=upto)
-        return _checked_kernel(float(np.dot(p, np.conjugate(p)).real))
 
 
 def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
@@ -267,16 +254,14 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
         basis = orthonormalize(build_rule(measure, n), n)
     if basis.degree < n:
         raise DomainError(f"basis degree {basis.degree} is below n = {n}")
-
+    with np.errstate(over="ignore", invalid="ignore"):  # as in support_prefix
+        p = basis.evaluate(z, upto=n)
+        K = _checked_kernel(float(np.dot(p, np.conjugate(p)).real))
     if method == "kernel":
-        K = kernel_diag(basis, z, upto=n)
         return ChristoffelValue(n=n, z=z, lambda_n=1.0 / K, method=method,
                                 route="arnoldi")
 
     # direct: P = sum_k conj(p_k(z)) p_k / K, then lambda = int |P|^2 dmu
-    with np.errstate(over="ignore", invalid="ignore"):  # as in kernel_diag
-        p = basis.evaluate(z, upto=n)
-        K = _checked_kernel(float(np.dot(p, np.conjugate(p)).real))
     c = np.conjugate(p) / K
     Pn = c @ basis.node_values[:n + 1]
     lam = float(np.dot(basis.rule.weights, np.abs(Pn) ** 2))
@@ -303,39 +288,40 @@ def kernel_prefix(basis, z):
 def support_prefix(rule, support, degree, z):
     """K_n(z) for every n up to ``degree``, by the route for the support kind.
 
-    Intervals take ``recurrence_values`` and every other support
-    ``gram_prefix``; neither stores a basis.  Returns (prefix, residual,
-    route), route being "recurrence" or "gram".  The prefix stops at the
-    achieved degree when the discrete measure breaks the route down.  A z
-    far from the support overflows entries of the prefix to inf or nan,
-    without a warning; callers test them.
+    Intervals take ``_recurrence_rows`` and every other support
+    ``_gram_rows``; neither stores a basis.  Each returns (p, Q, W): p(z) up
+    to the degree the route reaches before the discrete measure breaks it
+    down, the ``_certified`` polynomials at the nodes, Q, and the rows W
+    they are checked against, w conj(Q) for node weights w (Q itself on an
+    interval, whose rows carry sqrt(w)).  The degree check, the sum and the
+    certificate are made here and nowhere else.  Returns (prefix, residual,
+    route): the cumsum of |p|^2, the largest |Q W^T - I|, and "recurrence"
+    or "gram".  A z far from the support overflows entries of the prefix to
+    inf or nan, without a warning; callers test them.
     """
+    _check_degree(rule, degree)
+    z = complex(z)
     with np.errstate(over="ignore", invalid="ignore"):
         if support.kind == "interval":
-            p, residual = recurrence_values(rule, support, degree, z)
-            return np.cumsum(np.abs(p) ** 2), residual, "recurrence"
-        return (*gram_prefix(rule, support, degree, z), "gram")
+            route, (p, Q, W) = "recurrence", _recurrence_rows(rule, degree, z)
+        else:
+            route, (p, Q, W) = "gram", _gram_rows(rule, support, degree, z)
+        G = np.abs(Q @ W.T - np.eye(len(Q)))
+        return np.cumsum(np.abs(p) ** 2), float(G.max(initial=0.0)), route
 
 
-def recurrence_values(rule, support, degree, z):
+def _recurrence_rows(rule, degree, z):
     """p_0(z), ..., p_degree(z) for a rule on an interval support.
 
     The polynomials follow the Stieltjes three-term recurrence (Gautschi,
     Orthogonal Polynomials: Computation and Approximation, 2004), in
     O(degree * m) time and O(m) memory: no basis is stored, each step keeps
-    only the current node values.
-
-    Returns (values, residual).  ``values`` stops at the achieved degree when
-    the discrete measure breaks the recurrence down, under the same relative
-    test as ``orthonormalize``.  ``residual`` is the largest |<p_j, p_k> -
-    delta_jk| over at most CERTIFY_COUNT + 1 polynomials spread over the
-    degrees and the last one (see ``_certified``), a global check of the
-    orthonormality the recurrence assumes, in O(degree * m).
+    only the current node values.  The values stop at the achieved degree
+    when the discrete measure breaks the recurrence down, under the same
+    relative test as ``orthonormalize``.  Returns (p, Q, Q): the kept rows
+    of Q are sqrt(w) p_k, real and weighted already.
     """
-    _check_degree(rule, degree)
-    if support.kind != "interval":
-        raise CapabilityError(f"no recurrence for {support.kind} supports")
-    w, t, z = rule.weights, rule.nodes.real, complex(z)
+    w, t = rule.weights, rule.nodes.real
     # the recurrence runs on q_k = sqrt(w) p_k at the nodes, so every inner
     # product is a plain dot; v = t q_k - beta q_{k-1} - a q_k, and the
     # three buffers rotate without an array allocated per step
@@ -362,13 +348,12 @@ def recurrence_values(rule, support, degree, z):
             kept.append(q.copy())
     if len(values) - 1 not in keep:
         kept.append(q.copy())
-    K = np.array(kept)
-    G = K @ K.T - np.eye(len(kept))
-    return np.array(values), float(np.abs(G).max())
+    Q = np.array(kept)
+    return np.array(values), Q, Q
 
 
-def gram_prefix(rule, support, degree, z):
-    """K_n(z), n <= degree, for a rule on an ellipse, a circle or a lemniscate.
+def _gram_rows(rule, support, degree, z):
+    """p(z) up to ``degree`` for a rule on an ellipse, a circle or a lemniscate.
 
     The Gram matrix G of a Faber-type basis phi_k, nearly orthonormal on the
     curve (Suetin, Series of Faber Polynomials, 1998), comes from O(degree)
@@ -387,13 +372,11 @@ def gram_prefix(rule, support, degree, z):
     degree + K; its Cholesky factor G = R^H R, bordered by phi(z), gives
     p(z) = R^{-H} phi(z) in O(degree^3).  Either factor stops before its
     first pivot below BREAKDOWN_REL of its diagonal entry of G.  Returns
-    (prefix, residual): K_n(z) up to the degree where the factor breaks
-    down, and the residual that ``recurrence_values`` reports, for the
-    polynomials p_k at the nodes, each summed from its coefficients only up
+    (p, Q, w conj(Q)): p(z) up to the degree where the factor breaks down,
+    and the kept p_k at the nodes, each summed from its coefficients only up
     to its own degree.
     """
-    _check_degree(rule, degree)
-    z, w, n = complex(z), rule.weights, degree
+    w, n = rule.weights, degree
 
     def series(C, top):  # sum_{p < top[i]} C[i, p] e^{i p theta}, top ascending
         Y = np.zeros((len(C), w.size), dtype=complex)
@@ -441,7 +424,8 @@ def gram_prefix(rule, support, degree, z):
         top, k = np.add(keep, 1), min(K, p.size)
         Q = series(C, top) + np.conjugate(series(
             np.conjugate(C[:, :k] * r[:k]), np.minimum(top, k)))
-    elif (poly := support.level_polynomial) is not None:
+    else:  # |T| = 1
+        poly = support.level_polynomial
         N = poly.degree
         s = -poly.coeffs[N - 1] / (N * poly.coeffs[N])
         powers = _power_blocks(rule.params, n // N + 1)
@@ -457,26 +441,23 @@ def gram_prefix(rule, support, degree, z):
             p, _, C = _block_levinson(M, t, f, keep[-1] + 1, keep)
         top = np.floor_divide(keep, N) + 1  # p_k has powers T^j, j <= k // N
         Q = sum(Z[:, k] * series(C[:, k::N], top) for k in range(N))
-    else:
-        raise CapabilityError(f"no Gram route for {support.kind} supports")
-    residual = np.abs(Q @ (w * np.conjugate(Q)).T - np.eye(len(Q))).max()
-    return np.cumsum(np.abs(p) ** 2), float(residual)
+    return p, Q, w * np.conjugate(Q)
 
 
 def _certified(degree, last):
     """Degrees of the polynomials the orthonormality certificate keeps on the
     way to ``degree``: every CERTIFY_STRIDE-th one, or every
     ceil(degree / CERTIFY_COUNT)-th beyond degree 512, up to ``last``, and
-    ``last``.  Its cost is O(degree * m) for m nodes at any degree."""
+    ``last``, if any.  Its cost is O(degree * m) for m nodes at any degree."""
     stride = max(CERTIFY_STRIDE, -(-degree // CERTIFY_COUNT))
-    return sorted({*range(0, last + 1, stride), last})
+    return sorted({*range(0, last + 1, stride), last}) if last >= 0 else []
 
 
 def _power_blocks(theta, limit):
     """count -> (lo, rows e^{i p theta}, p < min(GRAM_BLOCK, count - lo),
     e^{i lo theta}), lo < count <= limit, whose product is
     e^{i (lo + p) theta}.  The rows come from one table of
-    min(GRAM_BLOCK, limit) rows, built once per ``gram_prefix`` call by
+    min(GRAM_BLOCK, limit) rows, built once per ``_gram_rows`` call by
     doubling and shared by the moments and every ``series``; a row is a
     product of at most log2(GRAM_BLOCK) exact exponentials, so no error grows
     from power to power."""

@@ -46,6 +46,8 @@ class ComplexPolynomial:
             raise GeometryError("coefficients must be a nonempty 1-d sequence")
         if c.size > 1 and c[-1] == 0:
             raise GeometryError("leading coefficient must be nonzero")
+        if not np.all(np.isfinite(c)):
+            raise GeometryError("coefficients must be finite")
         self.coeffs = c
 
     @property
@@ -136,18 +138,22 @@ class SupportSpec:
 
     @classmethod
     def make_circle(cls, radius=1.0, center=0j):
-        radius = float(radius)
-        if not radius > 0:
-            raise GeometryError("circle radius must be positive")
-        return cls(kind="circle", radius=radius, center=complex(center))
+        radius, center = float(radius), complex(center)
+        if not (0 < radius < math.inf and cmath.isfinite(center)):
+            raise GeometryError("circle radius must be positive and finite, "
+                                "and its center finite")
+        return cls(kind="circle", radius=radius, center=center)
 
     @classmethod
     def make_ellipse(cls, a, b, center=0j, rotation=0.0):
-        a, b = float(a), float(b)
-        if not (a > 0 and b > 0):
-            raise GeometryError("ellipse semi-axes must be positive")
-        return cls(kind="ellipse", axes=(a, b), center=complex(center),
-                   rotation=float(rotation))
+        a, b, center, rotation = (float(a), float(b), complex(center),
+                                  float(rotation))
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise GeometryError("ellipse semi-axes must be positive and finite")
+        if not (cmath.isfinite(center) and math.isfinite(rotation)):
+            raise GeometryError("ellipse center and rotation must be finite")
+        return cls(kind="ellipse", axes=(a, b), center=center,
+                   rotation=rotation)
 
     @classmethod
     def make_lemniscate(cls, poly):
@@ -388,7 +394,7 @@ def project_to_support(support, z):
     arcs = parametrize(support)
     if support.kind == "interval":
         a, b = support.interval
-        if abs(z.imag) > tol or z.real < a - tol or z.real > b + tol:
+        if not (abs(z.imag) <= tol and a - tol <= z.real <= b + tol):
             raise DomainError(f"{z} is not on the interval [{a}, {b}]")
         return 0, min(max(z.real, a), b), complex(min(max(z.real, a), b))
     if support.kind in ("circle", "ellipse"):
@@ -396,12 +402,12 @@ def project_to_support(support, z):
         zeta = (z - support.center) * cmath.exp(-1j * support.rotation)
         t = math.atan2(zeta.imag / b, zeta.real / a) % (2.0 * math.pi)
         point = complex(arcs[0].point(t))
-        if abs(point - z) > tol:
+        if not abs(point - z) <= tol:
             raise DomainError(f"{z} is not on the {support.kind}")
         return 0, t, point
     # lemniscate; parametrize has already rejected unknown kinds
     w = complex(support.poly(z))
-    if abs(abs(w) - 1.0) > max(tol, 1e-6):
+    if not abs(abs(w) - 1.0) <= max(tol, 1e-6):
         raise DomainError(f"{z} is not on the lemniscate")
     phi = math.atan2(w.imag, w.real)
     best = None
@@ -414,6 +420,6 @@ def project_to_support(support, z):
         if best is None or d < best[0]:
             best = (d, i, float(cand[j]), complex(pts[j]))
     d, i, t, point = best
-    if d > tol * (1.0 + abs(z)):
+    if not d <= tol * (1.0 + abs(z)):
         raise DomainError(f"{z} is not on the lemniscate (distance {d:.2e})")
     return i, t, point

@@ -34,6 +34,8 @@ class SmoothFactor:
         c = np.atleast_1d(np.asarray(coeffs, dtype=float))
         if c.ndim != 1 or c.size == 0:
             raise InputError("smooth factor needs a nonempty coefficient list")
+        if not np.all(np.isfinite(c)):
+            raise InputError("smooth factor coefficients must be finite")
         self.coeffs = c
 
     @property
@@ -52,8 +54,8 @@ class ConstantWeight:
 
     def __init__(self, c=1.0):
         c = float(c)
-        if not c > 0:
-            raise InputError("weight must be positive")
+        if not 0 < c < math.inf:
+            raise InputError("weight must be positive and finite")
         self.c = c
 
     def value(self, t):
@@ -77,12 +79,15 @@ class JumpWeight:
 
     def __init__(self, A, B, jump_param, period=None):
         A, B = float(A), float(B)
-        if not (A > 0 and B > 0):
-            raise InputError("jump weight values must be positive")
+        if not (0 < A < math.inf and 0 < B < math.inf):
+            raise InputError("jump weight values must be positive and finite")
         self.A = A
         self.B = B
         self.jump_param = float(jump_param)
         self.period = None if period is None else float(period)
+        if not (math.isfinite(self.jump_param)
+                and (period is None or 0 < self.period < math.inf)):
+            raise InputError("jump parameter and period must be finite")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -149,7 +154,7 @@ class MeasureSpec:
     def _validate_smooth(self):
         for arc in parametrize(self.support):
             ts = np.linspace(arc.t_lo, arc.t_hi, 257)
-            if np.min(self.smooth(ts)) <= 0:
+            if not np.min(self.smooth(ts)) > 0:
                 raise InputError("smooth factor must stay positive on the arc")
 
     def z0_location(self):
@@ -356,9 +361,15 @@ _ARCSINE_FLAGS = {"0": False, "1": True, "false": False, "true": True,
                   "no": False, "yes": True}
 
 
+def _finite(value, tok, key):
+    if not cmath.isfinite(value):
+        raise MeasureFormatError(f"{key}: {tok!r} is not a finite number")
+    return value
+
+
 def _parse_number(tok, key):
     try:
-        return float(tok)
+        return _finite(float(tok), tok, key)
     except ValueError:
         raise MeasureFormatError(f"{key}: cannot parse number {tok!r}")
 
@@ -367,8 +378,8 @@ def _parse_complex(tok, key):
     try:
         if "," in tok:
             re_s, im_s = tok.split(",")
-            return complex(float(re_s), float(im_s))
-        return complex(float(tok), 0.0)
+            return _finite(complex(float(re_s), float(im_s)), tok, key)
+        return _finite(complex(float(tok), 0.0), tok, key)
     except ValueError:
         raise MeasureFormatError(f"{key}: cannot parse complex number {tok!r}")
 

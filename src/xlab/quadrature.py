@@ -89,7 +89,8 @@ def build_rule(measure, max_degree):
     The node budget is NODES_PER_DEGREE * (max_degree + 1), spread over the
     jump-free segments in proportion to parameter length; each segment gets
     at least one panel, so the rule may carry a few panels more.  The rule
-    does not depend on the measure's z0.
+    does not depend on the measure's z0.  A weight that is not positive, or
+    a mass that overflows, raises NumericError.
     """
     max_degree = as_index(max_degree, "max_degree")
     if max_degree < 0:
@@ -120,8 +121,11 @@ def build_rule(measure, max_degree):
         weights.append((half_p * _GL_W).ravel() * factor)
 
     weights = np.concatenate(weights)
-    if not np.all(np.isfinite(weights)) or weights.min() <= 0:
-        raise NumericError("quadrature weights must be positive and finite")
+    with np.errstate(over="ignore"):  # an overflowing mass is refused
+        finite = math.isfinite(weights.sum())
+    if not (weights.min() > 0 and finite):
+        raise NumericError("quadrature weights must be positive, with a "
+                           "finite sum")
     return QuadratureRule(nodes=np.concatenate(nodes), weights=weights,
                           params=np.concatenate(params), max_exact_degree=max_degree)
 

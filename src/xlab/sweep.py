@@ -61,11 +61,12 @@ def geometric_schedule(n_min=8, n_max=512, ratio=1.25):
     n_min, n_max = as_index(n_min, "n_min"), as_index(n_max, "n_max")
     if not (1 <= n_min <= n_max):
         raise InputError("schedule needs 1 <= n_min <= n_max")
-    if not ratio > 1.0:
-        raise InputError("schedule ratio must exceed 1")
+    if not 1.0 < ratio < math.inf:
+        raise InputError("schedule ratio must be finite and exceed 1")
     ns = [n_min]
-    while ns[-1] < n_max:
-        ns.append(min(max(ns[-1] + 1, int(round(ns[-1] * ratio))), n_max))
+    while ns[-1] < n_max:  # a step past n_max stops at it, not at inf
+        step = int(round(min(ns[-1] * ratio, n_max)))
+        ns.append(min(max(ns[-1] + 1, step), n_max))
     return ns
 
 

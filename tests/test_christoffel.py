@@ -15,11 +15,9 @@ from mpmath.calculus.quadrature import GaussLegendre
 import xlab
 import xlab.christoffel as christoffel_mod
 from xlab.christoffel import (_finish_basis, christoffel_lambda,
-                              extremal_polynomial_values, gram_prefix,
-                              kernel_diag, kernel_prefix, orthonormalize,
-                              recurrence_values, support_prefix)
-from xlab.errors import (CapabilityError, DegeneracyError, DomainError,
-                         InputError, NumericError)
+                              extremal_polynomial_values, kernel_prefix,
+                              orthonormalize, support_prefix)
+from xlab.errors import DegeneracyError, DomainError, InputError, NumericError
 from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
                            preimages)
 from xlab.measures import (ConstantWeight, MeasureSpec, circle_jump_measure,
@@ -444,8 +442,34 @@ def test_certificate_refuses_a_wrong_gram_matrix(monkeypatch):
             assert not any(row.ok for row in rows)
     symmetric = circle_jump_measure()
     rule = build_rule(symmetric, 64)
-    monkeypatch.setattr(christoffel_mod, "_block_levinson", conjugated_levinson)
-    assert support_prefix(rule, symmetric.support, 64, 1.0)[1] < 1e-14
+    with monkeypatch.context() as patch:
+        patch.setattr(christoffel_mod, "_block_levinson", conjugated_levinson)
+        assert support_prefix(rule, symmetric.support, 64, 1.0)[1] < 1e-14
+
+    # the one residual, formed by support_prefix, refuses any route whose
+    # kept node rows are off: one row scaled by 1.01 on each route
+    def scaled_row(route):
+        def wrong(*args):
+            p, Q, W = route(*args)
+            Q = Q.copy()
+            Q[len(Q) // 2] *= 1.01
+            return p, Q, W
+        return wrong
+
+    for measure, name in ((interval_jump_measure(), "_recurrence_rows"),
+                          (ellipse_jump_measure(1.25, 0.75), "_gram_rows"),
+                          (circle_jump_measure(), "_gram_rows")):
+        rule = build_rule(measure, 64)
+        with monkeypatch.context() as patch:
+            patch.setattr(christoffel_mod, name,
+                          scaled_row(getattr(christoffel_mod, name)))
+            _, residual, _ = support_prefix(rule, measure.support, 64,
+                                            measure.z0)
+            assert residual >= 9e-3
+            with pytest.raises(NumericError, match="residual"):
+                christoffel_lambda(measure, 64)
+            rows = run_sweep(measure, schedule=[8, 32, 64]).rows
+            assert not any(row.ok for row in rows)
 
 
 def _level_measure(N, coeffs, jump):
@@ -546,7 +570,7 @@ def test_recurrence_breakdown_matches_arnoldi():
                       / prefix) <= 1e-13
         assert residual < 1e-13
         if route == "recurrence":
-            values, _ = recurrence_values(rule, support, 6, z)
+            values = christoffel_mod._recurrence_rows(rule, 6, z)[0]
             assert np.max(np.abs(values - partial.evaluate(z))) <= 1e-13
 
 
@@ -610,19 +634,13 @@ def test_kernel_lambda_route_degeneracy_matches_arnoldi(monkeypatch):
         assert value.lambda_n == pytest.approx(0.5 * math.pi, rel=1e-14)
 
 
-def test_recurrence_rejects_other_supports():
-    # and the Gram route rejects the recurrence's support, the interval
+def test_support_prefix_rejects_a_degree_beyond_the_rule():
+    # one degree check serves the recurrence (interval) and the Gram route
     measure = ellipse_jump_measure(1.25, 0.75)
     rule = build_rule(measure, 8)
-    for support in (measure.support, SupportSpec.make_circle()):
-        with pytest.raises(CapabilityError):
-            recurrence_values(rule, support, 8, 1.0)
-    with pytest.raises(DomainError):
-        recurrence_values(rule, SupportSpec.make_interval(-1.0, 1.0), 9, 1.0)
-    with pytest.raises(CapabilityError):
-        gram_prefix(rule, SupportSpec.make_interval(-1.0, 1.0), 8, 1.0)
-    with pytest.raises(DomainError):
-        gram_prefix(rule, measure.support, 9, 1.0)
+    for support in (SupportSpec.make_interval(-1.0, 1.0), measure.support):
+        with pytest.raises(DomainError):
+            support_prefix(rule, support, 9, 1.0)
 
 
 def test_golub_welsch_weights_match_recurrence():
@@ -638,8 +656,7 @@ def test_golub_welsch_weights_match_recurrence():
     x, V = np.linalg.eigh(J)
     gauss = rule.mass * V[0] ** 2
     for xj, wj in zip(x, gauss):
-        values, _ = recurrence_values(rule, measure.support, n - 1, xj)
-        lam = 1.0 / float(np.sum(np.abs(values) ** 2))
+        lam = 1.0 / support_prefix(rule, measure.support, n - 1, xj)[0][-1]
         assert abs(lam - wj) <= 1e-12 * wj
 
 
@@ -674,13 +691,13 @@ def test_import_does_not_load_mpmath():
     assert out.strip() == "False"
 
 
-def test_kernel_prefix_matches_kernel_diag():
+def test_kernel_prefix_matches_kernel_lambda():
     measure = circle_jump_measure()
     basis = orthonormalize(build_rule(measure, 20), 20)
     prefix = kernel_prefix(basis, measure.z0)
     for n in (0, 7, 20):
-        assert prefix[n] == pytest.approx(kernel_diag(basis, measure.z0,
-                                                      upto=n), rel=1e-14)
+        value = christoffel_lambda(measure, n, basis=basis)
+        assert prefix[n] == pytest.approx(1.0 / value.lambda_n, rel=1e-14)
     # on an array of points each column is one point's prefix, summed over
     # the degrees only
     points = [measure.z0, 0.3 + 0.2j]
@@ -693,7 +710,7 @@ def test_kernel_prefix_matches_kernel_diag():
 
 def test_arnoldi_readers_reject_bad_input():
     # a non-integral degree is refused, not truncated; an out-of-range one
-    # stays a DomainError; kernel_diag names kernel_prefix for arrays
+    # stays a DomainError
     basis = orthonormalize(build_rule(circle_jump_measure(), 8), 8)
     for upto in (2.7, 3.0, "3"):
         with pytest.raises(InputError, match="integer") as err:
@@ -703,8 +720,6 @@ def test_arnoldi_readers_reject_bad_input():
     for upto in (-1, 9):
         with pytest.raises(DomainError):
             basis.evaluate(0.5, upto=upto)
-    with pytest.raises(InputError, match="kernel_prefix"):
-        kernel_diag(basis, np.array([0.5, 0.2j]))
     with pytest.raises(InputError, match="1-D"):
         basis.evaluate(np.zeros((2, 2)))
 
@@ -828,8 +843,6 @@ def test_arnoldi_far_point_is_numeric_error_without_warning(bases_512):
     # |p_k(1000)|^2 overflows float64 below degree 256 on every standard
     # measure; like the route, an explicit basis reports it only by the error
     for name, (measure, _, basis) in bases_512.items():
-        with pytest.raises(NumericError, match="kernel overflow"):
-            kernel_diag(basis, 1000.0, upto=256)
         for method in ("kernel", "direct"):
             with pytest.raises(NumericError, match="kernel overflow"):
                 christoffel_lambda(measure, 256, z=1000.0, method=method,
@@ -852,7 +865,6 @@ def test_arnoldi_interval_matches_stieltjes_at_512(bases_512):
     # the three-term recurrence by n = 512; the conditional pass stays near
     # 5e-15
     measure, rule, basis = bases_512["interval"]
-    values, _ = recurrence_values(rule, measure.support, 512, measure.z0)
-    want = np.cumsum(np.abs(values) ** 2)
+    want, _, _ = support_prefix(rule, measure.support, 512, measure.z0)
     got = kernel_prefix(basis, measure.z0)
     assert np.max(np.abs(got - want) / want) <= 1e-13

@@ -12,8 +12,10 @@ import xlab.cli as cli_mod
 import xlab.suites as suites_mod
 from xlab.cli import EQUILIBRIUM_CSV_HEADER, main
 from xlab.errors import NumericError
-from xlab.measures import (circle_jump_measure, save_measure_file,
-                           uniform_circle_measure)
+from xlab.geometry import ComplexPolynomial
+from xlab.measures import (circle_jump_measure, ellipse_jump_measure,
+                           interval_jump_measure, lemniscate_pullback_measure,
+                           save_measure_file, uniform_circle_measure)
 from xlab.sweep import SWEEP_CSV_HEADER
 
 MEASURES = pathlib.Path(__file__).resolve().parent.parent / "measures"
@@ -77,8 +79,8 @@ def test_lambda_names_its_route(name, route, capsys):
 @pytest.mark.parametrize("path", sorted(MEASURES.glob("*.measure")),
                          ids=lambda p: p.stem)
 def test_lambda_far_point_is_numeric_error(path, capsys):
-    # K_256(1000) overflows float64 on every route, and the route reports it
-    # with kernel_diag's error
+    # K_256(1000) overflows float64 on every route, and christoffel_lambda
+    # reports it as a kernel overflow
     code = main(["lambda", "--measure", str(path), "--z", "1000,0",
                  "--n", "256"])
     assert code == 3
@@ -282,9 +284,25 @@ CIRCLE_SUPPORT = "support.kind = circle\nsupport.params = 1\n"
      "auto-jump needs a jump weight"),
     (CIRCLE_SUPPORT + "weight.A = 0\n", "weight must be positive"),
     (CIRCLE_SUPPORT + "weight.A = abc\n", "cannot parse number 'abc'"),
+    ("support.kind = lemniscate\nsupport.params = nan,0 0,0 1,0\n"
+     "weight.A = 1\n", "support.params: 'nan,0' is not a finite number"),
+    ("support.kind = lemniscate\nsupport.params = inf,0 0,0 1,0\n"
+     "weight.A = 1\n", "support.params: 'inf,0' is not a finite number"),
+    (CIRCLE_SUPPORT + "weight.A = 2\nweight.B = 1\nweight.jump_param = nan\n",
+     "weight.jump_param: 'nan' is not a finite number"),
+    (CIRCLE_SUPPORT + "weight.A = 2\nweight.B = 1\nweight.jump_param = inf\n",
+     "weight.jump_param: 'inf' is not a finite number"),
+    ("support.kind = circle\nsupport.params = inf\nweight.A = 1\n",
+     "support.params: 'inf' is not a finite number"),
+    (CIRCLE_SUPPORT + "weight.A = 1\nweight.w0 = nan\n",
+     "weight.w0: 'nan' is not a finite number"),
+    (CIRCLE_SUPPORT + "weight.A = 1\neval.z0 = nan,0\n",
+     "'nan,0' is not a finite number"),
 ], ids=["no-kind", "no-equals", "empty-value", "no-weight",
         "lemniscate-no-params", "arcsine-off-interval", "auto-jump-constant",
-        "zero-weight", "bad-number"])
+        "zero-weight", "bad-number", "lemniscate-nan", "lemniscate-inf",
+        "jump-param-nan", "jump-param-inf", "support-params-inf", "w0-nan",
+        "z0-nan"])
 def test_malformed_measure_file_is_input_error(tmp_path, capsys, text,
                                                message):
     bad = tmp_path / "bad.measure"
@@ -299,6 +317,36 @@ def test_bad_point_argument_is_input_error(uniform_file, capsys):
                  "--n", "3"])
     assert code == 2
     capsys.readouterr()
+    for z in ("nan,0", "0,inf", "inf"):
+        assert main(["lambda", "--measure", uniform_file, f"--z={z}",
+                     "--n", "3"]) == 2
+        assert "is not a finite number" in capsys.readouterr().err
+
+
+def test_sweep_infinite_ratio_is_input_error(circle_file, tmp_path, capsys):
+    code = main(["sweep", "--measure", circle_file, "--ratio", "inf",
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert "ratio" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("measure", [
+    circle_jump_measure(A=1e308, B=1e308),
+    interval_jump_measure(A=1e308, B=1e308),
+    lemniscate_pullback_measure(ComplexPolynomial([0, 0, 1]), A=1e308,
+                                B=1e308),
+    ellipse_jump_measure(1.25, 0.75, A=2e307, B=2e307),
+], ids=["circle", "interval", "lemniscate", "ellipse"])
+def test_overflowing_measure_is_numeric_error(measure, tmp_path, capsys):
+    # weights that sum to inf, or an ellipse Gram matrix whose first entry
+    # overflows, exit 3
+    path = tmp_path / "big.measure"
+    save_measure_file(measure, path)
+    code = main(["lambda", "--measure", str(path), "--z", "auto-jump",
+                 "--n", "8"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "degree -1" not in err
 
 
 def test_numeric_error_exit_code(uniform_file, capsys, monkeypatch):

@@ -250,6 +250,26 @@ def test_project_to_support_circle_and_interval():
         project_to_support(interval, 0.25 + 0.5j)
 
 
+def test_geometry_refuses_non_finite_numbers():
+    # a nan or inf parameter, coefficient or point is refused, not carried
+    nan, inf = float("nan"), float("inf")
+    makers = (lambda: SupportSpec.make_circle(center=complex(nan, 0.0)),
+              lambda: SupportSpec.make_circle(radius=inf),
+              lambda: SupportSpec.make_ellipse(inf, 1.0),
+              lambda: SupportSpec.make_ellipse(1.25, 0.75, rotation=nan),
+              lambda: ComplexPolynomial([nan, 0.0, 1.0]))
+    for make in makers:
+        with pytest.raises(GeometryError, match="finite"):
+            make()
+    supports = (SupportSpec.make_circle(), SupportSpec.make_interval(-1.0, 1.0),
+                SupportSpec.make_ellipse(1.25, 0.75),
+                SupportSpec.make_lemniscate(ComplexPolynomial([0, 0, 1.0])))
+    for support in supports:
+        for z in (nan, complex(0.5, nan), inf):
+            with pytest.raises(DomainError):
+                project_to_support(support, z)
+
+
 def test_project_to_support_ellipse_and_lemniscate():
     ellipse = SupportSpec.make_ellipse(1.25, 0.75)
     i, t, pt = project_to_support(ellipse, 0.75j + 1e-10)

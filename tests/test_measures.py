@@ -63,6 +63,18 @@ def test_jump_weight_positivity_validation():
         JumpWeight(-1.0, 1.0, 0.0)
     with pytest.raises(InputError):
         JumpWeight(2.0, 0.0, 0.0)
+    # values, jump parameter and period must be finite; an interval measure
+    # with a nan jump parameter would build a rule without a jump
+    nan, inf = float("nan"), float("inf")
+    for args in ((inf, 1.0, 0.0), (2.0, 1.0, nan, 2 * math.pi),
+                 (2.0, 1.0, inf), (2.0, 1.0, 0.0, nan)):
+        with pytest.raises(InputError, match="finite"):
+            JumpWeight(*args)
+    for value in (inf, nan):
+        with pytest.raises(InputError, match="positive and finite"):
+            ConstantWeight(value)
+    with pytest.raises(InputError, match="finite"):
+        interval_jump_measure(jump_param=nan)
 
 
 def test_weight_and_density_at():
@@ -94,6 +106,12 @@ def test_smooth_factor_validation():
         MeasureSpec(support, ConstantWeight(1.0), SmoothFactor([1.0, -2.0]))
     with pytest.raises(InputError, match="JumpWeight"):
         MeasureSpec(support, SmoothFactor())
+    # a factor that reads nan on the arc is not positive there, and a
+    # SmoothFactor takes finite coefficients only
+    with pytest.raises(InputError, match="positive"):
+        MeasureSpec(support, ConstantWeight(1.0), lambda t: t * math.nan)
+    with pytest.raises(InputError, match="finite"):
+        SmoothFactor([1.0, math.inf])
 
 
 def test_measure_scaling():

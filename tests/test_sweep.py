@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 import xlab.christoffel as christoffel_mod
 import xlab.sweep as sweep_mod
-from xlab.christoffel import (christoffel_lambda, kernel_diag, kernel_prefix,
+from xlab.christoffel import (christoffel_lambda, kernel_prefix,
                               orthonormalize)
 from xlab.equilibrium import equilibrium_density
-from xlab.errors import DegeneracyError, DomainError, InputError
+from xlab.errors import DegeneracyError, DomainError, InputError, NumericError
 from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
                            preimages)
 from xlab.measures import (ConstantWeight, JumpWeight, MeasureSpec,
                            SmoothFactor, circle_jump_measure,
-                           ellipse_jump_measure, uniform_circle_measure)
+                           ellipse_jump_measure, interval_jump_measure,
+                           lemniscate_pullback_measure,
+                           uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
 from xlab.suites import standard_jump_measures
 from xlab.sweep import (SWEEP_CSV_HEADER, SweepResult, SweepRow, extrapolate,
@@ -59,6 +61,33 @@ def test_predicted_limit_scaling():
     for c in (0.5, 2.0, 10.0):
         assert predicted_limit(m.scaled(c)) == pytest.approx(c * base,
                                                              rel=1e-12)
+    # a nan point is not on the support
+    with pytest.raises(DomainError):
+        predicted_limit(m, z=float("nan"))
+
+
+def test_overflowing_rule_or_gram_matrix_is_refused():
+    # weights of 1e308 sum to inf, and build_rule refuses the rule; on the
+    # ellipse the mass 1.28e308 is finite but G[0, 0], about 4 mu_0, is not,
+    # so the Gram factor stops at degree 0 and every row fails with the
+    # error christoffel_lambda raises
+    big = {"A": 1e308, "B": 1e308}
+    for measure in (circle_jump_measure(**big), interval_jump_measure(**big),
+                    lemniscate_pullback_measure(ComplexPolynomial([0, 0, 1]),
+                                                **big)):
+        with pytest.raises(NumericError, match="finite sum"):
+            christoffel_lambda(measure, 8)
+        with pytest.raises(NumericError, match="finite sum"):
+            run_sweep(measure, schedule=[4, 8])
+    measure = ellipse_jump_measure(1.25, 0.75, A=2e307, B=2e307)
+    with pytest.raises(DegeneracyError) as err:
+        christoffel_lambda(measure, 8)
+    assert err.value.achieved_degree == -1
+    assert str(err.value) == ("the gram route broke down at degree 0: the "
+                              "measure supports no polynomial")
+    result = run_sweep(measure, schedule=[4, 8])
+    assert result.stages["achieved_degree"] == -1
+    assert [row.note for row in result.rows] == [str(err.value)] * 2
 
 
 def test_seam_of_a_closed_arc_is_a_jump_of_the_smooth_factor():
@@ -87,8 +116,11 @@ def test_geometric_schedule():
     assert geometric_schedule(8, 8, 1.25) == [8]
     with pytest.raises(InputError):
         geometric_schedule(0, 10, 1.25)
-    with pytest.raises(InputError):
-        geometric_schedule(8, 512, 1.0)
+    for ratio in (1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="ratio"):
+            geometric_schedule(8, 512, ratio)
+    # a finite ratio whose step overflows stops at n_max
+    assert geometric_schedule(8, 16, 1e308) == [8, 16]
     # integer bounds only, numpy integers included
     assert geometric_schedule(np.int64(8), np.int64(16)) == [8, 10, 12, 15, 16]
     for bounds in ((8.7, 16.2), (8, 16.0), ("8", 16)):
@@ -214,8 +246,8 @@ def test_run_sweep_marks_degenerate_rows_failed(monkeypatch):
     assert by_n[20].note == ("the gram route broke down at degree 12: the "
                              "measure supports polynomials only up to degree 11")
     # an independent basis on a rule of its own size gives the same value
-    want = 10.0 / kernel_diag(orthonormalize(build_rule(measure, 10), 10),
-                              measure.z0)
+    basis = orthonormalize(build_rule(measure, 10), 10)
+    want = 10.0 * christoffel_lambda(measure, 10, basis=basis).lambda_n
     assert by_n[10].n_lambda_n == pytest.approx(want, rel=1e-12)
     with pytest.raises(DomainError):
         extrapolate(result)  # only two surviving rows
@@ -301,7 +333,8 @@ def test_run_sweep_marks_overflowed_rows_failed():
         result = run_sweep(measure, z=1000.0, schedule=[8, 16, 64, 256])
         for row in result.rows[:2]:
             basis = orthonormalize(build_rule(measure, row.n), row.n)
-            want = 1.0 / kernel_diag(basis, 1000.0)
+            want = christoffel_lambda(measure, row.n, z=1000.0,
+                                      basis=basis).lambda_n
             assert row.ok and row.lambda_n == pytest.approx(want, rel=1e-12)
         for row in result.rows[2:]:
             assert not row.ok and math.isnan(row.lambda_n)
