@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from xlab import (ComplexPolynomial, ConstantWeight, MeasureSpec, SupportSpec,
+from xlab import (ComplexPolynomial, JumpWeight, MeasureSpec, SupportSpec,
                   build_rule, density_profile, equilibrium_density,
                   green_potential, integrate)
 
@@ -35,7 +35,8 @@ print(f"{'support':20s} {'mass':>14s} {'max|Re G| on E':>15s} "
 for name, (support, cap) in supports.items():
     dens = equilibrium_density(support)
     G, _ = green_potential(support)
-    rule = build_rule(MeasureSpec(support, ConstantWeight(1.0)), 24)
+    # a JumpWeight without a switch parameter is the constant weight
+    rule = build_rule(MeasureSpec(support, JumpWeight(1.0)), 24)
     mass = integrate(rule, lambda z: np.array([dens(p)
                                                for p in np.atleast_1d(z)]))
     on_curve = np.max(np.abs(G(rule.nodes).real))

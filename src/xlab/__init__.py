@@ -17,7 +17,7 @@ from .errors import (CapabilityError, DegeneracyError, DomainError,
 from .geometry import (ArcParametrization, ComplexPolynomial, SupportSpec,
                        arc_length, parametrize, preimages,
                        project_to_support, trace_lemniscate)
-from .measures import (ConstantWeight, JumpWeight, MeasureSpec, SmoothFactor,
+from .measures import (JumpWeight, MeasureSpec, SmoothFactor,
                        circle_jump_measure, density_at, ellipse_jump_measure,
                        format_measure, interval_jump_measure, jump_limits,
                        lemniscate_pullback_measure, load_measure_file,
@@ -35,9 +35,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcParametrization", "CapabilityError", "CheckResult",
-    "ChristoffelValue", "ComplexPolynomial", "ConstantWeight",
-    "DegeneracyError", "DomainError", "FitModel", "GeometryError",
-    "InputError", "JumpWeight", "MeasureFormatError", "MeasureSpec",
+    "ChristoffelValue", "ComplexPolynomial", "DegeneracyError",
+    "DomainError", "FitModel", "GeometryError", "InputError", "JumpWeight",
+    "MeasureFormatError", "MeasureSpec",
     "NumericError", "OrthoBasis", "QuadratureRule", "SUITE_NAMES",
     "SWEEP_CSV_HEADER", "SmoothFactor", "SuiteReport", "SupportSpec",
     "SweepResult", "SweepRow", "SymmetryError", "TracingError",

@@ -223,7 +223,7 @@ def route_kernel(prefix, residual, route, n):
 
 
 def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
-    """The Christoffel function lambda_n(mu, z).
+    """The Christoffel function lambda_n(mu, z) at ``measure.point(z)``.
 
     ``method`` "kernel" inverts the diagonal kernel K_n(z); without a
     ``basis`` it reads K_n(z) off ``support_prefix`` on ``build_rule(measure,
@@ -237,11 +237,7 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
     as does a route whose orthonormality residual exceeds CERTIFY_TOL.
     """
     n = as_index(n, "n")
-    if z is None:
-        z = measure.z0
-    if z is None:
-        raise DomainError("no evaluation point: measure.z0 is unset and no z given")
-    z = complex(z)
+    z = measure.point(z)
     if method not in ("kernel", "direct"):
         raise InputError(f"unknown method {method!r}")
     if basis is None and method == "kernel":
@@ -386,15 +382,13 @@ def _gram_rows(rule, support, degree, z):
         return Y
 
     if support.kind == "ellipse":
-        c, rho, a, b = support.joukowski_frame
+        _, rho, a, b = support.joukowski_frame
         q = np.arange(n + 1)
         r = ((a - b) / (a + b)) ** q
         K = int(np.count_nonzero(r >= HANKEL_CUT))  # width of the Hankel border
         r = r[:K]
         powers = _power_blocks(rule.params + support.rotation - rho, n + K)
-        f = math.sqrt((a - b) * (a + b))
-        u = (z - c) * complex(math.cos(rho), -math.sin(rho))
-        root = np.sqrt(u - f) * np.sqrt(u + f)
+        u, root = support.joukowski_root(z)
         # phi_k = e^k + e'^k with e e' = r, whichever branch e takes
         phi = ((u + root) / (a + b)) ** q + ((u - root) / (a + b)) ** q
         mu = np.concatenate([P @ (shift * w) for _, P, shift in powers(n + K)])

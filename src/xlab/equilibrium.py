@@ -25,32 +25,23 @@ def green_potential(support):
 
     * a support with a ``joukowski_frame`` (c, rho, a, b), an ellipse or an
       interval as the flat ellipse b = 0:
-      G = log((zeta + sqrt(zeta - f) sqrt(zeta + f))/(a + b)) with
-      zeta = e^{-i rho}(z - c) and foci +-f, f = sqrt(a^2 - b^2).  On
-      [lo, hi] this is log(s + sqrt(s - 1) sqrt(s + 1)) with
+      G = log((zeta + root)/(a + b)) and G' = e^{-i rho}/root, with
+      (zeta, root) the ``joukowski_root`` at z, zeta = e^{-i rho}(z - c).
+      On [lo, hi] this is log(s + sqrt(s - 1) sqrt(s + 1)) with
       s = (2z - lo - hi)/(hi - lo);
     * a support |T(z)| = 1 with a ``level_polynomial`` T of degree N:
       G = (1/N) log T.  On a lemniscate T is its polynomial; on the circle
       |z - c| = r it is (z - c)/r, so G = log((z - c)/r) and G' = 1/(z - c).
-
-    The square root is split as sqrt(u - f) sqrt(u + f): the principal
-    sqrt(u^2 - f^2) takes the wrong sheet when Re u < 0.
     """
     frame = support.joukowski_frame
     if frame is not None:
-        c, rho, a, b = frame
-        f = math.sqrt((a - b) * (a + b))
-        turn = np.exp(-1j * rho)
-
-        def _zeta_root(z):
-            zeta = turn * (np.asarray(z, dtype=complex) - c)
-            return zeta, np.sqrt(zeta - f) * np.sqrt(zeta + f)
+        _, rho, a, b = frame
 
         def G(z):
-            zeta, root = _zeta_root(z)
+            zeta, root = support.joukowski_root(z)
             return np.log((zeta + root) / (a + b))
 
-        return G, lambda z: turn / _zeta_root(z)[1]
+        return G, lambda z: np.exp(-1j * rho) / support.joukowski_root(z)[1]
     T = support.level_polynomial  # a circle or a lemniscate
     dT, n = T.derivative(), T.degree
     return (lambda z: np.log(T(z)) / n,

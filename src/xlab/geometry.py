@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, NumericError, TracingError
+from .errors import DomainError, GeometryError, TracingError
 
 # Tracing and root-finding tolerances.
 CRITICAL_POINT_TOL = 1e-6   # ||T(c)| - 1| below this at a root c of T' is a node
-PREIMAGE_TOL = 1e-10        # residual bound for polished roots
 IMAGE_NEWTON_TOL = 5e-14    # residual at which a point leaves the image Newton solve
 IMAGE_NEWTON_MAXIT = 40     # Newton steps of the image solve, at most
 OFF_CURVE_TOL = 1e-8        # points farther than this from the support are rejected
@@ -188,6 +187,16 @@ class SupportSpec:
             a, b, rho = b, a, rho + 0.5 * math.pi
         return self.center, rho, a, b
 
+    def joukowski_root(self, z):
+        """(zeta, sqrt(zeta - f) sqrt(zeta + f)) at z, with
+        zeta = e^{-i rho}(z - c) and the foci +-f, f = sqrt(a^2 - b^2), of the
+        ``joukowski_frame``.  The root is split because the principal
+        sqrt(zeta^2 - f^2) takes the wrong sheet when Re zeta < 0."""
+        c, rho, a, b = self.joukowski_frame
+        f = math.sqrt((a - b) * (a + b))
+        zeta = np.exp(-1j * rho) * (np.asarray(z, dtype=complex) - c)
+        return zeta, np.sqrt(zeta - f) * np.sqrt(zeta + f)
+
 
 def parametrize(support):
     """Smooth arcs covering the support, traced and cached for lemniscates."""
@@ -223,8 +232,9 @@ def parametrize(support):
 def preimages(poly, w):
     """All solutions of T(z) = w, as a deterministically ordered array.
 
-    Roots come from the companion matrix of T - w and are polished by a few
-    Newton steps, to |T(z) - w| <= PREIMAGE_TOL * max(1, |w|) or NumericError.
+    Roots come from the companion matrix of T - w and are polished by
+    ``_image_newton`` on T/s = w/s, s = max(1, |w|), so that its residual
+    test is relative to |w|.
     """
     if not isinstance(poly, ComplexPolynomial):
         poly = ComplexPolynomial(poly)
@@ -232,17 +242,10 @@ def preimages(poly, w):
         raise GeometryError("preimages need a polynomial of degree >= 1")
     c = poly.coeffs.copy()
     c[0] -= w
-    z = np.polynomial.polynomial.polyroots(c)
-    dp = poly.derivative()
-    for _ in range(8):
-        f = poly(z) - w
-        g = dp(z)
-        safe = np.abs(g) > 1e-300
-        z = z - np.where(safe, f / np.where(safe, g, 1.0), 0.0)
-    res, bound = np.abs(poly(z) - w).max(), PREIMAGE_TOL * max(1.0, abs(w))
-    if res > bound:
-        raise NumericError(
-            f"preimage polishing stalled: residual {res:.3e} exceeds {bound:.1e}")
+    s = max(1.0, abs(w))
+    scaled = ComplexPolynomial(poly.coeffs / s)
+    z = _image_newton(scaled, scaled.derivative(),
+                      np.polynomial.polynomial.polyroots(c), w / s)
     order = np.lexsort((np.round(z.imag, 9), np.round(z.real, 9)))
     return z[order]
 
@@ -252,7 +255,9 @@ def _image_newton(poly, dpoly, z, w_target):
 
     Each point stops once its own residual is below IMAGE_NEWTON_TOL, and one closing
     Newton step on every point then takes it to rounding level, so a point
-    comes out the same whichever other points share its solve.
+    comes out the same whichever other points share its solve.  No step is
+    divided by a T' of 0: a point that has stopped there, a multiple root,
+    stays where it is.
     """
     z = np.asarray(z, dtype=complex)
     w_target = np.asarray(w_target, dtype=complex)
@@ -262,15 +267,16 @@ def _image_newton(poly, dpoly, z, w_target):
         if not live.any():
             break
         g = dpoly(z)
-        if np.min(np.abs(g)) < 1e-300:
+        if np.min(np.abs(g), where=live, initial=np.inf) < 1e-300:
             raise TracingError("Newton hit a critical point of T")
-        z = np.where(live, z - f / g, z)
+        z = z - np.divide(f, g, out=np.zeros_like(z), where=live)
     else:
         f = poly(z) - w_target
         res = np.max(np.abs(f))
         if not res <= 100 * IMAGE_NEWTON_TOL:
             raise TracingError(f"image Newton residual {res:.3e} did not converge")
-    return z - f / dpoly(z)
+    g = dpoly(z)
+    return z - np.divide(f, g, out=np.zeros_like(z), where=g != 0)
 
 
 def _component_arc(poly, dpoly, grid_z, winding):

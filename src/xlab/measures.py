@@ -1,12 +1,13 @@
-"""Measures on supports: a constant or jump weight times a smooth factor.
+"""Measures on supports: a jump weight times a smooth factor.
 
 A measure is d(mu) = w0(t) * v(t) * (arc speed) dt on every arc of its
 support, with w0 a positive polynomial ``SmoothFactor`` and v a
-``ConstantWeight`` or a ``JumpWeight``.  On an open arc a jump weight takes
-the value A for t <= t0 and B for t > t0.  On a closed arc of period P it
-takes the value B on the closed half [t0, t0 + P/2] and A on the open
-complement, so there are two switch points, t0 and its antipode, and the
-one-sided limits (left, right) are (A, B) at t0 and (B, A) at the antipode.
+``JumpWeight``, the constant A when it has no switch parameter t0.  On an
+open arc a jump weight takes the value A for t <= t0 and B for t > t0.  On
+a closed arc of period P it takes the value B on the closed half
+[t0, t0 + P/2] and A on the open complement, so there are two switch
+points, t0 and its antipode, and the one-sided limits (left, right) are
+(A, B) at t0 and (B, A) at the antipode.
 Interval measures may additionally carry an inverse square root factor
 1/sqrt(1 - s(x)^2) with s the affine map onto [-1, 1]; that factor is what
 cosine symmetrization of a circle measure produces.
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import (CapabilityError, DomainError, InputError,
                      MeasureFormatError, SymmetryError, as_index)
 from .geometry import (ComplexPolynomial, SupportSpec, parametrize,
-                       project_to_support)
+                       preimages, project_to_support)
 
 _polyval = np.polynomial.polynomial.polyval
 
@@ -49,48 +50,33 @@ class SmoothFactor:
         return f"SmoothFactor({[float(c) for c in self.coeffs]})"
 
 
-class ConstantWeight:
-    """Weight without jumps."""
-
-    def __init__(self, c=1.0):
-        c = float(c)
-        if not 0 < c < math.inf:
-            raise InputError("weight must be positive and finite")
-        self.c = c
-
-    def value(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.c)
-
-    def breakpoints(self, t_lo, t_hi):
-        return []
-
-    def scaled(self, c):
-        return ConstantWeight(self.c * c)
-
-    def __repr__(self):
-        return f"ConstantWeight({self.c})"
-
-
 class JumpWeight:
     """Two-valued weight switching at jump_param (and its antipode if periodic).
 
-    A equals B is allowed and makes the weight constant.
+    Without a jump_param the weight is the constant A, and B, if given, must
+    equal A; with one, A equals B is allowed and keeps the switch point.
     """
 
-    def __init__(self, A, B, jump_param, period=None):
-        A, B = float(A), float(B)
+    def __init__(self, A, B=None, jump_param=None, period=None):
+        A = float(A)
+        B = A if B is None else float(B)
         if not (0 < A < math.inf and 0 < B < math.inf):
-            raise InputError("jump weight values must be positive and finite")
+            what = "weight" if jump_param is None else "jump weight values"
+            raise InputError(f"{what} must be positive and finite")
+        if jump_param is None and B != A:
+            raise InputError("a weight with A != B needs a jump_param")
         self.A = A
         self.B = B
-        self.jump_param = float(jump_param)
+        self.jump_param = None if jump_param is None else float(jump_param)
         self.period = None if period is None else float(period)
-        if not (math.isfinite(self.jump_param)
+        if not ((jump_param is None or math.isfinite(self.jump_param))
                 and (period is None or 0 < self.period < math.inf)):
             raise InputError("jump parameter and period must be finite")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
+        if self.jump_param is None:
+            return np.full_like(t, self.A)
         if self.period is None:
             return np.where(t <= self.jump_param, self.A, self.B)
         tau = np.mod(t - self.jump_param, self.period)
@@ -98,6 +84,8 @@ class JumpWeight:
 
     def breakpoints(self, t_lo, t_hi):
         """Switch parameters strictly inside (t_lo, t_hi)."""
+        if self.jump_param is None:
+            return []
         if self.period is None:
             return [self.jump_param] if t_lo < self.jump_param < t_hi else []
         step = 0.5 * self.period
@@ -113,6 +101,8 @@ class JumpWeight:
 
     def snap_to_jump(self, t):
         """Nearest switch parameter if t is within JUMP_SNAP_TOL, else None."""
+        if self.jump_param is None:
+            return None
         if self.period is None:
             if abs(t - self.jump_param) < JUMP_SNAP_TOL:
                 return self.jump_param
@@ -136,8 +126,8 @@ class MeasureSpec:
     """A support, one weight and smooth factor for all its arcs, and z0."""
 
     def __init__(self, support, weight, smooth=None, z0=None, chebyshev=False):
-        if not isinstance(weight, (ConstantWeight, JumpWeight)):
-            raise InputError("a measure needs a ConstantWeight or a JumpWeight")
+        if not isinstance(weight, JumpWeight):
+            raise InputError("a measure needs a JumpWeight")
         if chebyshev and support.kind != "interval":
             raise CapabilityError("the inverse square root factor is only "
                                   "defined on interval supports")
@@ -156,6 +146,16 @@ class MeasureSpec:
             ts = np.linspace(arc.t_lo, arc.t_hi, 257)
             if not np.min(self.smooth(ts)) > 0:
                 raise InputError("smooth factor must stay positive on the arc")
+
+    def point(self, z=None):
+        """The evaluation point: z, or z0 when z is None, as a finite complex."""
+        z = self.z0 if z is None else complex(z)
+        if z is None:
+            raise DomainError("no evaluation point: the measure has no z0 "
+                              "and no z was given")
+        if not cmath.isfinite(z):
+            raise InputError(f"evaluation point {z} is not finite")
+        return z
 
     def z0_location(self):
         if self.z0 is None:
@@ -215,7 +215,7 @@ def jump_limits(measure):
     """
     arc_index, t, _ = measure.z0_location()
     weight = measure.weight
-    snapped = weight.snap_to_jump(t) if isinstance(weight, JumpWeight) else None
+    snapped = weight.snap_to_jump(t)
     sides = weight.value([t, t])
     if snapped is not None:
         t, sides = snapped, np.array([weight.A, weight.B])
@@ -236,7 +236,7 @@ def jump_limits(measure):
 
 def uniform_circle_measure(radius=1.0, center=0j, weight=1.0, z0=None):
     support = SupportSpec.make_circle(radius=radius, center=center)
-    return MeasureSpec(support, ConstantWeight(weight), z0=z0)
+    return MeasureSpec(support, JumpWeight(weight), z0=z0)
 
 
 def circle_jump_measure(A=2.0, B=1.0, jump_param=math.pi / 2, radius=1.0,
@@ -296,10 +296,8 @@ def symmetrize_to_interval(measure):
     """
     _require_unit_circle(measure, "symmetrization")
     weight = measure.weight
-    if isinstance(weight, ConstantWeight):
-        new_weight = ConstantWeight(weight.c)
-    elif weight.A == weight.B:
-        new_weight = ConstantWeight(weight.A)
+    if weight.A == weight.B:
+        new_weight = JumpWeight(weight.A)
     elif (weight.period != 2.0 * math.pi
           or abs(math.cos(weight.jump_param)) > JUMP_SNAP_TOL):
         raise SymmetryError("circle weight is not symmetric under t -> -t")
@@ -331,7 +329,6 @@ def pullback_to_lemniscate(measure, poly, z0=None):
         poly = ComplexPolynomial(poly)
     support = SupportSpec.make_lemniscate(poly)
     if z0 is None and measure.z0 is not None:
-        from .geometry import preimages
         z0 = complex(preimages(poly, measure.z0)[0])
     return MeasureSpec(support, measure.weight, measure.smooth, z0=z0)
 
@@ -440,7 +437,7 @@ def parse_measure_text(text):
     if B is not None:
         B = _parse_number(B, "weight.B")
     if B is None or (jump_param is None and B == A):
-        weight = ConstantWeight(A)
+        weight = JumpWeight(A)
     else:
         if jump_param is None:
             raise MeasureFormatError("weight.jump_param is required when "
@@ -465,7 +462,7 @@ def _resolve_z0(z0_spec, support, weight):
     """A point written 're', 're,im' or 'auto-jump' (the first jump point)."""
     if z0_spec != "auto-jump":
         return _parse_complex(z0_spec, "point (re,im or auto-jump)")
-    if not isinstance(weight, JumpWeight):
+    if weight.jump_param is None:
         raise MeasureFormatError("auto-jump needs a jump weight")
     arc = parametrize(support)[0]
     t0 = weight.jump_param
@@ -494,10 +491,8 @@ def format_measure(measure):
     lines = [f"support.kind = {sup.kind}", "support.params = " + " ".join(toks)]
 
     weight = measure.weight
-    if isinstance(weight, ConstantWeight):
-        lines.append(f"weight.A = {num(weight.c)}")
-    else:
-        lines.append(f"weight.A = {num(weight.A)}")
+    lines.append(f"weight.A = {num(weight.A)}")
+    if weight.jump_param is not None:
         lines.append(f"weight.B = {num(weight.B)}")
         lines.append(f"weight.jump_param = {num(weight.jump_param)}")
     lines.append("weight.w0 = " + " ".join(num(c) for c in measure.smooth.coeffs))

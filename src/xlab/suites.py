@@ -19,7 +19,7 @@ from .christoffel import christoffel_lambda, kernel_prefix, orthonormalize
 from .equilibrium import equilibrium_density, green_potential
 from .errors import InputError
 from .geometry import ComplexPolynomial, SupportSpec, parametrize, preimages
-from .measures import (ConstantWeight, MeasureSpec, circle_jump_measure,
+from .measures import (JumpWeight, MeasureSpec, circle_jump_measure,
                        ellipse_jump_measure, lemniscate_pullback_measure,
                        symmetrize_to_interval, uniform_circle_measure)
 from .quadrature import build_rule, integrate
@@ -193,7 +193,7 @@ def _suite_ellipse_jump():
 
 
 def _constant_measure(support):
-    return MeasureSpec(support, ConstantWeight(1.0))
+    return MeasureSpec(support, JumpWeight(1.0))
 
 
 def _fiber_sum(poly, f, images):

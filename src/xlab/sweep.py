@@ -1,18 +1,10 @@
 """Sweeps of n * lambda_n against the predicted jump-asymptotics limit.
 
-A sweep evaluates p_0(z), ..., p_N(z) once at the largest degree N and
-reads every smaller n off the kernel prefix sums, then extrapolates
-n * lambda_n with a least-squares 1/n + 1/n^2 model (the limit itself
-carries no proven rate, so the model is an engineering choice recorded in
-the fit).  The route depends on the support kind alone.  On intervals the
-values come from the Stieltjes recurrence, which stores no basis.  On
-ellipses, circles and lemniscates the Gram matrix of a Faber-type basis
-gives the whole prefix: on circles and lemniscates, where it is block
-Toeplitz, by the block Levinson recursion in O(N^2 deg T + N m) for m nodes
-(a circle is the lemniscate of a degree-1 polynomial), and on ellipses by
-one Cholesky factor in O(N^3) of a Toeplitz matrix plus a Hankel border K
-rows and columns wide, K the number of powers of r = (a - b)/(a + b) above
-2^-64 (33 on the standard ellipse), from moments to degree N + K.
+A sweep reads every n of a degree schedule off one kernel prefix at its
+largest degree, by the route ``christoffel.support_prefix`` takes for the
+support kind, then extrapolates n * lambda_n with a least-squares
+1/n + 1/n^2 model (the limit itself carries no proven rate, so the model is
+an engineering choice recorded in the fit).
 """
 
 import math
@@ -50,10 +42,11 @@ def predicted_limit(measure, z=None):
     the equilibrium density of the support, |G'(z0)|/(2 pi) from its
     Green's potential G.
     """
-    meas = measure if z is None or measure.z0 == complex(z) else measure.with_z0(z)
+    z = measure.point(z)
+    meas = measure if measure.z0 == z else measure.with_z0(z)
     left, right = jump_limits(meas)
     factor = jump_factor(left, right)
-    return factor / equilibrium_density(meas.support)(meas.z0)
+    return factor / equilibrium_density(meas.support)(z)
 
 
 def geometric_schedule(n_min=8, n_max=512, ratio=1.25):
@@ -140,11 +133,7 @@ def run_sweep(measure, z=None, schedule=None):
         raise InputError("schedule must be strictly increasing")
     if schedule[0] < 1:
         raise InputError(f"schedule degrees must be at least 1, got {schedule[0]}")
-    if z is None:
-        z = measure.z0
-        if z is None:
-            raise DomainError("no evaluation point: measure has no z0")
-    z = complex(z)
+    z = measure.point(z)
 
     try:
         predicted = predicted_limit(measure, z=z)

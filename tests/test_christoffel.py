@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import os
 import pathlib
@@ -20,7 +21,7 @@ from xlab.christoffel import (_finish_basis, christoffel_lambda,
 from xlab.errors import DegeneracyError, DomainError, InputError, NumericError
 from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
                            preimages)
-from xlab.measures import (ConstantWeight, MeasureSpec, circle_jump_measure,
+from xlab.measures import (JumpWeight, MeasureSpec, circle_jump_measure,
                            ellipse_jump_measure, interval_jump_measure,
                            lemniscate_pullback_measure, load_measure_file,
                            parse_measure_text, symmetrize_to_interval,
@@ -47,6 +48,24 @@ def bases_512():
         rule = build_rule(measure, 512)
         out[name] = (measure, rule, orthonormalize(rule, 512))
     return out
+
+
+def test_non_finite_point_is_input_error():
+    # a nan or inf z is refused as input, not reported as a kernel overflow
+    measure = circle_jump_measure()
+    for z in (float("nan"), complex(0.5, float("nan")), float("inf")):
+        for method in ("kernel", "direct"):
+            with pytest.raises(InputError, match="not finite") as err:
+                christoffel_lambda(measure, 8, z=z, method=method)
+            assert not isinstance(err.value, DomainError)
+        with pytest.raises(InputError, match="not finite"):
+            run_sweep(measure, z=z, schedule=[4, 8])
+    # no z and no z0 is a point outside the measure's domain
+    bare = interval_jump_measure(z0=None)
+    with pytest.raises(DomainError, match="no evaluation point"):
+        christoffel_lambda(bare, 8)
+    with pytest.raises(DomainError, match="no evaluation point"):
+        run_sweep(bare, schedule=[4, 8])
 
 
 def test_circle_exact_law_small():
@@ -76,7 +95,7 @@ def test_chebyshev_kernel_oracle():
     # dmu = dx / sqrt(1 - x^2): orthonormal polynomials are the scaled
     # Chebyshev T_k, so at x = 0 the kernel steps only on even degrees
     m = MeasureSpec(SupportSpec.make_interval(-1.0, 1.0),
-                    ConstantWeight(1.0), chebyshev=True)
+                    JumpWeight(1.0), chebyshev=True)
     rule = build_rule(m, 8)
     basis = orthonormalize(rule, 8)
     prefix = kernel_prefix(basis, 0.0 + 0j)
@@ -216,17 +235,11 @@ def _toeplitz_gram_lambda(A, B, t0, n, z):
 FIXED_BITS = 192  # the oracle's Levinson works in integers times 2^-192
 
 
-def _szego_kernel_prefix(A, B, t0, n, zs):
-    """[K_0(z), ..., K_n(z)] of a circle jump measure for each z of zs.
-
-    Shares no code with the pipeline.  The monic orthogonal polynomials
-    satisfy the Szegő recursion Phi_{j+1} = z Phi_j - a_j Phi_j^*, with
-    ||Phi_{j+1}||^2 = (1 - |a_j|^2) ||Phi_j||^2 and
-    a_j ||Phi_j||^2 = sum_i Phi_j[i] c_{-i-1} from the closed-form moments.
-    That Levinson recursion runs in integers scaled by 2^FIXED_BITS, exact
-    but for one rounding per product (57 digits); the values at z and
-    K_n = sum_{j <= n} |Phi_j(z)|^2 / ||Phi_j||^2 at 50 digits.
-    """
+@functools.lru_cache(maxsize=None)
+def _szego_levinson(A, B, t0, n):
+    """(norms, alphas) of a circle jump measure, in integers times
+    2^-FIXED_BITS: ||Phi_j||^2 for j <= n and a_j for j < n (see
+    ``_szego_kernel_prefix``), each a_j as (re, im)."""
     one = 1 << FIXED_BITS
     with mp.workdps(60):
         c = _circle_jump_moments(A, B, t0, n + 1)
@@ -249,19 +262,41 @@ def _szego_kernel_prefix(A, B, t0, n, zs):
         norms.append(norms[-1] - ((((ar * ar + ai * ai) >> FIXED_BITS)
                                    * norms[-1]) >> FIXED_BITS))
         alphas.append((ar, ai))
-    out = []
+    return tuple(norms), tuple(alphas)
+
+
+def _szego_kernel_prefix(A, B, t0, n, zs):
+    """(prefixes, phis, alphas) of a circle jump measure: for each z of zs,
+    [K_0(z), ..., K_n(z)] and the orthonormal [phi_0(z), ..., phi_n(z)];
+    and the recursion coefficients [a_0, ..., a_{n-1}].
+
+    Shares no code with the pipeline.  The monic orthogonal polynomials
+    satisfy the Szegő recursion Phi_{j+1} = z Phi_j - a_j Phi_j^*, with
+    ||Phi_{j+1}||^2 = (1 - |a_j|^2) ||Phi_j||^2 and
+    a_j ||Phi_j||^2 = sum_i Phi_j[i] c_{-i-1} from the closed-form moments.
+    That Levinson recursion runs in integers scaled by 2^FIXED_BITS, exact
+    but for one rounding per product (57 digits); the values at z,
+    phi_j = Phi_j / ||Phi_j|| and K_n = sum_{j <= n} |phi_j(z)|^2 at 50
+    digits.  K_n are floats; phi_j and a_j are mpmath numbers.
+    """
+    norms, ints = _szego_levinson(A, B, t0, n)
+    prefixes, phis = [], []
     with mp.workdps(50):
-        scale = mp.mpf(one)
+        scale = mp.mpf(1 << FIXED_BITS)
+        alphas = [mp.mpc(ar, ai) / scale for ar, ai in ints]
         for z in zs:
             z, phi, phi_star = mp.mpc(z), mp.mpc(1), mp.mpc(1)
-            K = [scale / norms[0]]
-            for (ar, ai), norm in zip(alphas, norms[1:]):
-                a = mp.mpc(ar, ai) / scale
+            values = [phi * mp.sqrt(scale / norms[0])]
+            for a, norm in zip(alphas, norms[1:]):
                 phi, phi_star = (z * phi - a * phi_star,
                                  phi_star - mp.conj(a) * z * phi)
-                K.append(K[-1] + abs(phi) ** 2 * scale / norm)
-            out.append([float(k) for k in K])
-    return out
+                values.append(phi * mp.sqrt(scale / norm))
+            K = [abs(values[0]) ** 2]
+            for v in values[1:]:
+                K.append(K[-1] + abs(v) ** 2)
+            prefixes.append([float(k) for k in K])
+            phis.append(values)
+    return prefixes, phis, alphas
 
 
 def test_lambda_toeplitz_gram_oracle():
@@ -308,7 +343,7 @@ def test_run_sweep_szego_oracle_at_512():
     for A, B, t0 in ((2.0, 1.0, math.pi / 2), (3.0, 0.5, 0.3)):
         measure = circle_jump_measure(A=A, B=B, jump_param=t0)
         points = (measure.z0, 0.5 + 0.2j, 1.02 * measure.z0, 1.1 * measure.z0)
-        oracle = _szego_kernel_prefix(A, B, t0, 512, points)
+        oracle, _, _ = _szego_kernel_prefix(A, B, t0, 512, points)
         for z, K in zip(points, oracle):
             result = run_sweep(measure, z=z, schedule=schedule)
             assert result.stages["route"] == "gram"
@@ -318,12 +353,47 @@ def test_run_sweep_szego_oracle_at_512():
                                                                   row.n)
     lemniscate = lemniscate_pullback_measure(ComplexPolynomial([0.0, 0.0, 1.0]))
     points = (1.02 * cmath.exp(0.25j * math.pi), 1.1 * cmath.exp(0.25j * math.pi))
-    oracle = _szego_kernel_prefix(2.0, 1.0, math.pi / 2, 256,
-                                  [z * z for z in points])
+    oracle, _, _ = _szego_kernel_prefix(2.0, 1.0, math.pi / 2, 256,
+                                        [z * z for z in points])
     for z, K in zip(points, oracle):
         for row in run_sweep(lemniscate, z=z, schedule=schedule).rows:
             want = 1.0 / (K[row.n // 2] + abs(z) ** 2 * K[(row.n - 1) // 2])
             assert abs(row.lambda_n - want) <= 1e-13 * want, (z, row.n)
+
+
+def test_interval_szego_map_oracle():
+    # the standard interval measure is the circle jump measure (A, B) = (2, 1),
+    # t0 = pi/2, pushed down by x = cos t.  Its weight is even in t (up to
+    # the 6e-17 by which the double t0 misses pi/2), so the a_j are real and
+    # phi_j(1/z) = conj(phi_j(z)) on |z| = 1, and the Geronimus relations give the orthonormal polynomials of the normalized
+    # interval measure at x = cos(theta), z = e^{i theta}, as
+    # p_n(x) = [z^-n phi_2n(z) + z^n phi_2n(1/z)] / sqrt(2 (1 - a_{2n-1}))
+    # with phi_j normalized under the probability measure and a_{-1} = -1.
+    # The mass-normalized kernel is mass * K_n(x) = sum_{k <= n} p_k(x)^2
+    n_max, A, B = 256, 2.0, 1.0
+    measure = standard_jump_measures()["interval"]
+    mass = 0.5 * (A + B) * math.pi  # half the circle measure's
+    xs = (0.0, 0.3, -0.71)
+    zs = [cmath.exp(1j * math.acos(x)) for x in xs]
+    _, phis, alphas = _szego_kernel_prefix(A, B, math.pi / 2, 2 * n_max, zs)
+    assert all(abs(a.imag) <= 1e-16 for a in alphas)
+    with mp.workdps(50):
+        a = [mp.mpf(-1)] + [alpha.real for alpha in alphas]  # a[j + 1] = a_j
+        for x, z, phi in zip(xs, zs, phis):
+            z, to_prob = mp.mpc(z), 1 / phi[0]
+            K = []
+            for n in range(n_max + 1):
+                p = (2 * mp.re(z ** -n * phi[2 * n] * to_prob)
+                     / mp.sqrt(2 * (1 - a[2 * n])))
+                K.append((K[-1] if K else 0) + p * p)
+            want = [float(k) for k in K]
+            rows = run_sweep(measure, z=x, schedule=range(1, n_max + 1)).rows
+            for row in rows:
+                got = mass / row.lambda_n
+                assert abs(got - want[row.n]) <= 1e-13 * want[row.n], (x, row.n)
+            for n in (1, 2, 17, 100, 255, 256):
+                got = mass / christoffel_lambda(measure, n, z=x).lambda_n
+                assert abs(got - want[n]) <= 1e-13 * want[n], (x, n)
 
 
 def _ellipse_gram_lambda(a, b, A, B, t0, ns, zs):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,26 @@ def test_preimages_sorted_and_polished():
     assert np.allclose(cube, [-0.5 - s3 * 1j, -0.5 + s3 * 1j, 1.0])
     # polished to full precision
     assert max(abs(c ** 3 - 1.0) for c in cube) < 1e-12
+    # far from the unit circle the polish is relative to |w|
+    far = preimages(ComplexPolynomial([-4.0, 0.0, 1.0]), 1e6)
+    assert np.max(np.abs(far ** 2 - 4.0 - 1e6)) <= 1e-15 * 1e6
+
+
+def test_preimages_multiple_root_without_warning():
+    # T' vanishes at a multiple root, where a Newton step of the polish would
+    # divide 0 by 0; the root is returned as it is, also while the simple
+    # roots beside it are still being polished
+    simple = [2.1, -0.4 + 1.0j, 0.9j]
+    mixed = np.polynomial.polynomial.polyfromroots([0.0, 0.0, 0.0] + simple)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cube = preimages(ComplexPolynomial([0.0, 0.0, 0.0, 1.0]), 0.0)
+        square = preimages(ComplexPolynomial([-2.0, 0.0, 1.0]), -2.0)
+        roots = preimages(ComplexPolynomial(mixed), 0.0)
+    assert np.array_equal(cube, np.zeros(3)) and np.array_equal(square, np.zeros(2))
+    assert np.count_nonzero(roots == 0) == 3
+    assert np.allclose(sorted(roots[roots != 0], key=abs), sorted(simple, key=abs),
+                       rtol=0, atol=1e-14)
 
 
 def test_trace_identity_polynomial_is_circle():
@@ -155,7 +176,8 @@ def test_trace_near_figure_eight_node(coeffs, windings):
 @pytest.mark.parametrize("coeffs", [[0.0, 0.0, 1.0], [-2.0, 0.0, 1.0],
                                     [0.0, -0.5, 0.0, 1.0]])
 def test_trace_takes_one_solve_per_step(coeffs, monkeypatch):
-    # on curves far from a critical value no continuation step is halved
+    # on curves far from a critical value no continuation step is halved;
+    # the one solve more polishes the start fiber, the preimages of 1
     calls = []
     solve = geometry._image_newton
 
@@ -165,7 +187,7 @@ def test_trace_takes_one_solve_per_step(coeffs, monkeypatch):
 
     monkeypatch.setattr(geometry, "_image_newton", counted)
     trace_lemniscate(ComplexPolynomial(coeffs))
-    assert len(calls) == geometry.TURN_STEPS
+    assert len(calls) == geometry.TURN_STEPS + 1
 
 
 @pytest.mark.parametrize("coeffs", [[0.0, 0.0, 1.0], [-2.0, 0.0, 1.0],

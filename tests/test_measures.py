@@ -1,5 +1,6 @@
 import cmath
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from xlab.cli import main
 from xlab.errors import (CapabilityError, DomainError, InputError,
                          MeasureFormatError, SymmetryError)
 from xlab.geometry import ComplexPolynomial
-from xlab.measures import (ConstantWeight, JumpWeight, MeasureSpec,
+from xlab.measures import (JumpWeight, MeasureSpec,
                            SmoothFactor, circle_jump_measure, density_at,
                            ellipse_jump_measure, format_measure,
                            interval_jump_measure, jump_limits,
-                           lemniscate_pullback_measure, parse_measure_text,
-                           pullback_to_lemniscate, symmetrize_to_interval,
+                           lemniscate_pullback_measure, load_measure_file,
+                           parse_measure_text, pullback_to_lemniscate, symmetrize_to_interval,
                            uniform_circle_measure, weight_at)
 from xlab.quadrature import build_rule, integrate
+
+MEASURES = pathlib.Path(__file__).resolve().parent.parent / "measures"
 
 
 def test_jump_weight_periodic_sides():
@@ -72,9 +75,22 @@ def test_jump_weight_positivity_validation():
             JumpWeight(*args)
     for value in (inf, nan):
         with pytest.raises(InputError, match="positive and finite"):
-            ConstantWeight(value)
+            JumpWeight(value)
     with pytest.raises(InputError, match="finite"):
         interval_jump_measure(jump_param=nan)
+
+
+def test_weight_without_switch_parameter_is_constant():
+    w = JumpWeight(2.0)
+    assert (w.A, w.B, w.jump_param) == (2.0, 2.0, None)
+    assert np.array_equal(w.value([-3.0, 0.0, 7.0]), [2.0, 2.0, 2.0])
+    assert w.breakpoints(-10.0, 10.0) == [] and w.snap_to_jump(0.0) is None
+    assert JumpWeight(2.0, 2.0).jump_param is None
+    # two values need the parameter where the weight switches
+    with pytest.raises(InputError, match="jump_param"):
+        JumpWeight(2.0, 1.0)
+    # with a switch parameter, A = B keeps its switch points
+    assert JumpWeight(2.0, 2.0, 0.5).breakpoints(0.0, 1.0) == [0.5]
 
 
 def test_weight_and_density_at():
@@ -103,13 +119,13 @@ def test_smooth_factor_validation():
     support = uniform_circle_measure().support
     # 1 - 2t goes negative on [0, 2 pi]
     with pytest.raises(InputError, match="positive"):
-        MeasureSpec(support, ConstantWeight(1.0), SmoothFactor([1.0, -2.0]))
+        MeasureSpec(support, JumpWeight(1.0), SmoothFactor([1.0, -2.0]))
     with pytest.raises(InputError, match="JumpWeight"):
         MeasureSpec(support, SmoothFactor())
     # a factor that reads nan on the arc is not positive there, and a
     # SmoothFactor takes finite coefficients only
     with pytest.raises(InputError, match="positive"):
-        MeasureSpec(support, ConstantWeight(1.0), lambda t: t * math.nan)
+        MeasureSpec(support, JumpWeight(1.0), lambda t: t * math.nan)
     with pytest.raises(InputError, match="finite"):
         SmoothFactor([1.0, math.inf])
 
@@ -164,7 +180,7 @@ def test_symmetrize_jump_at_three_halves_pi():
     # same-valued sides and constant weights fold to constants
     for m in (circle_jump_measure(A=1.5, B=1.5, jump_param=0.7),
               uniform_circle_measure(weight=1.5)):
-        assert isinstance(symmetrize_to_interval(m).weight, ConstantWeight)
+        assert symmetrize_to_interval(m).weight.jump_param is None
 
 
 def test_pullback_weight_composition():
@@ -199,6 +215,16 @@ def test_measure_file_roundtrip():
         text = format_measure(measure)
         again = parse_measure_text(text)
         assert format_measure(again) == text
+    # a weight without a switch parameter is written as weight.A alone
+    text = format_measure(MeasureSpec(ellipse_jump_measure(1.25, 0.75).support,
+                                      JumpWeight(2.5), z0=1.25))
+    assert "weight.A = 2.5\nweight.w0" in text
+    assert format_measure(parse_measure_text(text)) == text
+    # every shipped measure file reads back byte for byte
+    files = sorted(MEASURES.glob("*.measure"))
+    assert files
+    for path in files:
+        assert format_measure(load_measure_file(path)) == path.read_text()
 
 
 def test_format_keeps_shortest_support_params():
@@ -233,7 +259,7 @@ def test_parse_equal_jump_values_is_constant(tmp_path, capsys):
     base = "support.kind = circle\nsupport.params = 1.0\nweight.A = 2\n"
     for text in ("weight.B = 2\n", "weight.B = 2.0\n", "weight.B = 2e0\n"):
         weight = parse_measure_text(base + text).weight
-        assert isinstance(weight, ConstantWeight) and weight.c == 2.0
+        assert weight.jump_param is None and weight.A == weight.B == 2.0
     with pytest.raises(MeasureFormatError, match="jump_param"):
         parse_measure_text(base + "weight.B = 3\n")
     path = tmp_path / "unequal.measure"

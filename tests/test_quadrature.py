@@ -7,7 +7,7 @@ import pytest
 from xlab.christoffel import kernel_prefix, orthonormalize
 from xlab.errors import InputError, NumericError
 from xlab.geometry import ComplexPolynomial, SupportSpec, parametrize
-from xlab.measures import (ConstantWeight, MeasureSpec, circle_jump_measure, ellipse_jump_measure,
+from xlab.measures import (JumpWeight, MeasureSpec, circle_jump_measure, ellipse_jump_measure,
                            interval_jump_measure, lemniscate_pullback_measure,
                            symmetrize_to_interval, uniform_circle_measure)
 from xlab import quadrature
@@ -16,7 +16,7 @@ from xlab.suites import standard_jump_measures
 
 
 def _constant_measure(support):
-    return MeasureSpec(support, ConstantWeight(1.0))
+    return MeasureSpec(support, JumpWeight(1.0))
 
 
 def test_circle_mass_and_moments():
@@ -45,7 +45,7 @@ def test_jump_mass_splits_at_jump():
 
 
 def test_interval_arcsine_mass():
-    m = MeasureSpec(SupportSpec.make_interval(-1.0, 1.0), ConstantWeight(1.0),
+    m = MeasureSpec(SupportSpec.make_interval(-1.0, 1.0), JumpWeight(1.0),
                     chebyshev=True)
     rule = build_rule(m, 12)
     assert rule.mass == pytest.approx(math.pi, abs=1e-13)

@@ -15,7 +15,7 @@ from xlab.equilibrium import equilibrium_density
 from xlab.errors import DegeneracyError, DomainError, InputError, NumericError
 from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
                            preimages)
-from xlab.measures import (ConstantWeight, JumpWeight, MeasureSpec,
+from xlab.measures import (JumpWeight, MeasureSpec,
                            SmoothFactor, circle_jump_measure,
                            ellipse_jump_measure, interval_jump_measure,
                            lemniscate_pullback_measure,
@@ -61,9 +61,10 @@ def test_predicted_limit_scaling():
     for c in (0.5, 2.0, 10.0):
         assert predicted_limit(m.scaled(c)) == pytest.approx(c * base,
                                                              rel=1e-12)
-    # a nan point is not on the support
-    with pytest.raises(DomainError):
+    # a nan point is refused as input before it is placed on the support
+    with pytest.raises(InputError, match="not finite") as err:
         predicted_limit(m, z=float("nan"))
+    assert not isinstance(err.value, DomainError)
 
 
 def test_overflowing_rule_or_gram_matrix_is_refused():
@@ -232,7 +233,7 @@ def test_run_sweep_marks_degenerate_rows_failed(monkeypatch):
     # for |p| < 12, so on a round ellipse of constant weight they keep every
     # Gram entry up to degree 11, and the Gram route breaks down at 12
     measure = MeasureSpec(SupportSpec.make_ellipse(1.0, 1.0),
-                          ConstantWeight(1.0), z0=1.0)
+                          JumpWeight(1.0), z0=1.0)
     ts = math.pi / 6 * np.arange(12)
     rule = QuadratureRule(nodes=np.exp(1j * ts), weights=np.full(12, math.pi / 6),
                           params=ts, max_exact_degree=20)
