@@ -10,10 +10,15 @@ Levinson recursion factors it in O(n^2 deg T + n m) for m nodes; a circle
 |z - c| = r is the lemniscate of T(z) = (z - c)/r, of degree 1.  Only the
 ellipse's matrix, Toeplitz plus a Hankel border a few dozen wide, takes a
 Cholesky factor, in O(n^3).  Each route returns p_k(z) up to the degree it
-reaches, the node values Q of a few of its polynomials and the rows W that
-make Q W^T = I; ``support_prefix`` alone sums the prefix and certifies Q,
-and a residual above CERTIFY_TOL refuses the result.  Sweeps and kernel
-``christoffel_lambda`` calls take this route.
+reaches, rows Q of a few of its polynomials, the rows W that make
+Q W^T = I, and a misfit of its moments against the nodes.  The interval's Q
+holds node values; a Gram route's Q holds the coefficient rows C, and
+W^T = G C^H comes from the moments by FFT, while probes check the moments
+against the node coordinates: O(n log n) per kept polynomial and O(m) for
+the probes.  ``support_prefix`` alone sums the prefix and certifies Q, and
+a residual (the larger of max |Q W^T - I| and the misfit) above
+CERTIFY_TOL refuses the result.  Sweeps and kernel ``christoffel_lambda``
+calls take this route.
 
 Where node values are needed (``method="direct"``, an explicit ``basis``,
 ``OrthoBasis`` itself) the basis p_0, ..., p_n orthonormal under a
@@ -58,6 +63,8 @@ CERTIFY_TOL = 1e-10    # certificate residual above which a result is refused
 # (r/e)^k half: a dropped term is below 2^-64 mu_0, 2^-11 of the rounding
 # error of G's diagonal, about 2^-53 mu_0
 HANKEL_CUT = 2.0 ** -64
+# quarter turns k of the moment probes r = (1 - 1/L) i^k (see _probe_misfit)
+PROBE_TURNS = np.array([0, 1, 2])
 
 
 class OrthoBasis:
@@ -285,25 +292,29 @@ def support_prefix(rule, support, degree, z):
     """K_n(z) for every n up to ``degree``, by the route for the support kind.
 
     Intervals take ``_recurrence_rows`` and every other support
-    ``_gram_rows``; neither stores a basis.  Each returns (p, Q, W): p(z) up
-    to the degree the route reaches before the discrete measure breaks it
-    down, the ``_certified`` polynomials at the nodes, Q, and the rows W
-    they are checked against, w conj(Q) for node weights w (Q itself on an
-    interval, whose rows carry sqrt(w)).  The degree check, the sum and the
+    ``_gram_rows``; neither stores a basis.  Each returns (p, Q, W, misfit):
+    p(z) up to the degree the route reaches before the discrete measure
+    breaks it down, rows Q of the ``_certified`` polynomials and the rows W
+    they are checked against (the node values sqrt(w) p_k twice on an
+    interval; the coefficient rows C and conj(C) G^T on the Gram routes),
+    and the misfit of the route's moments against the nodes (0 on an
+    interval, which forms none).  The degree check, the sum and the
     certificate are made here and nowhere else.  Returns (prefix, residual,
-    route): the cumsum of |p|^2, the largest |Q W^T - I|, and "recurrence"
-    or "gram".  A z far from the support overflows entries of the prefix to
-    inf or nan, without a warning; callers test them.
+    route): the cumsum of |p|^2, the larger of the largest |Q W^T - I| and
+    the misfit, and "recurrence" or "gram".  A z far from the support
+    overflows entries of the prefix to inf or nan, without a warning;
+    callers test them.
     """
     _check_degree(rule, degree)
     z = complex(z)
     with np.errstate(over="ignore", invalid="ignore"):
         if support.kind == "interval":
-            route, (p, Q, W) = "recurrence", _recurrence_rows(rule, degree, z)
+            route, rows = "recurrence", _recurrence_rows(rule, degree, z)
         else:
-            route, (p, Q, W) = "gram", _gram_rows(rule, support, degree, z)
+            route, rows = "gram", _gram_rows(rule, support, degree, z)
+        p, Q, W, misfit = rows
         G = np.abs(Q @ W.T - np.eye(len(Q)))
-        return np.cumsum(np.abs(p) ** 2), float(G.max(initial=0.0)), route
+        return np.cumsum(np.abs(p) ** 2), float(G.max(initial=misfit)), route
 
 
 def _recurrence_rows(rule, degree, z):
@@ -314,8 +325,9 @@ def _recurrence_rows(rule, degree, z):
     O(degree * m) time and O(m) memory: no basis is stored, each step keeps
     only the current node values.  The values stop at the achieved degree
     when the discrete measure breaks the recurrence down, under the same
-    relative test as ``orthonormalize``.  Returns (p, Q, Q): the kept rows
-    of Q are sqrt(w) p_k, real and weighted already.
+    relative test as ``orthonormalize``.  Returns (p, Q, Q, 0.0): the kept
+    rows of Q are sqrt(w) p_k, real and weighted already, and no moments
+    stand between them and the nodes.
     """
     w, t = rule.weights, rule.nodes.real
     # the recurrence runs on q_k = sqrt(w) p_k at the nodes, so every inner
@@ -345,7 +357,7 @@ def _recurrence_rows(rule, degree, z):
     if len(values) - 1 not in keep:
         kept.append(q.copy())
     Q = np.array(kept)
-    return np.array(values), Q, Q
+    return np.array(values), Q, Q, 0.0
 
 
 def _gram_rows(rule, support, degree, z):
@@ -367,31 +379,28 @@ def _gram_rows(rule, support, degree, z):
     (33 at r = 1/4, 1 on a round ellipse), so it takes moments only to
     degree + K; its Cholesky factor G = R^H R, bordered by phi(z), gives
     p(z) = R^{-H} phi(z) in O(degree^3).  Either factor stops before its
-    first pivot below BREAKDOWN_REL of its diagonal entry of G.  Returns
-    (p, Q, w conj(Q)): p(z) up to the degree where the factor breaks down,
-    and the kept p_k at the nodes, each summed from its coefficients only up
-    to its own degree.
+    first pivot below BREAKDOWN_REL of its diagonal entry of G.
+
+    Returns (p, C, W, misfit): p(z) up to the degree where the factor breaks
+    down; C, the coefficient rows of the kept p_k in the phi_k; W =
+    conj(C) G^T, with G formed again from the moments, not read from the
+    factored matrix, so that C W^T = C G C^H is the kept p_k's Gram matrix:
+    its Toeplitz part by one FFT product (``_toeplitz_rows``), and on the
+    ellipse the border's three products; and ``_probe_misfit`` of the
+    moments against the nodes, where T (or e) is read from the node
+    coordinates, not from the angles the moments were built from.
     """
     w, n = rule.weights, degree
-
-    def series(C, top):  # sum_{p < top[i]} C[i, p] e^{i p theta}, top ascending
-        Y = np.zeros((len(C), w.size), dtype=complex)
-        for lo, P, shift in powers(C.shape[1]):
-            i = np.searchsorted(top, lo, side="right")  # rows of degree >= lo
-            Y[i:] += (C[i:, lo:lo + GRAM_BLOCK] @ P) * shift
-        return Y
-
     if support.kind == "ellipse":
         _, rho, a, b = support.joukowski_frame
         q = np.arange(n + 1)
         r = ((a - b) / (a + b)) ** q
         K = int(np.count_nonzero(r >= HANKEL_CUT))  # width of the Hankel border
         r = r[:K]
-        powers = _power_blocks(rule.params + support.rotation - rho, n + K)
+        mu = _moments(rule.params + support.rotation - rho, w, n + K)
         u, root = support.joukowski_root(z)
         # phi_k = e^k + e'^k with e e' = r, whichever branch e takes
         phi = ((u + root) / (a + b)) ** q + ((u - root) / (a + b)) ** q
-        mu = np.concatenate([P @ (shift * w) for _, P, shift in powers(n + K)])
         # G = T + r_k H + r_j conj(H) + r_j r_k conj(T) with T[j, k] = mu_{j-k}
         # and H[j, k] = mu_{j+k} strided views of mu; r_j conj(H) = (r_k H)^H,
         # and only the first K columns of r_k H reach HANKEL_CUT
@@ -399,11 +408,12 @@ def _gram_rows(rule, support, degree, z):
         T = window(np.concatenate([np.conjugate(mu[n:0:-1]), mu[:n + 1]]),
                    n + 1)[:, ::-1]
         X = window(mu, K)[:n + 1] * r
+        D = np.conjugate(T[:K, :K]) * np.multiply.outer(r, r)
         A = np.empty((n + 1, n + 2), dtype=complex)  # G bordered by phi(z)
         A[:, :n + 1], A[:, n + 1] = T, phi
         A[:, :K] += X
         A[:K, :n + 1] += np.conjugate(X.T)
-        A[:K, :K] += np.conjugate(T[:K, :K]) * np.multiply.outer(r, r)
+        A[:K, :K] += D
         R, p = _bordered_cholesky(A)
         keep = _certified(n, p.size - 1)
         Y = np.zeros((p.size, len(keep)), dtype=complex)  # to become
@@ -413,57 +423,108 @@ def _gram_rows(rule, support, degree, z):
             Y[lo:hi] = np.linalg.solve(np.triu(R[lo:hi, lo:hi]),
                                        Y[lo:hi] - R[lo:hi, hi:] @ Y[hi:])
         C = np.conjugate(Y.T)  # row i: p_{keep[i]} in the phi_k
-        # sum_k C[:, k] phi_k at the nodes: the e^k half, and the e'^k half
-        # over its first K columns
-        top, k = np.add(keep, 1), min(K, p.size)
-        Q = series(C, top) + np.conjugate(series(
-            np.conjugate(C[:, :k] * r[:k]), np.minimum(top, k)))
+        # conj(C) G^T = Y^T G^T: T by FFT, then the border over G's first k
+        # rows and columns
+        M, k = mu[:, None, None], min(K, p.size)
+        X = X[:p.size, :k]
+        W = _toeplitz_rows(M, C) + Y.T[:, :k] @ X.T
+        W[:, :k] += Y.T @ np.conjugate(X) + Y.T[:, :k] @ D[:k, :k].T
+        u, root = support.joukowski_root(rule.nodes)
+        x, V = (u + root) / (a + b), w[:, None, None]
     else:  # |T| = 1
         poly = support.level_polynomial
         N = poly.degree
         s = -poly.coeffs[N - 1] / (N * poly.coeffs[N])
-        powers = _power_blocks(rule.params, n // N + 1)
         Z = (rule.nodes[:, None] - s) ** np.arange(N)
-        V = (w[:, None, None] * Z[:, :, None] * np.conjugate(Z[:, None, :])).reshape(-1, N * N)
-        M = np.concatenate([P @ (shift[:, None] * V) for _, P, shift
-                            in powers(n // N + 1)]).reshape(-1, N, N)
+        V = w[:, None, None] * Z[:, :, None] * np.conjugate(Z[:, None, :])
+        M = _moments(rule.params, V.reshape(-1, N * N),
+                     n // N + 1).reshape(-1, N, N)
         t, f = complex(poly(z)), (z - s) ** np.arange(N)
         keep = _certified(n, n)
         p, ok, C = _block_levinson(M, t, f, n + 1, keep)
         if not ok.all():  # again to the achieved degree, to certify its last
             keep = _certified(n, int(ok.argmin()) - 1)
             p, _, C = _block_levinson(M, t, f, keep[-1] + 1, keep)
-        top = np.floor_divide(keep, N) + 1  # p_k has powers T^j, j <= k // N
-        Q = sum(Z[:, k] * series(C[:, k::N], top) for k in range(N))
-    return p, Q, w * np.conjugate(Q)
+        W, x = _toeplitz_rows(M, C), poly(rule.nodes)
+    return p, C, W, _probe_misfit(M, x, V)
 
 
 def _certified(degree, last):
     """Degrees of the polynomials the orthonormality certificate keeps on the
     way to ``degree``: every CERTIFY_STRIDE-th one, or every
     ceil(degree / CERTIFY_COUNT)-th beyond degree 512, up to ``last``, and
-    ``last``, if any.  Its cost is O(degree * m) for m nodes at any degree."""
+    ``last``, if any.  At most CERTIFY_COUNT + 1 beyond degree 512, so the
+    certificate's products stay O(degree log degree) on circles and
+    lemniscates (O(degree K) on an ellipse's border) at any degree."""
     stride = max(CERTIFY_STRIDE, -(-degree // CERTIFY_COUNT))
     return sorted({*range(0, last + 1, stride), last}) if last >= 0 else []
 
 
-def _power_blocks(theta, limit):
-    """count -> (lo, rows e^{i p theta}, p < min(GRAM_BLOCK, count - lo),
-    e^{i lo theta}), lo < count <= limit, whose product is
-    e^{i (lo + p) theta}.  The rows come from one table of
-    min(GRAM_BLOCK, limit) rows, built once per ``_gram_rows`` call by
-    doubling and shared by the moments and every ``series``; a row is a
-    product of at most log2(GRAM_BLOCK) exact exponentials, so no error grows
-    from power to power."""
-    B = np.empty((min(GRAM_BLOCK, limit), theta.size), dtype=complex)
+def _power_blocks(theta, count):
+    """(lo, rows e^{i p theta}, p < min(GRAM_BLOCK, count - lo),
+    e^{i lo theta}) for lo < count in steps of GRAM_BLOCK, whose product is
+    e^{i (lo + p) theta}: the power table of ``_moments``.  The rows come
+    from one table of min(GRAM_BLOCK, count) rows, built by doubling; a row
+    is a product of at most log2(GRAM_BLOCK) exact exponentials, so no error
+    grows from power to power."""
+    B = np.empty((min(GRAM_BLOCK, count), theta.size), dtype=complex)
     B[0], h = 1.0, 1
     while h < len(B):
         k = min(h, len(B) - h)
         np.multiply(B[:k], np.exp(1j * h * theta), out=B[h:h + k])
         h += k
-    shifts = [np.exp(1j * lo * theta) for lo in range(0, limit, GRAM_BLOCK)]
-    return lambda count: ((lo, B[:count - lo], shifts[lo // GRAM_BLOCK])
-                          for lo in range(0, count, GRAM_BLOCK))
+    for lo in range(0, count, GRAM_BLOCK):
+        yield lo, B[:count - lo], np.exp(1j * lo * theta)
+
+
+def _moments(theta, V, count):
+    """sum_j e^{i d theta_j} V[j] for d < count, V of shape (m,) or (m, c)."""
+    shape = (-1,) + (1,) * (V.ndim - 1)
+    return np.concatenate([P @ (shift.reshape(shape) * V)
+                           for _, P, shift in _power_blocks(theta, count)])
+
+
+def _toeplitz_rows(M, C):
+    """conj(C) G^T = (G C^H)^T for the block Toeplitz matrix
+    G[jN + a, kN + b] = M[j - k, a, b], M[-d] = M[d]^H, of the size of C's
+    rows, by circulant embedding (Golub and Van Loan, Matrix Computations,
+    section 4.7): G is the leading block of a circulant of length
+    P >= 2J - 1 for J blocks, which the FFT diagonalizes.  One batched FFT of
+    the rows, one of the N^2 moment sequences and one inverse, whatever N:
+    O(rows N^2 J log J)."""
+    rows, count = C.shape
+    N = M.shape[1]
+    J = max(1, -(-count // N))
+    P = 1 << (2 * J - 2).bit_length()
+    S = np.zeros((N, N, P), dtype=complex)  # S[a, b, d mod P] = M[d, a, b]
+    S[:, :, :J] = M[:J].transpose(1, 2, 0)
+    S[:, :, P - J + 1:] = np.conjugate(M[J - 1:0:-1]).transpose(2, 1, 0)
+    X = np.zeros((rows, J * N), dtype=complex)
+    X[:, :count] = np.conjugate(C)
+    X = np.fft.fft(X.reshape(rows, J, N).transpose(0, 2, 1), P)
+    Y = np.fft.ifft((np.fft.fft(S)[None] * X[:, None]).sum(axis=2))
+    return Y[:, :, :J].transpose(0, 2, 1).reshape(rows, J * N)[:, :count]
+
+
+def _probe_misfit(M, x, V):
+    """How far the moments M[d] = sum_j V[j] x_j^d, d < L, are from the nodes
+    x_j, by probes r = (1 - 1/L) i^k, k in PROBE_TURNS (a Freivalds-style
+    check; Freivalds, MFCS 1977): the largest
+    |sum_d r^d M[d] - sum_j V[j] (1 - (r x_j)^L) / (1 - r x_j)|, entry (a, b)
+    relative to sqrt(M[0, a, a] M[0, b, b]), which is mu_0 at N = 1.  |r| so
+    near 1 keeps the top moment visible: it weighs (1 - 1/L)^(L-1) > 1/e.
+    Each power r^d is exact in phase, and (r x)^L is taken as
+    |r x|^L e^{i L arg(r x)}, in O(m) for m nodes.  The misfit's floor is
+    the moments' own rounding, which grows with L: about 1e-13 at L = 2048."""
+    L = len(M)
+    rho, d, turn = 1.0 - 1.0 / L, np.arange(L), np.array([1, 1j, -1, -1j])
+    r_d = rho ** d * turn[np.multiply.outer(PROBE_TURNS, d) % 4]  # r^d
+    lhs = r_d @ M.reshape(L, -1)
+    y = np.multiply.outer(rho * turn[PROBE_TURNS], x)
+    top = np.abs(y) ** L * np.exp(1j * L * np.angle(y))
+    rhs = ((1 - top) / (1 - y)) @ V.reshape(len(x), -1)
+    scale = np.sqrt(M[0].diagonal().real)
+    return float((np.abs(lhs - rhs) / np.outer(scale, scale).reshape(-1)).max())
 
 
 def _block_levinson(M, t, f, count, keep):

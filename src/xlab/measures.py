@@ -436,6 +436,8 @@ def parse_measure_text(text):
     A = _parse_number(A, "weight.A")
     if B is not None:
         B = _parse_number(B, "weight.B")
+    elif jump_param is not None:
+        raise MeasureFormatError("weight.jump_param needs weight.B")
     if B is None or (jump_param is None and B == A):
         weight = JumpWeight(A)
     else:

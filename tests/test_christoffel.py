@@ -520,10 +520,10 @@ def test_certificate_refuses_a_wrong_gram_matrix(monkeypatch):
     # kept node rows are off: one row scaled by 1.01 on each route
     def scaled_row(route):
         def wrong(*args):
-            p, Q, W = route(*args)
+            p, Q, W, misfit = route(*args)
             Q = Q.copy()
             Q[len(Q) // 2] *= 1.01
-            return p, Q, W
+            return p, Q, W, misfit
         return wrong
 
     for measure, name in ((interval_jump_measure(), "_recurrence_rows"),
@@ -540,6 +540,106 @@ def test_certificate_refuses_a_wrong_gram_matrix(monkeypatch):
                 christoffel_lambda(measure, 64)
             rows = run_sweep(measure, schedule=[8, 32, 64]).rows
             assert not any(row.ok for row in rows)
+
+
+def _mutated_moments(kind):
+    """A ``_moments`` that builds the moments off the nodes: from angles
+    scaled by 1 + 1e-6, with one node's weight zeroed, or with the top
+    moment moved by 1e-8 mu_0."""
+    real = christoffel_mod._moments
+
+    def wrong(theta, V, count):
+        if kind == "angles":
+            return real(theta * (1 + 1e-6), V, count)
+        if kind == "node":
+            V = V.copy()
+            V[len(V) // 3] = 0.0
+            return real(theta, V, count)
+        mu = real(theta, V, count)
+        mu[-1] += 1e-8 * mu[0]
+        return mu
+    return wrong
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("measure", [
+    circle_jump_measure(jump_param=1.0),
+    lemniscate_pullback_measure(ComplexPolynomial([0, 0, 1])),
+    ellipse_jump_measure(1.25, 0.75)], ids=["circle", "z2", "ellipse"])
+def test_probes_refuse_moments_off_the_nodes(monkeypatch, measure, n):
+    # the probes read T (or the exterior variable) off the node coordinates,
+    # so moments built from wrong angles or weights, or a top moment moved
+    # by 1e-8 mu_0 (which C G C^H cannot see: G is built from the same
+    # moments as C), refuse the route
+    rule = build_rule(measure, n)
+    assert support_prefix(rule, measure.support, n, measure.z0)[1] <= 1e-12
+    for kind in ("angles", "node", "top"):
+        with monkeypatch.context() as patch:
+            patch.setattr(christoffel_mod, "_moments", _mutated_moments(kind))
+            _, residual, _ = support_prefix(rule, measure.support, n,
+                                            measure.z0)
+            assert residual > christoffel_mod.CERTIFY_TOL, kind
+            with pytest.raises(NumericError, match="residual"):
+                christoffel_lambda(measure, n)
+
+
+def _node_basis(rule, support, count):
+    """phi_0, ..., phi_{count-1} of the Gram route at the nodes, from
+    explicit exponentials of the node angles: (z - s)^a e^{i j theta} at
+    index jN + a on |T| = 1, and e^{i k theta} + r^k e^{-i k theta} on an
+    ellipse."""
+    if support.kind == "ellipse":
+        _, rho, a, b = support.joukowski_frame
+        k = np.arange(count)[:, None]
+        theta = rule.params + support.rotation - rho
+        return (np.exp(1j * k * theta)
+                + ((a - b) / (a + b)) ** k * np.exp(-1j * k * theta))
+    poly = support.level_polynomial
+    N = poly.degree
+    s = -poly.coeffs[N - 1] / (N * poly.coeffs[N])
+    i = np.arange(count)[:, None]
+    return (np.exp(1j * (i // N) * rule.params)
+            * (rule.nodes - s) ** (i % N))
+
+
+@pytest.mark.parametrize("measure", [
+    circle_jump_measure(jump_param=1.0),
+    lemniscate_pullback_measure(ComplexPolynomial([0, 0, 1])),
+    lemniscate_pullback_measure(ComplexPolynomial([-2, 0, 1])),
+    parse_measure_text(CUBIC_TEXT),
+    ellipse_jump_measure(1.25, 0.75),
+    ellipse_jump_measure(1.0, 0.1)],
+    ids=["circle", "z2", "z2-2", "cubic", "ellipse", "flat-ellipse"])
+def test_gram_certificate_matches_the_kept_rows_at_the_nodes(measure):
+    # C W^T = C G C^H, with G C^H by FFT, is the Gram matrix the kept p_k
+    # have at the nodes: sum_j w_j q_a conj(q_b), q = C phi
+    for n in (33, 200):
+        rule = build_rule(measure, n)
+        _, C, W, misfit = christoffel_mod._gram_rows(rule, measure.support, n,
+                                                     measure.z0)
+        q = C @ _node_basis(rule, measure.support, C.shape[1])
+        want = (q * rule.weights) @ np.conjugate(q.T)
+        assert np.max(np.abs(C @ W.T - want)) <= 1e-14, n
+        assert misfit <= 1e-13, n
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(N=st.sampled_from([1, 2, 3]), count=st.integers(1, 300),
+       rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_toeplitz_rows_match_a_dense_product(N, count, rows, seed):
+    # the circulant product is conj(C) G^T for the dense block Toeplitz G,
+    # M[-d] = M[d]^H, whatever N and however many blocks C's rows span
+    gen = np.random.default_rng(seed)
+    J = -(-count // N)
+    M = gen.standard_normal((J, N, N, 2)) @ [1, 1j]
+    M[0] += np.conjugate(M[0].T)
+    C = gen.standard_normal((rows, count, 2)) @ [1, 1j]
+    blocks = np.concatenate([np.conjugate(M[:0:-1]).transpose(0, 2, 1), M])
+    d = np.subtract.outer(np.arange(J), np.arange(J)) + J - 1
+    G = blocks[d].transpose(0, 2, 1, 3).reshape(J * N, J * N)[:count, :count]
+    want = np.conjugate(C) @ G.T
+    got = christoffel_mod._toeplitz_rows(M, C)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _level_measure(N, coeffs, jump):
@@ -597,7 +697,7 @@ def test_power_table_is_sized_to_the_call():
     # by e^{i lo theta}, against the exponentials themselves
     theta = np.linspace(0.0, 2 * math.pi, 7, endpoint=False)
     for limit in (1, 5, 64, 200):
-        blocks = list(christoffel_mod._power_blocks(theta, limit)(limit))
+        blocks = list(christoffel_mod._power_blocks(theta, limit))
         assert len(blocks[0][1]) == min(christoffel_mod.GRAM_BLOCK, limit)
         for lo, P, shift in blocks:
             p = lo + np.arange(len(P))

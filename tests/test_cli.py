@@ -298,11 +298,13 @@ CIRCLE_SUPPORT = "support.kind = circle\nsupport.params = 1\n"
      "weight.w0: 'nan' is not a finite number"),
     (CIRCLE_SUPPORT + "weight.A = 1\neval.z0 = nan,0\n",
      "'nan,0' is not a finite number"),
+    (CIRCLE_SUPPORT + "weight.A = 2\nweight.jump_param = 1.0\n",
+     "weight.jump_param needs weight.B"),
 ], ids=["no-kind", "no-equals", "empty-value", "no-weight",
         "lemniscate-no-params", "arcsine-off-interval", "auto-jump-constant",
         "zero-weight", "bad-number", "lemniscate-nan", "lemniscate-inf",
         "jump-param-nan", "jump-param-inf", "support-params-inf", "w0-nan",
-        "z0-nan"])
+        "z0-nan", "jump-param-without-B"])
 def test_malformed_measure_file_is_input_error(tmp_path, capsys, text,
                                                message):
     bad = tmp_path / "bad.measure"

@@ -269,6 +269,19 @@ def test_parse_equal_jump_values_is_constant(tmp_path, capsys):
     assert "jump_param" in capsys.readouterr().err
 
 
+def test_parse_refuses_a_jump_param_without_B():
+    # a switch point with no second value is refused, not read as the
+    # constant weight A with the jump_param dropped
+    text = ("support.kind = circle\nsupport.params = 1.0\nweight.A = 2\n"
+            "weight.jump_param = 1.0\n")
+    for extra in ("", "eval.z0 = auto-jump\n"):
+        with pytest.raises(MeasureFormatError,
+                           match="weight.jump_param needs weight.B"):
+            parse_measure_text(text + extra)
+    weight = parse_measure_text(text + "weight.B = 2\n").weight
+    assert (weight.A, weight.B, weight.jump_param) == (2.0, 2.0, 1.0)
+
+
 def test_parse_arcsine_flag():
     base = "support.kind = interval\nsupport.params = -1 1\nweight.A = 1\n"
     for text, want in (("0", False), ("1", True), ("true", True),
