@@ -460,28 +460,25 @@ def _certified(degree, last):
     return sorted({*range(0, last + 1, stride), last}) if last >= 0 else []
 
 
-def _power_blocks(theta, count):
-    """(lo, rows e^{i p theta}, p < min(GRAM_BLOCK, count - lo),
-    e^{i lo theta}) for lo < count in steps of GRAM_BLOCK, whose product is
-    e^{i (lo + p) theta}: the power table of ``_moments``.  The rows come
-    from one table of min(GRAM_BLOCK, count) rows, built by doubling; a row
-    is a product of at most log2(GRAM_BLOCK) exact exponentials, so no error
-    grows from power to power."""
+def _moments(theta, V, count):
+    """sum_j e^{i d theta_j} V[j] for d < count, V of shape (m,) or (m, c).
+
+    For lo < count in steps of GRAM_BLOCK, the rows e^{i p theta},
+    p < min(GRAM_BLOCK, count - lo), shifted by e^{i lo theta}, give the
+    powers e^{i (lo + p) theta}.  The rows come from one table of
+    min(GRAM_BLOCK, count) rows, built by doubling; a row is a product of at
+    most log2(GRAM_BLOCK) exact exponentials, so no error grows from power
+    to power."""
     B = np.empty((min(GRAM_BLOCK, count), theta.size), dtype=complex)
     B[0], h = 1.0, 1
     while h < len(B):
         k = min(h, len(B) - h)
         np.multiply(B[:k], np.exp(1j * h * theta), out=B[h:h + k])
         h += k
-    for lo in range(0, count, GRAM_BLOCK):
-        yield lo, B[:count - lo], np.exp(1j * lo * theta)
-
-
-def _moments(theta, V, count):
-    """sum_j e^{i d theta_j} V[j] for d < count, V of shape (m,) or (m, c)."""
     shape = (-1,) + (1,) * (V.ndim - 1)
-    return np.concatenate([P @ (shift.reshape(shape) * V)
-                           for _, P, shift in _power_blocks(theta, count)])
+    return np.concatenate(
+        [B[:count - lo] @ (np.exp(1j * lo * theta).reshape(shape) * V)
+         for lo in range(0, count, GRAM_BLOCK)])
 
 
 def _toeplitz_rows(M, C):

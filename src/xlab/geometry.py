@@ -40,6 +40,8 @@ class ComplexPolynomial:
     """Polynomial with complex coefficients stored lowest degree first."""
 
     def __init__(self, coeffs):
+        if isinstance(coeffs, ComplexPolynomial):
+            coeffs = coeffs.coeffs
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if c.ndim != 1 or c.size == 0:
             raise GeometryError("coefficients must be a nonempty 1-d sequence")
@@ -156,8 +158,7 @@ class SupportSpec:
 
     @classmethod
     def make_lemniscate(cls, poly):
-        if not isinstance(poly, ComplexPolynomial):
-            poly = ComplexPolynomial(poly)
+        poly = ComplexPolynomial(poly)
         if poly.degree < 1:
             raise GeometryError("lemniscate polynomial must have degree >= 1")
         return cls(kind="lemniscate", poly=poly)
@@ -236,8 +237,7 @@ def preimages(poly, w):
     ``_image_newton`` on T/s = w/s, s = max(1, |w|), so that its residual
     test is relative to |w|.
     """
-    if not isinstance(poly, ComplexPolynomial):
-        poly = ComplexPolynomial(poly)
+    poly = ComplexPolynomial(poly)
     if poly.degree < 1:
         raise GeometryError("preimages need a polynomial of degree >= 1")
     c = poly.coeffs.copy()
@@ -358,8 +358,7 @@ def trace_lemniscate(poly):
     their smallest root index.  A curve through a critical point of T is
     rejected with GeometryError.
     """
-    if not isinstance(poly, ComplexPolynomial):
-        poly = ComplexPolynomial(poly)
+    poly = ComplexPolynomial(poly)
     if poly.degree < 1:
         raise GeometryError("lemniscate polynomial must have degree >= 1")
     dpoly = poly.derivative()
@@ -390,6 +389,13 @@ def trace_lemniscate(poly):
     return arcs
 
 
+def congruent_params(arc, angle, count=1):
+    """The first ``count`` parameters of ``arc`` at or after t_lo that are
+    congruent to ``angle`` mod 2 pi."""
+    k0 = math.ceil((arc.t_lo - angle) / (2.0 * math.pi) - 1e-12)
+    return angle + 2.0 * math.pi * (k0 + np.arange(count))
+
+
 def project_to_support(support, z):
     """Locate z on the support: returns (arc index, parameter, nearest point).
 
@@ -418,8 +424,7 @@ def project_to_support(support, z):
     phi = math.atan2(w.imag, w.real)
     best = None
     for i, arc in enumerate(arcs):
-        k0 = math.ceil((arc.t_lo - phi) / (2.0 * math.pi) - 1e-12)
-        cand = phi + 2.0 * math.pi * (k0 + np.arange(arc.winding))
+        cand = congruent_params(arc, phi, arc.winding)
         pts = arc.point(cand)
         j = int(np.argmin(np.abs(pts - z)))
         d = abs(pts[j] - z)

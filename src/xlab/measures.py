@@ -2,12 +2,15 @@
 
 A measure is d(mu) = w0(t) * v(t) * (arc speed) dt on every arc of its
 support, with w0 a positive polynomial ``SmoothFactor`` and v a
-``JumpWeight``, the constant A when it has no switch parameter t0.  On an
-open arc a jump weight takes the value A for t <= t0 and B for t > t0.  On
-a closed arc of period P it takes the value B on the closed half
-[t0, t0 + P/2] and A on the open complement, so there are two switch
-points, t0 and its antipode, and the one-sided limits (left, right) are
-(A, B) at t0 and (B, A) at the antipode.
+``JumpWeight``, the constant A when it has no switch parameter t0.  Without
+a period a jump weight takes the value A for t <= t0 and B for t > t0.
+With a period P it takes the value B on the closed half [t0, t0 + P/2] and
+A on the open complement, so there are two switch points, t0 and its
+antipode, and the one-sided limits (left, right) are (A, B) at t0 and
+(B, A) at the antipode.  On a closed arc the seam, where [t_lo, t_hi)
+wraps around, is one more switch point wherever the weight or the smooth
+factor takes different values at t_hi and t_lo: an aperiodic weight with
+t_lo < t0 < t_hi switches there from B back to A.
 Interval measures may additionally carry an inverse square root factor
 1/sqrt(1 - s(x)^2) with s the affine map onto [-1, 1]; that factor is what
 cosine symmetrization of a circle measure produces.
@@ -20,8 +23,8 @@ import numpy as np
 
 from .errors import (CapabilityError, DomainError, InputError,
                      MeasureFormatError, SymmetryError, as_index)
-from .geometry import (ComplexPolynomial, SupportSpec, parametrize,
-                       preimages, project_to_support)
+from .geometry import (SupportSpec, congruent_params, parametrize,
+                       project_to_support)
 
 _polyval = np.polynomial.polynomial.polyval
 
@@ -99,20 +102,11 @@ class JumpWeight:
             k += 1
         return out
 
-    def snap_to_jump(self, t):
-        """Nearest switch parameter if t is within JUMP_SNAP_TOL, else None."""
-        if self.jump_param is None:
-            return None
-        if self.period is None:
-            if abs(t - self.jump_param) < JUMP_SNAP_TOL:
-                return self.jump_param
-            return None
-        step = 0.5 * self.period
-        k = round((t - self.jump_param) / step)
-        b = self.jump_param + k * step
-        if abs(t - b) < JUMP_SNAP_TOL:
-            return b
-        return None
+    def sides(self, t):
+        """The values (left, right) just before and after parameter t: (A, B)
+        within JUMP_SNAP_TOL of a switch point, (B, A) of its antipode, and
+        the value at t twice anywhere else."""
+        return self.value([t - JUMP_SNAP_TOL, t + JUMP_SNAP_TOL])
 
     def scaled(self, c):
         return JumpWeight(self.A * c, self.B * c, self.jump_param, self.period)
@@ -162,10 +156,6 @@ class MeasureSpec:
             raise DomainError("this measure has no evaluation point z0")
         return self._z0_loc
 
-    def with_z0(self, z0):
-        return MeasureSpec(self.support, self.weight, self.smooth, z0=z0,
-                           chebyshev=self.chebyshev)
-
     def scaled(self, c):
         """The measure c * mu; Christoffel functions scale the same way."""
         c = float(c)
@@ -206,33 +196,38 @@ def density_at(measure, t, arc_index=0):
     return _with_arcsine(measure, t, weight_at(measure, t, arc_index=arc_index))
 
 
-def jump_limits(measure):
-    """One-sided density limits (left, right) at the measure's z0.
+def jump_limits(measure, z=None):
+    """One-sided density limits (left, right) at ``measure.point(z)``.
 
-    The seam of a closed arc, where [t_lo, t_hi) wraps around, is a switch
-    point of a non-constant smooth factor: there the left side reads it at
-    t_hi and the right side at t_lo.
+    The weight gives its own sides at the point's parameter t
+    (``JumpWeight.sides``).  At the seam of a closed arc, where
+    [t_lo, t_hi) wraps around, the left side reads the weight and the
+    smooth factor at t_hi and the right side reads them at t_lo.
     """
-    arc_index, t, _ = measure.z0_location()
-    weight = measure.weight
-    snapped = weight.snap_to_jump(t)
-    sides = weight.value([t, t])
-    if snapped is not None:
-        t, sides = snapped, np.array([weight.A, weight.B])
-        if (weight.period is not None
-                and round((snapped - weight.jump_param) / (0.5 * weight.period)) % 2):
-            sides = sides[::-1]  # the antipode switches from B back to A
+    arc_index, t, _ = project_to_support(measure.support, measure.point(z))
     arc = parametrize(measure.support)[arc_index]
     params = np.array([t, t])
     if (measure.support.kind != "interval"
             and min(abs(t - arc.t_lo), abs(arc.t_hi - t)) < JUMP_SNAP_TOL):
         params = np.array([arc.t_hi, arc.t_lo])
+    sides = [measure.weight.sides(params[0])[0],
+             measure.weight.sides(params[1])[1]]
     left, right = _with_arcsine(measure, params, measure.smooth(params) * sides)
     return float(left), float(right)
 
 
 # ---------------------------------------------------------------------------
 # measure constructors
+
+def _jump_point(support, angle):
+    """The default jump point: arc 0 at its first parameter at or after t_lo
+    congruent to ``angle`` mod 2 pi, or at ``angle`` on an interval, an
+    open arc."""
+    arc = parametrize(support)[0]
+    if support.kind != "interval":
+        angle = congruent_params(arc, angle)[0]
+    return complex(arc.point(angle))
+
 
 def uniform_circle_measure(radius=1.0, center=0j, weight=1.0, z0=None):
     support = SupportSpec.make_circle(radius=radius, center=center)
@@ -243,7 +238,7 @@ def circle_jump_measure(A=2.0, B=1.0, jump_param=math.pi / 2, radius=1.0,
                         center=0j, z0="jump", smooth=None):
     support = SupportSpec.make_circle(radius=radius, center=center)
     if z0 == "jump":
-        z0 = complex(center) + radius * cmath.exp(1j * jump_param)
+        z0 = _jump_point(support, jump_param)
     weight = JumpWeight(A, B, jump_param, period=2.0 * math.pi)
     return MeasureSpec(support, weight, smooth, z0=z0)
 
@@ -252,7 +247,7 @@ def interval_jump_measure(a=-1.0, b=1.0, A=2.0, B=1.0, jump_param=0.0,
                           chebyshev=False, z0="jump", smooth=None):
     support = SupportSpec.make_interval(a, b)
     if z0 == "jump":
-        z0 = complex(jump_param)
+        z0 = _jump_point(support, jump_param)
     return MeasureSpec(support, JumpWeight(A, B, jump_param), smooth, z0=z0,
                        chebyshev=chebyshev)
 
@@ -261,7 +256,7 @@ def ellipse_jump_measure(a, b, A=2.0, B=1.0, jump_param=0.0, center=0j,
                          rotation=0.0, z0="jump", smooth=None):
     support = SupportSpec.make_ellipse(a, b, center=center, rotation=rotation)
     if z0 == "jump":
-        z0 = complex(parametrize(support)[0].point(jump_param))
+        z0 = _jump_point(support, jump_param)
     weight = JumpWeight(A, B, jump_param, period=2.0 * math.pi)
     return MeasureSpec(support, weight, smooth, z0=z0)
 
@@ -321,15 +316,14 @@ def pullback_to_lemniscate(measure, poly, z0=None):
 
     The arcs of |T| = 1 are parametrized by the image angle, so the circle
     weight transfers verbatim to the parameter of every component.  When z0
-    is not given, the first preimage of the circle's z0 (in deterministic
-    order) is used.
+    is not given, the circle's z0, at angle t, pulls back to the point of
+    arc 0 at its first parameter congruent to t mod 2 pi, the point that
+    ``eval.z0 = auto-jump`` gives for a jump at t.
     """
     _require_unit_circle(measure, "lemniscate pullback")
-    if not isinstance(poly, ComplexPolynomial):
-        poly = ComplexPolynomial(poly)
     support = SupportSpec.make_lemniscate(poly)
     if z0 is None and measure.z0 is not None:
-        z0 = complex(preimages(poly, measure.z0)[0])
+        z0 = _jump_point(support, measure.z0_location()[1])
     return MeasureSpec(support, measure.weight, measure.smooth, z0=z0)
 
 
@@ -388,7 +382,7 @@ def _parse_support(kind, toks):
                                      "coefficients, lowest degree first, "
                                      "re or re,im tokens")
         coeffs = [_parse_complex(t, "support.params") for t in toks]
-        return SupportSpec.make_lemniscate(ComplexPolynomial(coeffs))
+        return SupportSpec.make_lemniscate(coeffs)
     if kind not in _SUPPORT_PARAMS:
         raise MeasureFormatError(f"unknown support.kind {kind!r}")
     help_text, counts, make, _ = _SUPPORT_PARAMS[kind]
@@ -466,13 +460,7 @@ def _resolve_z0(z0_spec, support, weight):
         return _parse_complex(z0_spec, "point (re,im or auto-jump)")
     if weight.jump_param is None:
         raise MeasureFormatError("auto-jump needs a jump weight")
-    arc = parametrize(support)[0]
-    t0 = weight.jump_param
-    if support.kind == "lemniscate":
-        # first switch parameter inside the leading component
-        k0 = math.ceil((arc.t_lo - t0) / (2.0 * math.pi) - 1e-12)
-        t0 = t0 + 2.0 * math.pi * k0
-    return complex(arc.point(t0))
+    return _jump_point(support, weight.jump_param)
 
 
 def format_measure(measure):

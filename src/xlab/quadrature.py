@@ -135,9 +135,7 @@ def integrate(rule, f):
     vals = np.asarray(f(rule.nodes))
     if vals.shape != rule.nodes.shape:
         vals = np.broadcast_to(vals, rule.nodes.shape)
-    finite = np.isfinite(vals.real if np.iscomplexobj(vals) else vals)
-    if np.iscomplexobj(vals):
-        finite &= np.isfinite(vals.imag)
+    finite = np.isfinite(vals)
     if not np.all(finite):
         bad = int(np.argmin(finite))
         raise NumericError(f"integrand is not finite at node {bad} "

@@ -35,18 +35,16 @@ def jump_factor(A, B):
 
 
 def predicted_limit(measure, z=None):
-    """Predicted limit of n * lambda_n at the jump point.
+    """Predicted limit of n * lambda_n at z = ``measure.point(z)``.
 
-    The value is jump_factor(left, right) / density(z0) where left/right
-    are the one-sided density limits of the measure at z0 and density is
-    the equilibrium density of the support, |G'(z0)|/(2 pi) from its
+    The value is jump_factor(left, right) / density(z) where left/right
+    are the one-sided density limits of the measure at z and density is
+    the equilibrium density of the support, |G'(z)|/(2 pi) from its
     Green's potential G.
     """
     z = measure.point(z)
-    meas = measure if measure.z0 == z else measure.with_z0(z)
-    left, right = jump_limits(meas)
-    factor = jump_factor(left, right)
-    return factor / equilibrium_density(meas.support)(z)
+    factor = jump_factor(*jump_limits(measure, z))
+    return factor / equilibrium_density(measure.support)(z)
 
 
 def geometric_schedule(n_min=8, n_max=512, ratio=1.25):

@@ -693,17 +693,19 @@ def test_certificate_keeps_a_bounded_spread():
 
 
 def test_power_table_is_sized_to_the_call():
-    # rows e^{i p theta} for p < min(GRAM_BLOCK, limit), each block shifted
-    # by e^{i lo theta}, against the exponentials themselves
-    theta = np.linspace(0.0, 2 * math.pi, 7, endpoint=False)
+    # the moments sum_j e^{i d theta_j} V[j], d < limit, from the doubled
+    # power table and its block shifts, against direct sums of the
+    # exponentials themselves, below, at and beyond one GRAM_BLOCK; dyadic
+    # angles keep every d theta exact, so the direct sums are exact to rounding
+    theta = 0.875 * np.arange(7)
+    rng = np.random.default_rng(3)
+    V = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
     for limit in (1, 5, 64, 200):
-        blocks = list(christoffel_mod._power_blocks(theta, limit))
-        assert len(blocks[0][1]) == min(christoffel_mod.GRAM_BLOCK, limit)
-        for lo, P, shift in blocks:
-            p = lo + np.arange(len(P))
-            want = np.exp(1j * np.multiply.outer(p, theta))
-            assert np.max(np.abs(P * shift - want)) <= 1e-13
-        assert sum(len(P) for _, P, _ in blocks) == limit
+        want = np.exp(1j * np.multiply.outer(np.arange(limit), theta)) @ V
+        for v, w in ((V, want), (V[:, 0], want[:, 0])):
+            got = christoffel_mod._moments(theta, v, limit)
+            assert got.shape == w.shape
+            assert np.max(np.abs(got - w)) <= 1e-13
 
 
 def test_uncertified_route_is_numeric_error(monkeypatch):

@@ -4,11 +4,13 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from xlab.cli import main
 from xlab.errors import (CapabilityError, DomainError, InputError,
                          MeasureFormatError, SymmetryError)
-from xlab.geometry import ComplexPolynomial
+from xlab.geometry import ComplexPolynomial, SupportSpec, parametrize
 from xlab.measures import (JumpWeight, MeasureSpec,
                            SmoothFactor, circle_jump_measure, density_at,
                            ellipse_jump_measure, format_measure,
@@ -57,8 +59,10 @@ def test_jump_weight_breakpoints_and_snap():
     w = JumpWeight(2.0, 1.0, math.pi / 2, period=2.0 * math.pi)
     assert np.allclose(w.breakpoints(0.0, 2.0 * math.pi),
                        [math.pi / 2, 3 * math.pi / 2])
-    assert w.snap_to_jump(math.pi / 2 + 5e-10) == math.pi / 2
-    assert w.snap_to_jump(math.pi / 2 + 1e-6) is None
+    # a parameter within JUMP_SNAP_TOL of a switch point sits at it
+    assert list(w.sides(math.pi / 2 + 5e-10)) == [2.0, 1.0]
+    assert list(w.sides(3 * math.pi / 2 - 5e-10)) == [1.0, 2.0]
+    assert list(w.sides(math.pi / 2 + 1e-6)) == [1.0, 1.0]
 
 
 def test_jump_weight_positivity_validation():
@@ -84,7 +88,7 @@ def test_weight_without_switch_parameter_is_constant():
     w = JumpWeight(2.0)
     assert (w.A, w.B, w.jump_param) == (2.0, 2.0, None)
     assert np.array_equal(w.value([-3.0, 0.0, 7.0]), [2.0, 2.0, 2.0])
-    assert w.breakpoints(-10.0, 10.0) == [] and w.snap_to_jump(0.0) is None
+    assert w.breakpoints(-10.0, 10.0) == [] and list(w.sides(0.0)) == [2.0, 2.0]
     assert JumpWeight(2.0, 2.0).jump_param is None
     # two values need the parameter where the weight switches
     with pytest.raises(InputError, match="jump_param"):
@@ -181,6 +185,69 @@ def test_symmetrize_jump_at_three_halves_pi():
     for m in (circle_jump_measure(A=1.5, B=1.5, jump_param=0.7),
               uniform_circle_measure(weight=1.5)):
         assert symmetrize_to_interval(m).weight.jump_param is None
+
+
+# supports for the one-sided limits: a circle, an ellipse, the z^2
+# lemniscate (one component, winding 2) and a cubic's (winding 1 and 2)
+_SIDE_SUPPORTS = {
+    "circle": SupportSpec.make_circle(),
+    "ellipse": SupportSpec.make_ellipse(1.25, 0.75),
+    "z2": SupportSpec.make_lemniscate([0.0, 0.0, 1.0]),
+    "cubic": SupportSpec.make_lemniscate([0.3, -1.5, 0.0, 1.0]),
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(_SIDE_SUPPORTS)), arc_pick=st.integers(0, 1),
+       periodic=st.booleans(), u=st.floats(0.05, 0.95),
+       where=st.sampled_from(["switch", "antipode", "seam-lo", "seam-hi",
+                              "random"]),
+       v=st.floats(0.0, 0.999))
+def test_jump_limits_match_the_density_either_side(name, arc_pick, periodic, u,
+                                                   where, v):
+    # jump_limits at z against density_at just before and after z's
+    # parameter, wrapped at the seam, for switch points, antipodes, seams
+    # and other points, with a sloped smooth factor
+    support = _SIDE_SUPPORTS[name]
+    arcs = parametrize(support)
+    arc_index = arc_pick % len(arcs)
+    arc = arcs[arc_index]
+    if periodic:  # a switch on any turn of the arc, and its antipode
+        weight = JumpWeight(2.0, 1.0, u * math.pi, period=2.0 * math.pi)
+        turns = math.floor(v * arc.span / (2.0 * math.pi))
+        switch = u * math.pi + 2.0 * math.pi * turns
+    else:  # one switch, and no antipode
+        weight = JumpWeight(2.0, 1.0, arc.t_lo + u * arc.span)
+        switch = weight.jump_param
+        assume(where != "antipode")
+    t = {"switch": switch, "antipode": switch + math.pi, "seam-lo": arc.t_lo,
+         "seam-hi": arc.t_hi, "random": arc.t_lo + v * arc.span}[where]
+    if where == "random":  # off the switch points and the seam
+        assume(all(abs(t - b) > 1e-6 for b in weight.breakpoints(arc.t_lo - 1.0,
+                                                                 arc.t_hi + 1.0)))
+        assume(min(t - arc.t_lo, arc.t_hi - t) > 1e-6)
+    measure = MeasureSpec(support, weight, SmoothFactor([1.0, 0.03]))
+
+    def wrapped(s):
+        return s + arc.span if s < arc.t_lo else s - arc.span if s > arc.t_hi else s
+
+    want = [float(density_at(measure, wrapped(t + d), arc_index=arc_index))
+            for d in (-1e-7, 1e-7)]
+    got = jump_limits(measure, arc.point(t))
+    assert got == pytest.approx(want, abs=1e-6), (where, t, weight)
+
+
+def test_default_pullback_point_is_the_auto_jump_point():
+    # lemniscate_pullback_measure and eval.z0 = auto-jump place the jump
+    # point of the same curve and the same jump at the same place
+    for coeffs in ([0.0, 0.0, 1.0], [-2.0, 0.0, 1.0], [0.3, -1.5, 0.0, 1.0],
+                   [0.0, -0.5, 0.0, 1.0]):
+        pulled = lemniscate_pullback_measure(ComplexPolynomial(coeffs))
+        text = ("support.kind = lemniscate\nsupport.params = "
+                + " ".join(repr(float(c)) for c in coeffs)
+                + f"\nweight.A = 2\nweight.B = 1\n"
+                f"weight.jump_param = {math.pi / 2!r}\neval.z0 = auto-jump\n")
+        assert abs(pulled.z0 - parse_measure_text(text).z0) <= 1e-12, coeffs
 
 
 def test_pullback_weight_composition():

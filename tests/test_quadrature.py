@@ -68,6 +68,18 @@ def _refined(measure, n, f):
     return build_rule(measure, f * (n + 1) - 1)
 
 
+def _at(measure, z0):
+    return MeasureSpec(measure.support, measure.weight, measure.smooth, z0=z0,
+                       chebyshev=measure.chebyshev)
+
+
+def _off_switch(measure):
+    # z0 sits at no switch point: the weight is the same on both sides
+    _, t0, _ = measure.z0_location()
+    left, right = measure.weight.sides(t0)
+    return left == right
+
+
 def _exactness_measure(name):
     # every z0 but the plain ellipse's sits inside a jump-free segment,
     # between two switch points; the rule does not split there
@@ -82,13 +94,13 @@ def _exactness_measure(name):
     if name == "rotated-ellipse":
         m = ellipse_jump_measure(0.9, 0.5, center=0.4 + 0.3j, rotation=1.1,
                                  jump_param=0.4)
-        return m.with_z0(_on_curve(m.support, 2.0))
+        return _at(m, _on_curve(m.support, 2.0))
     # two components each; the cubics' second one winds twice
     poly = {"two-component": [-2.0, 0.0, 1.0],
             "cubic": [1.0, -1.2, 0.0, 1.0],
             "near-pinched-cubic": [0.3, -1.5, 0.0, 1.0]}[name]
     m = lemniscate_pullback_measure(ComplexPolynomial(poly))
-    return m.with_z0(_on_curve(m.support, 0.4, arc=len(poly) - 3))
+    return _at(m, _on_curve(m.support, 0.4, arc=len(poly) - 3))
 
 
 # |z^3 - 1.5 z + 0.3| = 1 passes within 0.007 of the critical value 1.007 at
@@ -106,8 +118,7 @@ NEAR_PINCHED = pytest.mark.xfail(strict=True, reason="equal panels miss the "
 def test_polynomial_exactness_vs_refined(name):
     measure = _exactness_measure(name)
     if name != "ellipse":
-        _, t0, _ = measure.z0_location()
-        assert measure.weight.snap_to_jump(t0) is None
+        assert _off_switch(measure)
     coarse = build_rule(measure, 20)
     fine = _refined(measure, 20, 4)
     rng = np.random.default_rng(7)
@@ -165,10 +176,10 @@ def test_rule_does_not_depend_on_z0(name):
     measure = _exactness_measure(name)
     arc = len(parametrize(measure.support)) - 1
     t_lo = parametrize(measure.support)[arc].t_lo
-    other = measure.with_z0(_on_curve(measure.support, t_lo + 1.3, arc=arc))
-    assert other.weight.snap_to_jump(other.z0_location()[1]) is None
+    other = _at(measure, _on_curve(measure.support, t_lo + 1.3, arc=arc))
+    assert _off_switch(other)
     want = build_rule(measure, 20)
-    for m in (other, measure.with_z0(None)):
+    for m in (other, _at(measure, None)):
         got = build_rule(m, 20)
         for field in ("nodes", "weights", "params"):
             assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -18,7 +18,7 @@ from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
 from xlab.measures import (JumpWeight, MeasureSpec,
                            SmoothFactor, circle_jump_measure,
                            ellipse_jump_measure, interval_jump_measure,
-                           lemniscate_pullback_measure,
+                           jump_limits, lemniscate_pullback_measure,
                            uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
 from xlab.suites import standard_jump_measures
@@ -108,6 +108,26 @@ def test_seam_of_a_closed_arc_is_a_jump_of_the_smooth_factor():
     result = run_sweep(ellipse, schedule=geometric_schedule(32, 512))
     want = predicted_limit(ellipse)
     assert abs(extrapolate(result) - want) <= 0.05 * want
+
+
+def test_seam_of_a_closed_arc_is_a_jump_of_an_aperiodic_weight():
+    # A on [t_lo, 1], B after: at z0 on the seam the left side reads B at
+    # t_hi and the right side A at t_lo, and the sweep converges to the
+    # log-mean of (B, A), not to A over the equilibrium density
+    supports = (SupportSpec.make_circle(), SupportSpec.make_ellipse(1.25, 0.75),
+                SupportSpec.make_lemniscate([0.0, 0.0, 1.0]))
+    for support in supports:
+        arc = parametrize(support)[0]
+        z0 = arc.point(arc.t_lo)
+        measure = MeasureSpec(support, JumpWeight(2.0, 1.0, 1.0), z0=z0)
+        result = run_sweep(measure, schedule=geometric_schedule(32, 512))
+        limit = extrapolate(result)
+        assert abs(predicted_limit(measure) - limit) <= 1e-3 * limit, support.kind
+        # a switch at t_lo or at t_hi leaves one value on either side of the
+        # seam: B just after t_lo and wrapping round from t_hi, or A throughout
+        for jump, value in ((arc.t_lo, 1.0), (arc.t_hi, 2.0)):
+            measure = MeasureSpec(support, JumpWeight(2.0, 1.0, jump), z0=z0)
+            assert jump_limits(measure) == (value, value), (support.kind, jump)
 
 
 def test_geometric_schedule():
