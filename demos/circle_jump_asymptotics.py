@@ -26,7 +26,7 @@ predicted = predicted_limit(measure)
 print(f"predicted limit  {predicted:.6f}  (2 pi / ln 2 = "
       f"{2 * math.pi / math.log(2):.6f})")
 
-# one orthonormalization at n = 512 serves every row of the schedule
+# one route pass at n = 512 serves every row of the schedule
 schedule = geometric_schedule(32, 512, 1.25)
 result = run_sweep(measure, schedule=schedule)
 print(f"\n{'n':>5s} {'n lambda_n':>12s} {'rel error':>11s}")

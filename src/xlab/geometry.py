@@ -31,7 +31,7 @@ from .errors import DomainError, GeometryError, TracingError
 CRITICAL_POINT_TOL = 1e-6   # ||T(c)| - 1| below this at a root c of T' is a node
 IMAGE_NEWTON_TOL = 5e-14    # residual at which a point leaves the image Newton solve
 IMAGE_NEWTON_MAXIT = 40     # Newton steps of the image solve, at most
-OFF_CURVE_TOL = 1e-8        # points farther than this from the support are rejected
+OFF_CURVE_TOL = 1e-8        # times the capacity: farther from the support is off it
 TURN_STEPS = 8              # continuation steps per turn of the image circle, at most
 GRID_PER_TURN = 1024        # Newton start points per turn along each arc
 
@@ -171,6 +171,17 @@ class SupportSpec:
             return ComplexPolynomial([-self.center / self.radius,
                                       1.0 / self.radius])
         return self.poly if self.kind == "lemniscate" else None
+
+    @property
+    def capacity(self):
+        """The support's length scale: its logarithmic capacity in closed
+        form (Ransford, Potential Theory in the Complex Plane, 1995, 5.2)."""
+        if self.kind == "interval":
+            return (self.interval[1] - self.interval[0]) / 4.0
+        if self.kind == "ellipse":
+            return sum(self.axes) / 2.0
+        poly = self.level_polynomial  # |c_1|^(-1) = r on a circle
+        return abs(poly.coeffs[-1]) ** (-1.0 / poly.degree)
 
     @property
     def joukowski_frame(self):
@@ -399,38 +410,33 @@ def congruent_params(arc, angle, count=1):
 def project_to_support(support, z):
     """Locate z on the support: returns (arc index, parameter, nearest point).
 
-    Raises DomainError when z is farther than OFF_CURVE_TOL from the support
-    (OFF_CURVE_TOL * (1 + |z|) on a lemniscate).
-    """
-    z, tol = complex(z), OFF_CURVE_TOL
+    An interval clamps Re z, a conic reads the angle of z in its frame, a
+    lemniscate takes the nearest arc point over the angle of T(z).  A z not
+    finite or farther than OFF_CURVE_TOL * ``support.capacity`` from that
+    point raises DomainError."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"{z} is not a finite point")
     arcs = parametrize(support)
     if support.kind == "interval":
-        a, b = support.interval
-        if not (abs(z.imag) <= tol and a - tol <= z.real <= b + tol):
-            raise DomainError(f"{z} is not on the interval [{a}, {b}]")
-        return 0, min(max(z.real, a), b), complex(min(max(z.real, a), b))
-    if support.kind in ("circle", "ellipse"):
+        t = min(max(z.real, support.interval[0]), support.interval[1])
+        i, point = 0, complex(t)
+    elif support.kind in ("circle", "ellipse"):
         a, b = support.axes or (support.radius, support.radius)
         zeta = (z - support.center) * cmath.exp(-1j * support.rotation)
         t = math.atan2(zeta.imag / b, zeta.real / a) % (2.0 * math.pi)
-        point = complex(arcs[0].point(t))
-        if not abs(point - z) <= tol:
-            raise DomainError(f"{z} is not on the {support.kind}")
-        return 0, t, point
-    # lemniscate; parametrize has already rejected unknown kinds
-    w = complex(support.poly(z))
-    if not abs(abs(w) - 1.0) <= max(tol, 1e-6):
-        raise DomainError(f"{z} is not on the lemniscate")
-    phi = math.atan2(w.imag, w.real)
-    best = None
-    for i, arc in enumerate(arcs):
-        cand = congruent_params(arc, phi, arc.winding)
-        pts = arc.point(cand)
-        j = int(np.argmin(np.abs(pts - z)))
-        d = abs(pts[j] - z)
-        if best is None or d < best[0]:
-            best = (d, i, float(cand[j]), complex(pts[j]))
-    d, i, t, point = best
-    if not d <= tol * (1.0 + abs(z)):
-        raise DomainError(f"{z} is not on the lemniscate (distance {d:.2e})")
+        i, point = 0, complex(arcs[0].point(t))
+    else:  # lemniscate; parametrize has already rejected unknown kinds
+        w = complex(support.poly(z))
+        # T(z) overflows only far off the curve, where any angle is refused
+        phi = math.atan2(w.imag, w.real) if cmath.isfinite(w) else 0.0
+        for k, arc in enumerate(arcs):
+            cand = congruent_params(arc, phi, arc.winding)
+            pts = arc.point(cand)
+            j = int(np.argmin(np.abs(pts - z)))
+            if k == 0 or abs(pts[j] - z) < abs(point - z):
+                i, t, point = k, float(cand[j]), complex(pts[j])
+    d = abs(point - z)
+    if not d <= OFF_CURVE_TOL * support.capacity:
+        raise DomainError(f"{z} is not on the {support.kind} (distance {d:.2e})")
     return i, t, point

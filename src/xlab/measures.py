@@ -92,21 +92,17 @@ class JumpWeight:
         if self.period is None:
             return [self.jump_param] if t_lo < self.jump_param < t_hi else []
         step = 0.5 * self.period
-        k0 = math.floor((t_lo - self.jump_param) / step) + 1
-        out = []
-        k = k0
-        while self.jump_param + k * step < t_hi - 1e-14:
-            b = self.jump_param + k * step
-            if b > t_lo + 1e-14:
-                out.append(b)
-            k += 1
-        return out
+        k = np.arange(math.floor((t_lo - self.jump_param) / step) + 1,
+                      math.ceil((t_hi - self.jump_param) / step) + 1)
+        b = self.jump_param + k * step
+        return b[(b > t_lo + 1e-14) & (b < t_hi - 1e-14)].tolist()
 
     def sides(self, t):
-        """The values (left, right) just before and after parameter t: (A, B)
-        within JUMP_SNAP_TOL of a switch point, (B, A) of its antipode, and
-        the value at t twice anywhere else."""
-        return self.value([t - JUMP_SNAP_TOL, t + JUMP_SNAP_TOL])
+        """The values (left, right) just before and after t: (A, B) at a switch
+        point, (B, A) at its antipode, else the value twice.  Each side is read
+        JUMP_SNAP_TOL or, if wider, 8 ulps of t away, so a large t reads both."""
+        h = max(JUMP_SNAP_TOL, 8.0 * float(np.spacing(abs(t))))
+        return self.value([t - h, t + h])
 
     def scaled(self, c):
         return JumpWeight(self.A * c, self.B * c, self.jump_param, self.period)
@@ -130,9 +126,8 @@ class MeasureSpec:
         self.smooth = smooth or SmoothFactor()
         self.chebyshev = bool(chebyshev)
         self.z0 = None if z0 is None else complex(z0)
-        self._z0_loc = None
         if self.z0 is not None:
-            self._z0_loc = project_to_support(support, self.z0)
+            project_to_support(support, self.z0)  # refuses a z0 off the support
         self._validate_smooth()
 
     def _validate_smooth(self):
@@ -150,11 +145,6 @@ class MeasureSpec:
         if not cmath.isfinite(z):
             raise InputError(f"evaluation point {z} is not finite")
         return z
-
-    def z0_location(self):
-        if self.z0 is None:
-            raise DomainError("this measure has no evaluation point z0")
-        return self._z0_loc
 
     def scaled(self, c):
         """The measure c * mu; Christoffel functions scale the same way."""
@@ -305,7 +295,7 @@ def symmetrize_to_interval(measure):
     support = SupportSpec.make_interval(-1.0, 1.0)
     z0 = None
     if measure.z0 is not None:
-        _, t, _ = measure.z0_location()
+        _, t, _ = project_to_support(measure.support, measure.z0)
         z0 = complex(min(max(math.cos(t), -1.0), 1.0))
     return MeasureSpec(support, new_weight, SmoothFactor(measure.smooth.coeffs[:1]),
                        z0=z0, chebyshev=True)
@@ -314,17 +304,22 @@ def symmetrize_to_interval(measure):
 def pullback_to_lemniscate(measure, poly, z0=None):
     """Pull a unit circle measure back through T to the lemniscate |T| = 1.
 
-    The arcs of |T| = 1 are parametrized by the image angle, so the circle
-    weight transfers verbatim to the parameter of every component.  When z0
-    is not given, the circle's z0, at angle t, pulls back to the point of
-    arc 0 at its first parameter congruent to t mod 2 pi, the point that
-    ``eval.z0 = auto-jump`` gives for a jump at t.
+    Arcs of |T| = 1 are parametrized by the image angle, at which the circle
+    weight is read: the pullback of a 2 pi-periodic weight; any other weight
+    raises CapabilityError.  Without a z0, the circle's z0, at angle t, pulls
+    back to arc 0 at its first parameter congruent to t mod 2 pi, the point
+    that ``eval.z0 = auto-jump`` gives.
     """
     _require_unit_circle(measure, "lemniscate pullback")
+    weight = measure.weight
+    if weight.jump_param is not None and weight.period != 2.0 * math.pi:
+        raise CapabilityError("lemniscate pullback needs a 2 pi-periodic "
+                              "circle weight")
     support = SupportSpec.make_lemniscate(poly)
     if z0 is None and measure.z0 is not None:
-        z0 = _jump_point(support, measure.z0_location()[1])
-    return MeasureSpec(support, measure.weight, measure.smooth, z0=z0)
+        _, t, _ = project_to_support(measure.support, measure.z0)
+        z0 = _jump_point(support, t)
+    return MeasureSpec(support, weight, measure.smooth, z0=z0)
 
 
 # ---------------------------------------------------------------------------

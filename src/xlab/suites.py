@@ -242,18 +242,6 @@ def _integral_identity_checks(coeffs, tag):
     return checks
 
 
-def _capacity(support):
-    """Logarithmic capacity in closed form (Ransford, Potential Theory in
-    the Complex Plane, 1995, section 5.2)."""
-    if support.kind == "interval":
-        a, b = support.interval
-        return (b - a) / 4.0
-    if support.kind == "ellipse":
-        return sum(support.axes) / 2.0
-    poly = support.level_polynomial  # |c_1|^(-1) = r on a circle
-    return abs(poly.coeffs[-1]) ** (-1.0 / poly.degree)
-
-
 def _green_residuals(support, nodes):
     """Residuals of g = Re G, with G from ``green_potential``.
 
@@ -272,7 +260,7 @@ def _green_residuals(support, nodes):
     on_support = float(np.max(np.abs(g(nodes))))
     far = 1e10 * np.exp(0.25j * math.pi * (np.arange(8) + 0.5))
     at_infinity = float(np.max(np.abs(g(far) - np.log(np.abs(far))
-                                      + math.log(_capacity(support)))))
+                                      + math.log(support.capacity))))
     normal = 0.0
     for arc in parametrize(support):
         t = arc.t_lo + (np.arange(16) + 0.5) * arc.span / 16

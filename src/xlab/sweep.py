@@ -20,18 +20,17 @@ from .errors import DomainError, InputError, NumericError, as_index
 from .measures import jump_limits
 from .quadrature import build_rule
 
-JUMP_FACTOR_TIE_RTOL = 1e-12  # relative |A-B| below which the limit value is used
-FIT_WINDOW = 6                # largest successful rows the extrapolation fits
+FIT_WINDOW = 6  # largest successful rows the extrapolation fits
 
 
 def jump_factor(A, B):
-    """(A - B) / (ln A - ln B), continued by its limit A on the diagonal."""
-    A, B = float(A), float(B)
-    if not (A > 0 and B > 0):
-        raise DomainError("jump values must be positive")
-    if abs(A - B) < JUMP_FACTOR_TIE_RTOL * max(A, B):
-        return A
-    return (A - B) / (math.log(A) - math.log(B))
+    """(A - B) / (ln A - ln B), A on the diagonal, as lo * (x / log1p(x)),
+    lo = min(A, B), x = (max(A, B) - lo) / lo: exact to rounding at any scale."""
+    lo, hi = sorted((float(A), float(B)))
+    if not (lo > 0 and hi / lo < math.inf):
+        raise DomainError("jump values must be positive, with a finite ratio")
+    x = (hi - lo) / lo
+    return lo * (x / math.log1p(x)) if x else hi
 
 
 def predicted_limit(measure, z=None):

@@ -63,6 +63,39 @@ def test_jump_weight_breakpoints_and_snap():
     assert list(w.sides(math.pi / 2 + 5e-10)) == [2.0, 1.0]
     assert list(w.sides(3 * math.pi / 2 - 5e-10)) == [1.0, 2.0]
     assert list(w.sides(math.pi / 2 + 1e-6)) == [1.0, 1.0]
+    # 1e-9 is below the ulp of a parameter beyond about 1.7e7: there each
+    # side is read 8 ulps away
+    assert list(JumpWeight(2.0, 1.0, 1e9 / 3).sides(1e9 / 3)) == [2.0, 1.0]
+
+
+def _stepping_breakpoints(w, t_lo, t_hi):
+    # the switch points inside (t_lo, t_hi) found by stepping through them
+    step = 0.5 * w.period
+    k = math.floor((t_lo - w.jump_param) / step) + 1
+    out = []
+    while w.jump_param + k * step < t_hi - 1e-14:
+        if w.jump_param + k * step > t_lo + 1e-14:
+            out.append(w.jump_param + k * step)
+        k += 1
+    return out
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(t0=st.floats(-20.0, 20.0),
+       period=st.sampled_from([2.0 * math.pi, 1.0]) | st.floats(0.1, 10.0),
+       t_lo=st.floats(-30.0, 30.0), span=st.floats(0.0, 50.0),
+       hits=st.tuples(st.integers(-5, 5), st.integers(-5, 8)),
+       on=st.sampled_from(["none", "lo", "hi", "both"]))
+def test_breakpoints_match_the_stepping_loop(t0, period, t_lo, span, hits, on):
+    # the k range by floor and ceil gives what stepping k gives, also with
+    # an end exactly on a switch point
+    w = JumpWeight(2.0, 1.0, t0, period=period)
+    t_hi = t_lo + span
+    if on in ("lo", "both"):
+        t_lo = t0 + hits[0] * 0.5 * period
+    if on in ("hi", "both"):
+        t_hi = t0 + hits[1] * 0.5 * period
+    assert w.breakpoints(t_lo, t_hi) == _stepping_breakpoints(w, t_lo, t_hi)
 
 
 def test_jump_weight_positivity_validation():
@@ -262,6 +295,25 @@ def test_pullback_weight_composition():
     for t in (0.3, 1.9, 4.4):
         assert (float(weight_at(ident, t))
                 == float(weight_at(circle_jump_measure(), t)))
+
+
+def test_pullback_needs_a_2pi_periodic_weight():
+    # an aperiodic jump at t = 1 would read 2 at theta = 0.5 and 1 at
+    # theta = 2 pi + 0.5, over the same circle point: it has no pullback
+    poly = ComplexPolynomial([0.0, 0.0, 1.0])
+    aperiodic = MeasureSpec(SupportSpec.make_circle(), JumpWeight(2.0, 1.0, 1.0))
+    with pytest.raises(CapabilityError, match="2 pi-periodic"):
+        pullback_to_lemniscate(aperiodic, poly)
+    # periodic and constant weights pull back unchanged, and read the same
+    # on every turn of the image angle
+    for circle in (circle_jump_measure(), circle_jump_measure(jump_param=1.0),
+                   uniform_circle_measure(weight=1.5)):
+        pulled = pullback_to_lemniscate(circle, poly)
+        assert pulled.weight is circle.weight
+        for t in (0.5, 2.0, 4.0):
+            want = float(weight_at(circle, t))
+            assert [float(weight_at(pulled, t + 2.0 * math.pi * k))
+                    for k in (0, 1)] == [want, want]
 
 
 def test_pullback_default_z0_is_first_preimage():

@@ -6,7 +6,8 @@ import pytest
 
 from xlab.christoffel import kernel_prefix, orthonormalize
 from xlab.errors import InputError, NumericError
-from xlab.geometry import ComplexPolynomial, SupportSpec, parametrize
+from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
+                           project_to_support)
 from xlab.measures import (JumpWeight, MeasureSpec, circle_jump_measure, ellipse_jump_measure,
                            interval_jump_measure, lemniscate_pullback_measure,
                            symmetrize_to_interval, uniform_circle_measure)
@@ -75,7 +76,7 @@ def _at(measure, z0):
 
 def _off_switch(measure):
     # z0 sits at no switch point: the weight is the same on both sides
-    _, t0, _ = measure.z0_location()
+    _, t0, _ = project_to_support(measure.support, measure.z0)
     left, right = measure.weight.sides(t0)
     return left == right
 

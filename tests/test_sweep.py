@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 import xlab.christoffel as christoffel_mod
 import xlab.sweep as sweep_mod
@@ -14,7 +15,7 @@ from xlab.christoffel import (christoffel_lambda, kernel_prefix,
 from xlab.equilibrium import equilibrium_density
 from xlab.errors import DegeneracyError, DomainError, InputError, NumericError
 from xlab.geometry import (ComplexPolynomial, SupportSpec, parametrize,
-                           preimages)
+                           preimages, project_to_support)
 from xlab.measures import (JumpWeight, MeasureSpec,
                            SmoothFactor, circle_jump_measure,
                            ellipse_jump_measure, interval_jump_measure,
@@ -34,7 +35,7 @@ def test_jump_factor_values():
                                                   rel=1e-15)
     assert jump_factor(3.7, 3.7) == 3.7
     assert jump_factor(1.0, 2.0) == jump_factor(2.0, 1.0)
-    for bad in ((0.0, 1.0), (-2.0, 1.0), (1.0, -1.0)):
+    for bad in ((0.0, 1.0), (-2.0, 1.0), (1.0, -1.0), (1e300, 1e-10)):
         with pytest.raises(DomainError):
             jump_factor(*bad)
 
@@ -65,6 +66,85 @@ def test_predicted_limit_scaling():
     with pytest.raises(InputError, match="not finite") as err:
         predicted_limit(m, z=float("nan"))
     assert not isinstance(err.value, DomainError)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(b_exp=st.floats(-300.0, 300.0), x_exp=st.floats(-15.0, 3.0),
+       sign=st.sampled_from([1.0, -1.0]))
+@example(b_exp=math.log10(2.0), x_exp=math.log10(2e-12), sign=1.0)
+@example(b_exp=-300.0, x_exp=-11.0, sign=-1.0)
+def test_jump_factor_is_the_exact_log_mean(b_exp, x_exp, sign):
+    # B log-uniform over the float range and A = B (1 + x), |x| log-uniform
+    # in [1e-15, 1e3]: the logarithmic mean to rounding, against 40 digits
+    B = 10.0 ** b_exp
+    A = B * (1.0 + sign * 10.0 ** x_exp)
+    assume(A > 0 and A != B)
+    with mp.workdps(40):
+        want = (mp.mpf(A) - mp.mpf(B)) / (mp.log(A) - mp.log(B))
+        assert abs(jump_factor(A, B) - want) <= 1e-15 * want, (A, B)
+    assert jump_factor(A, A) == A and jump_factor(B, B) == B
+
+
+def _similar_measures(kind, R, shift, turn):
+    """The unit measure of ``kind``, its image under the similarity map
+    z -> shift + R e^{i turn} z, and the map.  An interval moves by
+    Re shift only and a circle turns with its jump; the z^2 lemniscate is
+    only scaled, as the lemniscate of T(z / R)."""
+    if kind == "interval":
+        move = lambda z: shift.real + R * z
+        return (interval_jump_measure(jump_param=1.0 / 3.0),
+                interval_jump_measure(move(-1.0), move(1.0),
+                                      jump_param=move(1.0 / 3.0)), move)
+    if kind == "lemniscate":
+        move = lambda z: R * z
+        return (lemniscate_pullback_measure(ComplexPolynomial([0, 0, 1.0])),
+                lemniscate_pullback_measure(ComplexPolynomial([0, 0, R ** -2])),
+                move)
+    move = lambda z: shift + R * cmath.exp(1j * turn) * z
+    if kind == "circle":
+        return (circle_jump_measure(),
+                circle_jump_measure(radius=R, center=shift,
+                                    jump_param=math.pi / 2 + turn), move)
+    return (ellipse_jump_measure(1.25, 0.75),
+            ellipse_jump_measure(1.25 * R, 0.75 * R, center=shift,
+                                 rotation=turn), move)
+
+
+@pytest.mark.parametrize("kind", ["circle", "interval", "lemniscate",
+                                  "ellipse"])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(exponent=st.floats(-3.0, 9.0),
+       shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       turn=st.floats(0.0, 2.0 * math.pi))
+@example(exponent=9.0, shift=(3.0, 0.0), turn=0.4)
+@example(exponent=-3.0, shift=(0.0, 0.0), turn=0.0)
+def test_lambda_and_limit_follow_a_similarity_map(kind, exponent, shift, turn):
+    # lambda_n and 1 / omega both scale with the curve, so lambda_n / R and
+    # predicted_limit / R are those of the unit measure, the one-sided
+    # limits are the same, and a point is on the image exactly where its
+    # preimage is on the unit curve
+    R = 10.0 ** exponent
+    unit, image, move = _similar_measures(kind, R, R * complex(*shift), turn)
+    assert abs(image.z0 - move(unit.z0)) <= 1e-12 * R
+    MeasureSpec(image.support, image.weight, z0=move(unit.z0))
+    assert jump_limits(image) == jump_limits(unit)
+    for n in (16, 64):
+        want = christoffel_lambda(unit, n).lambda_n
+        got = christoffel_lambda(image, n).lambda_n / R
+        assert abs(got - want) <= 1e-12 * want, n
+    want = predicted_limit(unit)
+    assert abs(predicted_limit(image) / R - want) <= 1e-12 * want
+    i, t, _ = project_to_support(unit.support, unit.z0)
+    v = complex(parametrize(unit.support)[i].velocity(t))
+    normal = -1j * v / abs(v)
+    project_to_support(image.support, move(unit.z0 + 1e-10 * normal))
+    with pytest.raises(DomainError, match="not on the"):
+        project_to_support(image.support, move(unit.z0 + 1e-6 * normal))
+
+
+def test_a_large_circle_takes_its_own_point():
+    measure = circle_jump_measure(radius=1e9, z0=1e9j)
+    assert jump_limits(measure) == (2.0, 1.0)
 
 
 def test_overflowing_rule_or_gram_matrix_is_refused():
