@@ -291,7 +291,8 @@ def kernel_prefix(basis, z):
 def support_prefix(rule, support, degree, z):
     """K_n(z) for every n up to ``degree``, by the route for the support kind.
 
-    Intervals take ``_recurrence_rows`` and every other support
+    Intervals take ``_recurrence_rows``, on [-1, 1] at (z - c)/h with c
+    and h from the ``joukowski_frame``, and every other support
     ``_gram_rows``; neither stores a basis.  Each returns (p, Q, W, misfit):
     p(z) up to the degree the route reaches before the discrete measure
     breaks it down, rows Q of the ``_certified`` polynomials and the rows W
@@ -309,7 +310,9 @@ def support_prefix(rule, support, degree, z):
     z = complex(z)
     with np.errstate(over="ignore", invalid="ignore"):
         if support.kind == "interval":
-            route, rows = "recurrence", _recurrence_rows(rule, degree, z)
+            c, _, h, _ = support.joukowski_frame
+            route, rows = "recurrence", _recurrence_rows(rule, degree,
+                                                          (z - c) / h)
         else:
             route, rows = "gram", _gram_rows(rule, support, degree, z)
         p, Q, W, misfit = rows
@@ -318,18 +321,20 @@ def support_prefix(rule, support, degree, z):
 
 
 def _recurrence_rows(rule, degree, z):
-    """p_0(z), ..., p_degree(z) for a rule on an interval support.
+    """p_0(z), ..., p_degree(z) for a rule on an interval, on [-1, 1].
 
-    The polynomials follow the Stieltjes three-term recurrence (Gautschi,
-    Orthogonal Polynomials: Computation and Approximation, 2004), in
-    O(degree * m) time and O(m) memory: no basis is stored, each step keeps
-    only the current node values.  The values stop at the achieved degree
-    when the discrete measure breaks the recurrence down, under the same
-    relative test as ``orthonormalize``.  Returns (p, Q, Q, 0.0): the kept
-    rows of Q are sqrt(w) p_k, real and weighted already, and no moments
-    stand between them and the nodes.
+    The nodes are cos(params), exact from the node angles, and z comes mapped
+    alike; orthonormal polynomials keep their values under an affine map, so
+    the absolute x never enters.  The polynomials follow the Stieltjes
+    three-term recurrence (Gautschi, Orthogonal Polynomials: Computation and
+    Approximation, 2004), in O(degree * m) time and O(m) memory: no basis is
+    stored, each step keeps only the current node values.  The values stop
+    at the achieved degree when the discrete measure breaks the recurrence
+    down, under the same relative test as ``orthonormalize``.  Returns
+    (p, Q, Q, 0.0): the kept rows of Q are sqrt(w) p_k, real and weighted
+    already, and no moments stand between them and the nodes.
     """
-    w, t = rule.weights, rule.nodes.real
+    w, t = rule.weights, np.cos(rule.params)
     # the recurrence runs on q_k = sqrt(w) p_k at the nodes, so every inner
     # product is a plain dot; v = t q_k - beta q_{k-1} - a q_k, and the
     # three buffers rotate without an array allocated per step

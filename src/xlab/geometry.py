@@ -400,13 +400,6 @@ def trace_lemniscate(poly):
     return arcs
 
 
-def congruent_params(arc, angle, count=1):
-    """The first ``count`` parameters of ``arc`` at or after t_lo that are
-    congruent to ``angle`` mod 2 pi."""
-    k0 = math.ceil((arc.t_lo - angle) / (2.0 * math.pi) - 1e-12)
-    return angle + 2.0 * math.pi * (k0 + np.arange(count))
-
-
 def project_to_support(support, z):
     """Locate z on the support: returns (arc index, parameter, nearest point).
 
@@ -431,7 +424,7 @@ def project_to_support(support, z):
         # T(z) overflows only far off the curve, where any angle is refused
         phi = math.atan2(w.imag, w.real) if cmath.isfinite(w) else 0.0
         for k, arc in enumerate(arcs):
-            cand = congruent_params(arc, phi, arc.winding)
+            cand = phi % (2 * math.pi) + 2 * math.pi * np.arange(arc.winding)
             pts = arc.point(cand)
             j = int(np.argmin(np.abs(pts - z)))
             if k == 0 or abs(pts[j] - z) < abs(point - z):

@@ -11,9 +11,11 @@ antipode, and the one-sided limits (left, right) are (A, B) at t0 and
 wraps around, is one more switch point wherever the weight or the smooth
 factor takes different values at t_hi and t_lo: an aperiodic weight with
 t_lo < t0 < t_hi switches there from B back to A.
+One builder makes every jump measure: period 2 pi on a closed support, t0
+kept in its first period, none on an interval; z0 = "jump" is at t0.
 Interval measures may additionally carry an inverse square root factor
-1/sqrt(1 - s(x)^2) with s the affine map onto [-1, 1]; that factor is what
-cosine symmetrization of a circle measure produces.
+1/sqrt(1 - s(x)^2), s(x) = (x - c)/h in the support's ``joukowski_frame``;
+that factor is what cosine symmetrization of a circle measure produces.
 """
 
 import cmath
@@ -23,8 +25,7 @@ import numpy as np
 
 from .errors import (CapabilityError, DomainError, InputError,
                      MeasureFormatError, SymmetryError, as_index)
-from .geometry import (SupportSpec, congruent_params, parametrize,
-                       project_to_support)
+from .geometry import SupportSpec, parametrize, project_to_support
 
 _polyval = np.polynomial.polynomial.polyval
 
@@ -57,7 +58,8 @@ class JumpWeight:
     """Two-valued weight switching at jump_param (and its antipode if periodic).
 
     Without a jump_param the weight is the constant A, and B, if given, must
-    equal A; with one, A equals B is allowed and keeps the switch point.
+    equal A; with one, A equals B is allowed and keeps the switch point.  A
+    periodic jump_param is kept in its first period: jump_param % period.
     """
 
     def __init__(self, A, B=None, jump_param=None, period=None):
@@ -75,6 +77,9 @@ class JumpWeight:
         if not ((jump_param is None or math.isfinite(self.jump_param))
                 and (period is None or 0 < self.period < math.inf)):
             raise InputError("jump parameter and period must be finite")
+        if jump_param is not None and period is not None:
+            # the second % takes a remainder rounded up to the period to 0
+            self.jump_param = self.jump_param % self.period % self.period
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -175,8 +180,8 @@ def weight_at(measure, t, arc_index=0):
 
 def _with_arcsine(measure, t, val):
     if measure.chebyshev:
-        a, b = measure.support.interval
-        s = (2.0 * np.asarray(t, dtype=float) - (a + b)) / (b - a)
+        c, _, h, _ = measure.support.joukowski_frame
+        s = (np.asarray(t, dtype=float) - c) / h
         val = val / np.sqrt(np.maximum(1.0 - s * s, 0.0))
     return val
 
@@ -209,14 +214,20 @@ def jump_limits(measure, z=None):
 # ---------------------------------------------------------------------------
 # measure constructors
 
-def _jump_point(support, angle):
-    """The default jump point: arc 0 at its first parameter at or after t_lo
-    congruent to ``angle`` mod 2 pi, or at ``angle`` on an interval, an
-    open arc."""
-    arc = parametrize(support)[0]
-    if support.kind != "interval":
-        angle = congruent_params(arc, angle)[0]
-    return complex(arc.point(angle))
+def _jump_point(support, t):
+    """Arc 0's point at t: every closed arc starts at t_lo = 0, so a switch
+    kept in its first period, or a circle's angle, lies on its first turn."""
+    return complex(parametrize(support)[0].point(t))
+
+
+def _jump_measure(support, A, B, jump_param, z0, smooth, chebyshev=False):
+    """The measure of weight A, B switching at jump_param, of period 2 pi on
+    a closed support, with z0 = "jump" placed at the switch point."""
+    period = None if support.kind == "interval" else 2.0 * math.pi
+    weight = JumpWeight(A, B, jump_param, period)
+    if z0 == "jump":
+        z0 = _jump_point(support, weight.jump_param)
+    return MeasureSpec(support, weight, smooth, z0=z0, chebyshev=chebyshev)
 
 
 def uniform_circle_measure(radius=1.0, center=0j, weight=1.0, z0=None):
@@ -227,28 +238,19 @@ def uniform_circle_measure(radius=1.0, center=0j, weight=1.0, z0=None):
 def circle_jump_measure(A=2.0, B=1.0, jump_param=math.pi / 2, radius=1.0,
                         center=0j, z0="jump", smooth=None):
     support = SupportSpec.make_circle(radius=radius, center=center)
-    if z0 == "jump":
-        z0 = _jump_point(support, jump_param)
-    weight = JumpWeight(A, B, jump_param, period=2.0 * math.pi)
-    return MeasureSpec(support, weight, smooth, z0=z0)
+    return _jump_measure(support, A, B, jump_param, z0, smooth)
 
 
 def interval_jump_measure(a=-1.0, b=1.0, A=2.0, B=1.0, jump_param=0.0,
                           chebyshev=False, z0="jump", smooth=None):
     support = SupportSpec.make_interval(a, b)
-    if z0 == "jump":
-        z0 = _jump_point(support, jump_param)
-    return MeasureSpec(support, JumpWeight(A, B, jump_param), smooth, z0=z0,
-                       chebyshev=chebyshev)
+    return _jump_measure(support, A, B, jump_param, z0, smooth, chebyshev)
 
 
 def ellipse_jump_measure(a, b, A=2.0, B=1.0, jump_param=0.0, center=0j,
                          rotation=0.0, z0="jump", smooth=None):
     support = SupportSpec.make_ellipse(a, b, center=center, rotation=rotation)
-    if z0 == "jump":
-        z0 = _jump_point(support, jump_param)
-    weight = JumpWeight(A, B, jump_param, period=2.0 * math.pi)
-    return MeasureSpec(support, weight, smooth, z0=z0)
+    return _jump_measure(support, A, B, jump_param, z0, smooth)
 
 
 def lemniscate_pullback_measure(poly, A=2.0, B=1.0, jump_param=math.pi / 2,
@@ -281,24 +283,21 @@ def symmetrize_to_interval(measure):
     """
     _require_unit_circle(measure, "symmetrization")
     weight = measure.weight
-    if weight.A == weight.B:
-        new_weight = JumpWeight(weight.A)
-    elif (weight.period != 2.0 * math.pi
-          or abs(math.cos(weight.jump_param)) > JUMP_SNAP_TOL):
-        raise SymmetryError("circle weight is not symmetric under t -> -t")
-    else:
-        t0 = weight.jump_param % (2.0 * math.pi)
+    below, above, x0 = weight.A, weight.A, None
+    if weight.A != weight.B:
+        t0 = weight.jump_param
+        if weight.period != 2.0 * math.pi or abs(math.cos(t0)) > JUMP_SNAP_TOL:
+            raise SymmetryError("circle weight is not symmetric under t -> -t")
         # B holds on [t0, t0 + pi]: x <= cos(t0) when t0 is near pi/2
         below, above = ((weight.B, weight.A) if math.sin(t0) > 0
                         else (weight.A, weight.B))
-        new_weight = JumpWeight(below, above, math.cos(t0))
-    support = SupportSpec.make_interval(-1.0, 1.0)
+        x0 = math.cos(t0)
     z0 = None
     if measure.z0 is not None:
         _, t, _ = project_to_support(measure.support, measure.z0)
         z0 = complex(min(max(math.cos(t), -1.0), 1.0))
-    return MeasureSpec(support, new_weight, SmoothFactor(measure.smooth.coeffs[:1]),
-                       z0=z0, chebyshev=True)
+    return _jump_measure(SupportSpec.make_interval(-1.0, 1.0), below, above,
+                         x0, z0, SmoothFactor(measure.smooth.coeffs[:1]), True)
 
 
 def pullback_to_lemniscate(measure, poly, z0=None):
@@ -306,9 +305,8 @@ def pullback_to_lemniscate(measure, poly, z0=None):
 
     Arcs of |T| = 1 are parametrized by the image angle, at which the circle
     weight is read: the pullback of a 2 pi-periodic weight; any other weight
-    raises CapabilityError.  Without a z0, the circle's z0, at angle t, pulls
-    back to arc 0 at its first parameter congruent to t mod 2 pi, the point
-    that ``eval.z0 = auto-jump`` gives.
+    raises CapabilityError.  Without a z0, the circle's z0, at angle t in
+    [0, 2 pi), pulls back to arc 0's point at t, as ``auto-jump`` places it.
     """
     _require_unit_circle(measure, "lemniscate pullback")
     weight = measure.weight
@@ -427,15 +425,11 @@ def parse_measure_text(text):
         B = _parse_number(B, "weight.B")
     elif jump_param is not None:
         raise MeasureFormatError("weight.jump_param needs weight.B")
-    if B is None or (jump_param is None and B == A):
-        weight = JumpWeight(A)
-    else:
-        if jump_param is None:
-            raise MeasureFormatError("weight.jump_param is required when "
-                                     "weight.A and weight.B differ")
-        period = None if kind == "interval" else 2.0 * math.pi
-        weight = JumpWeight(A, B, _parse_number(jump_param, "weight.jump_param"),
-                            period=period)
+    if jump_param is not None:
+        jump_param = _parse_number(jump_param, "weight.jump_param")
+    elif B is not None and B != A:
+        raise MeasureFormatError("weight.jump_param is required when "
+                                 "weight.A and weight.B differ")
 
     flag = arcsine.strip().lower()
     if flag not in _ARCSINE_FLAGS:
@@ -445,8 +439,11 @@ def parse_measure_text(text):
     if chebyshev and kind != "interval":
         raise MeasureFormatError("weight.arcsine only applies to intervals")
 
-    z0 = None if z0_spec is None else _resolve_z0(z0_spec, support, weight)
-    return MeasureSpec(support, weight, smooth, z0=z0, chebyshev=chebyshev)
+    if z0_spec == "auto-jump" and jump_param is None:
+        raise MeasureFormatError("auto-jump needs a jump weight")
+    z0 = z0_spec and ("jump" if z0_spec == "auto-jump" else
+                      _parse_complex(z0_spec, "point (re,im or auto-jump)"))
+    return _jump_measure(support, A, B, jump_param, z0, smooth, chebyshev)
 
 
 def _resolve_z0(z0_spec, support, weight):

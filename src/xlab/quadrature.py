@@ -9,9 +9,10 @@ panels are laid out as one (panels, PANEL_ORDER) array of parameters, so the
 arc, the weight and the smooth factor are evaluated one segment at a time (on
 a lemniscate, one batched Newton solve per segment gives the nodes and their
 velocities).
-Interval measures are integrated in the angle theta of x = cos(theta): their
-switch points map through acos onto [0, pi], and an arcsine factor
-1/sqrt(1 - x^2) becomes a bounded integrand.
+Interval measures are integrated in the angle theta of x = c + h cos(theta),
+with the centre c and half-length h of the support's ``joukowski_frame``:
+their switch points map through acos onto [0, pi], and an arcsine factor
+1/sqrt(1 - ((x - c)/h)^2) becomes a bounded integrand.
 """
 
 import math
@@ -31,8 +32,9 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(PANEL_ORDER)
 class QuadratureRule:
     """Discrete measure: complex nodes with positive weights.
 
-    ``params`` holds the arc parameter of each node (the x coordinate for
-    interval supports).
+    ``params`` holds the angle each node was placed at: its arc parameter on
+    a closed arc, and theta with x = c + h cos(theta) on an interval, exact
+    where the rounded x is not.
     """
 
     nodes: np.ndarray
@@ -53,7 +55,7 @@ def _segments(measure):
     """Jump-free segments (arc_index, lo, hi) of the integration parameter.
 
     Each arc splits at the weight's switch points.  On an interval the
-    parameter is theta with x = mid + half*cos(theta), so the x breaks map
+    parameter is theta with x = c + h*cos(theta), so the x breaks map
     through acos onto [0, pi].
     """
     segs = []
@@ -61,8 +63,8 @@ def _segments(measure):
         lo, hi = arc.t_lo, arc.t_hi
         breaks = measure.weight.breakpoints(lo, hi)
         if measure.support.kind == "interval":
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            breaks = [math.acos(min(1.0, max(-1.0, (x - mid) / half)))
+            c, _, h, _ = measure.support.joukowski_frame
+            breaks = [math.acos(min(1.0, max(-1.0, (x - c) / h)))
                       for x in breaks]
             lo, hi = 0.0, math.pi
         edges = sorted({lo, hi, *breaks})
@@ -74,10 +76,9 @@ def _segments(measure):
 
 def _interval_factors(measure, theta):
     """Node x values and weight factor d(mu)/d(theta) for interval supports."""
-    a, b = measure.support.interval
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * np.cos(theta)
-    factor = measure.smooth(x) * measure.weight.value(x) * half
+    c, _, h, _ = measure.support.joukowski_frame
+    x = c + h * np.cos(theta)
+    factor = measure.smooth(x) * measure.weight.value(x) * h
     if not measure.chebyshev:
         factor = factor * np.sin(theta)
     return x, factor
@@ -96,7 +97,6 @@ def build_rule(measure, max_degree):
     if max_degree < 0:
         raise InputError("max_degree must be nonnegative")
 
-    interval = measure.support.kind == "interval"
     segs = _segments(measure)
     total_len = sum(hi - lo for (_, lo, hi) in segs)
     total_panels = math.ceil(NODES_PER_DEGREE * (max_degree + 1) / PANEL_ORDER)
@@ -109,15 +109,13 @@ def build_rule(measure, max_degree):
         mid_p = (0.5 * (edges[:-1] + edges[1:]))[:, None]
         half_p = (0.5 * (edges[1:] - edges[:-1]))[:, None]
         t = (mid_p + half_p * _GL_X).ravel()
-        if interval:
-            x, factor = _interval_factors(measure, t)
-            nodes.append(x.astype(complex))
-            params.append(x)
+        if measure.support.kind == "interval":
+            z, factor = _interval_factors(measure, t)
         else:
             z, v = arcs[arc_i].point_velocity(t)
-            nodes.append(np.asarray(z, dtype=complex))
             factor = measure.smooth(t) * measure.weight.value(t) * np.abs(v)
-            params.append(t)
+        nodes.append(np.asarray(z, dtype=complex))
+        params.append(t)
         weights.append((half_p * _GL_W).ravel() * factor)
 
     weights = np.concatenate(weights)

@@ -795,7 +795,7 @@ def test_recurrence_breakdown_matches_arnoldi():
     # the circle takes the Gram route, which gives kernels, not values
     three = QuadratureRule(nodes=np.array([-0.5, 0.1, 0.7], dtype=complex),
                            weights=np.array([0.3, 0.5, 0.2]),
-                           params=np.array([-0.5, 0.1, 0.7]),
+                           params=np.arccos([-0.5, 0.1, 0.7]),
                            max_exact_degree=6)
     cases = ((_four_node_rule(), SupportSpec.make_circle(), 0.3 + 0.9j),
              (three, SupportSpec.make_interval(-1.0, 1.0), 0.2 + 0.1j))

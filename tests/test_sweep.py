@@ -147,6 +147,48 @@ def test_a_large_circle_takes_its_own_point():
     assert jump_limits(measure) == (2.0, 1.0)
 
 
+@pytest.mark.parametrize("jump", [1e4, 1e6, 1e9, -1e9, 7.0, -math.pi / 2,
+                                  2.5 * math.pi, -1e-17])
+def test_a_periodic_switch_named_by_any_representative(jump):
+    # t0 + 2 pi k names the same switch: the measure keeps it in its first
+    # period, so any representative gives the first one's measure, bit for
+    # bit; -1e-17 % (2 pi) rounds up to 2 pi, whose first representative is 0
+    z2 = ComplexPolynomial([0.0, 0.0, 1.0])
+    for make in (lambda t0: circle_jump_measure(jump_param=t0),
+                 lambda t0: ellipse_jump_measure(1.25, 0.75, jump_param=t0),
+                 lambda t0: lemniscate_pullback_measure(z2, jump_param=t0)):
+        measure, first = make(jump), make(jump % (2.0 * math.pi))
+        assert jump_limits(measure) == jump_limits(first) == (2.0, 1.0)
+        assert measure.weight.jump_param == first.weight.jump_param
+        assert measure.z0 == first.z0
+        assert predicted_limit(measure) == predicted_limit(first)
+
+
+def test_lambda_follows_a_real_shift_of_the_support():
+    # the interval's route runs on [-1, 1] from its node angles, so on
+    # [c - 1, c + 1] it meets the unit interval's numbers however far off c
+    # is; the Gram routes take a circle and an ellipse at centre 1e3
+    schedule = geometric_schedule(32, 512)
+    cases = [(interval_jump_measure(jump_param=0.0, chebyshev=True),
+              interval_jump_measure(c - 1.0, c + 1.0, jump_param=c,
+                                    chebyshev=True), 1e-14)
+             for c in (1e3, 1e6, 1e8)]
+    cases += [(circle_jump_measure(), circle_jump_measure(center=1e3), 1e-10),
+              (ellipse_jump_measure(1.25, 0.75),
+               ellipse_jump_measure(1.25, 0.75, center=1e3), 1e-10)]
+    for unit, shifted, residual in cases:
+        base, moved = (run_sweep(m, schedule=schedule) for m in (unit, shifted))
+        assert moved.stages["residual_max"] <= residual
+        assert all(r.ok for r in moved.rows)
+        assert max(abs(g.n_lambda_n - w.n_lambda_n) / w.n_lambda_n
+                   for g, w in zip(moved.rows, base.rows)) <= 1e-13
+        if shifted.support.kind == "interval":
+            for n in (16, 64, 256):
+                want = christoffel_lambda(unit, n).lambda_n
+                got = christoffel_lambda(shifted, n).lambda_n
+                assert abs(got - want) <= 1e-13 * want, n
+
+
 def test_overflowing_rule_or_gram_matrix_is_refused():
     # weights of 1e308 sum to inf, and build_rule refuses the rule; on the
     # ellipse the mass 1.28e308 is finite but G[0, 0], about 4 mu_0, is not,
