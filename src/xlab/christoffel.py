@@ -34,7 +34,9 @@ The recorded Hessenberg recurrence
 
 evaluates the basis anywhere in the plane.  H is stored row by row, column
 k of H as one contiguous row, and ``OrthoBasis.evaluate`` returns
-(n + 1,) + z.shape values, so one point takes a 1-D dot product per step.
+(n + 1,) + z.shape values.  Points in a 1-D array step together, one
+matrix-vector product per step; a single point steps as a Python complex,
+one 1-D dot product per step with no 0-d array arithmetic around it.
 The direct method integrates the reconstructed minimal polynomial instead of
 inverting the kernel, which checks the kernel against an independent
 computation.
@@ -74,11 +76,13 @@ class OrthoBasis:
     projection coefficients and the new norm produced while orthogonalizing
     z * p_k.  ``orthonormalize`` stores H row by row, so ``hessenberg`` is
     the transpose of a C-contiguous array and ``evaluate`` reads each step's
-    coefficients from one contiguous row; ``evaluate`` returns
-    (n + 1,) + z.shape values.  ``norm_residuals[k]`` is the largest observed
-    deviation of <p_j, p_k> from the identity, a direct quality certificate
-    of the basis.  ``reorthogonalized`` counts the steps that took a second
-    Gram-Schmidt pass.
+    coefficients from one contiguous row, and the norms H[k+1, k] once, as
+    Python floats.  ``evaluate`` returns (n + 1,) + z.shape values; a single
+    point runs the same loop as an array, on a Python complex, so each step
+    is one dot product plus scalar arithmetic.  ``norm_residuals[k]`` is the
+    largest observed deviation of <p_j, p_k> from the identity, a direct
+    quality certificate of the basis.  ``reorthogonalized`` counts the steps
+    that took a second Gram-Schmidt pass.
     """
 
     def __init__(self, degree, hessenberg, node_values, norm_residuals,
@@ -103,12 +107,14 @@ class OrthoBasis:
         zz = np.asarray(z, dtype=complex)
         if zz.ndim > 1:
             raise InputError("z must be a point or a 1-D array of points")
+        # one point steps on a Python complex, not on a 0-d array
+        z = zz if zz.ndim else complex(zz)
         P = np.empty((n + 1,) + zz.shape, dtype=complex)
         P[0] = 1.0 / math.sqrt(self.mass)
         Ht = self.hessenberg.T
+        norms = Ht.diagonal(1).real.tolist()
         for k in range(n):
-            h = Ht[k]
-            P[k + 1] = (zz * P[k] - h[:k + 1] @ P[:k + 1]) / h[k + 1].real
+            P[k + 1] = (z * P[k] - Ht[k, :k + 1] @ P[:k + 1]) / norms[k]
         return P
 
 
@@ -193,7 +199,10 @@ class ChristoffelValue:
     """lambda_n(mu, z) together with how it was obtained.
 
     ``route`` names what gave the polynomial values: "recurrence" or "gram"
-    (see ``support_prefix``) or "arnoldi" (an ``OrthoBasis``).
+    (see ``support_prefix``) or "arnoldi" (an ``OrthoBasis``).  ``residual``
+    is that route's orthonormality residual: the certificate residual of
+    ``support_prefix``, or the largest ``norm_residuals`` entry of the basis
+    up to degree n.
     """
 
     n: int
@@ -201,6 +210,7 @@ class ChristoffelValue:
     lambda_n: float
     method: str
     route: str
+    residual: float
     extremal_coeffs: np.ndarray = None
 
 
@@ -252,7 +262,7 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
                                                  measure.support, n, z)
         K = route_kernel(prefix, residual, route, n)
         return ChristoffelValue(n=n, z=z, lambda_n=1.0 / K, method=method,
-                                route=route)
+                                route=route, residual=residual)
     if basis is None:
         basis = orthonormalize(build_rule(measure, n), n)
     if basis.degree < n:
@@ -260,16 +270,18 @@ def christoffel_lambda(measure, n, z=None, method="kernel", basis=None):
     with np.errstate(over="ignore", invalid="ignore"):  # as in support_prefix
         p = basis.evaluate(z, upto=n)
         K = _checked_kernel(float(np.dot(p, np.conjugate(p)).real))
+    residual = float(basis.norm_residuals[:n + 1].max())
     if method == "kernel":
         return ChristoffelValue(n=n, z=z, lambda_n=1.0 / K, method=method,
-                                route="arnoldi")
+                                route="arnoldi", residual=residual)
 
     # direct: P = sum_k conj(p_k(z)) p_k / K, then lambda = int |P|^2 dmu
     c = np.conjugate(p) / K
     Pn = c @ basis.node_values[:n + 1]
     lam = float(np.dot(basis.rule.weights, np.abs(Pn) ** 2))
     return ChristoffelValue(n=n, z=z, lambda_n=lam, method=method,
-                            route="arnoldi", extremal_coeffs=c)
+                            route="arnoldi", residual=residual,
+                            extremal_coeffs=c)
 
 
 def extremal_polynomial_values(basis, value, points):

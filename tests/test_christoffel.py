@@ -1077,6 +1077,102 @@ def test_evaluate_on_points_matches_each_point(bases_64, name, points):
         assert np.max(np.abs(table[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _assert_close(got, want, rel=1e-14):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want) / np.abs(want)) <= rel
+
+
+def test_one_point_matches_its_array_column(bases_256):
+    # one point steps on a Python complex, an array of points on arrays: each
+    # entry of the one-point values, and of its kernel prefix, is within
+    # 1e-14 of that point's column, whatever scalar type names the point
+    for measure, basis in bases_256.values():
+        z0 = complex(measure.z0)
+        points = [z0, z0 + 1e-3j, z0 + 0.2 + 0.1j, 0.3 + 0.2j]
+        # real points off every support: on the interval's own segment the
+        # real p_k(x) pass near zero, where the two sums' rounding differs
+        # by up to 6e-14 relative
+        reals = [2, 1.5, np.float64(-1.75)]
+        for zs, kinds in ((points, (complex, np.complex128, np.array)),
+                          (reals, (lambda x: x,))):
+            table = basis.evaluate(np.array(zs, dtype=complex))
+            for i, z in enumerate(zs):
+                for kind in kinds:
+                    _assert_close(basis.evaluate(kind(z)), table[:, i])
+        prefixes = kernel_prefix(basis, points)
+        for i, z in enumerate(points):
+            _assert_close(kernel_prefix(basis, z), prefixes[:, i])
+        for upto in (0, 1, basis.degree):
+            table = basis.evaluate(np.array(points), upto=upto)
+            for i, z in enumerate(points):
+                _assert_close(basis.evaluate(z, upto=upto), table[:, i])
+    # the partial basis a breakdown carries reads the same way
+    with pytest.raises(DegeneracyError) as err:
+        orthonormalize(_four_node_rule(), 8)
+    partial, points = err.value.basis, [0.3 + 0.2j, 0.1, 1.5 - 0.4j]
+    table = partial.evaluate(np.array(points))
+    for i, z in enumerate(points):
+        _assert_close(partial.evaluate(z), table[:, i])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(ellipse=st.booleans(),
+       axes=st.tuples(st.floats(0.3, 2.0), st.floats(0.3, 2.0)),
+       center=st.complex_numbers(max_magnitude=1.0),
+       weights=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+       jump=st.floats(0.0, 2 * math.pi),
+       degree=st.integers(1, 64),
+       box=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       zoom=st.sampled_from([1.0, 1e12]))
+def test_one_point_matches_the_array_path(ellipse, axes, center, weights,
+                                          jump, degree, box, zoom):
+    # z in a box around the support, or 1e12 times as far, where the values
+    # overflow from about degree 26: the one-point values match the array
+    # path's column and the column-wise loop, relative to the largest value
+    # so far (a p_k may vanish near z), and turn non-finite at the same
+    # degrees
+    (A, B), (u, v) = weights, box
+    if ellipse:
+        a, b = max(axes), min(axes)
+        measure = ellipse_jump_measure(a, b, A=A, B=B, jump_param=jump,
+                                       center=center)
+    else:
+        a = b = axes[0]
+        measure = circle_jump_measure(A=A, B=B, jump_param=jump, radius=a,
+                                      center=center)
+    basis = orthonormalize(build_rule(measure, degree), degree)
+    z = center + zoom * complex(u * a, v * b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = basis.evaluate(z)
+        pair = basis.evaluate(np.array([z, center]))[:, 0]
+        loop = _columnwise_values(basis, z)
+    finite = np.isfinite(loop)
+    scale = np.maximum.accumulate(np.where(finite, np.abs(loop), 0.0))
+    for want in (pair, loop):
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.all(np.abs(got[finite] - want[finite])
+                      <= 1e-14 * scale[finite])
+
+
+def test_christoffel_value_reports_its_residual():
+    # the route's certificate residual, or the basis's largest
+    # norm_residuals entry up to degree n
+    for measure in standard_jump_measures().values():
+        rule = build_rule(measure, 64)
+        value = christoffel_lambda(measure, 64)
+        _, residual, _ = support_prefix(rule, measure.support, 64,
+                                        measure.z0)
+        assert value.residual == residual <= christoffel_mod.CERTIFY_TOL
+        basis = orthonormalize(rule, 64)
+        for n in (0, 20, 64):
+            want = float(np.max(basis.norm_residuals[:n + 1]))
+            for method in ("kernel", "direct"):
+                value = christoffel_lambda(measure, n, basis=basis,
+                                           method=method)
+                assert value.route == "arnoldi"
+                assert value.residual == want < 2e-15
+
+
 @pytest.mark.filterwarnings("error")
 def test_arnoldi_far_point_is_numeric_error_without_warning(bases_512):
     # |p_k(1000)|^2 overflows float64 below degree 256 on every standard
