@@ -30,6 +30,7 @@ def _cmd_lambda(args):
     print(f"route = {value.route}")
     print(f"lambda_n = {value.lambda_n!r}")
     print(f"n_lambda_n = {value.n * value.lambda_n!r}")
+    print(f"residual = {value.residual!r}")
     return 0
 
 

@@ -16,12 +16,15 @@ TURN_STEPS steps per turn.  A step is accepted only if no corrector moves a
 root by more than a quarter of the smallest root distance at the step's
 ends; otherwise it is halved.  Points on an arc are Newton solves started
 from the traced grid, each stopped at its own residual, so a point does not
-depend on which other points are solved with it.
+depend on which other points are solved with it.  ``parametrize`` traces a
+level polynomial once per process and hands every support of it the same
+tuple of frozen arcs.
 """
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +37,7 @@ IMAGE_NEWTON_MAXIT = 40     # Newton steps of the image solve, at most
 OFF_CURVE_TOL = 1e-8        # times the capacity: farther from the support is off it
 TURN_STEPS = 8              # continuation steps per turn of the image circle, at most
 GRID_PER_TURN = 1024        # Newton start points per turn along each arc
+TRACE_MEMO_SIZE = 32        # traced level polynomials kept, ~16 KB per degree each
 
 
 class ComplexPolynomial:
@@ -74,9 +78,10 @@ class ComplexPolynomial:
         return f"ComplexPolynomial({list(self.coeffs)})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArcParametrization:
-    """One smooth arc of a support.
+    """One smooth arc of a support, read-only: supports of one level
+    polynomial share their traced arcs.
 
     ``point_velocity`` maps parameters (scalars or numpy arrays) to the
     arc's points and their derivatives in one evaluation; ``point`` and
@@ -117,8 +122,9 @@ class SupportSpec:
     """Geometric description of where a measure lives.
 
     ``kind`` is one of ``interval``, ``circle``, ``ellipse`` or
-    ``lemniscate``; only the fields relevant to the kind are set.  Lemniscate
-    arcs are traced lazily on first use and cached on the instance.
+    ``lemniscate``; only the fields relevant to the kind are set.  A
+    lemniscate is traced on the first ``parametrize`` of its level
+    polynomial in the process, not on construction (see ``parametrize``).
     """
 
     kind: str
@@ -128,7 +134,6 @@ class SupportSpec:
     axes: tuple = None
     rotation: float = 0.0
     poly: ComplexPolynomial = None
-    _arcs: list = field(default=None, repr=False, compare=False)
 
     @classmethod
     def make_interval(cls, a, b):
@@ -211,17 +216,22 @@ class SupportSpec:
 
 
 def parametrize(support):
-    """Smooth arcs covering the support, traced and cached for lemniscates."""
-    if support._arcs is not None:
-        return support._arcs
+    """Smooth arcs covering the support, as a tuple of frozen arcs.
 
+    Intervals, circles and ellipses get their closed-form arcs on each call.
+    A lemniscate's arcs depend on its level polynomial T alone, so they come
+    from a memo of the last TRACE_MEMO_SIZE polynomials traced in this
+    process, keyed on T's coefficients with -0.0 read as 0.0: supports with
+    equal coefficients share one trace.  A curve that ``trace_lemniscate``
+    refuses is not kept, and is refused again on the next call.
+    """
     kind = support.kind
     if kind == "interval":
         a, b = support.interval
-        arcs = [ArcParametrization(lambda t: (np.asarray(t, dtype=complex),
+        return (ArcParametrization(lambda t: (np.asarray(t, dtype=complex),
                                               np.ones(np.shape(t), complex)),
-                                   t_lo=a, t_hi=b)]
-    elif kind in ("circle", "ellipse"):
+                                   t_lo=a, t_hi=b),)
+    if kind in ("circle", "ellipse"):
         a, b = support.axes or (support.radius, support.radius)
         c, rot = support.center, cmath.exp(1j * support.rotation)
 
@@ -231,14 +241,18 @@ def parametrize(support):
             return (c + rot * (a * cos + 1j * b * sin),
                     rot * (-a * sin + 1j * b * cos))
 
-        arcs = [ArcParametrization(conic, t_lo=0.0, t_hi=2.0 * math.pi)]
-    elif kind == "lemniscate":
-        arcs = trace_lemniscate(support.poly)
-    else:
-        raise GeometryError(f"unknown support kind {kind!r}")
+        return (ArcParametrization(conic, t_lo=0.0, t_hi=2.0 * math.pi),)
+    if kind == "lemniscate":
+        return _traced_arcs((support.poly.coeffs + 0.0).tobytes())
+    raise GeometryError(f"unknown support kind {kind!r}")
 
-    support._arcs = arcs
-    return arcs
+
+@functools.lru_cache(maxsize=TRACE_MEMO_SIZE)
+def _traced_arcs(coeff_bytes):
+    """The arcs of |T| = 1 for T's complex128 coefficients as bytes.  A miss
+    calls ``trace_lemniscate`` by its module-level name, so a wrapper bound
+    to that name sees every real trace."""
+    return trace_lemniscate(np.frombuffer(coeff_bytes, dtype=complex))
 
 
 def preimages(poly, w):
@@ -367,7 +381,8 @@ def trace_lemniscate(poly):
     component, its length is the winding, and the cycle's tracks joined in
     order form the component's image-angle grid.  Components are ordered by
     their smallest root index.  A curve through a critical point of T is
-    rejected with GeometryError.
+    rejected with GeometryError.  Every call traces; ``parametrize`` keeps
+    the results.
     """
     poly = ComplexPolynomial(poly)
     if poly.degree < 1:
@@ -397,7 +412,7 @@ def trace_lemniscate(poly):
         seen[cycle] = True
         arcs.append(_component_arc(poly, dpoly, tracks[cycle].ravel(),
                                    len(cycle)))
-    return arcs
+    return tuple(arcs)
 
 
 def project_to_support(support, z):

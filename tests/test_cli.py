@@ -9,6 +9,7 @@ import pytest
 
 import xlab.christoffel as christoffel_mod
 import xlab.cli as cli_mod
+import xlab.geometry as geometry
 import xlab.suites as suites_mod
 from xlab.cli import EQUILIBRIUM_CSV_HEADER, main
 from xlab.errors import NumericError
@@ -46,6 +47,9 @@ def test_lambda_subcommand_exact(uniform_file, capsys):
                                                       rel=1e-12)
     assert float(fields["n_lambda_n"]) == pytest.approx(9 * 2 * math.pi / 10,
                                                         rel=1e-12)
+    # the route's orthonormality certificate comes last
+    assert list(fields)[-1] == "residual"
+    assert 0 <= float(fields["residual"]) <= christoffel_mod.CERTIFY_TOL
 
 
 def test_lambda_auto_jump_point(circle_file, capsys):
@@ -74,6 +78,26 @@ def test_lambda_names_its_route(name, route, capsys):
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[2:4] == [f"method = {method}", f"route = {want}"]
+
+
+def test_lambda_traces_a_lemniscate_once_per_process(monkeypatch, capsys):
+    # requests on one curve share its trace: only a cold memo traces, and
+    # warm and cold requests print the same bytes
+    calls = []
+    trace = geometry.trace_lemniscate
+    monkeypatch.setattr(geometry, "trace_lemniscate",
+                        lambda poly: calls.append(1) or trace(poly))
+    argv = ["lambda", "--measure", str(MEASURES / "lemniscate_z2_jump.measure"),
+            "--z", "auto-jump", "--n", "16"]
+    outputs, traced = [], []
+    for cold in (True, False, False, True):
+        if cold:
+            geometry._traced_arcs.cache_clear()
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        traced.append(len(calls))
+    assert traced == [1, 1, 1, 2]
+    assert len(set(outputs)) == 1
 
 
 @pytest.mark.parametrize("path", sorted(MEASURES.glob("*.measure")),

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -177,7 +178,9 @@ def test_trace_near_figure_eight_node(coeffs, windings):
                                     [0.0, -0.5, 0.0, 1.0]])
 def test_trace_takes_one_solve_per_step(coeffs, monkeypatch):
     # on curves far from a critical value no continuation step is halved;
-    # the one solve more polishes the start fiber, the preimages of 1
+    # the one solve more polishes the start fiber, the preimages of 1.
+    # Each call traces, also with the curve already in parametrize's memo
+    parametrize(SupportSpec.make_lemniscate(coeffs))
     calls = []
     solve = geometry._image_newton
 
@@ -187,7 +190,63 @@ def test_trace_takes_one_solve_per_step(coeffs, monkeypatch):
 
     monkeypatch.setattr(geometry, "_image_newton", counted)
     trace_lemniscate(ComplexPolynomial(coeffs))
-    assert len(calls) == geometry.TURN_STEPS + 1
+    trace_lemniscate(ComplexPolynomial(coeffs))
+    assert len(calls) == 2 * (geometry.TURN_STEPS + 1)
+
+
+@pytest.fixture
+def cold_memo():
+    # start without traced curves, and keep none a patched tracer returned
+    geometry._traced_arcs.cache_clear()
+    yield
+    geometry._traced_arcs.cache_clear()
+
+
+def _count_traces(monkeypatch, trace=trace_lemniscate):
+    """Patch the module-level tracer with one that records each call."""
+    calls = []
+
+    def counted(poly):
+        calls.append(poly)
+        return trace(poly)
+
+    monkeypatch.setattr(geometry, "trace_lemniscate", counted)
+    return calls
+
+
+def test_parametrize_traces_each_level_polynomial_once(cold_memo, monkeypatch):
+    calls = _count_traces(monkeypatch)
+    arcs = parametrize(SupportSpec.make_lemniscate([0.0, 0.0, 1.0]))
+    # equal coefficients, signed zeros included, share the traced arcs
+    same = SupportSpec.make_lemniscate([-0.0, complex(0.0, -0.0), 1.0])
+    assert parametrize(same) is arcs and len(calls) == 1
+    assert isinstance(arcs, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arcs[0].t_hi = 1.0
+    other = parametrize(SupportSpec.make_lemniscate([-4.0, 0.0, 1.0]))
+    assert len(calls) == 2 and [arc.winding for arc in other] == [1, 1]
+
+
+def test_refused_curve_is_traced_on_every_call(cold_memo, monkeypatch):
+    calls = _count_traces(monkeypatch)
+    singular = SupportSpec.make_lemniscate([0.0, -2.0, 1.0])
+    for _ in range(2):
+        with pytest.raises(GeometryError):
+            parametrize(singular)
+    assert len(calls) == 2
+
+
+def test_memo_keeps_the_latest_polynomials(cold_memo, monkeypatch):
+    calls = _count_traces(monkeypatch, trace=lambda poly: ())
+    supports = [SupportSpec.make_lemniscate([k, 0.0, 1.0])
+                for k in range(geometry.TRACE_MEMO_SIZE + 1)]
+    for support in supports:
+        parametrize(support)
+    parametrize(supports[-1])
+    assert len(calls) == geometry.TRACE_MEMO_SIZE + 1
+    parametrize(supports[0])
+    assert len(calls) == geometry.TRACE_MEMO_SIZE + 2
+    assert np.array_equal(calls[-1], supports[0].poly.coeffs)
 
 
 @pytest.mark.parametrize("coeffs", [[0.0, 0.0, 1.0], [-2.0, 0.0, 1.0],
