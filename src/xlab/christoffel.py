@@ -43,7 +43,6 @@ computation.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -503,13 +502,14 @@ def _toeplitz_rows(M, C):
     G[jN + a, kN + b] = M[j - k, a, b], M[-d] = M[d]^H, of the size of C's
     rows, by circulant embedding (Golub and Van Loan, Matrix Computations,
     section 4.7): G is the leading block of a circulant of length
-    P >= 2J - 1 for J blocks, which the FFT diagonalizes.  One batched FFT of
-    the rows, one of the N^2 moment sequences and one inverse, whatever N:
+    P >= 2J - 1 for J blocks, which the FFT diagonalizes; P is the smallest
+    such 5-smooth length (``_fft_length``).  One batched FFT of the rows,
+    one of the N^2 moment sequences and one inverse, whatever N:
     O(rows N^2 J log J)."""
     rows, count = C.shape
     N = M.shape[1]
     J = max(1, -(-count // N))
-    P = 1 << (2 * J - 2).bit_length()
+    P = _fft_length(2 * J - 1)
     S = np.zeros((N, N, P), dtype=complex)  # S[a, b, d mod P] = M[d, a, b]
     S[:, :, :J] = M[:J].transpose(1, 2, 0)
     S[:, :, P - J + 1:] = np.conjugate(M[J - 1:0:-1]).transpose(2, 1, 0)
@@ -518,6 +518,20 @@ def _toeplitz_rows(M, C):
     X = np.fft.fft(X.reshape(rows, J, N).transpose(0, 2, 1), P)
     Y = np.fft.ifft((np.fft.fft(S)[None] * X[:, None]).sum(axis=2))
     return Y[:, :, :J].transpose(0, 2, 1).reshape(rows, J * N)[:, :count]
+
+
+def _fft_length(n):
+    """The smallest 2^a 3^b 5^c >= n >= 1, a length the FFT takes in few
+    passes: 1080 for n = 1025, where the next power of two is 2048."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _probe_misfit(M, x, V):
@@ -564,20 +578,23 @@ def _block_levinson(M, t, f, count, keep):
     p_{jN+a} = (L_j^{-1} F_j)[a], the same polynomials as the Cholesky
     factor of G, whose pivots they are.
 
+    A numpy call on a small block costs microseconds, and an np.linalg call
+    about ten, so the calls per step are counted.  At N = 1 the blocks are
+    Python numbers (a zero one is singular), and a step makes six array
+    operations: X_j, two bulk products, their two updates and the store of
+    D_{j+1}.  At N > 1 a step makes eleven numpy calls: X_j, written in
+    place; the stack [Delta_j, Delta_j^H] (a copy and a conjugate); one
+    np.linalg.inv of the stack [E_j, D_j]; one product of the two stacks for
+    the gains [Kf, Kb]; a product and an update for each of A and B; and one
+    product and one subtraction for [E_{j+1}, D_{j+1}].  Products and
+    updates write into buffers made once per call.
+
     Returns (p, ok, C): p(z); ok, whether each pivot exceeds BREAKDOWN_REL
     of its diagonal entry of G; and C, the coefficient rows of p_k in the
     Phi basis (the rows of L_j^{-1} A_j), k in the ascending ``keep``.
     """
     N = M.shape[1]
     J = (count - 1) // N
-    # a numpy call on a small block costs microseconds, and an np.linalg
-    # call ten: at N = 1 the blocks are Python numbers (a zero one is singular)
-    if N == 1:
-        block, adjoint, mul = (lambda P: P.item(0)), complex.conjugate, operator.mul
-        inverses = lambda E, D: (1 / E, 1 / D)
-    else:
-        block, adjoint, mul = (lambda P: P[:, :N]), (lambda P: P.conj().T), np.matmul
-        inverses = lambda E, D: np.linalg.inv(np.array([E, D]))
     # block i of W holds M[i + 1] beside Phi_i(z) = t^i f, one rounding per
     # power, so that X_j = A_j W = [Delta_j | F_j(z)]
     W = np.zeros((J + 1, N, N + 1), dtype=complex)
@@ -587,32 +604,52 @@ def _block_levinson(M, t, f, count, keep):
     A = np.zeros((N, (J + 1) * N), dtype=complex)  # A_j[i] in block J - j + i,
     B = np.zeros_like(A)                            # B_j[i] in block i
     A[:, J * N:] = B[:, :N] = np.eye(N)
-    D = np.full((J + 1, N, N), np.nan, dtype=complex)
+    ED = np.full((J + 1, 2, N, N), np.nan, dtype=complex)  # [E_j, D_j]
     X = np.full((J + 1, N, N + 1), np.nan, dtype=complex)
-    D[0] = M[0]
-    Dj = E = block(M[0])
+    ED[0] = M[0]
+    Dj = E = M[0].item(0)  # read at N = 1 only
+    # [Delta_j, Delta_j^H] and the gains [Kf, Kb], at N > 1
+    dd, gains = np.empty((2, 2, N, N), dtype=complex)
+    fwd, back = np.empty_like(A), np.empty_like(A)
     blocks = sorted({k // N for k in keep})
     A_kept = np.zeros((len(blocks), N, count), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(J + 1):
-            Aj, Bj = A[:, (J - j) * N:], B[:, :(j + 1) * N]
+            w = (j + 1) * N
+            Aj, Bj = A[:, (J - j) * N:], B[:, :w]
             if j in blocks:
-                A_kept[blocks.index(j), :, :(j + 1) * N] = Aj[:, :count]
-            X[j] = Aj @ W[:(j + 1) * N]
+                A_kept[blocks.index(j), :, :w] = Aj[:, :count]
+            np.matmul(Aj, W[:w], out=X[j])
             if j == J:
                 break
-            delta = block(X[j])
-            deltaH = adjoint(delta)
+            if N == 1:
+                delta = X[j].item(0)
+                deltaH = delta.conjugate()
+                try:
+                    inv_E, inv_D = 1 / E, 1 / Dj
+                except ZeroDivisionError:  # broken down
+                    break
+                Kf, Kb = delta * inv_E, deltaH * inv_D
+                KbA = Kb * Aj  # before A_j turns A_{j+1}
+                A[:, J - j - 1:J] -= Kf * Bj
+                B[:, 1:w + 1] -= KbA
+                Dj, E = Dj - Kf * deltaH, E - Kb * delta
+                ED[j + 1, 1] = Dj
+                continue
+            dd[0] = X[j, :, :N]
+            np.conjugate(dd[0].T, out=dd[1])
             try:
-                inv_E, inv_D = inverses(E, Dj)
-            except (np.linalg.LinAlgError, ZeroDivisionError):  # broken down
+                inv = np.linalg.inv(ED[j])
+            except np.linalg.LinAlgError:  # broken down
                 break
-            Kf, Kb = mul(delta, inv_E), mul(deltaH, inv_D)
-            back = mul(Kb, Aj)
-            A[:, (J - j - 1) * N:J * N] -= mul(Kf, Bj)
-            B[:, N:(j + 2) * N] -= back
-            Dj, E = Dj - mul(Kf, deltaH), E - mul(Kb, delta)
-            D[j + 1] = Dj
+            np.matmul(dd, inv, out=gains)
+            np.matmul(gains[1], Aj, out=back[:, :w])  # before A_j turns A_{j+1}
+            np.matmul(gains[0], Bj, out=fwd[:, :w])
+            A[:, (J - j - 1) * N:J * N] -= fwd[:, :w]
+            B[:, N:w + N] -= back[:, :w]
+            # [E_j - Kb Delta_j, D_j - Kf Delta_j^H]
+            np.subtract(ED[j], np.matmul(gains[::-1], dd), out=ED[j + 1])
+        D = ED[:, 1]
         pivots, p = _block_cholesky(D, X[:, :, N:])
         _, Y = _block_cholesky(D[blocks], A_kept)
     ok = (pivots > BREAKDOWN_REL * M[0].diagonal().real).reshape(-1)[:count]

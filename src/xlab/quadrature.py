@@ -4,11 +4,12 @@ Panels never straddle a weight jump: the parameter domain is split at every
 switch point of the weight, and each segment between those points gets equal
 panels.  On a segment the integrand of a polynomial product is analytic, so
 no refinement toward the segment ends is needed, and the rule is a function
-of the measure alone, whatever its evaluation point z0.  A segment's
-panels are laid out as one (panels, PANEL_ORDER) array of parameters, so the
-arc, the weight and the smooth factor are evaluated one segment at a time (on
-a lemniscate, one batched Newton solve per segment gives the nodes and their
-velocities).
+of the measure alone, whatever its evaluation point z0.  Every segment's
+panel parameters are laid out first; then each arc is evaluated once, at
+all of its parameters (on a lemniscate, one batched Newton solve per arc
+gives the nodes and their velocities), and the weight and the smooth factor
+once, at all of the rule's.  A Newton point stops on its own residual, so
+the nodes are those of one solve per panel, bit for bit.
 Interval measures are integrated in the angle theta of x = c + h cos(theta),
 with the centre c and half-length h of the support's ``joukowski_frame``:
 their switch points map through acos onto [0, pi], and an arcsine factor
@@ -101,31 +102,35 @@ def build_rule(measure, max_degree):
     total_len = sum(hi - lo for (_, lo, hi) in segs)
     total_panels = math.ceil(NODES_PER_DEGREE * (max_degree + 1) / PANEL_ORDER)
 
+    # every segment's panel parameters and Gauss weights, gathered by arc
+    # (the segments of an arc are consecutive), then one evaluation per arc
+    # and one per rule
     arcs = parametrize(measure.support)
-    nodes, weights, params = [], [], []
+    params, gauss = [[] for _ in arcs], [[] for _ in arcs]
     for arc_i, lo, hi in segs:
         n_panels = max(1, math.ceil(total_panels * (hi - lo) / total_len))
         edges = np.linspace(lo, hi, n_panels + 1)
         mid_p = (0.5 * (edges[:-1] + edges[1:]))[:, None]
         half_p = (0.5 * (edges[1:] - edges[:-1]))[:, None]
-        t = (mid_p + half_p * _GL_X).ravel()
-        if measure.support.kind == "interval":
-            z, factor = _interval_factors(measure, t)
-        else:
-            z, v = arcs[arc_i].point_velocity(t)
-            factor = measure.smooth(t) * measure.weight.value(t) * np.abs(v)
-        nodes.append(np.asarray(z, dtype=complex))
-        params.append(t)
-        weights.append((half_p * _GL_W).ravel() * factor)
-
-    weights = np.concatenate(weights)
+        params[arc_i].append((mid_p + half_p * _GL_X).ravel())
+        gauss[arc_i].append((half_p * _GL_W).ravel())
+    params = [np.concatenate(p) for p in params]
+    t = np.concatenate(params)
+    if measure.support.kind == "interval":
+        nodes, factor = _interval_factors(measure, t)
+    else:
+        z, v = zip(*(arc.point_velocity(p) for arc, p in zip(arcs, params)))
+        nodes, speed = np.concatenate(z), np.abs(np.concatenate(v))
+        factor = measure.smooth(t) * measure.weight.value(t) * speed
+    weights = np.concatenate([g for arc in gauss for g in arc]) * factor
     with np.errstate(over="ignore"):  # an overflowing mass is refused
         finite = math.isfinite(weights.sum())
     if not (weights.min() > 0 and finite):
         raise NumericError("quadrature weights must be positive, with a "
                            "finite sum")
-    return QuadratureRule(nodes=np.concatenate(nodes), weights=weights,
-                          params=np.concatenate(params), max_exact_degree=max_degree)
+    return QuadratureRule(nodes=np.asarray(nodes, dtype=complex),
+                          weights=weights, params=t,
+                          max_exact_degree=max_degree)
 
 
 def integrate(rule, f):

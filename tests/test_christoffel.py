@@ -1,6 +1,8 @@
 import cmath
 import functools
+import itertools
 import math
+import operator
 import os
 import pathlib
 import subprocess
@@ -690,6 +692,19 @@ def test_gram_certificate_matches_the_kept_rows_at_the_nodes(measure):
         assert misfit <= 1e-13, n
 
 
+def test_circulant_length_is_the_smallest_5_smooth_one():
+    # the circulant of _toeplitz_rows takes the least 2^a 3^b 5^c >= 2J - 1
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+    want = [next(m for m in itertools.count(n) if smooth(m))
+            for n in range(1, 4200)]
+    assert [christoffel_mod._fft_length(n) for n in range(1, 4200)] == want
+    assert christoffel_mod._fft_length(2 * 513 - 1) == 1080
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(N=st.sampled_from([1, 2, 3]), count=st.integers(1, 300),
        rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
@@ -832,6 +847,108 @@ def test_block_levinson_breakdown_matches_arnoldi():
         want = kernel_prefix(err.value.basis, z)
         assert np.max(np.abs(prefix - want) / want) <= 1e-13
         assert residual < 1e-13
+
+
+def _reference_block_levinson(M, t, f, count, keep):
+    # _block_levinson as it was written before its blocks were stacked: one
+    # inverse per step of np.array([E, D]), the gains, the bulk updates and
+    # D, E each by their own product
+    N = M.shape[1]
+    J = (count - 1) // N
+    if N == 1:
+        block, adjoint, mul = (lambda P: P.item(0)), complex.conjugate, operator.mul
+        inverses = lambda E, D: (1 / E, 1 / D)
+    else:
+        block, adjoint, mul = (lambda P: P[:, :N]), (lambda P: P.conj().T), np.matmul
+        inverses = lambda E, D: np.linalg.inv(np.array([E, D]))
+    W = np.zeros((J + 1, N, N + 1), dtype=complex)
+    W[:J, :, :N], W[:, :, N], W[0, :, N] = M[1:J + 1], t, f
+    np.multiply.accumulate(W[:, :, N], out=W[:, :, N])
+    W = W.reshape(-1, N + 1)
+    A = np.zeros((N, (J + 1) * N), dtype=complex)
+    B = np.zeros_like(A)
+    A[:, J * N:] = B[:, :N] = np.eye(N)
+    D = np.full((J + 1, N, N), np.nan, dtype=complex)
+    X = np.full((J + 1, N, N + 1), np.nan, dtype=complex)
+    D[0] = M[0]
+    Dj = E = block(M[0])
+    blocks = sorted({k // N for k in keep})
+    A_kept = np.zeros((len(blocks), N, count), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(J + 1):
+            Aj, Bj = A[:, (J - j) * N:], B[:, :(j + 1) * N]
+            if j in blocks:
+                A_kept[blocks.index(j), :, :(j + 1) * N] = Aj[:, :count]
+            X[j] = Aj @ W[:(j + 1) * N]
+            if j == J:
+                break
+            delta = block(X[j])
+            deltaH = adjoint(delta)
+            try:
+                inv_E, inv_D = inverses(E, Dj)
+            except (np.linalg.LinAlgError, ZeroDivisionError):
+                break
+            Kf, Kb = mul(delta, inv_E), mul(deltaH, inv_D)
+            back = mul(Kb, Aj)
+            A[:, (J - j - 1) * N:J * N] -= mul(Kf, Bj)
+            B[:, N:(j + 2) * N] -= back
+            Dj, E = Dj - mul(Kf, deltaH), E - mul(Kb, delta)
+            D[j + 1] = Dj
+        pivots, p = christoffel_mod._block_cholesky(D, X[:, :, N:])
+        _, Y = christoffel_mod._block_cholesky(D[blocks], A_kept)
+    ok = (pivots > christoffel_mod.BREAKDOWN_REL
+          * M[0].diagonal().real).reshape(-1)[:count]
+    C = np.array([Y[blocks.index(k // N), k % N] for k in keep])
+    return p.reshape(-1)[:count], ok, C
+
+
+def _assert_same_levinson(args):
+    got = christoffel_mod._block_levinson(*args)
+    want = _reference_block_levinson(*args)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
+
+
+def test_block_levinson_matches_its_unstacked_reference():
+    # seeded random Hermitian block Toeplitz moments, the moments of
+    # m weighted vectors at random angles, so that G is positive definite,
+    # at N = 1, 2, 3 and counts that are a multiple of N or not: the
+    # stacked step gives the same bits as one product per block
+    gen = np.random.default_rng(33)
+    for N in (1, 2, 3):
+        for count in (1, 2, 7, 30, 91, 160):
+            J = count // N + 1
+            m = N * J + 5
+            theta = gen.uniform(0, 2 * math.pi, m)
+            Z = gen.standard_normal((m, N, 2)) @ [1, 1j]
+            V = gen.uniform(0.5, 1.5, m)[:, None, None] * (
+                Z[:, :, None] * np.conjugate(Z[:, None, :]))
+            M = np.einsum("dj,jab->dab",
+                          np.exp(1j * np.multiply.outer(np.arange(J), theta)), V)
+            t = complex(*gen.uniform(-1.2, 1.2, 2))
+            f = gen.standard_normal((N, 2)) @ [1, 1j]
+            keep = christoffel_mod._certified(count - 1, count - 1)
+            _assert_same_levinson((M, t, f, count, keep))
+
+
+def test_block_levinson_breakdown_matches_its_unstacked_reference(monkeypatch):
+    # the breakdown rules of test_block_levinson_breakdown_matches_arnoldi:
+    # every call the Gram route makes, the second one to the achieved
+    # degree included, gives the reference's bits
+    calls, real = [], christoffel_mod._block_levinson
+    monkeypatch.setattr(christoffel_mod, "_block_levinson",
+                        lambda *args: calls.append(args) or real(*args))
+    for K, N in ((8, 2), (7, 2), (9, 3), (2, 3), (1, 2)):
+        nodes = np.exp(2j * math.pi * (np.arange(K) + 0.3) / K)
+        rule = QuadratureRule(nodes=nodes, weights=np.linspace(0.5, 1.5, K),
+                              params=np.angle(nodes ** N), max_exact_degree=24)
+        support = lemniscate_pullback_measure(
+            ComplexPolynomial([0] * N + [1])).support
+        support_prefix(rule, support, 12, 0.3 + 0.4j)
+    assert len(calls) == 10
+    monkeypatch.undo()
+    for args in calls:
+        _assert_same_levinson(args)
 
 
 @pytest.mark.parametrize("name", [p.stem for p in sorted(

@@ -221,7 +221,7 @@ def _panel_by_panel_rule(measure, max_degree):
     total_len = sum(hi - lo for (_, lo, hi) in segs)
     total_panels = math.ceil(6 * (max_degree + 1) / PANEL_ORDER)
     xr, wr = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    nodes, weights = [], []
+    nodes, weights, params = [], [], []
     for arc_i, lo, hi in segs:
         n_panels = max(1, math.ceil(total_panels * (hi - lo) / total_len))
         edges = np.linspace(lo, hi, n_panels + 1)
@@ -236,14 +236,29 @@ def _panel_by_panel_rule(measure, max_degree):
                 factor = (measure.smooth(t) * measure.weight.value(t)
                           * np.abs(arc.velocity(t)))
             weights.append(0.5 * (pb - pa) * wr * factor)
-    return np.concatenate(nodes), np.concatenate(weights)
+            params.append(t)
+    return (np.concatenate(nodes), np.concatenate(weights),
+            np.concatenate(params))
 
 
 def test_rule_matches_panel_by_panel_reference():
-    # one batch per segment changes no arithmetic on the standard measures
-    for name, measure in standard_jump_measures().items():
+    # one evaluation per arc changes no arithmetic: the standard measures,
+    # the cubic |z^3 - z/2| = 1, the two components of
+    # |z^3 - 1.5 z + 0.3| = 1 (winding 1 and 2, with three and five
+    # segments) and an off-centre interval without the arcsine factor
+    measures = dict(standard_jump_measures())
+    measures["cubic"] = lemniscate_pullback_measure(
+        ComplexPolynomial([0.0, -0.5, 0.0, 1.0]))
+    measures["two-component"] = lemniscate_pullback_measure(
+        ComplexPolynomial([0.3, -1.5, 0.0, 1.0]))
+    measures["off-centre interval"] = interval_jump_measure(
+        a=0.5, b=3.0, jump_param=1.2)
+    segs = quadrature._segments(measures["two-component"])
+    assert [arc for arc, _, _ in segs] == [0] * 3 + [1] * 5
+    for name, measure in measures.items():
         for n in (8, 52, 256):
             rule = build_rule(measure, n)
-            nodes, weights = _panel_by_panel_rule(measure, n)
+            nodes, weights, params = _panel_by_panel_rule(measure, n)
             assert np.array_equal(rule.nodes, nodes), (name, n)
             assert np.array_equal(rule.weights, weights), (name, n)
+            assert np.array_equal(rule.params, params), (name, n)
