@@ -14,11 +14,11 @@ reaches, rows Q of a few of its polynomials, the rows W that make
 Q W^T = I, and a misfit of its moments against the nodes.  The interval's Q
 holds node values; a Gram route's Q holds the coefficient rows C, and
 W^T = G C^H comes from the moments by FFT, while probes check the moments
-against the node coordinates: O(n log n) per kept polynomial and O(m) for
-the probes.  ``support_prefix`` alone sums the prefix and certifies Q, and
-a residual (the larger of max |Q W^T - I| and the misfit) above
-CERTIFY_TOL refuses the result.  Sweeps and kernel ``christoffel_lambda``
-calls take this route.
+against the node coordinates: O(n log n) per kept polynomial and
+O(m log n) for the probes.  ``support_prefix`` alone sums the prefix and
+certifies Q, and a residual (the larger of max |Q W^T - I| and the
+misfit) above CERTIFY_TOL refuses the result.  Sweeps and kernel
+``christoffel_lambda`` calls take this route.
 
 Where node values are needed (``method="direct"``, an explicit ``basis``,
 ``OrthoBasis`` itself) the basis p_0, ..., p_n orthonormal under a
@@ -341,9 +341,10 @@ def _recurrence_rows(rule, degree, z):
     Approximation, 2004), in O(degree * m) time and O(m) memory: no basis is
     stored, each step keeps only the current node values.  The values stop
     at the achieved degree when the discrete measure breaks the recurrence
-    down, under the same relative test as ``orthonormalize``.  Returns
-    (p, Q, Q, 0.0): the kept rows of Q are sqrt(w) p_k, real and weighted
-    already, and no moments stand between them and the nodes.
+    down, under the same relative test as ``orthonormalize``, with |t q_k|
+    read off the step's scalars.  Returns (p, Q, Q, 0.0): the kept rows of
+    Q are sqrt(w) p_k, real and weighted already, and no moments stand
+    between them and the nodes.
     """
     w, t = rule.weights, np.cos(rule.params)
     # the recurrence runs on q_k = sqrt(w) p_k at the nodes, so every inner
@@ -355,13 +356,14 @@ def _recurrence_rows(rule, degree, z):
     values, kept, keep = [complex(p0)], [q.copy()], set(_certified(degree, degree))
     for k in range(degree):
         np.multiply(t, q, out=v)
-        scale = math.sqrt(float(np.dot(v, v)))
         q_prev *= beta
         v -= q_prev
         a = float(np.dot(v, q))
         v -= np.multiply(a, q, out=q_prev)
         nrm = math.sqrt(float(np.dot(v, v)))
-        if not math.isfinite(nrm) or nrm <= BREAKDOWN_REL * scale:
+        # |t q_k|, the breakdown reference, is hypot(beta_k, a_k, beta_{k+1})
+        if not math.isfinite(nrm) or nrm <= BREAKDOWN_REL * math.hypot(
+                beta, a, nrm):
             break
         pz = values[-1]
         values.append((z * pz - beta * pz_prev - a * pz) / nrm)
@@ -477,24 +479,40 @@ def _certified(degree, last):
 
 
 def _moments(theta, V, count):
-    """sum_j e^{i d theta_j} V[j] for d < count, V of shape (m,) or (m, c).
+    """sum_j u_j^d V[j] for d < count, u = e^{i theta}, V of shape (m,) or
+    (m, c).
 
-    For lo < count in steps of GRAM_BLOCK, the rows e^{i p theta},
-    p < min(GRAM_BLOCK, count - lo), shifted by e^{i lo theta}, give the
-    powers e^{i (lo + p) theta}.  The rows come from one table of
-    min(GRAM_BLOCK, count) rows, built by doubling; a row is a product of at
-    most log2(GRAM_BLOCK) exact exponentials, so no error grows from power
-    to power."""
-    B = np.empty((min(GRAM_BLOCK, count), theta.size), dtype=complex)
-    B[0], h = 1.0, 1
+    One exponential per node gives u; every power is a product of rounded
+    powers of u, never an exponential of a rounded d theta, so the error of
+    u^d grows like d eps where e^{i d theta} carries up to 2 pi d eps.  A
+    table holds u^p, p < min(GRAM_BLOCK, count), its rows doubled by
+    u^{2h} = (u^h)^2, and the block shifts S_i = u^{i GRAM_BLOCK} follow
+    as S_i = S_{i-1} u^GRAM_BLOCK.  The shifted weights S_i V are grouped
+    at most GRAM_BLOCK rows to a group, one matrix product against the table
+    per group, so no temporary exceeds the table."""
+    m = theta.size
+    B = np.empty((min(GRAM_BLOCK, count), m), dtype=complex)
+    B[0], h, step = 1.0, 1, np.exp(1j * theta)
     while h < len(B):
         k = min(h, len(B) - h)
-        np.multiply(B[:k], np.exp(1j * h * theta), out=B[h:h + k])
+        np.multiply(B[:k], step, out=B[h:h + k])
         h += k
-    shape = (-1,) + (1,) * (V.ndim - 1)
-    return np.concatenate(
-        [B[:count - lo] @ (np.exp(1j * lo * theta).reshape(shape) * V)
-         for lo in range(0, count, GRAM_BLOCK)])
+        step = step * step  # u^h, and u^GRAM_BLOCK once the table is full
+    VT = V.reshape(m, -1).T
+    c, blocks = len(VT), -(-count // GRAM_BLOCK)
+    per = min(blocks, max(1, GRAM_BLOCK // c))  # blocks per product
+    mu = np.empty((blocks, len(B), c), dtype=complex)
+    shifted = np.empty((per, c, m), dtype=complex)
+    shift = np.ones(m, dtype=complex)  # S_i, for block i
+    for first in range(0, blocks, per):
+        group = shifted[:min(per, blocks - first)]
+        for rows in group:
+            np.multiply(shift, VT, out=rows)
+            shift *= step
+        k = len(group)
+        mu[first:first + k] = (B @ group.reshape(k * c, m).T).reshape(
+            len(B), k, c).transpose(1, 0, 2)
+    return mu.reshape(-1, c)[:count].reshape((count,) + V.shape[1:])
 
 
 def _toeplitz_rows(M, C):
@@ -541,15 +559,23 @@ def _probe_misfit(M, x, V):
     |sum_d r^d M[d] - sum_j V[j] (1 - (r x_j)^L) / (1 - r x_j)|, entry (a, b)
     relative to sqrt(M[0, a, a] M[0, b, b]), which is mu_0 at N = 1.  |r| so
     near 1 keeps the top moment visible: it weighs (1 - 1/L)^(L-1) > 1/e.
-    Each power r^d is exact in phase, and (r x)^L is taken as
-    |r x|^L e^{i L arg(r x)}, in O(m) for m nodes.  The misfit's floor is
-    the moments' own rounding, which grows with L: about 1e-13 at L = 2048."""
+    Each power r^d is exact in phase; x^L is formed once by binary powering,
+    and (r x)^L = (1 - 1/L)^L i^{kL} x^L for every turn, in O(m log L) for
+    m nodes.  The misfit's floor is the moments' own rounding, which grows
+    with L: about 1e-14 at L = 512 and 3e-14 at L = 2048."""
     L = len(M)
     rho, d, turn = 1.0 - 1.0 / L, np.arange(L), np.array([1, 1j, -1, -1j])
     r_d = rho ** d * turn[np.multiply.outer(PROBE_TURNS, d) % 4]  # r^d
     lhs = r_d @ M.reshape(L, -1)
+    x_L, power, e = np.ones_like(x), x, L
+    while e:
+        if e & 1:
+            x_L = x_L * power
+        e >>= 1
+        if e:
+            power = power * power
     y = np.multiply.outer(rho * turn[PROBE_TURNS], x)
-    top = np.abs(y) ** L * np.exp(1j * L * np.angle(y))
+    top = np.multiply.outer(rho ** L * turn[PROBE_TURNS * L % 4], x_L)
     rhs = ((1 - top) / (1 - y)) @ V.reshape(len(x), -1)
     scale = np.sqrt(M[0].diagonal().real)
     return float((np.abs(lhs - rhs) / np.outer(scale, scale).reshape(-1)).max())

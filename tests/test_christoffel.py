@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -788,6 +789,109 @@ def test_power_table_is_sized_to_the_call():
             got = christoffel_mod._moments(theta, v, limit)
             assert got.shape == w.shape
             assert np.max(np.abs(got - w)) <= 1e-13
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the reference needs an 80-bit long double")
+@pytest.mark.parametrize("measure", [
+    circle_jump_measure(), ellipse_jump_measure(1.25, 0.75)],
+    ids=["circle", "ellipse"])
+def test_moments_match_a_long_double_sum(measure):
+    # the 2048 moments of the rule for degree 2047 against sums of long
+    # double exponentials: e^{i (lo + p) theta} = e^{i lo theta} e^{i p theta},
+    # p < 64 and lo a multiple of 64, each angle exact in a 64-bit mantissa;
+    # powers of one rounded e^{i theta} err by about d eps, where
+    # e^{i d theta} of a rounded d theta erred by up to 2 pi d eps (1.2e-14
+    # to 1.4e-14 mu_0 here)
+    support, rule = measure.support, build_rule(measure, 2047)
+    theta, w = rule.params, rule.weights
+    if support.kind == "ellipse":  # the angles the ellipse route takes
+        theta = theta + support.rotation - support.joukowski_frame[1]
+    angle = theta.astype(np.longdouble)
+    power = np.multiply.outer(np.arange(64), angle)
+    table = np.cos(power) + 1j * np.sin(power)
+    want = np.concatenate([
+        table @ ((np.cos(lo * angle) + 1j * np.sin(lo * angle)) * w)
+        for lo in range(0, 2048, 64)])
+    got = christoffel_mod._moments(theta, w, 2048)
+    assert np.max(np.abs(got - want)) <= 5e-15 * w.sum()
+
+
+def test_moments_peak_memory_stays_near_the_table():
+    # the shifted weights go to the product in groups of at most GRAM_BLOCK
+    # rows, so the peak stays within 3 power tables of GRAM_BLOCK x m; one
+    # operand of all 32 * 9 shifted rows at count 2048 would take 4.5 tables
+    m, c = 12000, 9
+    gen = np.random.default_rng(35)
+    theta = gen.uniform(0, 2 * math.pi, m)
+    V = gen.standard_normal((m, c, 2)) @ [1, 1j]
+    table = christoffel_mod.GRAM_BLOCK * m * np.dtype(complex).itemsize
+    for count in (700, 2048):
+        tracemalloc.start()
+        try:
+            christoffel_mod._moments(theta, V, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * table, count
+
+
+def _reference_moments(theta, V, count):
+    # _moments as it was before it took one exponential per node: a table
+    # doubled by exact exponentials e^{i h theta}, h a power of two, and one
+    # shift e^{i lo theta} per GRAM_BLOCK moments
+    B = np.empty((min(christoffel_mod.GRAM_BLOCK, count), theta.size),
+                 dtype=complex)
+    B[0], h = 1.0, 1
+    while h < len(B):
+        k = min(h, len(B) - h)
+        np.multiply(B[:k], np.exp(1j * h * theta), out=B[h:h + k])
+        h += k
+    shape = (-1,) + (1,) * (V.ndim - 1)
+    return np.concatenate(
+        [B[:count - lo] @ (np.exp(1j * lo * theta).reshape(shape) * V)
+         for lo in range(0, count, christoffel_mod.GRAM_BLOCK)])
+
+
+def _reference_probe_misfit(M, x, V):
+    # _probe_misfit as it was before it powered x: (r x)^L taken as
+    # |r x|^L e^{i L arg(r x)} for each turn
+    L, turns = len(M), christoffel_mod.PROBE_TURNS
+    rho, d, turn = 1.0 - 1.0 / L, np.arange(L), np.array([1, 1j, -1, -1j])
+    r_d = rho ** d * turn[np.multiply.outer(turns, d) % 4]
+    lhs = r_d @ M.reshape(L, -1)
+    y = np.multiply.outer(rho * turn[turns], x)
+    top = np.abs(y) ** L * np.exp(1j * L * np.angle(y))
+    rhs = ((1 - top) / (1 - y)) @ V.reshape(len(x), -1)
+    scale = np.sqrt(M[0].diagonal().real)
+    return float((np.abs(lhs - rhs) / np.outer(scale, scale).reshape(-1)).max())
+
+
+@pytest.mark.parametrize("measure, bound", [
+    (circle_jump_measure(), 2e-14),
+    (lemniscate_pullback_measure(ComplexPolynomial([0, 0, 1])), None),
+    (parse_measure_text(CUBIC_TEXT), None),
+    (ellipse_jump_measure(1.25, 0.75), 5e-14),
+    (ellipse_jump_measure(1.0, 0.1), None)],
+    ids=["circle", "z2", "cubic", "ellipse", "flat-ellipse"])
+def test_gram_route_matches_its_exponential_reference(monkeypatch, measure,
+                                                      bound):
+    # K_n off moments and probes from powers of one exponential per node
+    # against the same route on the previous exponentials of d theta, at
+    # degrees 512 and 2047; the certificate residual at 2047 sits below the
+    # previous one's floor (1.0e-13 on the circle, 9.3e-14 on the ellipse)
+    for n in (512, 2047):
+        rule = build_rule(measure, n)
+        for z in (measure.z0, 0.3 + 0.2j):
+            got, residual, _ = support_prefix(rule, measure.support, n, z)
+            with monkeypatch.context() as patch:
+                patch.setattr(christoffel_mod, "_moments", _reference_moments)
+                patch.setattr(christoffel_mod, "_probe_misfit",
+                              _reference_probe_misfit)
+                want = support_prefix(rule, measure.support, n, z)[0]
+            assert abs(got[n] - want[n]) <= 1e-13 * want[n], (n, z)
+            if n == 2047 and bound is not None:
+                assert residual <= bound, z
 
 
 def test_uncertified_route_is_numeric_error(monkeypatch):
