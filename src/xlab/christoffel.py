@@ -489,7 +489,9 @@ def _moments(theta, V, count):
     u^{2h} = (u^h)^2, and the block shifts S_i = u^{i GRAM_BLOCK} follow
     as S_i = S_{i-1} u^GRAM_BLOCK.  The shifted weights S_i V are grouped
     at most GRAM_BLOCK rows to a group, one matrix product against the table
-    per group, so no temporary exceeds the table."""
+    per group, which reads the table once per group rather than once per
+    block; for c <= GRAM_BLOCK no temporary exceeds the table; beyond
+    that each group is one c x m block, the size of V."""
     m = theta.size
     B = np.empty((min(GRAM_BLOCK, count), m), dtype=complex)
     B[0], h, step = 1.0, 1, np.exp(1j * theta)
@@ -562,7 +564,8 @@ def _probe_misfit(M, x, V):
     Each power r^d is exact in phase; x^L is formed once by binary powering,
     and (r x)^L = (1 - 1/L)^L i^{kL} x^L for every turn, in O(m log L) for
     m nodes.  The misfit's floor is the moments' own rounding, which grows
-    with L: about 1e-14 at L = 512 and 3e-14 at L = 2048."""
+    with L: on the curves tested, at most 3e-14 to degree 512 and 5.4e-14 to
+    degree 2047."""
     L = len(M)
     rho, d, turn = 1.0 - 1.0 / L, np.arange(L), np.array([1, 1j, -1, -1j])
     r_d = rho ** d * turn[np.multiply.outer(PROBE_TURNS, d) % 4]  # r^d
