@@ -7,15 +7,16 @@ on the support kind alone: on intervals the Stieltjes recurrence, and on
 ellipses, circles and lemniscates a Gram matrix built from moments of the
 rule.  On a lemniscate |T| = 1 that matrix is block Toeplitz, and the block
 Levinson recursion factors it in O(n^2 deg T + n m) for m nodes; a circle
-|z - c| = r is the lemniscate of T(z) = (z - c)/r, of degree 1.  Only the
-ellipse's matrix, Toeplitz plus a Hankel border a few dozen wide, takes a
-Cholesky factor, in O(n^3).  Each route returns p_k(z) up to the degree it
-reaches, rows Q of a few of its polynomials, the rows W that make
-Q W^T = I, and a misfit of its moments against the nodes.  The interval's Q
-holds node values; a Gram route's Q holds the coefficient rows C, and
-W^T = G C^H comes from the moments by FFT, while probes check the moments
-against the node coordinates: O(n log n) per kept polynomial and
-O(m log n) for the probes.  ``support_prefix`` alone sums the prefix and
+|z - c| = r is the lemniscate of T(z) = (z - c)/r, of degree 1.  The
+ellipse's matrix is Toeplitz plus a Hankel border K wide (33 for axes
+5:3): the scalar recursion factors its Toeplitz part and the border enters
+through a K x K Schur complement, in O(n^2 K + n m).  Each route returns
+p_k(z) up to the degree it reaches, rows Q of a few of its polynomials, the
+rows W that make Q W^T = I, and a misfit of its moments against the nodes.
+The interval's Q holds node values; a Gram route's Q holds the coefficient
+rows C, and W^T = G C^H comes from the moments by FFT, while probes check
+the moments against the node coordinates: O(n log n) per kept polynomial
+and O(m log n) for the probes.  ``support_prefix`` alone sums the prefix and
 certifies Q, and a residual (the larger of max |Q W^T - I| and the
 misfit) above CERTIFY_TOL refuses the result.  Sweeps and kernel
 ``christoffel_lambda`` calls take this route.
@@ -43,6 +44,7 @@ computation.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +58,8 @@ BREAKDOWN_REL = 1e-14
 # pass leaves about 1/sqrt(2) of |z p_k|; at 1/2 every interval step skips the
 # second pass and K_512(z0) drifts 6.5e-13 from the Stieltjes recurrence.
 REORTH = 2 ** -0.5
-GRAM_BLOCK = 64        # rows or columns per block product (certificates, Cholesky)
+GRAM_BLOCK = 64        # rows or columns per block product (certificates,
+                       # moments, the ellipse border's correlations and blocks)
 CERTIFY_STRIDE = 32    # the certificate keeps every CERTIFY_STRIDE-th polynomial,
 CERTIFY_COUNT = 16     # and no more than CERTIFY_COUNT + 1 (see _certified)
 CERTIFY_TOL = 1e-10    # certificate residual above which a result is refused
@@ -395,9 +398,12 @@ def _gram_rows(rule, support, degree, z):
     nodes, and r = (a-b)/(a+b): G is Toeplitz plus a Hankel border, its
     first K rows and columns, K the number of r^k that reach HANKEL_CUT
     (33 at r = 1/4, 1 on a round ellipse), so it takes moments only to
-    degree + K; its Cholesky factor G = R^H R, bordered by phi(z), gives
-    p(z) = R^{-H} phi(z) in O(degree^3).  Either factor stops before its
-    first pivot below BREAKDOWN_REL of its diagonal entry of G.
+    degree + K; past the border G is the Toeplitz matrix of the circle's
+    kind, so ``_block_levinson`` runs the scalar recursion on it, with the
+    values phi_{K+i}(z) in place of the powers T(z)^i, and takes the border
+    in through a K x K Schur complement (``_Border``), in
+    O(degree^2 K + degree m).  Either route stops before its first pivot
+    below BREAKDOWN_REL of its diagonal entry of G.
 
     Returns (p, C, W, misfit): p(z) up to the degree where the factor breaks
     down; C, the coefficient rows of the kept p_k in the phi_k; W =
@@ -421,34 +427,18 @@ def _gram_rows(rule, support, degree, z):
         phi = ((u + root) / (a + b)) ** q + ((u - root) / (a + b)) ** q
         # G = T + r_k H + r_j conj(H) + r_j r_k conj(T) with T[j, k] = mu_{j-k}
         # and H[j, k] = mu_{j+k} strided views of mu; r_j conj(H) = (r_k H)^H,
-        # and only the first K columns of r_k H reach HANKEL_CUT
+        # and only the first K columns of r_k H reach HANKEL_CUT, so past its
+        # first K rows and columns G is T, and
+        # G[K + i, a] = T[K + i, a] + X[K + i, a]
         window = np.lib.stride_tricks.sliding_window_view
-        T = window(np.concatenate([np.conjugate(mu[n:0:-1]), mu[:n + 1]]),
-                   n + 1)[:, ::-1]
-        X = window(mu, K)[:n + 1] * r
-        D = np.conjugate(T[:K, :K]) * np.multiply.outer(r, r)
-        A = np.empty((n + 1, n + 2), dtype=complex)  # G bordered by phi(z)
-        A[:, :n + 1], A[:, n + 1] = T, phi
-        A[:, :K] += X
-        A[:K, :n + 1] += np.conjugate(X.T)
-        A[:K, :K] += D
-        R, p = _bordered_cholesky(A)
-        keep = _certified(n, p.size - 1)
-        Y = np.zeros((p.size, len(keep)), dtype=complex)  # to become
-        Y[keep, np.arange(len(keep))] = 1.0                # columns of R^{-1}
-        for lo in reversed(range(0, p.size, GRAM_BLOCK)):
-            hi = lo + GRAM_BLOCK
-            Y[lo:hi] = np.linalg.solve(np.triu(R[lo:hi, lo:hi]),
-                                       Y[lo:hi] - R[lo:hi, hi:] @ Y[hi:])
-        C = np.conjugate(Y.T)  # row i: p_{keep[i]} in the phi_k
-        # conj(C) G^T = Y^T G^T: T by FFT, then the border over G's first k
-        # rows and columns
-        M, k = mu[:, None, None], min(K, p.size)
-        X = X[:p.size, :k]
-        W = _toeplitz_rows(M, C) + Y.T[:, :k] @ X.T
-        W[:, :k] += Y.T @ np.conjugate(X) + Y.T[:, :k] @ D[:k, :k].T
-        u, root = support.joukowski_root(rule.nodes)
-        x, V = (u + root) / (a + b), w[:, None, None]
+        T = window(np.concatenate([np.conjugate(mu[K - 1:0:-1]), mu[:K]]),
+                   K)[:, ::-1]
+        H = window(mu, K)  # H[j, a] = mu_{j+a}, j <= n
+        X = H * r
+        D = np.conjugate(T) * np.multiply.outer(r, r)
+        border = (T + X[:K] + np.conjugate(X[:K].T) + D,
+                  H[1:n + 2 - K, ::-1] + X[K:], phi[:K])
+        M, t, f = mu[:, None, None], None, phi[K:, None]
     else:  # |T| = 1
         poly = support.level_polynomial
         N = poly.degree
@@ -457,13 +447,25 @@ def _gram_rows(rule, support, degree, z):
         V = w[:, None, None] * Z[:, :, None] * np.conjugate(Z[:, None, :])
         M = _moments(rule.params, V.reshape(-1, N * N),
                      n // N + 1).reshape(-1, N, N)
-        t, f = complex(poly(z)), (z - s) ** np.arange(N)
-        keep = _certified(n, n)
-        p, ok, C = _block_levinson(M, t, f, n + 1, keep)
-        if not ok.all():  # again to the achieved degree, to certify its last
-            keep = _certified(n, int(ok.argmin()) - 1)
-            p, _, C = _block_levinson(M, t, f, keep[-1] + 1, keep)
-        W, x = _toeplitz_rows(M, C), poly(rule.nodes)
+        t, f, border = complex(poly(z)), (z - s) ** np.arange(N), ()
+    keep = _certified(n, n)
+    p, ok, C = _block_levinson(M, t, f, n + 1, keep, *border)
+    if not ok.all():  # again to the achieved degree, to certify its last
+        keep = _certified(n, int(ok.argmin()) - 1)
+        p, _, C = (_block_levinson(M, t, f, keep[-1] + 1, keep, *border)
+                   if keep else (p[:0], ok, np.zeros((0, 0), dtype=complex)))
+    W = _toeplitz_rows(M, C)
+    if border:
+        # conj(C) G^T: T by FFT, then the border over G's first k rows and
+        # columns
+        k, Ct = min(K, p.size), np.conjugate(C)
+        X = X[:p.size, :k]
+        W += Ct[:, :k] @ X.T
+        W[:, :k] += Ct @ np.conjugate(X) + Ct[:, :k] @ D[:k, :k].T
+        u, root = support.joukowski_root(rule.nodes)
+        x, V = (u + root) / (a + b), w[:, None, None]
+    else:
+        x = poly(rule.nodes)
     return p, C, W, _probe_misfit(M, x, V)
 
 
@@ -584,10 +586,11 @@ def _probe_misfit(M, x, V):
     return float((np.abs(lhs - rhs) / np.outer(scale, scale).reshape(-1)).max())
 
 
-def _block_levinson(M, t, f, count, keep):
+def _block_levinson(M, t, f, count, keep, *border):
     """p_0(z), ..., p_{count-1}(z) from the block Toeplitz Gram matrix
     G[jN + a, kN + b] = M[j - k, a, b], M[-d] = M[d]^H, of Phi_j = T^j f
-    with f = ((z - s)^a)_{a < N} and t = T(z).
+    with f = ((z - s)^a)_{a < N} and t = T(z), or of Phi_j(z) = f[j] given
+    when t is None.
 
     The block Levinson recursion (Whittle, Biometrika 50, 1963; Wiggins and
     Robinson, J. Geophys. Res. 70, 1965) carries the forward polynomials
@@ -607,11 +610,20 @@ def _block_levinson(M, t, f, count, keep):
     p_{jN+a} = (L_j^{-1} F_j)[a], the same polynomials as the Cholesky
     factor of G, whose pivots they are.
 
+    A ``border`` (G_aa, G_ba, phi), at N = 1, puts K more functions first:
+    G is then [[G_aa, G_ba^H], [G_ba, T]] with T the Toeplitz matrix above,
+    phi their values at z, and p, ok and C cover all count of them.  The
+    last GRAM_BLOCK coefficient rows A_j are kept, and ``_Border`` takes
+    them a block at a time.  A scalar Hermitian Toeplitz T has
+    B_j[i] = conj(A_j[j - i]) and E_j = D_j (Szegő's recursion), so with a
+    border B_j is read off A_j rather than carried.
+
     A numpy call on a small block costs microseconds, and an np.linalg call
     about ten, so the calls per step are counted.  At N = 1 the blocks are
-    Python numbers (a zero one is singular), and a step makes six array
-    operations: X_j, two bulk products, their two updates and the store of
-    D_{j+1}.  At N > 1 a step makes eleven numpy calls: X_j, written in
+    Python numbers (a zero one is singular), and a step makes five array
+    operations: X_j, two bulk products and their two updates, or four with
+    a border: X_j, a conjugate, a product and its update.  At N > 1 a step
+    makes eleven numpy calls: X_j, written in
     place; the stack [Delta_j, Delta_j^H] (a copy and a conjugate); one
     np.linalg.inv of the stack [E_j, D_j]; one product of the two stacks for
     the gains [Kf, Kb]; a product and an update for each of A and B; and one
@@ -623,47 +635,82 @@ def _block_levinson(M, t, f, count, keep):
     Phi basis (the rows of L_j^{-1} A_j), k in the ascending ``keep``.
     """
     N = M.shape[1]
-    J = (count - 1) // N
+    if border:
+        border = _Border(*border, count, keep)
+    K = border.K if border else 0
+    J = (count - K - 1) // N
+    if J < 0:  # the border alone
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return border.result(M[0].item(0).real, np.empty(0),
+                                 np.empty(0), np.empty((0, 0)))
     # block i of W holds M[i + 1] beside Phi_i(z) = t^i f, one rounding per
     # power, so that X_j = A_j W = [Delta_j | F_j(z)]
     W = np.zeros((J + 1, N, N + 1), dtype=complex)
-    W[:J, :, :N], W[:, :, N], W[0, :, N] = M[1:J + 1], t, f
-    np.multiply.accumulate(W[:, :, N], out=W[:, :, N])
+    if t is None:
+        W[:J, :, :N], W[:, :, N] = M[1:J + 1], f[:J + 1]
+    else:
+        W[:J, :, :N], W[:, :, N], W[0, :, N] = M[1:J + 1], t, f
+        np.multiply.accumulate(W[:, :, N], out=W[:, :, N])
     W = W.reshape(-1, N + 1)
-    A = np.zeros((N, (J + 1) * N), dtype=complex)  # A_j[i] in block J - j + i,
-    B = np.zeros_like(A)                            # B_j[i] in block i
-    A[:, J * N:] = B[:, :N] = np.eye(N)
+    # A_j[i] in block J - j + i of row j % R, R - 1 zero blocks beyond it, so
+    # that a block of the last R rows, read with a row stride one block short,
+    # holds A_j[i] at [j, i] (see flush); B_j[i] in block i
+    R = GRAM_BLOCK if border else 1
+    A = np.zeros((R, N, (J + R) * N), dtype=complex)
+    B = np.zeros((N, (J + 1) * N), dtype=complex)
+    A[:, :, J * N:(J + 1) * N] = B[:, :N] = np.eye(N)
     ED = np.full((J + 1, 2, N, N), np.nan, dtype=complex)  # [E_j, D_j]
     X = np.full((J + 1, N, N + 1), np.nan, dtype=complex)
     ED[0] = M[0]
     Dj = E = M[0].item(0)  # read at N = 1 only
+    Ds = [Dj]  # D_j at N = 1, stored in ED after the loop
     # [Delta_j, Delta_j^H] and the gains [Kf, Kb], at N > 1
     dd, gains = np.empty((2, 2, N, N), dtype=complex)
-    fwd, back = np.empty_like(A), np.empty_like(A)
-    blocks = sorted({k // N for k in keep})
+    fwd, back = np.empty_like(B), np.empty_like(B)
+    blocks = sorted({(k - K) // N for k in keep if k >= K})
     A_kept = np.zeros((len(blocks), N, count), dtype=complex)
+    kept_blocks, ring, end = set(blocks), list(A), (J + 1) * N
+
+    def flush(lo, hi):  # the coefficient rows of steps lo..hi-1 to the border
+        border.correlate(lo, np.lib.stride_tricks.as_strided(
+            A.reshape(-1)[J - lo:], (hi - lo, hi),
+            (A.strides[0] - A.itemsize, A.itemsize)))
+
+    lo = 0  # the first step not yet flushed to the border
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(J + 1):
             w = (j + 1) * N
-            Aj, Bj = A[:, (J - j) * N:], B[:, :w]
-            if j in blocks:
+            # A_{j+1} goes to the next row of the ring (the same one without
+            # a border)
+            row, after, Bj, Xj = ring[j % R], ring[(j + 1) % R], B[:, :w], X[j]
+            Aj = row[:, (J - j) * N:end]
+            if j in kept_blocks:
                 A_kept[blocks.index(j), :, :w] = Aj[:, :count]
-            np.matmul(Aj, W[:w], out=X[j])
+            np.dot(Aj, W[:w], out=Xj)
+            if border and (j - lo == R - 1 or j == J):
+                flush(lo, j + 1)
+                lo = j + 1
             if j == J:
                 break
             if N == 1:
-                delta = X[j].item(0)
+                delta = Xj.item(0)
                 deltaH = delta.conjugate()
                 try:
                     inv_E, inv_D = 1 / E, 1 / Dj
                 except ZeroDivisionError:  # broken down
                     break
                 Kf, Kb = delta * inv_E, deltaH * inv_D
+                if border:  # B_j is A_j reversed and conjugated, E_j = D_j
+                    np.subtract(row[:, J - j - 1:J], Kf * np.conjugate(
+                        row[:, J:J - j - 1:-1]), out=after[:, J - j - 1:J])
+                    Dj = E = Dj - Kf * deltaH
+                    Ds.append(Dj)
+                    continue
                 KbA = Kb * Aj  # before A_j turns A_{j+1}
-                A[:, J - j - 1:J] -= Kf * Bj
+                row[:, J - j - 1:J] -= Kf * Bj
                 B[:, 1:w + 1] -= KbA
                 Dj, E = Dj - Kf * deltaH, E - Kb * delta
-                ED[j + 1, 1] = Dj
+                Ds.append(Dj)
                 continue
             dd[0] = X[j, :, :N]
             np.conjugate(dd[0].T, out=dd[1])
@@ -674,16 +721,180 @@ def _block_levinson(M, t, f, count, keep):
             np.matmul(dd, inv, out=gains)
             np.matmul(gains[1], Aj, out=back[:, :w])  # before A_j turns A_{j+1}
             np.matmul(gains[0], Bj, out=fwd[:, :w])
-            A[:, (J - j - 1) * N:J * N] -= fwd[:, :w]
+            row[:, (J - j - 1) * N:J * N] -= fwd[:, :w]
             B[:, N:w + N] -= back[:, :w]
             # [E_j - Kb Delta_j, D_j - Kf Delta_j^H]
             np.subtract(ED[j], np.matmul(gains[::-1], dd), out=ED[j + 1])
+        if border:
+            if lo <= j:  # broken down inside a block
+                flush(lo, j + 1)
+            return border.result(M[0].item(0).real, np.array(Ds).real,
+                                 X[:len(Ds), 0, 1], A_kept[:, 0])
+        if N == 1:
+            ED[:len(Ds), 1, 0, 0] = Ds
         D = ED[:, 1]
         pivots, p = _block_cholesky(D, X[:, :, N:])
         _, Y = _block_cholesky(D[blocks], A_kept)
     ok = (pivots > BREAKDOWN_REL * M[0].diagonal().real).reshape(-1)[:count]
     C = np.array([Y[blocks.index(k // N), k % N] for k in keep])
     return p.reshape(-1)[:count], ok, C
+
+
+class _Border:
+    """The first K functions phi_a of a Gram matrix whose rest is Toeplitz,
+    taken into its scalar Levinson recursion: the ellipse's Hankel border
+    (Kailath and Sayed, SIAM Review 37, 1995).
+
+    The recursion's psi_j = F_j / sqrt(D_j) are orthonormal, and psi_0, ...,
+    psi_j span Phi_0, ..., Phi_j, so the polynomials of G's Cholesky factor
+    are those of the basis phi_0, ..., phi_{K-1}, psi_0, psi_1, ..., whose
+    Gram matrix is [[G_aa, g], [g^H, I]] with g[a, j] = <phi_a, psi_j>.  The
+    recursion hands over its coefficient rows GRAM_BLOCK steps at a time,
+    and one product gives their correlations conj(A_j G_ba) (``correlate``).
+    The rest waits for the end (``result``), in blocks of at most
+    GRAM_BLOCK steps, each kept degree past the border ending one.  Before
+    block b, from step lo on, the border stands as
+    b_a = phi_a - sum_{i < lo} g[a, i] psi_i, whose Gram matrix is the Schur
+    complement S_b = G_aa - sum_{i < lo} g_i g_i^H.  One Cholesky factor of
+    [[S_b, g_b], [g_b^H, I]] per block, all blocks in one batched call,
+    turns [b(z), psi(z)] into p(z), and its pivots past S_b, times D_j, are
+    G's, so the breakdown test carries over; block 0's first K rows are the
+    border's own polynomials.  The coefficient row of p_r, r = K + j, is
+    L_rr e_r^T of the inverse of the Gram matrix up to psi_j: -x on the
+    border, with x = L_rr (S_{j+1}^{-1} g_j)^H and S_{j+1} the next block's
+    S_b, and on the Phi the coefficients of L_rr psi_j plus the projection
+    of x . phi onto Phi_0, ..., Phi_j, a Toeplitz solve
+    (``_toeplitz_solve``).  The border adds O(n^2 K) time in GRAM_BLOCK-row
+    products and O(n K) memory, and O((K + GRAM_BLOCK)^2) per block for the
+    factors.
+    """
+
+    def __init__(self, G_aa, G_ba, phi, count, keep):
+        K = self.K = min(len(phi), count)
+        self.G_aa, self.G_ba, self.phi = G_aa[:K, :K], G_ba, phi[:K]
+        self.count, self.keep = count, keep
+        self.g = np.zeros((K, count - K), dtype=complex)
+
+    def correlate(self, lo, rows):
+        """conj(A_j G_ba) for steps lo <= j < hi, from their coefficient
+        rows, A_j[i] at [j - lo, i], i < hi."""
+        hi = lo + len(rows)
+        self.g[:, lo:hi] = np.conjugate(rows @ self.G_ba[:hi]).T
+
+    def result(self, mu0, D, Fz, A_kept):
+        """(p, ok, C) as ``_block_levinson`` returns them, from the steps the
+        recursion made: their D_j and F_j(z), and A_j for each kept degree
+        past the border."""
+        K, J, keep = self.K, len(D), self.keep
+        kept = [i for i, r in enumerate(keep) if K <= r < K + J]
+        ends, lo = [], 0  # the last step of each block
+        for end in [keep[i] - K for i in kept] + [J - 1]:
+            while end - lo >= GRAM_BLOCK:
+                lo += GRAM_BLOCK
+                ends.append(lo - 1)
+            if end >= lo:
+                ends.append(end)
+                lo = end + 1
+        ends = ends or [-1]  # block 0 alone carries the border if J = 0
+        nb, length = len(ends), np.diff([-1] + ends)
+        R = max(1, length.max())
+        # step j's column in the blocks, padded to R steps each
+        at = np.arange(J) + np.repeat(np.arange(nb) * R - ends + length - 1,
+                                      length)
+        s = 1 / np.sqrt(D)
+        # E[b] = [g_b; conj(psi_b(z))], zeros past each block's steps, and
+        # its running sums of E E^H give S_b and conj(b_b(z))
+        gs = np.concatenate([self.g[:, :J] * s, np.conjugate(Fz * s)[None]])
+        E = np.zeros((nb, K + 1, R), dtype=complex)
+        for b, (end, size) in enumerate(zip(ends, length)):
+            E[b, :, :size] = gs[:, end + 1 - size:end + 1]
+        EE = E @ np.conjugate(E).transpose(0, 2, 1)
+        # [[S_b, g_b], [g_b^H, I]] bordered by [b_b, psi_b](z), lower halves,
+        # and S_nb after the last block
+        F = np.zeros((nb + 1, K + R + 1, K + R + 1), dtype=complex)
+        F[0, :K, :K], F[0, -1, :K] = self.G_aa, np.conjugate(self.phi)
+        for b in range(nb):
+            F[b + 1, :K, :K] = F[b, :K, :K] - EE[b, :K, :K]
+            F[b + 1, -1, :K] = F[b, -1, :K] - EE[b, K, :K]
+        S_next, F = F[1:, :K, :K], F[:-1]
+        F[:, K:-1, :K] = np.conjugate(E[:, :K]).transpose(0, 2, 1)
+        F[:, -1, K:-1] = E[:, K]
+        F[:, range(K, K + R), range(K, K + R)] = 1.0
+        pivots, p = _cholesky_solve(F)
+        root = np.sqrt(pivots[:, K:].reshape(-1)[at])  # L's diagonal past S_b
+        p = np.concatenate([p[0, :K], p[:, K:].reshape(-1)[at]])
+        pivots = np.concatenate([pivots[0, :K], root ** 2 * D])
+        tol = np.full(K + J, BREAKDOWN_REL * mu0)
+        tol[:K] = BREAKDOWN_REL * self.G_aa.diagonal().real
+        C = np.zeros((len(keep), self.count), dtype=complex)
+        for i, r in enumerate(keep):  # L_rr e_r^T G_aa[:r+1, :r+1]^{-1}
+            if r < K:
+                e = np.zeros(r + 1)
+                e[r] = math.sqrt(pivots[r])
+                C[i, :r + 1] = np.conjugate(
+                    np.linalg.solve(self.G_aa[:r + 1, :r + 1], e))
+        if kept:  # x = L_rr (S_{j+1}^{-1} g_j)^H
+            j = np.array([keep[i] - K for i in kept])
+            b = np.searchsorted(ends, j)
+            x = root[j, None] * np.conjugate(np.linalg.solve(
+                S_next[b], E[b, :K, at[j] % R, None])[:, :, 0])
+            # x . phi projected on Phi_0, ..., Phi_j, plus L_rr psi_j
+            A = A_kept[:len(kept), :J]
+            C[kept, :K] = -x
+            C[kept, K:K + J] = np.conjugate(_toeplitz_solve(
+                A, D[j], j + 1, np.conjugate(x) @ self.G_ba[:J].T)) + (
+                    root[j] * s[j])[:, None] * A
+        return p, pivots > tol, C
+
+
+def _toeplitz_solve(A, D, size, v):
+    """T_k^{-1} v_k for each row k, T_k the Hermitian Toeplitz matrix of
+    order size[k] whose Levinson recursion ends in the monic forward row
+    A[k] (A[k, size[k] - 1] = 1, zeros beyond) with pivot D[k], by the
+    Gohberg-Semencul formula (Gohberg and Semencul, Mat. Issled. 7, 1972)
+
+        T^{-1} = (L(J a) L(J a)^H - L(Z conj(a)) L(Z conj(a))^H) / D,
+
+    L(c) the lower triangular Toeplitz matrix with first column c, J the
+    reversal and Z the shift down: four triangular Toeplitz products, each
+    an FFT product on a circulant of length P >= 2 max(size) - 1, with v
+    and the products kept to the first size[k] entries."""
+    k, n = A.shape
+    P = _fft_length(2 * n - 1)
+    inside = (np.arange(n) < size[:, None]).astype(float)
+    gen = np.zeros((2, k, P), dtype=complex)
+    gen[0, :, :n] = A[np.arange(k)[:, None], size[:, None] - 1 - np.arange(n)]
+    gen[1, :, 1:n] = np.conjugate(A[:, :-1])
+    gen[:, :, :n] *= inside
+    fg = np.fft.fft(gen)
+    half = np.fft.ifft(np.fft.fft(v * inside, P) * np.conjugate(fg))
+    half[:, :, :n] *= inside
+    half[:, :, n:] = 0.0
+    half = np.fft.fft(half)
+    half *= fg
+    out = np.fft.ifft(half[0] - half[1])[:, :n]
+    out *= inside / D[:, None]
+    return out
+
+
+def _cholesky_solve(F):
+    """Pivots of G = L L^H and L^{-1} v for each of a stack of
+    F = [[G, .], [v^H, .]], given by their lower triangles.
+
+    LAPACK factors F with the largest float in its corner, so that the last
+    row of its factor is (L^{-1} v)^H.  Where it fails, on a pivot of G not
+    positive or on a v^H G^{-1} v that overflows, ``_block_cholesky``
+    eliminates every G instead, so that its pivots show where G stops and
+    L^{-1} v overflows as it would."""
+    n = F.shape[-1] - 1
+    F[..., n, n] = sys.float_info.max
+    try:
+        L = np.linalg.cholesky(F)
+    except np.linalg.LinAlgError:
+        pivots, p = _block_cholesky(F[:, :n, :n],
+                                    np.conjugate(F[:, n, :n, None]))
+        return pivots, p[:, :, 0]
+    return L.diagonal(0, -2, -1).real[:, :n] ** 2, np.conjugate(L[:, n, :n])
 
 
 def _block_cholesky(D, X):
@@ -700,22 +911,3 @@ def _block_cholesky(D, X):
         D[:, a + 1:, a + 1:] -= col[:, :, None] * np.conjugate(col[:, None, :])
     return pivots, X
 
-
-def _bordered_cholesky(A):
-    """Upper factor R of G = R^H R and R^{-H} phi for A = [G | phi],
-    factored in place GRAM_BLOCK rows at a time; below its diagonal the
-    returned R holds leftovers of the elimination, not zeros.  Both stop
-    before the first pivot below BREAKDOWN_REL of its diagonal entry of G
-    (a pivot's rounding error is about 1e-16 of that entry)."""
-    n = A.shape[0]
-    diag = A.diagonal().real.copy()
-    for lo in range(0, n, GRAM_BLOCK):
-        hi = min(lo + GRAM_BLOCK, n)
-        A[lo:hi, lo:] -= np.conjugate(A[:lo, lo:hi]).T @ A[:lo, lo:]
-        for k in range(lo, hi):
-            A[k, k:] -= np.conjugate(A[lo:k, k]) @ A[lo:k, k:]
-            d = A[k, k].real
-            if not d > BREAKDOWN_REL * diag[k]:
-                return A[:k, :k], A[:k, n]
-            A[k, k:] /= math.sqrt(d)
-    return A[:, :n], A[:, n]

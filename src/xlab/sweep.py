@@ -114,10 +114,11 @@ def run_sweep(measure, z=None, schedule=None):
 
     ``support_prefix`` gives the kernel prefix sums K_n(z) up to
     max(schedule), by the Stieltjes recurrence on an interval, the block
-    Levinson recursion on a circle or a lemniscate and one Cholesky factor on
-    an ellipse, and they give lambda_n for all smaller n.  A row that
-    ``route_kernel`` refuses (beyond a breakdown, an overflowed kernel, or
-    every row under an uncertified route) fails with the refusal as its note.
+    Levinson recursion on a circle or a lemniscate, and on an ellipse the
+    scalar recursion with a Schur complement for its Hankel border, and they
+    give lambda_n for all smaller n.  A row that ``route_kernel`` refuses
+    (beyond a breakdown, an overflowed kernel, or every row under an
+    uncertified route) fails with the refusal as its note.
     ``result.stages`` records the time of each setup stage, the route, and
     the size and quality of the orthonormal polynomials.  Where no jump law
     applies (z off the support) the predicted limit is nan.

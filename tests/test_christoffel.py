@@ -18,6 +18,7 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 import xlab
 import xlab.christoffel as christoffel_mod
+import xlab.sweep
 from xlab.christoffel import (_finish_basis, christoffel_lambda,
                               extremal_polynomial_values, kernel_prefix,
                               orthonormalize, support_prefix)
@@ -553,21 +554,144 @@ def test_ellipse_gram_route_beyond_its_border(a, b, ns):
             assert residual <= 1e-14, (n, z)
 
 
+def _reference_bordered_cholesky(A):
+    # the upper factor R of G = R^H R and R^{-H} phi for A = [G | phi],
+    # factored in place GRAM_BLOCK rows at a time, the dense factor the
+    # ellipse's Levinson core is checked against: both stop before the
+    # first pivot below BREAKDOWN_REL of its diagonal entry of G
+    n = A.shape[0]
+    diag = A.diagonal().real.copy()
+    for lo in range(0, n, christoffel_mod.GRAM_BLOCK):
+        hi = min(lo + christoffel_mod.GRAM_BLOCK, n)
+        A[lo:hi, lo:] -= np.conjugate(A[:lo, lo:hi]).T @ A[:lo, lo:]
+        for k in range(lo, hi):
+            A[k, k:] -= np.conjugate(A[lo:k, k]) @ A[lo:k, k:]
+            d = A[k, k].real
+            if not d > christoffel_mod.BREAKDOWN_REL * diag[k]:
+                return A[:k, :k], A[:k, n]
+            A[k, k:] /= math.sqrt(d)
+    return A[:, :n], A[:, n]
+
+
+def _reference_ellipse_rows(rule, support, degree, z):
+    # the ellipse's Gram route by a dense factor: the (n+1) x (n+2)
+    # assembly of G bordered by phi(z), one Cholesky factor and a blocked
+    # back substitution for the kept rows
+    cm = christoffel_mod
+    w, n = rule.weights, degree
+    _, rho, a, b = support.joukowski_frame
+    q = np.arange(n + 1)
+    r = ((a - b) / (a + b)) ** q
+    K = int(np.count_nonzero(r >= cm.HANKEL_CUT))
+    r = r[:K]
+    mu = cm._moments(rule.params + support.rotation - rho, w, n + K)
+    u, root = support.joukowski_root(z)
+    phi = ((u + root) / (a + b)) ** q + ((u - root) / (a + b)) ** q
+    window = np.lib.stride_tricks.sliding_window_view
+    T = window(np.concatenate([np.conjugate(mu[n:0:-1]), mu[:n + 1]]),
+               n + 1)[:, ::-1]
+    X = window(mu, K)[:n + 1] * r
+    D = np.conjugate(T[:K, :K]) * np.multiply.outer(r, r)
+    A = np.empty((n + 1, n + 2), dtype=complex)
+    A[:, :n + 1], A[:, n + 1] = T, phi
+    A[:, :K] += X
+    A[:K, :n + 1] += np.conjugate(X.T)
+    A[:K, :K] += D
+    R, p = _reference_bordered_cholesky(A)
+    keep = cm._certified(n, p.size - 1)
+    Y = np.zeros((p.size, len(keep)), dtype=complex)
+    Y[keep, np.arange(len(keep))] = 1.0
+    for lo in reversed(range(0, p.size, cm.GRAM_BLOCK)):
+        hi = lo + cm.GRAM_BLOCK
+        Y[lo:hi] = np.linalg.solve(np.triu(R[lo:hi, lo:hi]),
+                                   Y[lo:hi] - R[lo:hi, hi:] @ Y[hi:])
+    C = np.conjugate(Y.T)
+    M, k = mu[:, None, None], min(K, p.size)
+    X = X[:p.size, :k]
+    W = cm._toeplitz_rows(M, C) + Y.T[:, :k] @ X.T
+    W[:, :k] += Y.T @ np.conjugate(X) + Y.T[:, :k] @ D[:k, :k].T
+    u, root = support.joukowski_root(rule.nodes)
+    x, V = (u + root) / (a + b), w[:, None, None]
+    return p, C, W, cm._probe_misfit(M, x, V)
+
+
+@pytest.mark.parametrize("a, b", [(1.25, 0.75), (1.0, 0.1), (1.0, 2.0),
+                                  (0.9, 0.9)],
+                         ids=["standard", "flat", "tall", "round"])
+def test_ellipse_route_matches_its_dense_reference(a, b):
+    # the Levinson core with the border's Schur complement against the dense
+    # bordered Cholesky factor it replaced (K = 33, 222, 41 and 1): the same
+    # achieved degree and K_n(z) within 1e-13 at every degree, inside and
+    # across the border and its first blocks, at z0, inside the curve and
+    # outside it, where the prefix overflows at the same degrees
+    measure = ellipse_jump_measure(a, b)
+    for n in (8, 32, 33, 34, 96, 512):
+        rule = build_rule(measure, n)
+        for z in (measure.z0, 0.3 + 0.2j, 2.0 + 1.0j):
+            got = support_prefix(rule, measure.support, n, z)[0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = _reference_ellipse_rows(rule, measure.support, n, z)[0]
+                want = np.cumsum(np.abs(p) ** 2)
+            finite = np.isfinite(want)
+            assert got.size == want.size, (n, z)
+            assert np.array_equal(np.isfinite(got), finite), (n, z)
+            error = np.abs(got[finite] - want[finite]) / want[finite]
+            assert error.max() <= 1e-13, (n, z)
+
+
+def _ellipse_rule(count):
+    """``count`` distinct nodes on the 1.25/0.75 ellipse, at uneven angles
+    and weights, exact (by fiat) well beyond what they can carry."""
+    t = 2 * math.pi * (np.arange(count) + 0.3 * np.sin(np.arange(count))) / count
+    return QuadratureRule(nodes=1.25 * np.cos(t) + 0.75j * np.sin(t),
+                          weights=np.linspace(0.5, 1.5, count), params=t,
+                          max_exact_degree=200)
+
+
+@pytest.mark.parametrize("count, n", [(5, 8), (41, 64)],
+                         ids=["inside-border", "beyond-border"])
+def test_ellipse_breakdown_matches_arnoldi(monkeypatch, count, n):
+    # count distinct nodes carry degree count - 1: inside the Hankel border
+    # (K = 33) and beyond it, the route stops where Arnoldi does, kernel
+    # lambda refuses with that degree and the sweep fails every row above it
+    measure = ellipse_jump_measure(1.25, 0.75)
+    rule = _ellipse_rule(count)
+    with pytest.raises(DegeneracyError) as err:
+        orthonormalize(rule, n)
+    degree = err.value.achieved_degree
+    assert degree == count - 1
+    for z in (measure.z0, 0.3 + 0.2j):
+        prefix, residual, _ = support_prefix(rule, measure.support, n, z)
+        assert prefix.size - 1 == degree
+        want = kernel_prefix(err.value.basis, z)
+        assert np.max(np.abs(prefix - want) / want) <= 1e-12
+        assert residual < 1e-13
+    monkeypatch.setattr(christoffel_mod, "build_rule", lambda *args: rule)
+    monkeypatch.setattr(xlab.sweep, "build_rule", lambda *args: rule)
+    with pytest.raises(DegeneracyError) as refused:
+        christoffel_lambda(measure, n)
+    assert refused.value.achieved_degree == degree
+    schedule = [degree - 1, degree, degree + 1, n]
+    rows = run_sweep(measure, schedule=schedule).rows
+    assert [row.ok for row in rows] == [True, True, False, False]
+
+
 def test_certificate_refuses_a_wrong_gram_matrix(monkeypatch):
     # conj(G) factored on the ellipse (residual 0.25) and conj(M) taken by
     # block Levinson on a circle jump at t = 1 (9.0e-2) fail the
     # certificate; the standard circle jump at t = pi/2 is symmetric under
     # conjugation, so there the same mutation changes nothing
-    real_cholesky = christoffel_mod._bordered_cholesky
     real_levinson = christoffel_mod._block_levinson
 
-    def conjugated_cholesky(A):
-        A[:, :-1] = np.conjugate(A[:, :-1])
-        return real_cholesky(A)
+    def conjugated_border(M, t, f, count, keep, G_aa, G_ba, phi):
+        # every Gram entry the factor reads: the Toeplitz moments and both
+        # blocks of the border; the certificate forms its own from mu
+        return real_levinson(np.conjugate(M), t, f, count, keep,
+                             np.conjugate(G_aa), np.conjugate(G_ba), phi)
 
     conjugated_levinson = lambda M, *args: real_levinson(np.conjugate(M), *args)
-    cases = ((ellipse_jump_measure(1.25, 0.75), "_bordered_cholesky",
-              conjugated_cholesky, 0.2),
+    cases = ((ellipse_jump_measure(1.25, 0.75), "_block_levinson",
+              conjugated_border, 0.2),
              (circle_jump_measure(jump_param=1.0), "_block_levinson",
               conjugated_levinson, 5e-2))
     for measure, name, wrong, floor in cases:
