@@ -59,7 +59,7 @@ BREAKDOWN_REL = 1e-14
 # second pass and K_512(z0) drifts 6.5e-13 from the Stieltjes recurrence.
 REORTH = 2 ** -0.5
 GRAM_BLOCK = 64        # rows or columns per block product (certificates,
-                       # moments, the ellipse border's correlations and blocks)
+                       # moments, the ellipse border's correlations)
 CERTIFY_STRIDE = 32    # the certificate keeps every CERTIFY_STRIDE-th polynomial,
 CERTIFY_COUNT = 16     # and no more than CERTIFY_COUNT + 1 (see _certified)
 CERTIFY_TOL = 1e-10    # certificate residual above which a result is refused
@@ -399,11 +399,11 @@ def _gram_rows(rule, support, degree, z):
     first K rows and columns, K the number of r^k that reach HANKEL_CUT
     (33 at r = 1/4, 1 on a round ellipse), so it takes moments only to
     degree + K; past the border G is the Toeplitz matrix of the circle's
-    kind, so ``_block_levinson`` runs the scalar recursion on it, with the
-    values phi_{K+i}(z) in place of the powers T(z)^i, and takes the border
-    in through a K x K Schur complement (``_Border``), in
-    O(degree^2 K + degree m).  Either route stops before its first pivot
-    below BREAKDOWN_REL of its diagonal entry of G.
+    kind, so ``_szego_border`` runs Szegő's recursion on it, with the values
+    phi_{K+i}(z) in place of the powers T(z)^i, and takes the border in
+    through K x K Schur complements, in O(degree^2 K + degree m).  Either
+    route stops before its first pivot below BREAKDOWN_REL of its diagonal
+    entry of G.
 
     Returns (p, C, W, misfit): p(z) up to the degree where the factor breaks
     down; C, the coefficient rows of the kept p_k in the phi_k; W =
@@ -436,9 +436,9 @@ def _gram_rows(rule, support, degree, z):
         H = window(mu, K)  # H[j, a] = mu_{j+a}, j <= n
         X = H * r
         D = np.conjugate(T) * np.multiply.outer(r, r)
-        border = (T + X[:K] + np.conjugate(X[:K].T) + D,
-                  H[1:n + 2 - K, ::-1] + X[K:], phi[:K])
-        M, t, f = mu[:, None, None], None, phi[K:, None]
+        M, factor = mu[:, None, None], _szego_border
+        args = (mu, phi, T + X[:K] + np.conjugate(X[:K].T) + D,
+                H[1:n + 2 - K, ::-1] + X[K:])
     else:  # |T| = 1
         poly = support.level_polynomial
         N = poly.degree
@@ -447,15 +447,16 @@ def _gram_rows(rule, support, degree, z):
         V = w[:, None, None] * Z[:, :, None] * np.conjugate(Z[:, None, :])
         M = _moments(rule.params, V.reshape(-1, N * N),
                      n // N + 1).reshape(-1, N, N)
-        t, f, border = complex(poly(z)), (z - s) ** np.arange(N), ()
+        factor = _block_levinson
+        args = (M, complex(poly(z)), (z - s) ** np.arange(N))
     keep = _certified(n, n)
-    p, ok, C = _block_levinson(M, t, f, n + 1, keep, *border)
+    p, ok, C = factor(*args, n + 1, keep)
     if not ok.all():  # again to the achieved degree, to certify its last
         keep = _certified(n, int(ok.argmin()) - 1)
-        p, _, C = (_block_levinson(M, t, f, keep[-1] + 1, keep, *border)
-                   if keep else (p[:0], ok, np.zeros((0, 0), dtype=complex)))
+        p, _, C = (factor(*args, keep[-1] + 1, keep) if keep else
+                   (p[:0], ok, np.zeros((0, 0), dtype=complex)))
     W = _toeplitz_rows(M, C)
-    if border:
+    if support.kind == "ellipse":
         # conj(C) G^T: T by FFT, then the border over G's first k rows and
         # columns
         k, Ct = min(K, p.size), np.conjugate(C)
@@ -586,11 +587,10 @@ def _probe_misfit(M, x, V):
     return float((np.abs(lhs - rhs) / np.outer(scale, scale).reshape(-1)).max())
 
 
-def _block_levinson(M, t, f, count, keep, *border):
+def _block_levinson(M, t, f, count, keep):
     """p_0(z), ..., p_{count-1}(z) from the block Toeplitz Gram matrix
     G[jN + a, kN + b] = M[j - k, a, b], M[-d] = M[d]^H, of Phi_j = T^j f
-    with f = ((z - s)^a)_{a < N} and t = T(z), or of Phi_j(z) = f[j] given
-    when t is None.
+    with f = ((z - s)^a)_{a < N} and t = T(z).
 
     The block Levinson recursion (Whittle, Biometrika 50, 1963; Wiggins and
     Robinson, J. Geophys. Res. 70, 1965) carries the forward polynomials
@@ -610,20 +610,11 @@ def _block_levinson(M, t, f, count, keep, *border):
     p_{jN+a} = (L_j^{-1} F_j)[a], the same polynomials as the Cholesky
     factor of G, whose pivots they are.
 
-    A ``border`` (G_aa, G_ba, phi), at N = 1, puts K more functions first:
-    G is then [[G_aa, G_ba^H], [G_ba, T]] with T the Toeplitz matrix above,
-    phi their values at z, and p, ok and C cover all count of them.  The
-    last GRAM_BLOCK coefficient rows A_j are kept, and ``_Border`` takes
-    them a block at a time.  A scalar Hermitian Toeplitz T has
-    B_j[i] = conj(A_j[j - i]) and E_j = D_j (Szegő's recursion), so with a
-    border B_j is read off A_j rather than carried.
-
     A numpy call on a small block costs microseconds, and an np.linalg call
     about ten, so the calls per step are counted.  At N = 1 the blocks are
-    Python numbers (a zero one is singular), and a step makes five array
-    operations: X_j, two bulk products and their two updates, or four with
-    a border: X_j, a conjugate, a product and its update.  At N > 1 a step
-    makes eleven numpy calls: X_j, written in
+    Python numbers (a zero one is singular), D_j goes to a Python list, and
+    a step makes five array operations: X_j, two bulk products and their two
+    updates.  At N > 1 a step makes eleven numpy calls: X_j, written in
     place; the stack [Delta_j, Delta_j^H] (a copy and a conjugate); one
     np.linalg.inv of the stack [E_j, D_j]; one product of the two stacks for
     the gains [Kf, Kb]; a product and an update for each of A and B; and one
@@ -635,30 +626,16 @@ def _block_levinson(M, t, f, count, keep, *border):
     Phi basis (the rows of L_j^{-1} A_j), k in the ascending ``keep``.
     """
     N = M.shape[1]
-    if border:
-        border = _Border(*border, count, keep)
-    K = border.K if border else 0
-    J = (count - K - 1) // N
-    if J < 0:  # the border alone
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return border.result(M[0].item(0).real, np.empty(0),
-                                 np.empty(0), np.empty((0, 0)))
+    J = (count - 1) // N
     # block i of W holds M[i + 1] beside Phi_i(z) = t^i f, one rounding per
     # power, so that X_j = A_j W = [Delta_j | F_j(z)]
     W = np.zeros((J + 1, N, N + 1), dtype=complex)
-    if t is None:
-        W[:J, :, :N], W[:, :, N] = M[1:J + 1], f[:J + 1]
-    else:
-        W[:J, :, :N], W[:, :, N], W[0, :, N] = M[1:J + 1], t, f
-        np.multiply.accumulate(W[:, :, N], out=W[:, :, N])
+    W[:J, :, :N], W[:, :, N], W[0, :, N] = M[1:J + 1], t, f
+    np.multiply.accumulate(W[:, :, N], out=W[:, :, N])
     W = W.reshape(-1, N + 1)
-    # A_j[i] in block J - j + i of row j % R, R - 1 zero blocks beyond it, so
-    # that a block of the last R rows, read with a row stride one block short,
-    # holds A_j[i] at [j, i] (see flush); B_j[i] in block i
-    R = GRAM_BLOCK if border else 1
-    A = np.zeros((R, N, (J + R) * N), dtype=complex)
-    B = np.zeros((N, (J + 1) * N), dtype=complex)
-    A[:, :, J * N:(J + 1) * N] = B[:, :N] = np.eye(N)
+    A = np.zeros((N, (J + 1) * N), dtype=complex)  # A_j[i] in block J - j + i,
+    B = np.zeros_like(A)                            # B_j[i] in block i
+    A[:, J * N:] = B[:, :N] = np.eye(N)
     ED = np.full((J + 1, 2, N, N), np.nan, dtype=complex)  # [E_j, D_j]
     X = np.full((J + 1, N, N + 1), np.nan, dtype=complex)
     ED[0] = M[0]
@@ -666,48 +643,28 @@ def _block_levinson(M, t, f, count, keep, *border):
     Ds = [Dj]  # D_j at N = 1, stored in ED after the loop
     # [Delta_j, Delta_j^H] and the gains [Kf, Kb], at N > 1
     dd, gains = np.empty((2, 2, N, N), dtype=complex)
-    fwd, back = np.empty_like(B), np.empty_like(B)
-    blocks = sorted({(k - K) // N for k in keep if k >= K})
+    fwd, back = np.empty_like(A), np.empty_like(A)
+    blocks = sorted({k // N for k in keep})
     A_kept = np.zeros((len(blocks), N, count), dtype=complex)
-    kept_blocks, ring, end = set(blocks), list(A), (J + 1) * N
-
-    def flush(lo, hi):  # the coefficient rows of steps lo..hi-1 to the border
-        border.correlate(lo, np.lib.stride_tricks.as_strided(
-            A.reshape(-1)[J - lo:], (hi - lo, hi),
-            (A.strides[0] - A.itemsize, A.itemsize)))
-
-    lo = 0  # the first step not yet flushed to the border
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(J + 1):
             w = (j + 1) * N
-            # A_{j+1} goes to the next row of the ring (the same one without
-            # a border)
-            row, after, Bj, Xj = ring[j % R], ring[(j + 1) % R], B[:, :w], X[j]
-            Aj = row[:, (J - j) * N:end]
-            if j in kept_blocks:
+            Aj, Bj = A[:, (J - j) * N:], B[:, :w]
+            if j in blocks:
                 A_kept[blocks.index(j), :, :w] = Aj[:, :count]
-            np.dot(Aj, W[:w], out=Xj)
-            if border and (j - lo == R - 1 or j == J):
-                flush(lo, j + 1)
-                lo = j + 1
+            np.dot(Aj, W[:w], out=X[j])
             if j == J:
                 break
             if N == 1:
-                delta = Xj.item(0)
+                delta = X[j].item(0)
                 deltaH = delta.conjugate()
                 try:
                     inv_E, inv_D = 1 / E, 1 / Dj
                 except ZeroDivisionError:  # broken down
                     break
                 Kf, Kb = delta * inv_E, deltaH * inv_D
-                if border:  # B_j is A_j reversed and conjugated, E_j = D_j
-                    np.subtract(row[:, J - j - 1:J], Kf * np.conjugate(
-                        row[:, J:J - j - 1:-1]), out=after[:, J - j - 1:J])
-                    Dj = E = Dj - Kf * deltaH
-                    Ds.append(Dj)
-                    continue
                 KbA = Kb * Aj  # before A_j turns A_{j+1}
-                row[:, J - j - 1:J] -= Kf * Bj
+                A[:, J - j - 1:J] -= Kf * Bj
                 B[:, 1:w + 1] -= KbA
                 Dj, E = Dj - Kf * deltaH, E - Kb * delta
                 Ds.append(Dj)
@@ -721,15 +678,10 @@ def _block_levinson(M, t, f, count, keep, *border):
             np.matmul(dd, inv, out=gains)
             np.matmul(gains[1], Aj, out=back[:, :w])  # before A_j turns A_{j+1}
             np.matmul(gains[0], Bj, out=fwd[:, :w])
-            row[:, (J - j - 1) * N:J * N] -= fwd[:, :w]
+            A[:, (J - j - 1) * N:J * N] -= fwd[:, :w]
             B[:, N:w + N] -= back[:, :w]
             # [E_j - Kb Delta_j, D_j - Kf Delta_j^H]
             np.subtract(ED[j], np.matmul(gains[::-1], dd), out=ED[j + 1])
-        if border:
-            if lo <= j:  # broken down inside a block
-                flush(lo, j + 1)
-            return border.result(M[0].item(0).real, np.array(Ds).real,
-                                 X[:len(Ds), 0, 1], A_kept[:, 0])
         if N == 1:
             ED[:len(Ds), 1, 0, 0] = Ds
         D = ED[:, 1]
@@ -740,118 +692,145 @@ def _block_levinson(M, t, f, count, keep, *border):
     return p.reshape(-1)[:count], ok, C
 
 
-class _Border:
-    """The first K functions phi_a of a Gram matrix whose rest is Toeplitz,
-    taken into its scalar Levinson recursion: the ellipse's Hankel border
-    (Kailath and Sayed, SIAM Review 37, 1995).
+def _szego_border(mu, phi, G_aa, G_ba, count, keep):
+    """p_0(z), ..., p_{count-1}(z) from G = [[G_aa, G_ba^H], [G_ba, T]]:
+    K border functions first, then a Toeplitz part T[i, k] = mu_{i-k} whose
+    functions Phi_i take the values phi[K + i] at z (phi[:K] are the
+    border's); a Toeplitz matrix with a border (Kailath and Sayed, SIAM
+    Review 37, 1995).
 
-    The recursion's psi_j = F_j / sqrt(D_j) are orthonormal, and psi_0, ...,
-    psi_j span Phi_0, ..., Phi_j, so the polynomials of G's Cholesky factor
-    are those of the basis phi_0, ..., phi_{K-1}, psi_0, psi_1, ..., whose
-    Gram matrix is [[G_aa, g], [g^H, I]] with g[a, j] = <phi_a, psi_j>.  The
-    recursion hands over its coefficient rows GRAM_BLOCK steps at a time,
-    and one product gives their correlations conj(A_j G_ba) (``correlate``).
-    The rest waits for the end (``result``), in blocks of at most
-    GRAM_BLOCK steps, each kept degree past the border ending one.  Before
-    block b, from step lo on, the border stands as
-    b_a = phi_a - sum_{i < lo} g[a, i] psi_i, whose Gram matrix is the Schur
-    complement S_b = G_aa - sum_{i < lo} g_i g_i^H.  One Cholesky factor of
-    [[S_b, g_b], [g_b^H, I]] per block, all blocks in one batched call,
-    turns [b(z), psi(z)] into p(z), and its pivots past S_b, times D_j, are
-    G's, so the breakdown test carries over; block 0's first K rows are the
-    border's own polynomials.  The coefficient row of p_r, r = K + j, is
-    L_rr e_r^T of the inverse of the Gram matrix up to psi_j: -x on the
-    border, with x = L_rr (S_{j+1}^{-1} g_j)^H and S_{j+1} the next block's
-    S_b, and on the Phi the coefficients of L_rr psi_j plus the projection
-    of x . phi onto Phi_0, ..., Phi_j, a Toeplitz solve
-    (``_toeplitz_solve``).  The border adds O(n^2 K) time in GRAM_BLOCK-row
-    products and O(n K) memory, and O((K + GRAM_BLOCK)^2) per block for the
-    factors.
+    Szegő's recursion, the scalar case of ``_block_levinson`` with
+    B_j[i] = conj(A_j[j - i]) and E_j = D_j, factors T: its psi_j =
+    F_j / sqrt(D_j) are orthonormal and span what Phi_0, ..., Phi_j span,
+    so G's polynomials are those of the basis phi_0, ..., phi_{K-1},
+    psi_0, psi_1, ..., whose Gram matrix is [[G_aa, g], [g^H, I]] with
+    g_j = G_ba^H psi_j^H.  A step makes four numpy calls: A_j times the
+    columns [mu_{i+1}, Phi_i(z)] gives Delta_j and F_j(z), and a conjugate,
+    a product and a subtraction turn A_j into A_{j+1}.  The last GRAM_BLOCK
+    rows A_j stay in a ring, and every GRAM_BLOCK steps one product with
+    G_ba gives their correlations with the border; ``_border_blocks`` does
+    the rest.  O(count^2 K) time and O(count (K + GRAM_BLOCK)) memory.
+
+    Returns (p, ok, C) as ``_block_levinson`` does, over all count
+    functions, border first.
     """
+    K = min(len(G_aa), count)
+    J, R = count - K - 1, GRAM_BLOCK  # the last Toeplitz step
+    steps = {r - K for r in keep if r >= K}  # kept steps
+    D, A_kept = [], {}
+    AG = np.empty((max(J + 1, 0), K + 1), dtype=complex)  # [A_j G_ba, F_j(z)]
+    W = np.stack([mu[1:J + 2], phi[K:count]], axis=1)
+    ring = np.zeros((R, J + 3), dtype=complex)  # A_j[i] in column i + 1 of
+    ring[0, 1], v = 1.0, np.empty(J + 2, dtype=complex)  # row j % R
+    Dj, lo = mu[0].item(), 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(J + 1):
+            row = ring[j % R]
+            delta, AG[j, K] = np.dot(row[1:j + 2], W[:j + 1]).tolist()
+            D.append(Dj)
+            if j in steps:
+                A_kept[j] = row[1:j + 2].copy()
+            if j % R == R - 1:
+                AG[lo:j + 1, :K] = ring[:, 1:j + 2] @ G_ba[:j + 1]
+                lo = j + 1
+            if j == J:
+                break
+            try:
+                Kf = delta / Dj
+            except ZeroDivisionError:  # broken down
+                break
+            Dj -= Kf * delta.conjugate()
+            Bj = np.conjugate(row[j + 1::-1], out=v[:j + 2])  # B_j
+            Bj *= Kf
+            np.subtract(row[:j + 2], Bj, out=ring[(j + 1) % R, 1:j + 3])
+        j = len(D)
+        if lo < j:
+            AG[lo:j, :K] = ring[:j - lo, 1:j + 1] @ G_ba[:j]
+        return _border_blocks(mu[0].real, G_aa[:K, :K], G_ba, phi[:K],
+                              np.array(D).real, AG[:j], A_kept, count, keep)
 
-    def __init__(self, G_aa, G_ba, phi, count, keep):
-        K = self.K = min(len(phi), count)
-        self.G_aa, self.G_ba, self.phi = G_aa[:K, :K], G_ba, phi[:K]
-        self.count, self.keep = count, keep
-        self.g = np.zeros((K, count - K), dtype=complex)
 
-    def correlate(self, lo, rows):
-        """conj(A_j G_ba) for steps lo <= j < hi, from their coefficient
-        rows, A_j[i] at [j - lo, i], i < hi."""
-        hi = lo + len(rows)
-        self.g[:, lo:hi] = np.conjugate(rows @ self.G_ba[:hi]).T
+def _border_blocks(mu0, G_aa, G_ba, phi, D, AG, A_kept, count, keep):
+    """(p, ok, C) of ``_szego_border`` from the Toeplitz steps it made: D_j,
+    the rows [A_j G_ba, F_j(z)] and the kept A_j.
 
-    def result(self, mu0, D, Fz, A_kept):
-        """(p, ok, C) as ``_block_levinson`` returns them, from the steps the
-        recursion made: their D_j and F_j(z), and A_j for each kept degree
-        past the border."""
-        K, J, keep = self.K, len(D), self.keep
-        kept = [i for i, r in enumerate(keep) if K <= r < K + J]
-        ends, lo = [], 0  # the last step of each block
-        for end in [keep[i] - K for i in kept] + [J - 1]:
-            while end - lo >= GRAM_BLOCK:
-                lo += GRAM_BLOCK
-                ends.append(lo - 1)
-            if end >= lo:
-                ends.append(end)
-                lo = end + 1
-        ends = ends or [-1]  # block 0 alone carries the border if J = 0
-        nb, length = len(ends), np.diff([-1] + ends)
-        R = max(1, length.max())
-        # step j's column in the blocks, padded to R steps each
-        at = np.arange(J) + np.repeat(np.arange(nb) * R - ends + length - 1,
-                                      length)
-        s = 1 / np.sqrt(D)
-        # E[b] = [g_b; conj(psi_b(z))], zeros past each block's steps, and
-        # its running sums of E E^H give S_b and conj(b_b(z))
-        gs = np.concatenate([self.g[:, :J] * s, np.conjugate(Fz * s)[None]])
-        E = np.zeros((nb, K + 1, R), dtype=complex)
-        for b, (end, size) in enumerate(zip(ends, length)):
-            E[b, :, :size] = gs[:, end + 1 - size:end + 1]
-        EE = E @ np.conjugate(E).transpose(0, 2, 1)
-        # [[S_b, g_b], [g_b^H, I]] bordered by [b_b, psi_b](z), lower halves,
-        # and S_nb after the last block
-        F = np.zeros((nb + 1, K + R + 1, K + R + 1), dtype=complex)
-        F[0, :K, :K], F[0, -1, :K] = self.G_aa, np.conjugate(self.phi)
-        for b in range(nb):
-            F[b + 1, :K, :K] = F[b, :K, :K] - EE[b, :K, :K]
-            F[b + 1, -1, :K] = F[b, -1, :K] - EE[b, K, :K]
-        S_next, F = F[1:, :K, :K], F[:-1]
-        F[:, K:-1, :K] = np.conjugate(E[:, :K]).transpose(0, 2, 1)
-        F[:, -1, K:-1] = E[:, K]
-        F[:, range(K, K + R), range(K, K + R)] = 1.0
-        pivots, p = _cholesky_solve(F)
-        root = np.sqrt(pivots[:, K:].reshape(-1)[at])  # L's diagonal past S_b
-        p = np.concatenate([p[0, :K], p[:, K:].reshape(-1)[at]])
-        pivots = np.concatenate([pivots[0, :K], root ** 2 * D])
-        tol = np.full(K + J, BREAKDOWN_REL * mu0)
-        tol[:K] = BREAKDOWN_REL * self.G_aa.diagonal().real
-        C = np.zeros((len(keep), self.count), dtype=complex)
-        for i, r in enumerate(keep):  # L_rr e_r^T G_aa[:r+1, :r+1]^{-1}
-            if r < K:
-                e = np.zeros(r + 1)
-                e[r] = math.sqrt(pivots[r])
-                C[i, :r + 1] = np.conjugate(
-                    np.linalg.solve(self.G_aa[:r + 1, :r + 1], e))
-        if kept:  # x = L_rr (S_{j+1}^{-1} g_j)^H
-            j = np.array([keep[i] - K for i in kept])
-            b = np.searchsorted(ends, j)
-            x = root[j, None] * np.conjugate(np.linalg.solve(
-                S_next[b], E[b, :K, at[j] % R, None])[:, :, 0])
-            # x . phi projected on Phi_0, ..., Phi_j, plus L_rr psi_j
-            A = A_kept[:len(kept), :J]
-            C[kept, :K] = -x
-            C[kept, K:K + J] = np.conjugate(_toeplitz_solve(
-                A, D[j], j + 1, np.conjugate(x) @ self.G_ba[:J].T)) + (
-                    root[j] * s[j])[:, None] * A
-        return p, pivots > tol, C
+    The steps go in blocks of L, the power of two nearest K/2 (at least
+    CERTIFY_STRIDE / 2), each starting at a degree divisible by L.  Before
+    block b the border stands as b_a = phi_a - sum g_j[a] psi_j over the
+    earlier steps, whose Gram matrix is the Schur complement
+    S_b = G_aa - sum g_j g_j^H.  One Cholesky factor of
+    [[S_b, g_b], [g_b^H, I]] per block, all blocks in one batched call,
+    turns [b_b(z), psi_b(z)] into p(z) (``_cholesky_solve``); its pivots
+    past S_b, times D_j, are G's, so the breakdown test carries over, and
+    block 0 gives the border's own polynomials.  The factors cost
+    (K + L)^3 / 3 per L steps, least near L = K/2.  The coefficient row of
+    p_r, r = K + j, is -x on the border, with x = (S_j^{-1} g_j)^H / root_j
+    and root_j the factor's diagonal entry at step j (one batched K x K
+    solve), and on the Phi the coefficients of L_rr psi_j plus the
+    projection of x . phi onto Phi_0, ..., Phi_j, a Toeplitz solve
+    (``_toeplitz_solve``).
+    """
+    K, n = len(G_aa), len(D)
+    L = max(CERTIFY_STRIDE // 2, 2 ** round(math.log2(K / 2)))
+    s = 1 / np.sqrt(D)
+    first = K % L  # step j in row first + j of the blocks, degree K + j
+    nb = max(1, -(-(first + n) // L))
+    Eb = np.zeros((nb * L, K + 1), dtype=complex)
+    E = np.multiply(np.conjugate(AG), s[:, None], out=Eb[first:first + n])
+    Eb = Eb.reshape(nb, L, K + 1)  # rows [g_j^T, conj(psi_j(z))]
+    # [S_b; conj(b_b)^T]: G_aa and conj(phi) less the running sums of
+    # [g_j; conj(psi_j(z))] g_j^H over the earlier blocks
+    P = np.empty((nb, K + 1, K), dtype=complex)
+    P[0, :K], P[0, K] = G_aa, np.conjugate(phi)
+    EE = Eb[:-1].transpose(0, 2, 1) @ np.conjugate(Eb[:-1, :, :K])
+    for b in range(1, nb):
+        np.subtract(P[b - 1], EE[b - 1], out=P[b])
+    F = np.zeros((nb, K + L + 1, K + L + 1), dtype=complex)  # lower halves
+    F[:, [*range(K), K + L], :K] = P
+    F[:, K:-1, :K] = np.conjugate(Eb[:, :, :K])
+    F[:, -1, K:-1] = Eb[:, :, K]
+    F[:, range(K, K + L), range(K, K + L)] = 1.0
+    pivots, p = _cholesky_solve(F)
+    at = first + np.arange(n)
+    root = np.sqrt(pivots[:, K:].reshape(-1)[at])  # L's diagonal past S_b
+    p = np.concatenate([p[0, :K], p[:, K:].reshape(-1)[at]])
+    pivots = np.concatenate([pivots[0, :K], root ** 2 * D])
+    tol = np.full(K + n, BREAKDOWN_REL * mu0)
+    tol[:K] = BREAKDOWN_REL * G_aa.diagonal().real
+    C = np.zeros((len(keep), count), dtype=complex)
+    for i, r in enumerate(keep):  # L_rr e_r^T G_aa[:r+1, :r+1]^{-1}
+        if r < K:
+            e = np.zeros(r + 1)
+            e[r] = math.sqrt(pivots[r])
+            C[i, :r + 1] = np.conjugate(
+                np.linalg.solve(G_aa[:r + 1, :r + 1], e))
+    kept = [i for i, r in enumerate(keep) if K <= r < K + n]
+    if kept:
+        j = np.array([keep[i] - K for i in kept])
+        b, c = divmod(at[j], L)
+        S = P[b, :K]  # S_j, for a kept step past the start of its block
+        if c.any():   # less that block's earlier steps
+            Ej = Eb[b, :, :K] * (np.arange(L) < c[:, None])[:, :, None]
+            S -= Ej.transpose(0, 2, 1) @ np.conjugate(Ej)
+        x = np.conjugate(np.linalg.solve(S, E[j, :K, None])[:, :, 0])
+        x /= root[j, None]
+        A = np.zeros((2, len(j), n), dtype=complex)  # A_j, and right-aligned
+        for k, i in enumerate(j):
+            A[0, k, :i + 1] = A[1, k, n - 1 - i:] = A_kept[i]
+        # x . phi projected on Phi_0, ..., Phi_j, plus L_rr psi_j
+        C[kept, :K] = -x
+        C[kept, K:K + n] = np.conjugate(_toeplitz_solve(
+            A, D[j], j + 1, np.conjugate(x) @ G_ba[:n].T)) + (
+                root[j] * s[j])[:, None] * A[0]
+    return p, pivots > tol, C
 
 
 def _toeplitz_solve(A, D, size, v):
     """T_k^{-1} v_k for each row k, T_k the Hermitian Toeplitz matrix of
     order size[k] whose Levinson recursion ends in the monic forward row
-    A[k] (A[k, size[k] - 1] = 1, zeros beyond) with pivot D[k], by the
-    Gohberg-Semencul formula (Gohberg and Semencul, Mat. Issled. 7, 1972)
+    a = A[0, k] (a[size[k] - 1] = 1, zeros beyond; A[1, k] holds it
+    right-aligned) with pivot D[k], by the Gohberg-Semencul formula
+    (Gohberg and Semencul, Mat. Issled. 7, 1972)
 
         T^{-1} = (L(J a) L(J a)^H - L(Z conj(a)) L(Z conj(a))^H) / D,
 
@@ -859,13 +838,12 @@ def _toeplitz_solve(A, D, size, v):
     reversal and Z the shift down: four triangular Toeplitz products, each
     an FFT product on a circulant of length P >= 2 max(size) - 1, with v
     and the products kept to the first size[k] entries."""
-    k, n = A.shape
+    _, k, n = A.shape
     P = _fft_length(2 * n - 1)
-    inside = (np.arange(n) < size[:, None]).astype(float)
+    inside = np.arange(n) < size[:, None]
     gen = np.zeros((2, k, P), dtype=complex)
-    gen[0, :, :n] = A[np.arange(k)[:, None], size[:, None] - 1 - np.arange(n)]
-    gen[1, :, 1:n] = np.conjugate(A[:, :-1])
-    gen[:, :, :n] *= inside
+    gen[0, :, :n] = A[1, :, ::-1]
+    gen[1, :, 1:n] = np.conjugate(A[0, :, :-1])
     fg = np.fft.fft(gen)
     half = np.fft.ifft(np.fft.fft(v * inside, P) * np.conjugate(fg))
     half[:, :, :n] *= inside

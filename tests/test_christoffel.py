@@ -682,15 +682,16 @@ def test_certificate_refuses_a_wrong_gram_matrix(monkeypatch):
     # certificate; the standard circle jump at t = pi/2 is symmetric under
     # conjugation, so there the same mutation changes nothing
     real_levinson = christoffel_mod._block_levinson
+    real_border = christoffel_mod._szego_border
 
-    def conjugated_border(M, t, f, count, keep, G_aa, G_ba, phi):
+    def conjugated_border(mu, phi, G_aa, G_ba, count, keep):
         # every Gram entry the factor reads: the Toeplitz moments and both
         # blocks of the border; the certificate forms its own from mu
-        return real_levinson(np.conjugate(M), t, f, count, keep,
-                             np.conjugate(G_aa), np.conjugate(G_ba), phi)
+        return real_border(np.conjugate(mu), phi, np.conjugate(G_aa),
+                           np.conjugate(G_ba), count, keep)
 
     conjugated_levinson = lambda M, *args: real_levinson(np.conjugate(M), *args)
-    cases = ((ellipse_jump_measure(1.25, 0.75), "_block_levinson",
+    cases = ((ellipse_jump_measure(1.25, 0.75), "_szego_border",
               conjugated_border, 0.2),
              (circle_jump_measure(jump_param=1.0), "_block_levinson",
               conjugated_levinson, 5e-2))
