@@ -754,8 +754,9 @@ def _border_blocks(mu0, G_aa, G_ba, phi, D, AG, A_kept, count, keep):
     """(p, ok, C) of ``_szego_border`` from the Toeplitz steps it made: D_j,
     the rows [A_j G_ba, F_j(z)] and the kept A_j.
 
-    The steps go in blocks of L, the power of two nearest K/2 (at least
-    CERTIFY_STRIDE / 2), each starting at a degree divisible by L.  Before
+    The steps go in blocks of L, the power-of-two multiple of
+    CERTIFY_STRIDE nearest K/2, each starting at a degree divisible by L,
+    so that the certificate's rows start blocks up to degree 512.  Before
     block b the border stands as b_a = phi_a - sum g_j[a] psi_j over the
     earlier steps, whose Gram matrix is the Schur complement
     S_b = G_aa - sum g_j g_j^H.  One Cholesky factor of
@@ -771,7 +772,7 @@ def _border_blocks(mu0, G_aa, G_ba, phi, D, AG, A_kept, count, keep):
     (``_toeplitz_solve``).
     """
     K, n = len(G_aa), len(D)
-    L = max(CERTIFY_STRIDE // 2, 2 ** round(math.log2(K / 2)))
+    L = CERTIFY_STRIDE << max(0, round(math.log2(K / (2 * CERTIFY_STRIDE))))
     s = 1 / np.sqrt(D)
     first = K % L  # step j in row first + j of the blocks, degree K + j
     nb = max(1, -(-(first + n) // L))
