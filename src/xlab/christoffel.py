@@ -720,8 +720,9 @@ def _szego_border(mu, phi, G_aa, G_ba, count, keep):
     D, A_kept = [], {}
     AG = np.empty((max(J + 1, 0), K + 1), dtype=complex)  # [A_j G_ba, F_j(z)]
     W = np.stack([mu[1:J + 2], phi[K:count]], axis=1)
-    ring = np.zeros((R, J + 3), dtype=complex)  # A_j[i] in column i + 1 of
-    ring[0, 1], v = 1.0, np.empty(J + 2, dtype=complex)  # row j % R
+    # A_j[i] in column i + 1 of row j % R, column 0 zero
+    ring = np.zeros((R, J + 3), dtype=complex)
+    ring[0, 1], v = 1.0, np.empty(J + 2, dtype=complex)
     Dj, lo = mu[0].item(), 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(J + 1):
@@ -754,9 +755,9 @@ def _border_blocks(mu0, G_aa, G_ba, phi, D, AG, A_kept, count, keep):
     """(p, ok, C) of ``_szego_border`` from the Toeplitz steps it made: D_j,
     the rows [A_j G_ba, F_j(z)] and the kept A_j.
 
-    The steps go in blocks of L, the power-of-two multiple of
-    CERTIFY_STRIDE nearest K/2, each starting at a degree divisible by L,
-    so that the certificate's rows start blocks up to degree 512.  Before
+    The steps go in blocks of w, the power-of-two multiple of
+    CERTIFY_STRIDE nearest K/2, each starting at a degree divisible by w,
+    where the certificate's rows fall when w divides its stride.  Before
     block b the border stands as b_a = phi_a - sum g_j[a] psi_j over the
     earlier steps, whose Gram matrix is the Schur complement
     S_b = G_aa - sum g_j g_j^H.  One Cholesky factor of
@@ -764,7 +765,7 @@ def _border_blocks(mu0, G_aa, G_ba, phi, D, AG, A_kept, count, keep):
     turns [b_b(z), psi_b(z)] into p(z) (``_cholesky_solve``); its pivots
     past S_b, times D_j, are G's, so the breakdown test carries over, and
     block 0 gives the border's own polynomials.  The factors cost
-    (K + L)^3 / 3 per L steps, least near L = K/2.  The coefficient row of
+    (K + w)^3 / 3 per w steps, least near w = K/2.  The coefficient row of
     p_r, r = K + j, is -x on the border, with x = (S_j^{-1} g_j)^H / root_j
     and root_j the factor's diagonal entry at step j (one batched K x K
     solve), and on the Phi the coefficients of L_rr psi_j plus the
@@ -772,13 +773,13 @@ def _border_blocks(mu0, G_aa, G_ba, phi, D, AG, A_kept, count, keep):
     (``_toeplitz_solve``).
     """
     K, n = len(G_aa), len(D)
-    L = CERTIFY_STRIDE << max(0, round(math.log2(K / (2 * CERTIFY_STRIDE))))
+    w = CERTIFY_STRIDE << max(0, round(math.log2(K / (2 * CERTIFY_STRIDE))))
     s = 1 / np.sqrt(D)
-    first = K % L  # step j in row first + j of the blocks, degree K + j
-    nb = max(1, -(-(first + n) // L))
-    Eb = np.zeros((nb * L, K + 1), dtype=complex)
+    first = K % w  # step j in row first + j of the blocks, degree K + j
+    nb = max(1, -(-(first + n) // w))
+    Eb = np.zeros((nb * w, K + 1), dtype=complex)
     E = np.multiply(np.conjugate(AG), s[:, None], out=Eb[first:first + n])
-    Eb = Eb.reshape(nb, L, K + 1)  # rows [g_j^T, conj(psi_j(z))]
+    Eb = Eb.reshape(nb, w, K + 1)  # rows [g_j^T, conj(psi_j(z))]
     # [S_b; conj(b_b)^T]: G_aa and conj(phi) less the running sums of
     # [g_j; conj(psi_j(z))] g_j^H over the earlier blocks
     P = np.empty((nb, K + 1, K), dtype=complex)
@@ -786,14 +787,14 @@ def _border_blocks(mu0, G_aa, G_ba, phi, D, AG, A_kept, count, keep):
     EE = Eb[:-1].transpose(0, 2, 1) @ np.conjugate(Eb[:-1, :, :K])
     for b in range(1, nb):
         np.subtract(P[b - 1], EE[b - 1], out=P[b])
-    F = np.zeros((nb, K + L + 1, K + L + 1), dtype=complex)  # lower halves
-    F[:, [*range(K), K + L], :K] = P
+    F = np.zeros((nb, K + w + 1, K + w + 1), dtype=complex)  # lower halves
+    F[:, [*range(K), K + w], :K] = P
     F[:, K:-1, :K] = np.conjugate(Eb[:, :, :K])
     F[:, -1, K:-1] = Eb[:, :, K]
-    F[:, range(K, K + L), range(K, K + L)] = 1.0
+    F[:, range(K, K + w), range(K, K + w)] = 1.0
     pivots, p = _cholesky_solve(F)
     at = first + np.arange(n)
-    root = np.sqrt(pivots[:, K:].reshape(-1)[at])  # L's diagonal past S_b
+    root = np.sqrt(pivots[:, K:].reshape(-1)[at])  # the factor's diagonal past S_b
     p = np.concatenate([p[0, :K], p[:, K:].reshape(-1)[at]])
     pivots = np.concatenate([pivots[0, :K], root ** 2 * D])
     tol = np.full(K + n, BREAKDOWN_REL * mu0)
@@ -808,10 +809,10 @@ def _border_blocks(mu0, G_aa, G_ba, phi, D, AG, A_kept, count, keep):
     kept = [i for i, r in enumerate(keep) if K <= r < K + n]
     if kept:
         j = np.array([keep[i] - K for i in kept])
-        b, c = divmod(at[j], L)
+        b, c = divmod(at[j], w)
         S = P[b, :K]  # S_j, for a kept step past the start of its block
         if c.any():   # less that block's earlier steps
-            Ej = Eb[b, :, :K] * (np.arange(L) < c[:, None])[:, :, None]
+            Ej = Eb[b, :, :K] * (np.arange(w) < c[:, None])[:, :, None]
             S -= Ej.transpose(0, 2, 1) @ np.conjugate(Ej)
         x = np.conjugate(np.linalg.solve(S, E[j, :K, None])[:, :, 0])
         x /= root[j, None]
