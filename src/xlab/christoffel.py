@@ -6,20 +6,19 @@ every K_n(z) up to a degree without storing a basis, by a route that depends
 on the support kind alone: on intervals the Stieltjes recurrence, and on
 ellipses, circles and lemniscates a Gram matrix built from moments of the
 rule.  On a lemniscate |T| = 1 that matrix is block Toeplitz, and the block
-Levinson recursion factors it in O(n^2 deg T + n m) for m nodes; a circle
-|z - c| = r is the lemniscate of T(z) = (z - c)/r, of degree 1.  The
-ellipse's matrix is Toeplitz plus a Hankel border K wide (33 for axes
-5:3): the scalar recursion factors its Toeplitz part and the border enters
-through a K x K Schur complement, in O(n^2 K + n m).  Each route returns
-p_k(z) up to the degree it reaches, rows Q of a few of its polynomials, the
-rows W that make Q W^T = I, and a misfit of its moments against the nodes.
-The interval's Q holds node values; a Gram route's Q holds the coefficient
-rows C, and W^T = G C^H comes from the moments by FFT, while probes check
-the moments against the node coordinates: O(n log n) per kept polynomial
-and O(m log n) for the probes.  ``support_prefix`` alone sums the prefix and
-certifies Q, and a residual (the larger of max |Q W^T - I| and the
-misfit) above CERTIFY_TOL refuses the result.  Sweeps and kernel
-``christoffel_lambda`` calls take this route.
+Levinson recursion factors it in O(n^2 deg T + n m) for m nodes.  The
+ellipse's is Toeplitz plus a Hankel border K wide (33 for axes 5:3): the
+scalar recursion factors its Toeplitz part and the border enters through a
+K x K Schur complement, in O(n^2 K + n m); a circle, |T| = 1 at deg T = 1,
+is the case K = 0.  Each route returns p_k(z) up to the degree it reaches,
+rows Q of a few of its polynomials, the rows W that make Q W^T = I, and a
+misfit of its moments against the nodes.  The interval's Q holds node values; a
+Gram route's Q holds the coefficient rows C, and W^T = G C^H comes from the
+moments by FFT, while probes check the moments against the node coordinates:
+O(n log n) per kept polynomial and O(m log n) for the probes.
+``support_prefix`` alone sums the prefix and certifies Q, and a residual
+(the larger of max |Q W^T - I| and the misfit) above CERTIFY_TOL refuses the
+result.  Sweeps and kernel ``christoffel_lambda`` calls take this route.
 
 Where node values are needed (``method="direct"``, an explicit ``basis``,
 ``OrthoBasis`` itself) the basis p_0, ..., p_n orthonormal under a
@@ -392,18 +391,18 @@ def _gram_rows(rule, support, degree, z):
     s = -c_{N-1}/(N c_N), since T = e^{i theta} at the nodes; the matrix
     Szegő recursion (Damanik, Pushnitski and Simon, Surveys in Approximation
     Theory 4, 2008), run as ``_block_levinson``, gives p(z) in
-    O(degree^2 N + degree m) for m nodes, and on the circle it is the scalar
-    Szegő recursion.  On an ellipse with ``joukowski_frame`` axes a >= b,
-    phi_k = e^k + (r/e)^k with e the exterior variable, e^{i theta} at the
-    nodes, and r = (a-b)/(a+b): G is Toeplitz plus a Hankel border, its
-    first K rows and columns, K the number of r^k that reach HANKEL_CUT
-    (33 at r = 1/4, 1 on a round ellipse), so it takes moments only to
-    degree + K; past the border G is the Toeplitz matrix of the circle's
-    kind, so ``_szego_border`` runs Szegő's recursion on it, with the values
-    phi_{K+i}(z) in place of the powers T(z)^i, and takes the border in
-    through K x K Schur complements, in O(degree^2 K + degree m).  Either
-    route stops before its first pivot below BREAKDOWN_REL of its diagonal
-    entry of G.
+    O(degree^2 N + degree m) for m nodes; at N = 1 G is Toeplitz, and
+    ``_szego_border`` factors it with no border.  On an ellipse with
+    ``joukowski_frame`` axes a >= b, phi_k = e^k + (r/e)^k with e the
+    exterior variable, e^{i theta} at the nodes, and r = (a-b)/(a+b): G is
+    Toeplitz plus a Hankel border, its first K rows and columns, K the
+    number of r^k that reach HANKEL_CUT (33 at r = 1/4, 1 on a round
+    ellipse), so it takes moments only to degree + K; past the border G is
+    the Toeplitz matrix of the circle's kind, so ``_szego_border`` runs
+    Szegő's recursion on it, with the values phi_{K+i}(z) in place of the
+    powers T(z)^i, and takes the border in through K x K Schur complements,
+    in O(degree^2 K + degree m).  Either route stops before its first pivot
+    below BREAKDOWN_REL of its diagonal entry of G.
 
     Returns (p, C, W, misfit): p(z) up to the degree where the factor breaks
     down; C, the coefficient rows of the kept p_k in the phi_k; W =
@@ -441,14 +440,18 @@ def _gram_rows(rule, support, degree, z):
                 H[1:n + 2 - K, ::-1] + X[K:])
     else:  # |T| = 1
         poly = support.level_polynomial
-        N = poly.degree
+        N, t = poly.degree, complex(poly(z))
         s = -poly.coeffs[N - 1] / (N * poly.coeffs[N])
         Z = (rule.nodes[:, None] - s) ** np.arange(N)
         V = w[:, None, None] * Z[:, :, None] * np.conjugate(Z[:, None, :])
         M = _moments(rule.params, V.reshape(-1, N * N),
                      n // N + 1).reshape(-1, N, N)
-        factor = _block_levinson
-        args = (M, complex(poly(z)), (z - s) ** np.arange(N))
+        if N == 1:  # Toeplitz with an empty border, phi_i = t^i
+            phi = np.multiply.accumulate(np.r_[1, np.full(n, t)])
+            factor, args = _szego_border, (M[:, 0, 0], phi, np.zeros((0, 0)),
+                                           np.zeros((n + 1, 0)))
+        else:
+            factor, args = _block_levinson, (M, t, (z - s) ** np.arange(N))
     keep = _certified(n, n)
     p, ok, C = factor(*args, n + 1, keep)
     if not ok.all():  # again to the achieved degree, to certify its last
@@ -590,7 +593,7 @@ def _probe_misfit(M, x, V):
 def _block_levinson(M, t, f, count, keep):
     """p_0(z), ..., p_{count-1}(z) from the block Toeplitz Gram matrix
     G[jN + a, kN + b] = M[j - k, a, b], M[-d] = M[d]^H, of Phi_j = T^j f
-    with f = ((z - s)^a)_{a < N} and t = T(z).
+    with f = ((z - s)^a)_{a < N}, t = T(z) and N >= 2.
 
     The block Levinson recursion (Whittle, Biometrika 50, 1963; Wiggins and
     Robinson, J. Geophys. Res. 70, 1965) carries the forward polynomials
@@ -611,15 +614,12 @@ def _block_levinson(M, t, f, count, keep):
     factor of G, whose pivots they are.
 
     A numpy call on a small block costs microseconds, and an np.linalg call
-    about ten, so the calls per step are counted.  At N = 1 the blocks are
-    Python numbers (a zero one is singular), D_j goes to a Python list, and
-    a step makes five array operations: X_j, two bulk products and their two
-    updates.  At N > 1 a step makes eleven numpy calls: X_j, written in
-    place; the stack [Delta_j, Delta_j^H] (a copy and a conjugate); one
-    np.linalg.inv of the stack [E_j, D_j]; one product of the two stacks for
-    the gains [Kf, Kb]; a product and an update for each of A and B; and one
-    product and one subtraction for [E_{j+1}, D_{j+1}].  Products and
-    updates write into buffers made once per call.
+    about ten, so the calls per step are counted.  A step makes eleven numpy
+    calls: X_j, written in place; the stack [Delta_j, Delta_j^H] (a copy and
+    a conjugate); one np.linalg.inv of the stack [E_j, D_j]; one product of
+    the two stacks for the gains [Kf, Kb]; a product and an update for each
+    of A and B; and one product and one subtraction for [E_{j+1}, D_{j+1}].
+    Products and updates write into buffers made once per call.
 
     Returns (p, ok, C): p(z); ok, whether each pivot exceeds BREAKDOWN_REL
     of its diagonal entry of G; and C, the coefficient rows of p_k in the
@@ -639,9 +639,7 @@ def _block_levinson(M, t, f, count, keep):
     ED = np.full((J + 1, 2, N, N), np.nan, dtype=complex)  # [E_j, D_j]
     X = np.full((J + 1, N, N + 1), np.nan, dtype=complex)
     ED[0] = M[0]
-    Dj = E = M[0].item(0)  # read at N = 1 only
-    Ds = [Dj]  # D_j at N = 1, stored in ED after the loop
-    # [Delta_j, Delta_j^H] and the gains [Kf, Kb], at N > 1
+    # [Delta_j, Delta_j^H] and the gains [Kf, Kb]
     dd, gains = np.empty((2, 2, N, N), dtype=complex)
     fwd, back = np.empty_like(A), np.empty_like(A)
     blocks = sorted({k // N for k in keep})
@@ -655,20 +653,6 @@ def _block_levinson(M, t, f, count, keep):
             np.dot(Aj, W[:w], out=X[j])
             if j == J:
                 break
-            if N == 1:
-                delta = X[j].item(0)
-                deltaH = delta.conjugate()
-                try:
-                    inv_E, inv_D = 1 / E, 1 / Dj
-                except ZeroDivisionError:  # broken down
-                    break
-                Kf, Kb = delta * inv_E, deltaH * inv_D
-                KbA = Kb * Aj  # before A_j turns A_{j+1}
-                A[:, J - j - 1:J] -= Kf * Bj
-                B[:, 1:w + 1] -= KbA
-                Dj, E = Dj - Kf * deltaH, E - Kb * delta
-                Ds.append(Dj)
-                continue
             dd[0] = X[j, :, :N]
             np.conjugate(dd[0].T, out=dd[1])
             try:
@@ -682,8 +666,6 @@ def _block_levinson(M, t, f, count, keep):
             B[:, N:w + N] -= back[:, :w]
             # [E_j - Kb Delta_j, D_j - Kf Delta_j^H]
             np.subtract(ED[j], np.matmul(gains[::-1], dd), out=ED[j + 1])
-        if N == 1:
-            ED[:len(Ds), 1, 0, 0] = Ds
         D = ED[:, 1]
         pivots, p = _block_cholesky(D, X[:, :, N:])
         _, Y = _block_cholesky(D[blocks], A_kept)
@@ -709,7 +691,9 @@ def _szego_border(mu, phi, G_aa, G_ba, count, keep):
     a product and a subtraction turn A_j into A_{j+1}.  The last GRAM_BLOCK
     rows A_j stay in a ring, and every GRAM_BLOCK steps one product with
     G_ba gives their correlations with the border; ``_border_blocks`` does
-    the rest.  O(count^2 K) time and O(count (K + GRAM_BLOCK)) memory.
+    the rest, unless K = 0 (a circle): then p_j = psi_j(z), the pivots are
+    D_j and C holds A_j / sqrt(D_j).  O(count^2 K) time and
+    O(count (K + GRAM_BLOCK)) memory.
 
     Returns (p, ok, C) as ``_block_levinson`` does, over all count
     functions, border first.
@@ -719,7 +703,8 @@ def _szego_border(mu, phi, G_aa, G_ba, count, keep):
     steps = {r - K for r in keep if r >= K}  # kept steps
     D, A_kept = [], {}
     AG = np.empty((max(J + 1, 0), K + 1), dtype=complex)  # [A_j G_ba, F_j(z)]
-    W = np.stack([mu[1:J + 2], phi[K:count]], axis=1)
+    W = np.zeros((max(J + 1, 0), 2), dtype=complex)  # [mu_{i+1}, Phi_i(z)],
+    W[:J, 0], W[:, 1] = mu[1:J + 1], phi[K:count]    # Delta_J unused
     # A_j[i] in column i + 1 of row j % R, column 0 zero
     ring = np.zeros((R, J + 3), dtype=complex)
     ring[0, 1], v = 1.0, np.empty(J + 2, dtype=complex)
@@ -744,11 +729,17 @@ def _szego_border(mu, phi, G_aa, G_ba, count, keep):
             Bj = np.conjugate(row[j + 1::-1], out=v[:j + 2])  # B_j
             Bj *= Kf
             np.subtract(row[:j + 2], Bj, out=ring[(j + 1) % R, 1:j + 3])
-        j = len(D)
+        j, D = len(D), np.array(D).real
+        if not K:  # no border: p_j = psi_j(z), and C rows A_j / sqrt(D_j)
+            root, C = np.sqrt(D), np.zeros((len(keep), count), dtype=complex)
+            for i, r in enumerate(keep):
+                if r in A_kept:
+                    C[i, :r + 1] = A_kept[r] / root[r]
+            return AG[:j, 0] / root, D > BREAKDOWN_REL * mu[0].real, C
         if lo < j:
             AG[lo:j, :K] = ring[:j - lo, 1:j + 1] @ G_ba[:j]
-        return _border_blocks(mu[0].real, G_aa[:K, :K], G_ba, phi[:K],
-                              np.array(D).real, AG[:j], A_kept, count, keep)
+        return _border_blocks(mu[0].real, G_aa[:K, :K], G_ba, phi[:K], D,
+                              AG[:j], A_kept, count, keep)
 
 
 def _border_blocks(mu0, G_aa, G_ba, phi, D, AG, A_kept, count, keep):

@@ -158,9 +158,9 @@ def _suite_lemniscate_jump():
 
     # degree halving: even and odd polynomials are orthogonal on the z^2
     # lemniscate, so K_n(z0) = K_{n//2}(z0^2) + |z0|^2 K_{(n-1)//2}(z0^2)
-    # with K of the circle measure, from its own rule and an Arnoldi basis:
-    # the sweep's route on the circle is the lemniscate's Gram code at
-    # N = 1, so it would not check that code independently
+    # with K of the circle measure, from its own rule and an Arnoldi basis,
+    # which checks the circle's Gram route (the ellipse's scalar recursion
+    # with an empty border) independently
     K = kernel_prefix(orthonormalize(build_rule(circle_jump_measure(), 256),
                                      256), measure.z0 ** 2)
     worst = max(abs(1.0 / r.lambda_n - K[r.n // 2]

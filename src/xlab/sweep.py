@@ -113,10 +113,10 @@ def run_sweep(measure, z=None, schedule=None):
     """Evaluate lambda_n over a degree schedule from one pass to max(schedule).
 
     ``support_prefix`` gives the kernel prefix sums K_n(z) up to
-    max(schedule), by the Stieltjes recurrence on an interval, the block
-    Levinson recursion on a circle or a lemniscate, and on an ellipse the
-    scalar recursion with a Schur complement for its Hankel border, and they
-    give lambda_n for all smaller n.  A row that ``route_kernel`` refuses
+    max(schedule), by the Stieltjes recurrence on an interval, block
+    Levinson on a lemniscate, and the scalar recursion on a circle or an
+    ellipse (with a Schur complement for an ellipse's Hankel border), and
+    they give lambda_n for all smaller n.  A row that ``route_kernel`` refuses
     (beyond a breakdown, an overflowed kernel, or every row under an
     uncertified route) fails with the refusal as its note.
     ``result.stages`` records the time of each setup stage, the route, and

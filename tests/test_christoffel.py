@@ -677,11 +677,10 @@ def test_ellipse_breakdown_matches_arnoldi(monkeypatch, count, n):
 
 
 def test_certificate_refuses_a_wrong_gram_matrix(monkeypatch):
-    # conj(G) factored on the ellipse (residual 0.25) and conj(M) taken by
-    # block Levinson on a circle jump at t = 1 (9.0e-2) fail the
-    # certificate; the standard circle jump at t = pi/2 is symmetric under
-    # conjugation, so there the same mutation changes nothing
-    real_levinson = christoffel_mod._block_levinson
+    # conj(G) factored by _szego_border on the ellipse (residual 0.25) and
+    # conj(mu) on a circle jump at t = 1, with an empty border (9.0e-2),
+    # fail the certificate; the standard circle jump at t = pi/2 is
+    # symmetric under conjugation, so there the same mutation changes nothing
     real_border = christoffel_mod._szego_border
 
     def conjugated_border(mu, phi, G_aa, G_ba, count, keep):
@@ -690,15 +689,12 @@ def test_certificate_refuses_a_wrong_gram_matrix(monkeypatch):
         return real_border(np.conjugate(mu), phi, np.conjugate(G_aa),
                            np.conjugate(G_ba), count, keep)
 
-    conjugated_levinson = lambda M, *args: real_levinson(np.conjugate(M), *args)
-    cases = ((ellipse_jump_measure(1.25, 0.75), "_szego_border",
-              conjugated_border, 0.2),
-             (circle_jump_measure(jump_param=1.0), "_block_levinson",
-              conjugated_levinson, 5e-2))
-    for measure, name, wrong, floor in cases:
+    cases = ((ellipse_jump_measure(1.25, 0.75), 0.2),
+             (circle_jump_measure(jump_param=1.0), 5e-2))
+    for measure, floor in cases:
         rule = build_rule(measure, 64)
         with monkeypatch.context() as patch:
-            patch.setattr(christoffel_mod, name, wrong)
+            patch.setattr(christoffel_mod, "_szego_border", conjugated_border)
             _, residual, _ = support_prefix(rule, measure.support, 64, measure.z0)
             assert residual >= floor
             with pytest.raises(NumericError, match="residual"):
@@ -708,7 +704,7 @@ def test_certificate_refuses_a_wrong_gram_matrix(monkeypatch):
     symmetric = circle_jump_measure()
     rule = build_rule(symmetric, 64)
     with monkeypatch.context() as patch:
-        patch.setattr(christoffel_mod, "_block_levinson", conjugated_levinson)
+        patch.setattr(christoffel_mod, "_szego_border", conjugated_border)
         assert support_prefix(rule, symmetric.support, 64, 1.0)[1] < 1e-14
 
     # the one residual, formed by support_prefix, refuses any route whose
@@ -1061,9 +1057,10 @@ def test_block_levinson_breakdown_matches_arnoldi():
     # K nodes on |z^N| = 1 carry degree K - 1: the route stops at the same
     # degree as Arnoldi, at the first (K = 8, 9) or a later (K = 7) pivot of
     # a block, or at an exactly singular block (K < N), and agrees with the
-    # partial basis there
+    # partial basis there; at N = 1, the circle's Toeplitz recursion with
+    # an empty border, it stops at a pivot (K = 5, 1)
     z = 0.3 + 0.4j
-    for K, N in ((8, 2), (7, 2), (9, 3), (2, 3), (1, 2)):
+    for K, N in ((8, 2), (7, 2), (9, 3), (2, 3), (1, 2), (5, 1), (1, 1)):
         nodes = np.exp(2j * math.pi * (np.arange(K) + 0.3) / K)
         rule = QuadratureRule(nodes=nodes, weights=np.linspace(0.5, 1.5, K),
                               params=np.angle(nodes ** N), max_exact_degree=24)
@@ -1138,11 +1135,38 @@ def _assert_same_levinson(args):
         assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
 
 
+def _assert_szego_matches_reference(M, t, f, count, keep):
+    # _szego_border with an empty border against the reference's scalar
+    # branch, which rounds differently: a Levinson-type recursion is weakly
+    # stable (Bunch, SIAM J. Sci. Stat. Comput. 6, 1985), its error growing
+    # like kappa_k eps for kappa_k the condition number of G to degree k, so
+    # p_k and the kept C rows agree within 1e-13 kappa_k, and ok agrees, up
+    # to the degree where kappa_k reaches 1e13; past it these few-atom
+    # moments are singular to working precision
+    mu = M[:, 0, 0]
+    phi = np.multiply.accumulate(np.r_[f, np.full(count - 1, t)])
+    p, ok, C = christoffel_mod._szego_border(
+        mu, phi, np.zeros((0, 0)), np.zeros((count, 0)), count, keep)
+    p_ref, ok_ref, C_ref = _reference_block_levinson(M, t, f, count, keep)
+    d = np.subtract.outer(np.arange(count), np.arange(count))
+    G = np.where(d >= 0, mu[abs(d)], np.conjugate(mu[abs(d)]))
+    kappa = np.array([np.linalg.cond(G[:k + 1, :k + 1]) for k in range(count)])
+    cut = int(np.argmax(np.r_[kappa, np.inf] >= 1e13))
+    assert np.array_equal(ok[:cut], ok_ref[:cut])
+    assert np.all(np.abs(p[:cut] - p_ref[:cut])
+                  <= 1e-13 * kappa[:cut] * np.abs(p_ref[:cut]))
+    for row, row_ref, k in zip(C, C_ref, keep):
+        if k < cut:
+            assert np.max(np.abs(row - row_ref)) <= (
+                1e-13 * kappa[k] * np.max(np.abs(row_ref)))
+
+
 def test_block_levinson_matches_its_unstacked_reference():
     # seeded random Hermitian block Toeplitz moments, the moments of
     # m weighted vectors at random angles, so that G is positive definite,
-    # at N = 1, 2, 3 and counts that are a multiple of N or not: the
-    # stacked step gives the same bits as one product per block
+    # at N = 1, 2, 3 and counts that are a multiple of N or not: at N = 2
+    # and 3 the stacked step gives the same bits as one product per block;
+    # N = 1 takes _szego_border with an empty border
     gen = np.random.default_rng(33)
     for N in (1, 2, 3):
         for count in (1, 2, 7, 30, 91, 160):
@@ -1157,7 +1181,10 @@ def test_block_levinson_matches_its_unstacked_reference():
             t = complex(*gen.uniform(-1.2, 1.2, 2))
             f = gen.standard_normal((N, 2)) @ [1, 1j]
             keep = christoffel_mod._certified(count - 1, count - 1)
-            _assert_same_levinson((M, t, f, count, keep))
+            if N == 1:
+                _assert_szego_matches_reference(M, t, f, count, keep)
+            else:
+                _assert_same_levinson((M, t, f, count, keep))
 
 
 def test_block_levinson_breakdown_matches_its_unstacked_reference(monkeypatch):
