@@ -5,12 +5,14 @@ The Christoffel function follows from the kernel identity
 every K_n(z) up to a degree without storing a basis, by a route that depends
 on the support kind alone: on intervals the Stieltjes recurrence, and on
 ellipses, circles and lemniscates a Gram matrix built from moments of the
-rule.  On a lemniscate |T| = 1 that matrix is block Toeplitz, and the block
-Levinson recursion factors it in O(n^2 deg T + n m) for m nodes.  The
-ellipse's is Toeplitz plus a Hankel border K wide (33 for axes 5:3): the
-scalar recursion factors its Toeplitz part and the border enters through a
-K x K Schur complement, in O(n^2 K + n m); a circle, |T| = 1 at deg T = 1,
-is the case K = 0.  Each route returns p_k(z) up to the degree it reaches,
+rule, by one assembly in which each kind states only its node angles,
+weights, border and basis.  On an ellipse that matrix is Toeplitz plus a
+Hankel border K wide (33 for axes 5:3), and on a circle, |T| = 1 at
+deg T = 1, it is the case K = 0: the scalar Szegő recursion factors the
+Toeplitz part and the border enters through a K x K Schur complement, in
+O(n^2 K + n m) for m nodes.  On a lemniscate |T| = 1 of degree 2 and up it
+is block Toeplitz, and the block Levinson recursion factors it in
+O(n^2 deg T + n m).  Each route returns p_k(z) up to the degree it reaches,
 rows Q of a few of its polynomials, the rows W that make Q W^T = I, and a
 misfit of its moments against the nodes.  The interval's Q holds node values; a
 Gram route's Q holds the coefficient rows C, and W^T = G C^H comes from the
@@ -384,74 +386,74 @@ def _gram_rows(rule, support, degree, z):
     """p(z) up to ``degree`` for a rule on an ellipse, a circle or a lemniscate.
 
     The Gram matrix G of a Faber-type basis phi_k, nearly orthonormal on the
-    curve (Suetin, Series of Faber Polynomials, 1998), comes from O(degree)
-    moments of the rule in the node angle theta.  On a support |T| = 1 with
-    a ``level_polynomial`` T of degree N (a lemniscate, or a circle with
-    N = 1), G is block Toeplitz in phi_{jN+k} = (z - s)^k T^j, k < N,
-    s = -c_{N-1}/(N c_N), since T = e^{i theta} at the nodes; the matrix
-    Szegő recursion (Damanik, Pushnitski and Simon, Surveys in Approximation
-    Theory 4, 2008), run as ``_block_levinson``, gives p(z) in
-    O(degree^2 N + degree m) for m nodes; at N = 1 G is Toeplitz, and
-    ``_szego_border`` factors it with no border.  On an ellipse with
+    curve (Suetin, Series of Faber Polynomials, 1998), comes from moments
+    M[d] = sum_j V[j] e^{i d theta_j} of the rule.  The first part, the only
+    code that reads the support kind, states the node angles theta, the
+    weights V, the border's r^k, the basis at z and the probe points.  On a
+    support |T| = 1 with a ``level_polynomial`` T of degree N, T = e^{i theta}
+    at the nodes, phi_{jN+a} = (z - s)^a T^j for a < N with
+    s = -c_{N-1}/(N c_N), and V = w Z Z^H with Z = ((node - s)^a)_{a < N}:
+    G is block Toeplitz, with no border.  On an ellipse with
     ``joukowski_frame`` axes a >= b, phi_k = e^k + (r/e)^k with e the
-    exterior variable, e^{i theta} at the nodes, and r = (a-b)/(a+b): G is
-    Toeplitz plus a Hankel border, its first K rows and columns, K the
-    number of r^k that reach HANKEL_CUT (33 at r = 1/4, 1 on a round
-    ellipse), so it takes moments only to degree + K; past the border G is
-    the Toeplitz matrix of the circle's kind, so ``_szego_border`` runs
-    Szegő's recursion on it, with the values phi_{K+i}(z) in place of the
-    powers T(z)^i, and takes the border in through K x K Schur complements,
-    in O(degree^2 K + degree m).  Either route stops before its first pivot
-    below BREAKDOWN_REL of its diagonal entry of G.
+    exterior variable, e^{i theta} at the nodes, r = (a-b)/(a+b) and V = w:
+    G is Toeplitz plus a Hankel border, its first K rows and columns, K the
+    number of r^k that reach HANKEL_CUT (33 at r = 1/4, 1 on a round ellipse).
 
-    Returns (p, C, W, misfit): p(z) up to the degree where the factor breaks
-    down; C, the coefficient rows of the kept p_k in the phi_k; W =
-    conj(C) G^T, with G formed again from the moments, not read from the
-    factored matrix, so that C W^T = C G C^H is the kept p_k's Gram matrix:
-    its Toeplitz part by one FFT product (``_toeplitz_rows``), and on the
-    ellipse the border's three products; and ``_probe_misfit`` of the
-    moments against the nodes, where T (or e) is read from the node
+    The second part reads only the shapes of V and r, and makes the one
+    ``_moments`` call.  At N = 1 it forms the border from the moments, empty
+    when K = 0, and ``_szego_border`` runs Szegő's recursion on the Toeplitz
+    part with the values phi_{K+i}(z) and takes the border in through K x K
+    Schur complements, in O(degree^2 K + degree m) for m nodes; at N >= 2
+    ``_block_levinson``, the matrix Szegő recursion (Damanik, Pushnitski and
+    Simon, Surveys in Approximation Theory 4, 2008), takes
+    O(degree^2 N + degree m).  Either stops before its first pivot below
+    BREAKDOWN_REL of its diagonal entry of G.  Returns (p, C, W, misfit):
+    p(z) up to that degree; C, the coefficient rows of the kept p_k in the
+    phi_k; W = conj(C) G^T, with G formed again from the moments, so that
+    C W^T = C G C^H is the kept p_k's Gram matrix (its Toeplitz part by FFT
+    in ``_toeplitz_rows``, then the border's three products); and
+    ``_probe_misfit`` of the moments against T (or e) read from the node
     coordinates, not from the angles the moments were built from.
     """
     w, n = rule.weights, degree
     if support.kind == "ellipse":
         _, rho, a, b = support.joukowski_frame
+        theta, V = rule.params + support.rotation - rho, w[:, None, None]
         q = np.arange(n + 1)
         r = ((a - b) / (a + b)) ** q
-        K = int(np.count_nonzero(r >= HANKEL_CUT))  # width of the Hankel border
-        r = r[:K]
-        mu = _moments(rule.params + support.rotation - rho, w, n + K)
+        r = r[:np.count_nonzero(r >= HANKEL_CUT)]  # r^k on the Hankel border
         u, root = support.joukowski_root(z)
         # phi_k = e^k + e'^k with e e' = r, whichever branch e takes
         phi = ((u + root) / (a + b)) ** q + ((u - root) / (a + b)) ** q
-        # G = T + r_k H + r_j conj(H) + r_j r_k conj(T) with T[j, k] = mu_{j-k}
-        # and H[j, k] = mu_{j+k} strided views of mu; r_j conj(H) = (r_k H)^H,
-        # and only the first K columns of r_k H reach HANKEL_CUT, so past its
-        # first K rows and columns G is T, and
-        # G[K + i, a] = T[K + i, a] + X[K + i, a]
-        window = np.lib.stride_tricks.sliding_window_view
-        T = window(np.concatenate([np.conjugate(mu[K - 1:0:-1]), mu[:K]]),
-                   K)[:, ::-1]
-        H = window(mu, K)  # H[j, a] = mu_{j+a}, j <= n
-        X = H * r
-        D = np.conjugate(T) * np.multiply.outer(r, r)
-        M, factor = mu[:, None, None], _szego_border
-        args = (mu, phi, T + X[:K] + np.conjugate(X[:K].T) + D,
-                H[1:n + 2 - K, ::-1] + X[K:])
+        at_z = (phi,)
+        u, root = support.joukowski_root(rule.nodes)
+        x = (u + root) / (a + b)
     else:  # |T| = 1
         poly = support.level_polynomial
         N, t = poly.degree, complex(poly(z))
         s = -poly.coeffs[N - 1] / (N * poly.coeffs[N])
         Z = (rule.nodes[:, None] - s) ** np.arange(N)
+        theta, r, x = rule.params, np.zeros(0), poly(rule.nodes)
         V = w[:, None, None] * Z[:, :, None] * np.conjugate(Z[:, None, :])
-        M = _moments(rule.params, V.reshape(-1, N * N),
-                     n // N + 1).reshape(-1, N, N)
-        if N == 1:  # Toeplitz with an empty border, phi_i = t^i
-            phi = np.multiply.accumulate(np.r_[1, np.full(n, t)])
-            factor, args = _szego_border, (M[:, 0, 0], phi, np.zeros((0, 0)),
-                                           np.zeros((n + 1, 0)))
-        else:
-            factor, args = _block_levinson, (M, t, (z - s) ** np.arange(N))
+        at_z = ((np.multiply.accumulate(np.r_[1, np.full(n, t)]),) if N == 1
+                else (t, (z - s) ** np.arange(N)))  # phi_i = t^i, or T and f
+    N, K = V.shape[1], len(r)
+    M = _moments(theta, V.reshape(-1, N * N),
+                 n + max(K, 1) if N == 1 else n // N + 1).reshape(-1, N, N)
+    if N == 1:
+        # G = T + r_k H + r_j conj(H) + r_j r_k conj(T) with T[j, k] = mu_{j-k}
+        # and H[j, k] = mu_{j+k}; r_j conj(H) = (r_k H)^H, and only the first
+        # K columns of X = r_k H reach HANKEL_CUT, so past its first K rows
+        # and columns G is T, and below them its first K columns are T + X
+        mu, i, k = M[:, 0, 0], np.arange(n + 1)[:, None], np.arange(K)
+        T, X = mu[abs(i - k)], mu[i + k] * r  # mu_{-d} = conj(mu_d):
+        np.conjugate(T[:K], out=T[:K], where=i[:K] < k)
+        D = np.conjugate(T[:K]) * np.multiply.outer(r, r)
+        T += X
+        factor, args = _szego_border, (
+            mu, *at_z, T[:K] + np.conjugate(X[:K].T) + D, T[K:])
+    else:
+        factor, args = _block_levinson, (M, *at_z)
     keep = _certified(n, n)
     p, ok, C = factor(*args, n + 1, keep)
     if not ok.all():  # again to the achieved degree, to certify its last
@@ -459,17 +461,11 @@ def _gram_rows(rule, support, degree, z):
         p, _, C = (factor(*args, keep[-1] + 1, keep) if keep else
                    (p[:0], ok, np.zeros((0, 0), dtype=complex)))
     W = _toeplitz_rows(M, C)
-    if support.kind == "ellipse":
-        # conj(C) G^T: T by FFT, then the border over G's first k rows and
-        # columns
+    if K:  # the border over G's first k rows and columns
         k, Ct = min(K, p.size), np.conjugate(C)
         X = X[:p.size, :k]
         W += Ct[:, :k] @ X.T
         W[:, :k] += Ct @ np.conjugate(X) + Ct[:, :k] @ D[:k, :k].T
-        u, root = support.joukowski_root(rule.nodes)
-        x, V = (u + root) / (a + b), w[:, None, None]
-    else:
-        x = poly(rule.nodes)
     return p, C, W, _probe_misfit(M, x, V)
 
 

@@ -32,7 +32,7 @@ from xlab.measures import (JumpWeight, MeasureSpec, circle_jump_measure,
                            uniform_circle_measure)
 from xlab.quadrature import QuadratureRule, build_rule
 from xlab.suites import standard_jump_measures
-from xlab.sweep import geometric_schedule, run_sweep
+from xlab.sweep import geometric_schedule, predicted_limit, run_sweep
 
 MEASURES = pathlib.Path(__file__).resolve().parent.parent / "measures"
 CUBIC_TEXT = ("support.kind = lemniscate\n"
@@ -433,18 +433,20 @@ def _ellipse_gram_lambda(a, b, A, B, t0, ns, zs):
     Shares no code with the pipeline.  At 50 digits, mpmath's Gauss-Legendre
     rule of degree 5 (48 points) on two panels of each jump-free segment
     gives 192 nodes z and weights w times the arc speed for ``_gram_lambda``.
+    Returns the values, and the rule's angles t, nodes and weights.
     """
     with mp.workdps(50):
         gauss = GaussLegendre(mp)
         a, b, half = mp.mpf(a), mp.mpf(b), mp.pi / 2
-        z, w = [], []
+        theta, z, w = [], [], []
         for lo, value in ((t0, B), (t0 + half, B), (t0 + 2 * half, A),
                           (t0 + 3 * half, A)):
             for t, weight in gauss.get_nodes(lo, lo + half, 5, mp.prec):
                 c, s = mp.cos(t), mp.sin(t)
+                theta.append(t)
                 z.append(mp.mpc(a * c, b * s))
                 w.append(value * weight * mp.sqrt((a * s) ** 2 + (b * c) ** 2))
-        return _gram_lambda(z, w, ns, zs)
+        return _gram_lambda(z, w, ns, zs), theta, z, w
 
 
 # the arc speed of a cos t + i b sin t has branch points atanh(b/a) off the
@@ -464,7 +466,7 @@ def test_ellipse_gram_oracle(a, b, ns, points):
     # inside and outside the curve, against the 50-digit monomial Gram
     measure = ellipse_jump_measure(a, b)
     zs = [measure.z0 if z == "z0" else z for z in points]
-    oracle = _ellipse_gram_lambda(a, b, 2.0, 1.0, 0.0, ns, zs)
+    oracle = _ellipse_gram_lambda(a, b, 2.0, 1.0, 0.0, ns, zs)[0]
     for z in zs:
         for row in run_sweep(measure, z=z, schedule=list(ns)).rows:
             want = oracle[row.n, z]
@@ -490,25 +492,28 @@ def _z2_minus_2_oracle():
     at 50 digits, mpmath's Gauss-Legendre rule of degree 4 (24 points) on
     one panel of each A segment and two of the B segment gives 96 angles
     and 192 nodes for ``_gram_lambda`` (4e-21 from a rule twice as fine).
+    Returns the values, and each node's angle, the nodes and the weights.
     """
     with mp.workdps(50):
         gauss = GaussLegendre(mp)
         half = mp.pi / 2
-        z, w = [], []
+        theta, z, w = [], [], []
         for lo, hi, value in ((0, half, 2), (half, 2 * half, 1),
                               (2 * half, 3 * half, 1), (3 * half, 4 * half, 2)):
             for t, weight in gauss.get_nodes(lo, hi, 4, mp.prec):
                 root = mp.sqrt(2 + mp.expj(t))
                 for x in (root, -root):
+                    theta.append(t)
                     z.append(x)
                     w.append(value * weight / abs(2 * x))
-        return _gram_lambda(z, w, Z2_MINUS_2_NS, Z2_MINUS_2_POINTS)
+        return (_gram_lambda(z, w, Z2_MINUS_2_NS, Z2_MINUS_2_POINTS), theta, z,
+                w)
 
 
 def test_z2_minus_2_sweep_oracle():
     # the sweep's rows, on a rule built for degree 24, at z0, just outside
     # the curve and far from it, against the 50-digit pullback Gram
-    oracle = _z2_minus_2_oracle()
+    oracle = _z2_minus_2_oracle()[0]
     for z in Z2_MINUS_2_POINTS:
         for row in run_sweep(Z2_MINUS_2, z=z, schedule=Z2_MINUS_2_NS).rows:
             want = oracle[row.n, z]
@@ -528,10 +533,47 @@ Z2_MINUS_2_LOW_DEGREE = pytest.mark.xfail(
     pytest.param(8, marks=Z2_MINUS_2_LOW_DEGREE), 16, 24])
 def test_z2_minus_2_kernel_lambda_oracle(n):
     # kernel lambda on a rule built for degree n, against the same oracle
-    oracle = _z2_minus_2_oracle()
+    oracle = _z2_minus_2_oracle()[0]
     for z in Z2_MINUS_2_POINTS:
         got = christoffel_lambda(Z2_MINUS_2, n, z=z).lambda_n
         assert abs(got - oracle[n, z]) <= 1e-13 * oracle[n, z], z
+
+
+def _oracle_moments(theta, z, w, count, N):
+    """The Gram route's moments M[d, a, b] = sum_j w_j e^{i d theta_j}
+    z_j^a conj(z_j)^b, d < count and a, b < N, of a 50-digit rule, rounded
+    once to complex128 and shaped as ``_moments`` returns them for N^2
+    columns."""
+    with mp.workdps(50):
+        return np.array([[complex(mp.fsum(
+            wj * mp.expj(d * t) * zj ** a * mp.conj(zj) ** b
+            for t, zj, wj in zip(theta, z, w)))
+            for a in range(N) for b in range(N)] for d in range(count)])
+
+
+@pytest.mark.parametrize("case", ["flat-ellipse", "z2-2"])
+def test_gram_factor_meets_the_oracle_on_its_moments(monkeypatch, case):
+    # the float factor and the basis values at z, on the 50-digit oracle's
+    # own moments (s = 0 on z^2 - 2), meet the oracle within 1e-14 where the
+    # pipeline's rule misses it by 5.3e-8 and 7e-12 to 3e-11 (the strict
+    # xfails above): those misses come from the rule, not the factor.  The
+    # misfit is not asserted, since the probes read the pipeline's nodes
+    if case == "flat-ellipse":
+        measure, ns, points = ellipse_jump_measure(1.0, 0.1), (4,), (2 + 1j,)
+        oracle, *nodes = _ellipse_gram_lambda(1.0, 0.1, 2.0, 1.0, 0.0, ns,
+                                              points)
+    else:
+        measure, ns, points = Z2_MINUS_2, (4, 8), Z2_MINUS_2_POINTS
+        oracle, *nodes = _z2_minus_2_oracle()
+    # V holds N^2 columns, one per moment sequence the route asks for
+    monkeypatch.setattr(christoffel_mod, "_moments", lambda theta, V, count:
+                        _oracle_moments(*nodes, count, math.isqrt(V.shape[1])))
+    for n in ns:
+        rule = build_rule(measure, n)
+        for z in points:
+            p = christoffel_mod._gram_rows(rule, measure.support, n, z)[0]
+            got = 1 / np.sum(np.abs(p) ** 2)
+            assert abs(got - oracle[n, z]) <= 1e-14 * oracle[n, z], (n, z)
 
 
 @pytest.mark.parametrize("a, b, ns", [
@@ -1227,6 +1269,29 @@ def test_kernel_lambda_route_matches_arnoldi(name):
             assert (got.route, want.route) == (ROUTES[measure.support.kind],
                                                "arnoldi")
             assert abs(got.lambda_n - want.lambda_n) <= 1e-13 * want.lambda_n
+
+
+def test_degree_one_lemniscate_is_its_circle():
+    # the shipped lemniscate of T = e^{i alpha} (z - c)/r, traced and pulled
+    # back, is the circle |z - c| = r with its jump at pi/2 - alpha: z0, the
+    # predicted limit and kernel lambda agree, at z0, just outside the
+    # curve, inside it and far from it.  At n = 512 z0 is left out: the two
+    # supports round the jump's position apart, and lambda_512 moves by
+    # 8e-14 across that gap
+    c, r, alpha = 0.4 - 0.3j, 1.7, 0.9
+    path = MEASURES / "lemniscate_degree1_jump.measure"
+    lemniscate = load_measure_file(path)
+    circle = circle_jump_measure(jump_param=math.pi / 2 - alpha, radius=r,
+                                 center=c)
+    assert abs(lemniscate.z0 - circle.z0) <= 1e-15
+    want = predicted_limit(circle)
+    assert abs(predicted_limit(lemniscate) - want) <= 1e-15 * want
+    points = (None, 1.02 * (circle.z0 - c) + c, c + 0.3, 3 + 1j)  # None: z0
+    for n in (8, 33, 96, 512):
+        for z in points[1:] if n == 512 else points:
+            got = christoffel_lambda(lemniscate, n, z=z).lambda_n
+            want = christoffel_lambda(circle, n, z=z).lambda_n
+            assert abs(got - want) <= 1e-13 * want, (n, z)
 
 
 def test_kernel_lambda_route_degeneracy_matches_arnoldi(monkeypatch):
